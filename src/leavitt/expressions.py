@@ -21,6 +21,11 @@ from .algebra import Element
 from .errors import ExpressionSyntaxError, UnknownIdentifier
 from .fields import QQ
 
+# Each nesting level costs four stack frames (expr, term, factor, atom), so
+# this bound keeps the deepest parse far below the interpreter's recursion
+# limit of 1000.
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[-+*/()'])|(?P<bad>\S))"
 )
@@ -48,6 +53,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.field = field
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -120,8 +126,12 @@ class _Parser:
                 return Element.edge(self.graph, value, self.field)
             raise UnknownIdentifier(f"unknown identifier {value!r} in graph {self.graph.name!r}")
         if kind == "sym" and value == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ExpressionSyntaxError(f"parentheses nested deeper than {MAX_NESTING}")
             inner = self.expr()
             self.expect_sym(")")
+            self.depth -= 1
             return inner
         raise ExpressionSyntaxError(f"expected identifier or '(', got {value!r}")
 

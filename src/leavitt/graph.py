@@ -137,7 +137,7 @@ def parse_graph(text):
     preserved.
     """
     name = None
-    vertices = []
+    vertices = {}  # insertion-ordered, with constant-time endpoint checks
     edges = []
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -159,7 +159,7 @@ def parse_graph(text):
             if words[1] in seen:
                 raise DuplicateIdentifier(f"line {lineno}: identifier {words[1]!r} declared twice")
             seen.add(words[1])
-            vertices.append(words[1])
+            vertices[words[1]] = None
         elif keyword == "edge":
             if len(words) != 4:
                 raise GraphSyntaxError("expected 'edge <id> <src> <dst>'", lineno, 1)
@@ -236,15 +236,6 @@ class Path:
     @property
     def is_trivial(self):
         return not self.edges
-
-    def vertex_set(self):
-        """All vertices the path passes through, including endpoints."""
-        seen = [self.source]
-        for name in self.edges:
-            v = self.graph.edge(name).dst
-            if v not in seen:
-                seen.append(v)
-        return tuple(seen)
 
     def concat(self, other):
         if other.source != self.range:
@@ -451,28 +442,30 @@ def _as_members(g, X):
 # Analyzers
 
 
+def _reach(g, sources, backwards=False, keep=None):
+    """Every vertex reached from the sources (included) along directed edges,
+    or against them when backwards: the vertices that reach some source.
+    With keep, the walk enters only the vertices w for which keep(w) holds."""
+    adjacent = g._in if backwards else g._out
+    reached = set(sources)
+    stack = list(reached)
+    while stack:
+        for e in adjacent[stack.pop()]:
+            w = e.src if backwards else e.dst
+            if w not in reached and (keep is None or keep(w)):
+                reached.add(w)
+                stack.append(w)
+    return reached
+
+
 def tree(g, v):
     """T(v): every vertex reachable from v by a directed path, v included."""
     g.vertex_index(v)
-    reached = {v}
-    frontier = [v]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for e in g.out_edges(x):
-                if e.dst not in reached:
-                    reached.add(e.dst)
-                    nxt.append(e.dst)
-        frontier = nxt
-    return VertexSet(g, reached)
+    return VertexSet(g, _reach(g, (v,)))
 
 
 def tree_of_set(g, X):
-    members = _as_members(g, X)
-    reached = set()
-    for v in members:
-        reached |= tree(g, v).members
-    return VertexSet(g, reached)
+    return VertexSet(g, _reach(g, _as_members(g, X)))
 
 
 def connects_to(g, u, w):
@@ -486,25 +479,34 @@ def bifurcations(g):
 
 
 def cycles(g):
-    """All cycles, one representative per rotation class.
+    """All cycles, one representative per rotation class, for the report.
 
-    The canonical rotation starts at the least source vertex in declaration
-    order, and that is also how representatives are enumerated: a depth-first
-    search from each vertex v only closes cycles whose minimal vertex is v.
+    A representative starts at its least vertex s in declaration order (its
+    canonical rotation). An iterative depth-first search from s closes a
+    cycle on each edge back to s; as in Johnson (1975), it enters only the
+    vertices declared after s that reach s through such vertices. The
+    representatives are sorted by edge indices. Their number can grow
+    exponentially, so no other analyzer enumerates them.
     """
+    index = g._vindex
     found = []
-
-    def extend(path, start):
-        at = path.range
-        start_idx = g.vertex_index(start)
-        for e in g.out_edges(at):
-            if e.dst == start:
-                found.append(Cycle(path.append(e.name)))
-            elif g.vertex_index(e.dst) > start_idx and e.dst not in path.vertex_set():
-                extend(path.append(e.name), start)
-
     for start in g.vertices:
-        extend(Path.trivial(g, start), start)
+        first = index[start]
+        # vertices the path may enter: declared after start, reaching start
+        # through such vertices, and not on the path yet
+        free = _reach(g, (start,), backwards=True, keep=lambda w: index[w] > first)
+        stack = [(start, None, iter(g._out[start]))]
+        while stack:
+            for e in stack[-1][2]:
+                if e.dst == start:
+                    edges = [frame[1] for frame in stack[1:]] + [e.name]
+                    found.append(Cycle(Path(g, start, edges)))
+                elif e.dst in free:
+                    free.remove(e.dst)
+                    stack.append((e.dst, e.name, iter(g._out[e.dst])))
+                    break
+            else:
+                free.add(stack.pop()[0])
     found.sort(key=lambda c: tuple(g.edge_index(e) for e in c.edges))
     return tuple(found)
 
@@ -524,29 +526,28 @@ def cycle_has_exit(g, cycle):
 
 
 def vertex_on_a_cycle(g):
-    """Set of vertices lying on some cycle (= nontrivially strongly connected)."""
-    on = set()
-    for c in cycles(g):
-        on.update(c.vertices())
+    """Vertices on some cycle: those of the strongly connected components
+    with more than one vertex, and the sources of loops."""
+    on = {e.src for e in g.edges if e.src == e.dst}
+    for comp in strongly_connected_components(g):
+        if len(comp) > 1:
+            on |= comp
     return on
 
 
 def line_points(g):
-    """Vertices u whose tree T(u) has no bifurcations and meets no cycle."""
-    bif = bifurcations(g).members
-    cyc = vertex_on_a_cycle(g)
-    result = []
-    for u in g.vertices:
-        t = tree(g, u)
-        if not (t.members & bif) and not (t.members & cyc):
-            result.append(u)
-    return VertexSet(g, result)
+    """Vertices u whose tree T(u) has no bifurcations and meets no cycle:
+    by backwards reachability, those reaching no bifurcation and no vertex
+    on a cycle."""
+    blocked = bifurcations(g).members | vertex_on_a_cycle(g)
+    return VertexSet(g, set(g.vertices) - _reach(g, blocked, backwards=True))
 
 
 def is_hereditary(g, X):
-    """v >= w and v in X imply w in X."""
+    """v >= w and v in X imply w in X; equivalently, every edge with source
+    in X has its range in X."""
     members = _as_members(g, X)
-    return all(tree(g, v).members <= members for v in members)
+    return all(e.dst in members for e in g.edges if e.src in members)
 
 
 def is_saturated(g, X):
@@ -586,46 +587,37 @@ def strongly_connected_components(g):
     on_stack = set()
     stack = []
     comps = []
-    counter = [0]
-
     for root in g.vertices:
         if root in index:
             continue
-        work = [(root, iter(g.out_edges(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
         on_stack.add(root)
+        work = [(root, iter(g._out[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for e in it:
                 w = e.dst
                 if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                    index[w] = low[w] = len(index)
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(g.out_edges(w))))
-                    advanced = True
+                    work.append((w, iter(g._out[w])))
                     break
                 if w in on_stack:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                comps.append(comp)
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    comp = set()
+                    while v not in comp:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.add(w)
+                    comps.append(comp)
     return comps
 
 
@@ -644,9 +636,9 @@ def is_path_algebra_semiprime(g):
 
 
 def socle_is_essential(g):
-    """True iff every vertex connects to a line point."""
-    lp = line_points(g).members
-    return all(tree(g, v).members & lp for v in g.vertices)
+    """True iff every vertex connects to a line point: backwards
+    reachability from the line points covers every vertex."""
+    return len(_reach(g, line_points(g).members, backwards=True)) == len(g.vertices)
 
 
 def connected_components(g):
@@ -681,11 +673,11 @@ def connected_components(g):
 
 
 def is_acyclic(g):
-    return not cycles(g)
+    return not vertex_on_a_cycle(g)
 
 
 def is_acyclic_no_bifurcation(g):
-    return not cycles(g) and not bifurcations(g).members
+    return is_acyclic(g) and not bifurcations(g).members
 
 
 def analyzer_report(g):

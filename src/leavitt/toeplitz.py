@@ -19,7 +19,7 @@ from .algebra import Element, Monomial, basis_monomials_up_to
 from .errors import PreconditionError
 from .expressions import format_element, format_monomial
 from .fields import QQ
-from .graph import Graph, Path, cycles, is_acyclic, line_points, tree
+from .graph import Graph, Path, is_acyclic, socle_is_essential, vertex_on_a_cycle
 from .matrices import Matrix
 from .quotients import in_socle, quotient_graph, quotient_morphism
 
@@ -130,11 +130,6 @@ class ToeplitzDecomposition:
         }
 
 
-def _every_vertex_connects_to_line_point(g):
-    lp = line_points(g).members
-    return all(tree(g, v).members & lp for v in g.vertices)
-
-
 def build_toeplitz_family(n, F, attach, name=None):
     """E(n, F): fresh loop vertex v with loop e, plus n connectors into F.
 
@@ -147,7 +142,7 @@ def build_toeplitz_family(n, F, attach, name=None):
         raise PreconditionError("the family needs at least one connecting edge")
     if not is_acyclic(F):
         raise PreconditionError("F must be acyclic")
-    if not _every_vertex_connects_to_line_point(F):
+    if not socle_is_essential(F):
         raise PreconditionError("every vertex of F must connect to a line point")
     attach = list(attach)
     if len(attach) != n:
@@ -168,24 +163,24 @@ def recognize_toeplitz(g):
     Required: a unique cycle which is a loop (at v), no other edge entering
     v, at least one edge from v into the rest, and the rest (F) acyclic
     with every vertex connecting to a line point -- automatic for finite F,
-    but evaluated anyway.
+    but evaluated anyway. With v the only vertex on a cycle, every cycle is
+    a loop at v and F is acyclic, so the first two conditions say that v
+    has in-degree one.
     """
-    cs = cycles(g)
-    if len(cs) != 1 or len(cs[0].edges) != 1:
+    on_cycle = vertex_on_a_cycle(g)
+    if len(on_cycle) != 1:
         return None
-    loop_edge = cs[0].edges[0]
-    v = g.edge(loop_edge).src
-    if any(e.dst == v and e.name != loop_edge for e in g.edges):
+    (v,) = on_cycle
+    if len(g.in_edges(v)) != 1:
         return None
+    loop_edge = g.in_edges(v)[0].name
     connectors = [e.name for e in g.out_edges(v) if e.name != loop_edge]
     if not connectors:
         return None
     f_vertices = [u for u in g.vertices if u != v]
     f_edges = [e for e in g.edges if e.src != v]
     subgraph = Graph(f"{g.name}_F", f_vertices, [(e.name, e.src, e.dst) for e in f_edges])
-    if not is_acyclic(subgraph):
-        return None
-    if not _every_vertex_connects_to_line_point(subgraph):
+    if not socle_is_essential(subgraph):
         return None
     return ToeplitzDecomposition(v, loop_edge, connectors, subgraph)
 

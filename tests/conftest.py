@@ -85,6 +85,15 @@ def random_graph(rng, max_vertices=6, max_edges=10):
     return Graph(f"rnd{n}_{m}", vertices, edges)
 
 
+def deep_graphs(n=1100):
+    """A directed n-cycle and an n-vertex line with a loop at its last vertex:
+    paths longer than the interpreter's recursion limit."""
+    vertices = [f"x{i}" for i in range(1, n + 1)]
+    ring = [(f"a{i}", f"x{i}", f"x{i % n + 1}") for i in range(1, n + 1)]
+    looped = ring[:-1] + [("l", f"x{n}", f"x{n}")]
+    return [Graph(f"cycle{n}", vertices, ring), Graph(f"looped{n}", vertices, looped)]
+
+
 def raw_monomials(g, max_len=3):
     """Spanning-set monomials (not necessarily basis) up to the length bound."""
     by_range = {}
@@ -168,6 +177,33 @@ def simple_paths(g):
             if e.dst != v:
                 extend(Path.from_edges(g, [e.name]), {v, e.dst})
     return out
+
+
+def cycles_oracle(g):
+    """Edge tuples of all cycles, each rotated to start at its least vertex:
+    the loops, and every simple path closed by an edge back to its source."""
+    closed = [(e.name,) for e in g.edges if e.src == e.dst]
+    for p in simple_paths(g):
+        if p.source != p.range:
+            closed += [p.edges + (e.name,) for e in g.out_edges(p.range) if e.dst == p.source]
+    found = set()
+    for edges in closed:
+        starts = [g.vertex_index(g.edge(e).src) for e in edges]
+        k = starts.index(min(starts))
+        found.add(edges[k:] + edges[:k])
+    return found
+
+
+def toeplitz_oracle(g):
+    """E(n, F) shape read off the cycle list: one cycle, a loop, with no other
+    edge into its vertex and at least one connector out of it."""
+    cs = L.cycles(g)
+    if len(cs) != 1 or len(cs[0].edges) != 1:
+        return False
+    v = g.edge(cs[0].edges[0]).src
+    into = [e for e in g.edges if e.dst == v]
+    out = [e for e in g.edges if e.src == v]
+    return len(into) == 1 and len(out) >= 2
 
 
 def semiprime_oracle(g):

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from leavitt.cli import main
+from leavitt.expressions import MAX_NESTING
 
-from conftest import A2_DSL, TOEPLITZ_DSL
+from conftest import A2_DSL, TOEPLITZ_DSL, deep_graphs
 
 
 @pytest.fixture
@@ -143,6 +144,11 @@ def test_error_paths(capsys, tfile, tmp_path):
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "UnknownIdentifier"
 
+    code, out, err = run_cli(capsys, "nf", tfile, "(" * 2000 + "v" + ")" * 2000)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "ExpressionSyntaxError"
+    assert str(MAX_NESTING) in json.loads(err)["error"]["message"]
+
     code, out, err = run_cli(capsys, "decompose", tfile)
     assert code == 2
     assert json.loads(err)["error"]["type"] == "PreconditionError"
@@ -159,6 +165,15 @@ def test_error_paths(capsys, tfile, tmp_path):
 
     code, out, err = run_cli(capsys, "analyze", tfile, "--only", "nope")
     assert code == 2
+
+
+def test_analyze_paths_past_the_recursion_limit(capsys, tmp_path):
+    for g in deep_graphs():
+        path = tmp_path / f"{g.name}.graph"
+        path.write_text(g.to_dsl())
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["result"]["cycles"]) == 1
 
 
 def test_pretty_output(capsys, tfile):

@@ -4,6 +4,7 @@ import pytest
 
 import leavitt as L
 from leavitt import Element, ExpressionSyntaxError, UnknownIdentifier
+from leavitt.expressions import MAX_NESTING
 
 from conftest import corpus_graphs, random_element, seeded
 
@@ -27,6 +28,9 @@ def test_primes_and_parentheses(toeplitz):
     assert L.parse_element(toeplitz, "(v + e)'") == L.parse_element(toeplitz, "v + e'")
     ghost = L.parse_element(toeplitz, "f'")
     assert list(ghost.terms)[0].ghost.edges == ("f",)
+    for depth in (50, MAX_NESTING):
+        nested = "(" * depth + "e" + ")'" * depth
+        assert L.parse_element(toeplitz, nested) == L.parse_element(toeplitz, "e'" if depth % 2 else "e")
 
 
 def test_print_parse_round_trip_random():
@@ -56,7 +60,8 @@ def test_division_scalar(toeplitz):
 
 
 def test_syntax_errors(toeplitz):
-    for bad in ["", "v +", "2*", "(v", "v)", "2", "3/0*v", "v ** w", "$"]:
+    too_deep = ["(" * depth + "v" + ")" * depth for depth in (MAX_NESTING + 1, 2000)]
+    for bad in ["", "v +", "2*", "(v", "v)", "2", "3/0*v", "v ** w", "$"] + too_deep:
         with pytest.raises(ExpressionSyntaxError):
             L.parse_element(toeplitz, bad)
     with pytest.raises(UnknownIdentifier):

@@ -4,10 +4,13 @@ import pytest
 
 import leavitt as L
 from leavitt import DuplicateIdentifier, GraphSyntaxError, PreconditionError, UnknownIdentifier
+from leavitt.graph import vertex_on_a_cycle
 
 from conftest import (
     closure_oracle,
     corpus_graphs,
+    cycles_oracle,
+    deep_graphs,
     hereditary_oracle,
     line_points_oracle,
     semiprime_oracle,
@@ -45,8 +48,9 @@ def test_parse_errors_carry_position():
     assert "line 3" in str(err.value)
     with pytest.raises(DuplicateIdentifier):
         L.parse_graph("graph G\nvertex a\nvertex a\n")
-    with pytest.raises(UnknownIdentifier):
+    with pytest.raises(UnknownIdentifier) as err:
         L.parse_graph("graph G\nvertex a\nedge e a b\n")
+    assert "line 3" in str(err.value)
     with pytest.raises(GraphSyntaxError):
         L.parse_graph("vertex a\n")
     with pytest.raises(GraphSyntaxError):
@@ -152,6 +156,21 @@ def test_cycles_canonical_rotation_and_multiplicity():
     cs = L.cycles(g)
     # the 2-cycle rotates to start at b (declared first); the loop is separate
     assert sorted(tuple(c.canonical().edges) for c in cs) == [("e1", "e2"), ("l",)]
+
+
+def test_cycle_facts_match_oracles_on_random_graphs():
+    rng = seeded("cycles")
+    for _ in range(100):
+        g = random_graph(rng)
+        cs = L.cycles(g)
+        expected = sorted(cycles_oracle(g), key=lambda es: [g.edge_index(e) for e in es])
+        assert [c.edges for c in cs] == expected
+        on_cycles = {v for c in cs for v in c.vertices()}
+        assert vertex_on_a_cycle(g) == on_cycles
+        assert L.is_acyclic(g) == (not on_cycles)
+        X = frozenset(v for v in g.vertices if rng.random() < 0.5)
+        for S in (X, L.tree_of_set(g, X).members):
+            assert L.is_hereditary(g, S) == hereditary_oracle(g, S)
 
 
 def test_cycle_has_exit_rejects_foreign_cycle(toeplitz, r1):
@@ -269,3 +288,11 @@ def test_analyzer_report_shape(toeplitz):
     ]
     assert report["cycles"] == [["e"]]
     assert report["components"] == [{"vertices": ["v", "w"], "edges": ["e", "f"]}]
+
+
+def test_analyzer_report_on_paths_past_the_recursion_limit():
+    cycle, looped = deep_graphs()
+    assert L.analyzer_report(cycle)["cycles"] == [[e.name for e in cycle.edges]]
+    report = L.analyzer_report(looped)
+    assert report["cycles"] == [["l"]]
+    assert report["line_points"] == [] and not report["socle_essential"]

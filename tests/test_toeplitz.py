@@ -6,7 +6,7 @@ import leavitt as L
 from leavitt import Element, LaurentPoly, PreconditionError
 from leavitt.toeplitz import bandwidth
 
-from conftest import random_element, raw_monomials, seeded
+from conftest import random_element, random_graph, raw_monomials, seeded, toeplitz_oracle
 
 
 def E(g, text):
@@ -62,6 +62,18 @@ def test_recognize_rejections(a2, r1):
         "graph B\nvertex v\nvertex w\nedge e v v\nedge f v w\nedge g w v\n"
     )
     assert L.recognize_toeplitz(back_edge) is None
+
+
+def test_recognize_matches_cycle_oracle(line3):
+    rng = seeded("recognize")
+    graphs = [random_graph(rng) for _ in range(100)]
+    for n in (1, 2, 3):
+        for F in (L.parse_graph("graph F\nvertex w\n"), line3, L.comb_graph(2)):
+            fam = L.build_toeplitz_family(n, F, [rng.choice(F.vertices) for _ in range(n)])
+            back = L.Graph(fam.name, fam.vertices, list(fam.edges) + [("back", F.vertices[-1], "v")])
+            graphs += [fam, back]
+    for g in graphs:
+        assert (L.recognize_toeplitz(g) is not None) == toeplitz_oracle(g)
 
 
 def test_recognize_canonical():
