@@ -648,28 +648,25 @@ def connected_components(g):
     carry vertices and edges in the parent graph's declaration order.
     """
     comp_of = {}
-    comp_count = 0
+    parts = []  # (vertices, edges) of each component
     for v in g.vertices:
         if v in comp_of:
             continue
-        comp_of[v] = comp_count
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for e in g.out_edges(x) + g.in_edges(x):
-                    for y in (e.src, e.dst):
-                        if y not in comp_of:
-                            comp_of[y] = comp_count
-                            nxt.append(y)
-            frontier = nxt
-        comp_count += 1
-    parts = []
-    for i in range(comp_count):
-        vs = [v for v in g.vertices if comp_of[v] == i]
-        es = [e for e in g.edges if comp_of[e.src] == i]
-        parts.append(Graph(f"{g.name}_c{i}", vs, es))
-    return tuple(parts)
+        comp_of[v] = len(parts)
+        parts.append(([], []))
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            for e in g._out[x] + g._in[x]:
+                for y in (e.src, e.dst):
+                    if y not in comp_of:
+                        comp_of[y] = comp_of[v]
+                        stack.append(y)
+    for v in g.vertices:
+        parts[comp_of[v]][0].append(v)
+    for e in g.edges:
+        parts[comp_of[e.src]][1].append(e)
+    return tuple(Graph(f"{g.name}_c{i}", vs, es) for i, (vs, es) in enumerate(parts))
 
 
 def is_acyclic(g):

@@ -1,4 +1,9 @@
-"""Dense exact matrices over a field, with the group-inverse machinery.
+"""Sparse exact matrices over a field, with the group-inverse machinery.
+
+A matrix stores each row as a dict {column: nonzero scalar}; zeros are
+never stored, so every operation costs per nonzero entry, not per cell.
+The matrix images used here (one block per sink of an acyclic graph, and
+windows onto the Toeplitz action) hold a handful of nonzeros per row.
 
 Everything is elimination-based and exact: rank, rank factorization
 m = C R (C of full column rank, R of full row rank), and the group inverse
@@ -13,91 +18,105 @@ from .fields import QQ
 
 
 class Matrix:
-    """Immutable exact matrix; rows of field scalars."""
+    """Immutable exact matrix: a tuple of row dicts {column: nonzero scalar}.
 
-    __slots__ = ("rows", "nrows", "ncols", "field")
+    ``Matrix(rows, field, ncols)`` takes dense rows (lists of scalars) and
+    drops their zeros; ``ncols`` matters only when there are no rows.
+    ``row_dicts`` is the stored form. ``rows`` is a read-only dense view,
+    built anew on every access, for printing and tests.
+    """
+
+    __slots__ = ("row_dicts", "nrows", "ncols", "field")
 
     def __init__(self, rows, field=QQ, ncols=None):
-        self.rows = tuple(tuple(r) for r in rows)
-        self.nrows = len(self.rows)
-        if self.nrows:
-            self.ncols = len(self.rows[0])
-            if any(len(r) != self.ncols for r in self.rows):
-                raise PreconditionError("ragged matrix")
-        else:
-            self.ncols = ncols or 0
+        rows = [tuple(r) for r in rows]
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise PreconditionError("ragged matrix")
+        self.row_dicts = tuple({j: a for j, a in enumerate(r) if a} for r in rows)
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else ncols or 0
         self.field = field
 
     @classmethod
+    def from_row_dicts(cls, rows, ncols, field=QQ):
+        """The matrix with these {column < ncols: scalar} rows, zeros dropped."""
+        m = cls.__new__(cls)
+        m.row_dicts = tuple({j: a for j, a in r.items() if a} for r in rows)
+        m.nrows = len(m.row_dicts)
+        m.ncols = ncols
+        m.field = field
+        return m
+
+    @classmethod
     def zero(cls, nrows, ncols, field=QQ):
-        z = field.zero()
-        return cls([[z] * ncols for _ in range(nrows)], field, ncols)
+        return cls.from_row_dicts([{}] * nrows, ncols, field)
 
     @classmethod
     def identity(cls, n, field=QQ):
-        z, o = field.zero(), field.one()
-        return cls([[o if i == j else z for j in range(n)] for i in range(n)], field)
+        o = field.one()
+        return cls.from_row_dicts([{i: o} for i in range(n)], n, field)
 
     @classmethod
     def from_int_rows(cls, rows, field=QQ):
         return cls([[field.from_int(x) for x in r] for r in rows], field)
 
+    @property
+    def rows(self):
+        z = self.field.zero()
+        return tuple(tuple(r.get(j, z) for j in range(self.ncols)) for r in self.row_dicts)
+
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        if not 0 <= j < self.ncols:
+            raise IndexError("matrix column index out of range")
+        return self.row_dicts[i].get(j, self.field.zero())
 
     def transpose(self):
-        return Matrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            self.field,
-            self.nrows,
-        )
+        cols = [{} for _ in range(self.ncols)]
+        for i, r in enumerate(self.row_dicts):
+            for j, a in r.items():
+                cols[j][i] = a
+        return Matrix.from_row_dicts(cols, self.nrows, self.field)
 
     def __add__(self, other):
         self._match(other)
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            self.field,
-            self.ncols,
-        )
+        out = [dict(r) for r in self.row_dicts]
+        for row, rb in zip(out, other.row_dicts):
+            for j, b in rb.items():
+                add_entry(row, j, b)
+        return Matrix.from_row_dicts(out, self.ncols, self.field)
 
     def __sub__(self, other):
-        self._match(other)
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            self.field,
-            self.ncols,
-        )
+        return self + -other
 
     def __neg__(self):
-        return Matrix([[-a for a in r] for r in self.rows], self.field, self.ncols)
+        return self.scale(-self.field.one())
 
     def scale(self, scalar):
-        return Matrix([[a * scalar for a in r] for r in self.rows], self.field, self.ncols)
+        rows = [{j: a * scalar for j, a in r.items()} for r in self.row_dicts]
+        return Matrix.from_row_dicts(rows, self.ncols, self.field)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise PreconditionError(f"shape mismatch: {self.shape} * {other.shape}")
-        z = self.field.zero()
-        cols = other.transpose().rows
-        return Matrix(
-            [[_dot(r, c, z) for c in cols] for r in self.rows], self.field, other.ncols
-        )
+        right = other.row_dicts
+        out = []
+        for r in self.row_dicts:
+            acc = {}
+            for k, a in r.items():
+                for j, b in right[k].items():
+                    add_entry(acc, j, a * b)
+            out.append(acc)
+        return Matrix.from_row_dicts(out, other.ncols, self.field)
 
     @property
     def shape(self):
         return (self.nrows, self.ncols)
 
     def is_zero(self):
-        return all(not a for r in self.rows for a in r)
+        return not any(self.row_dicts)
 
     def _match(self, other):
         if self.shape != other.shape:
@@ -106,10 +125,14 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.shape == other.shape and self.rows == other.rows
+        return (
+            self.shape == other.shape
+            and self.field == other.field
+            and self.row_dicts == other.row_dicts
+        )
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.shape, tuple(frozenset(r.items()) for r in self.row_dicts)))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(a) for a in r) for r in self.rows)
@@ -118,26 +141,42 @@ class Matrix:
     # -- elimination -----------------------------------------------------
 
     def rref(self):
-        """(reduced row echelon form, pivot column list)."""
-        rows = [list(r) for r in self.rows]
+        """(reduced row echelon form, pivot column list).
+
+        Gauss-Jordan over the nonzeros; ``where[j]`` is the set of rows with
+        a nonzero in column j. A column with none never gains one, since a
+        row operation writes only into the pivot row's columns. The pivot
+        of a column is the first row at or after ``lead`` that holds it.
+        """
+        rows = [dict(r) for r in self.row_dicts]
+        where = {j: set(col) for j, col in enumerate(self.transpose().row_dicts) if col}
         pivots = []
         lead = 0
-        for col in range(self.ncols):
-            pivot_row = next((i for i in range(lead, self.nrows) if rows[i][col]), None)
+        for col in sorted(where):
+            pivot_row = min((i for i in where[col] if i >= lead), default=None)
             if pivot_row is None:
                 continue
             rows[lead], rows[pivot_row] = rows[pivot_row], rows[lead]
+            for j in rows[lead].keys() ^ rows[pivot_row].keys():
+                where[j] ^= {lead, pivot_row}
             inv = self.field.one() / rows[lead][col]
-            rows[lead] = [a * inv for a in rows[lead]]
-            for i in range(self.nrows):
-                if i != lead and rows[i][col]:
-                    factor = rows[i][col]
-                    rows[i] = [a - factor * b for a, b in zip(rows[i], rows[lead])]
+            prow = rows[lead] = {j: a * inv for j, a in rows[lead].items()}
+            for i in where[col] - {lead}:
+                row = rows[i]
+                factor = row[col]
+                for j, b in prow.items():
+                    a = row[j] - factor * b if j in row else -factor * b
+                    if a:
+                        row[j] = a
+                        where[j].add(i)
+                    else:
+                        del row[j]
+                        where[j].discard(i)
             pivots.append(col)
             lead += 1
             if lead == self.nrows:
                 break
-        return Matrix(rows, self.field, self.ncols), pivots
+        return Matrix.from_row_dicts(rows, self.ncols, self.field), pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -146,27 +185,21 @@ class Matrix:
         """C (nrows x r) and R (r x ncols) with self == C R."""
         reduced, pivots = self.rref()
         r = len(pivots)
-        C = Matrix(
-            [[self.rows[i][j] for j in pivots] for i in range(self.nrows)],
-            self.field,
-            r,
-        )
-        R = Matrix(reduced.rows[:r], self.field, self.ncols)
-        return C, R
+        position = {j: k for k, j in enumerate(pivots)}
+        C = [{position[j]: a for j, a in row.items() if j in position} for row in self.row_dicts]
+        R = Matrix.from_row_dicts(reduced.row_dicts[:r], self.ncols, self.field)
+        return Matrix.from_row_dicts(C, r, self.field), R
 
     def inverse(self):
         if self.nrows != self.ncols:
             raise PreconditionError("only square matrices invert")
         n = self.nrows
-        aug = Matrix(
-            [list(self.rows[i]) + list(Matrix.identity(n, self.field).rows[i]) for i in range(n)],
-            self.field,
-            2 * n,
-        )
-        reduced, pivots = aug.rref()
+        aug = [{**r, n + i: self.field.one()} for i, r in enumerate(self.row_dicts)]
+        reduced, pivots = Matrix.from_row_dicts(aug, 2 * n, self.field).rref()
         if pivots != list(range(n)):
             raise NotGroupInvertible("matrix is singular")
-        return Matrix([r[n:] for r in reduced.rows], self.field, n)
+        inv = [{j - n: a for j, a in r.items() if j >= n} for r in reduced.row_dicts]
+        return Matrix.from_row_dicts(inv, n, self.field)
 
     def group_inverse(self):
         """The unique b with aba=a, bab=b, ab=ba; exists iff rank(m)=rank(m^2)."""
@@ -175,9 +208,7 @@ class Matrix:
         try:
             core_inv = core.inverse()
         except NotGroupInvertible:
-            raise NotGroupInvertible(
-                "no group inverse: rank(m^2) < rank(m)"
-            ) from None
+            raise NotGroupInvertible("no group inverse: rank(m^2) < rank(m)") from None
         return C * core_inv * core_inv * R
 
     def is_group_invertible(self):
@@ -185,11 +216,9 @@ class Matrix:
         return (R * C).rank() == R.nrows
 
 
-def _dot(row, col, zero):
-    acc = zero
-    for a, b in zip(row, col):
-        acc = acc + a * b
-    return acc
+def add_entry(row, j, c):
+    """row[j] += c in a sparse map; a sum that cancels is left for the constructor to drop."""
+    row[j] = row[j] + c if j in row else c
 
 
 class BlockMatrix:

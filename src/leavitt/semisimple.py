@@ -19,12 +19,13 @@ from itertools import product as cartesian_product
 from .algebra import Element, Monomial, full_basis
 from .errors import (
     NotFoundWithinBounds,
+    NotGroupInvertible,
     NotSquareCancellable,
     PreconditionError,
 )
 from .fields import QQ
 from .graph import Path, connected_components, is_acyclic, is_acyclic_no_bifurcation
-from .matrices import BlockMatrix, Matrix
+from .matrices import BlockMatrix, Matrix, add_entry
 
 
 def reduced_expression(m):
@@ -55,10 +56,12 @@ def _component_sink(component):
 
 def _path_to_sink(g, v):
     """The unique maximal path from v in a bifurcation-free acyclic graph."""
-    path = Path.trivial(g, v)
-    while not g.is_sink(path.range):
-        path = path.append(g.out_edges(path.range)[0].name)
-    return path
+    edges = []
+    es = g.out_edges(v)
+    while es:
+        edges.append(es[0].name)
+        es = g.out_edges(es[0].dst)
+    return Path(g, v, edges)
 
 
 def reduced_monomial_basis(g):
@@ -144,31 +147,28 @@ def _block(labels, paths):
 
 
 def _paths_into(g, sink):
-    found = [Path.trivial(g, sink)]
+    # (source, edges) pairs extended backwards by the edges into the source
+    found = [(sink, ())]
     frontier = found[:]
     while frontier:
-        nxt = []
-        for p in frontier:
-            # extend backwards: q = e . p for every edge e into the source
-            for e in g.in_edges(p.source):
-                q = Path(g, e.src, (e.name,) + p.edges)
-                nxt.append(q)
+        nxt = [(e.src, (e.name,) + edges) for v, edges in frontier for e in g.in_edges(v)]
         found.extend(nxt)
         frontier = nxt
-    found.sort(key=lambda p: (p.length, tuple(g.edge_index(e) for e in p.edges)))
-    return found
+    found.sort(key=lambda p: (len(p[1]), tuple(g.edge_index(e) for e in p[1])))
+    return [Path(g, v, edges) for v, edges in found]
 
 
 def _expand_to_sinks(g, m, coeff, out):
-    """Rewrite p q* as a sum of sink-ended units using relation (4) forward."""
-    v = m.real.range
-    if g.is_sink(v):
-        out.append((m, coeff))
-        return
-    for e in g.out_edges(v):
-        _expand_to_sinks(
-            g, Monomial(m.real.append(e.name), m.ghost.append(e.name)), coeff, out
-        )
+    """Rewrite p q* as the sum of the units (p t)(q t)* over the paths t from
+    r(p) to a sink (relation (4) forward), depth-first in edge order."""
+    stack = [(m.real.range, ())]
+    while stack:
+        v, tail = stack.pop()
+        es = g.out_edges(v)
+        if not es:
+            real, ghost = (Path(g, p.source, p.edges + tail) for p in (m.real, m.ghost))
+            out.append((Monomial(real, ghost), coeff))
+        stack.extend((e.dst, tail + (e.name,)) for e in reversed(es))
 
 
 def to_matrix(x, decomposition):
@@ -177,7 +177,7 @@ def to_matrix(x, decomposition):
         raise PreconditionError("element and decomposition disagree on the graph")
     g = x.graph
     field = x.field
-    blocks = [[[field.zero()] * n for _ in range(n)] for n in decomposition.sizes]
+    blocks = [[{} for _ in range(n)] for n in decomposition.sizes]
     expanded = []
     for m, c in x.terms.items():
         _expand_to_sinks(g, m, c, expanded)
@@ -186,8 +186,8 @@ def to_matrix(x, decomposition):
         bj, k = decomposition.position_of(m.ghost)
         if bi != bj:
             raise PreconditionError("monomial straddles two blocks; decomposition is stale")
-        blocks[bi][j][k] = blocks[bi][j][k] + c
-    return BlockMatrix(Matrix(rows, field, len(rows)) for rows in blocks)
+        add_entry(blocks[bi][j], k, c)
+    return BlockMatrix(Matrix.from_row_dicts(rows, len(rows), field) for rows in blocks)
 
 
 def from_matrix(bm, decomposition, field=QQ):
@@ -199,10 +199,9 @@ def from_matrix(bm, decomposition, field=QQ):
     g = decomposition.graph
     raw = []
     for block, mat in zip(decomposition.blocks, bm.blocks):
-        for j, row in enumerate(mat.rows):
-            for k, c in enumerate(row):
-                if c:
-                    raw.append((Monomial(block["paths"][j], block["paths"][k]), c))
+        for j, row in enumerate(mat.row_dicts):
+            for k in sorted(row):
+                raw.append((Monomial(block["paths"][j], block["paths"][k]), row[k]))
     return Element(g, field, raw)
 
 
@@ -253,16 +252,15 @@ def find_fg_witness(q, membership, basis=None, coefficients=(-1, 0, 1)):
             continue
         raw = [(m, field.from_int(c)) for m, c in zip(basis, coeffs) if c]
         pool.append(Element(q.graph, field, raw))
-    for b in pool:
-        if not membership(b):
+    members = [(x, to_matrix(x, d)) for x in pool if membership(x)]
+    qm = to_matrix(q, d)
+    for b, bm in members:
+        try:
+            b_inv = bm.group_inverse()
+        except NotGroupInvertible:
             continue
-        bm = to_matrix(b, d)
-        if not bm.is_group_invertible():
-            continue
-        for a in pool:
-            if not membership(a):
-                continue
-            if to_matrix(q, d) == to_matrix(a, d) * bm.group_inverse():
+        for a, am in members:
+            if qm == am * b_inv:
                 return a, b
     raise NotFoundWithinBounds(
         f"no Fountain-Gould witness within {len(pool)} candidate elements"

@@ -15,12 +15,14 @@ region where window products agree with the window of the product.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .algebra import Element, Monomial, basis_monomials_up_to
 from .errors import PreconditionError
 from .expressions import format_element, format_monomial
 from .fields import QQ
 from .graph import Graph, Path, is_acyclic, socle_is_essential, vertex_on_a_cycle
-from .matrices import Matrix
+from .matrices import Matrix, add_entry
 from .quotients import in_socle, quotient_graph, quotient_morphism
 
 
@@ -47,12 +49,7 @@ class LaurentPoly:
     def __add__(self, other):
         out = dict(self.coeffs)
         for n, c in other.coeffs.items():
-            acc = out.get(n)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[n] = acc
-            else:
-                out.pop(n, None)
+            add_entry(out, n, c)
         return LaurentPoly(out, self.field)
 
     def __neg__(self):
@@ -65,13 +62,7 @@ class LaurentPoly:
         out = {}
         for n, c in self.coeffs.items():
             for m, d in other.coeffs.items():
-                k = n + m
-                acc = out.get(k)
-                acc = c * d if acc is None else acc + c * d
-                if acc:
-                    out[k] = acc
-                else:
-                    out.pop(k, None)
+                add_entry(out, n + m, c * d)
         return LaurentPoly(out, self.field)
 
     def substitute_inverse(self):
@@ -196,13 +187,7 @@ def laurent_quotient(x, decomposition=None):
     # Normal forms over the one-loop quotient are e^k, (e^k)*, or v.
     coeffs = {}
     for m, c in image.terms.items():
-        n = m.degree
-        acc = coeffs.get(n)
-        acc = c if acc is None else acc + c
-        if acc:
-            coeffs[n] = acc
-        else:
-            coeffs.pop(n, None)
+        add_entry(coeffs, m.degree, c)
     return LaurentPoly(coeffs, x.field)
 
 
@@ -315,7 +300,7 @@ def rcfm_representation(x, window):
     if window < 1:
         raise PreconditionError("window size must be positive")
     field = x.field
-    rows = [[field.zero()] * window for _ in range(window)]
+    rows = [{} for _ in range(window)]
     for m, c in x.terms.items():
         if m.real.range == sink:
             i = _basis_index(m.real, loop_edge, connector, sink)
@@ -326,7 +311,7 @@ def rcfm_representation(x, window):
                 raise PreconditionError(
                     f"window {window} too small: support at ({i}, {j}) falls outside"
                 )
-            rows[i][j] = rows[i][j] + c
+            add_entry(rows[i], j, c)
         else:
             creal = _loop_power(m.real, loop_edge)
             aghost = _loop_power(m.ghost, loop_edge)
@@ -335,15 +320,21 @@ def rcfm_representation(x, window):
             for j in range(aghost + 1, window):
                 i = j - aghost + creal
                 if i < window:
-                    rows[i][j] = rows[i][j] + c
-    matrix = Matrix(rows, field, window)
+                    add_entry(rows[i], j, c)
+    matrix = Matrix.from_row_dicts(rows, window, field)
     validity = max(window - x.total_degree(), 0)
+    terms = max(len(x.terms), 1)
+    col_counts = Counter(j for _, j in _nonzero_cells(matrix))
     flags = {
         "finitely_supported": _finitely_supported(matrix, validity),
-        "row_finite_on_window": _max_count(matrix.rows) <= max(len(x.terms), 1),
-        "col_finite_on_window": _max_count(matrix.transpose().rows) <= max(len(x.terms), 1),
+        "row_finite_on_window": max(map(len, matrix.row_dicts)) <= terms,
+        "col_finite_on_window": max(col_counts.values(), default=0) <= terms,
     }
     return MatrixWindow(matrix, validity, flags)
+
+
+def _nonzero_cells(matrix):
+    return ((i, j) for i, row in enumerate(matrix.row_dicts) for j in row)
 
 
 def _finitely_supported(matrix, validity):
@@ -353,25 +344,12 @@ def _finitely_supported(matrix, validity):
     they fail this; ideal (socle) elements act with bounded support and
     pass for any window comfortably larger than the support.
     """
-    for i, row in enumerate(matrix.rows):
-        for j, a in enumerate(row):
-            if a and max(i, j) >= validity - 1:
-                return False
-    return True
-
-
-def _max_count(rows):
-    return max((sum(1 for a in r if a) for r in rows), default=0)
+    return all(max(i, j) < validity - 1 for i, j in _nonzero_cells(matrix))
 
 
 def bandwidth(window):
     """Largest |i - j| over nonzero entries; 0 for the zero window."""
-    width = 0
-    for i, row in enumerate(window.matrix.rows):
-        for j, a in enumerate(row):
-            if a:
-                width = max(width, abs(i - j))
-    return width
+    return max((abs(i - j) for i, j in _nonzero_cells(window.matrix)), default=0)
 
 
 def socle_module_element(g, i, j, field=QQ):
@@ -410,11 +388,8 @@ def sandwich_report(g, degree_bound, window, field=QQ):
         for j in range(window - 1):
             x = socle_module_element(g, i, j, field)
             w = rcfm_representation(x, window)
-            expected = [
-                [field.one() if (a, b) == (i, j) else field.zero() for b in range(window)]
-                for a in range(window)
-            ]
-            if w.matrix != Matrix(expected, field, window):
+            unit = [{j: field.one()} if a == i else {} for a in range(window)]
+            if w.matrix != Matrix.from_row_dicts(unit, window, field):
                 unit_failures.append(f"E[{i}][{j}] != window({format_element(x)})")
     return {
         "window": window,

@@ -257,6 +257,94 @@ def closure_oracle(g, X):
     return best
 
 
+def components_oracle(g):
+    """Vertex blocks of the undirected components, by union-find: each block
+    in declaration order, blocks ordered by their first vertex."""
+    parent = {v: v for v in g.vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for e in g.edges:
+        parent[find(e.src)] = find(e.dst)
+    blocks = {}
+    for v in g.vertices:
+        blocks.setdefault(find(v), []).append(v)
+    return [tuple(b) for b in blocks.values()]
+
+
+# ---------------------------------------------------------------------------
+# Dense reference kernel: the dense elimination that the sparse Matrix
+# replaced, on lists of rows of field scalars.
+
+
+def dense_mul(a, b, ncols, field):
+    z = field.zero()
+    cols = [[r[j] for r in b] for j in range(ncols)]
+    out = []
+    for r in a:
+        row = []
+        for c in cols:
+            acc = z
+            for x, y in zip(r, c):
+                acc = acc + x * y
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def dense_rref(rows, ncols, field):
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    pivots = []
+    lead = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(lead, nrows) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[lead], rows[pivot_row] = rows[pivot_row], rows[lead]
+        inv = field.one() / rows[lead][col]
+        rows[lead] = [a * inv for a in rows[lead]]
+        for i in range(nrows):
+            if i != lead and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[lead])]
+        pivots.append(col)
+        lead += 1
+        if lead == nrows:
+            break
+    return rows, pivots
+
+
+def dense_rank_factorization(rows, ncols, field):
+    reduced, pivots = dense_rref(rows, ncols, field)
+    C = [[r[j] for j in pivots] for r in rows]
+    return C, reduced[: len(pivots)]
+
+
+def dense_inverse(rows, field):
+    n = len(rows)
+    z, o = field.zero(), field.one()
+    aug = [list(r) + [o if i == j else z for j in range(n)] for i, r in enumerate(rows)]
+    reduced, pivots = dense_rref(aug, 2 * n, field)
+    if pivots != list(range(n)):
+        raise L.NotGroupInvertible("matrix is singular")
+    return [r[n:] for r in reduced]
+
+
+def dense_group_inverse(rows, field):
+    """C (RC)^-2 R over dense rows; raises NotGroupInvertible like Matrix."""
+    n = len(rows[0]) if rows else 0
+    C, R = dense_rank_factorization(rows, n, field)
+    r = len(R)
+    core_inv = dense_inverse(dense_mul(R, C, r, field), field)
+    left = dense_mul(dense_mul(C, core_inv, r, field), core_inv, r, field)
+    return dense_mul(left, R, n, field)
+
+
 def path_count_dimension(g):
     """Sum over sinks of (number of paths into the sink)^2."""
     total = 0

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from leavitt import line_graph
 from leavitt.cli import main
 from leavitt.expressions import MAX_NESTING
 
@@ -174,6 +175,14 @@ def test_analyze_paths_past_the_recursion_limit(capsys, tmp_path):
         code, out, err = run_cli(capsys, "analyze", str(path))
         assert code == 0 and err == ""
         assert len(json.loads(out)["result"]["cycles"]) == 1
+
+
+def test_group_inverse_past_the_recursion_limit(capsys, tmp_path):
+    path = tmp_path / "line.graph"
+    path.write_text(line_graph(1100).to_dsl())
+    code, out, err = run_cli(capsys, "group-inverse", str(path), "x1")
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"] == {"inverse": "x1"}
 
 
 def test_pretty_output(capsys, tfile):

@@ -8,6 +8,7 @@ from leavitt.graph import vertex_on_a_cycle
 
 from conftest import (
     closure_oracle,
+    components_oracle,
     corpus_graphs,
     cycles_oracle,
     deep_graphs,
@@ -260,6 +261,16 @@ def test_connected_components():
     assert [e.name for e in parts[1].edges] == ["f2"]
     assert len(L.connected_components(L.parse_graph("graph T\nvertex v\nvertex w\nedge e v v\nedge f v w"))) == 1
     assert len(L.connected_components(L.comb_graph(4))) == 1
+    isolated = L.Graph("iso", [f"v{i}" for i in range(4000)], [])
+    parts = L.connected_components(isolated)
+    assert [c.vertices for c in parts] == [(v,) for v in isolated.vertices]
+    rng = seeded("components")
+    for _ in range(200):
+        g = random_graph(rng, max_vertices=12, max_edges=10)
+        parts = L.connected_components(g)
+        assert [c.vertices for c in parts] == components_oracle(g)
+        for c in parts:
+            assert c.edges == tuple(e for e in g.edges if e.src in c.vertices)
 
 
 def test_walks(a2):

@@ -6,7 +6,14 @@ from fractions import Fraction
 import leavitt as L
 from leavitt.matrices import BlockMatrix, Matrix
 
-from conftest import seeded
+from conftest import (
+    dense_group_inverse,
+    dense_inverse,
+    dense_mul,
+    dense_rank_factorization,
+    dense_rref,
+    seeded,
+)
 
 
 def M(rows):
@@ -131,3 +138,115 @@ def test_prime_field_matrices():
     m = Matrix([[f5.from_int(2), f5.from_int(1)], [f5.from_int(0), f5.from_int(3)]], f5)
     inv = m.inverse()
     assert m * inv == Matrix.identity(2, f5)
+
+
+# -- the sparse kernel against the dense reference -------------------------------
+
+FIELDS = [L.QQ, L.GF(5), L.GF(10007)]
+
+
+def random_rows(rng, nrows, ncols, density, field):
+    return [
+        [
+            field.from_int(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]))
+            if rng.random() < density
+            else field.zero()
+            for _ in range(ncols)
+        ]
+        for _ in range(nrows)
+    ]
+
+
+def sample_rows(rng, kind, n, density, field):
+    """Random n x n rows of one kind: full rank, rank-deficient, or nonzero
+    nilpotent (strictly upper triangular, conjugated by a permutation and,
+    for the dense sample, by a random invertible matrix)."""
+    if kind == "full":
+        while True:
+            perm = rng.sample(range(n), n)
+            rows = random_rows(rng, n, n, density / 2, field)
+            for i, j in enumerate(perm):
+                rows[i][j] = field.from_int(rng.choice([1, 2, 3, -1]))
+            if len(dense_rref(rows, n, field)[1]) == n:
+                return rows
+    if kind == "deficient":
+        r = rng.randint(0, n - 1)
+        left = random_rows(rng, n, r, density, field)
+        return dense_mul(left, random_rows(rng, r, n, density, field), n, field)
+    upper = random_rows(rng, n, n, density, field)
+    rows = [[a if i < j else field.zero() for j, a in enumerate(r)] for i, r in enumerate(upper)]
+    rows[0][n - 1] = field.one()
+    perm = rng.sample(range(n), n)
+    rows = [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    if density == 1.0:
+        P = sample_rows(rng, "full", n, density, field)
+        rows = dense_mul(dense_mul(P, rows, n, field), dense_inverse(P, field), n, field)
+    return rows
+
+
+def as_lists(m):
+    return [list(r) for r in m.rows]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_kernel_matches_dense_reference(field):
+    rng = seeded(f"dense-reference:{field!r}")
+    for kind in ("full", "deficient", "nilpotent"):
+        for density in (0.2, 1.0):
+            for _ in range(6):
+                n = rng.randint(2, 9)
+                rows = sample_rows(rng, kind, n, density, field)
+                m = Matrix(rows, field)
+                assert as_lists(m) == rows
+
+                reduced, pivots = m.rref()
+                ref_reduced, ref_pivots = dense_rref(rows, n, field)
+                assert (as_lists(reduced), pivots) == (ref_reduced, ref_pivots)
+                assert m.rank() == len(ref_pivots)
+                assert (kind == "full") == (m.rank() == n)
+                C, R = m.rank_factorization()
+                ref_C, ref_R = dense_rank_factorization(rows, n, field)
+                assert (as_lists(C), as_lists(R)) == (ref_C, ref_R)
+
+                k = rng.randint(1, 9)
+                other = random_rows(rng, n, k, density, field)
+                assert as_lists(m * Matrix(other, field)) == dense_mul(rows, other, k, field)
+
+                try:
+                    ref_inv = dense_group_inverse(rows, field)
+                except L.NotGroupInvertible:
+                    ref_inv = None
+                assert (ref_inv is None) == (kind == "nilpotent" or not m.is_group_invertible())
+                if ref_inv is None:
+                    with pytest.raises(L.NotGroupInvertible):
+                        m.group_inverse()
+                else:
+                    assert as_lists(m.group_inverse()) == ref_inv
+
+                same = Matrix.from_row_dicts(
+                    [dict(reversed(r.items())) for r in m.row_dicts], n, field
+                )
+                assert same == m and hash(same) == hash(m)
+                assert m + Matrix.zero(n, n, field) == m and (m - m).is_zero()
+                bumped = [list(r) for r in rows]
+                bumped[0][0] = bumped[0][0] + field.one()
+                assert Matrix(bumped, field) != m
+
+
+def test_rank_and_inverse_match_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(rows):
+        return sympy.Matrix([[sympy.Rational(a.numerator, a.denominator) for a in r] for r in rows])
+
+    rng = seeded("sympy")
+    for kind in ("full", "deficient", "nilpotent"):
+        for density in (0.2, 1.0):
+            for _ in range(4):
+                n = rng.randint(2, 8)
+                rows = sample_rows(rng, kind, n, density, L.QQ)
+                m = Matrix(rows)
+                s = to_sympy(rows)
+                assert m.rank() == s.rank()
+                if kind == "full":
+                    assert to_sympy(m.inverse().rows) == s.inv()

@@ -190,6 +190,12 @@ def test_element_group_inverse(a2):
         L.element_group_inverse(E(a2, "f"))
 
 
+def test_group_inverse_on_paths_past_the_recursion_limit():
+    g = L.line_graph(1100)
+    x1 = Element.from_monomial(Monomial(Path.trivial(g, "x1"), Path.trivial(g, "x1")))
+    assert L.element_group_inverse(x1) == x1
+
+
 def test_verify_fg_witness(a2):
     q = E(a2, "f'")
     ident = Element.identity(a2)
