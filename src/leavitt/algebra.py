@@ -33,7 +33,11 @@ from .graph import Path, is_acyclic
 
 
 class Monomial:
-    """p q* with r(p) = r(q). Ghost part trivial means a pure path."""
+    """p q* with r(p) = r(q). Ghost part trivial means a pure path.
+
+    ``Monomial(...)`` checks the graph and the ranges; ``_trusted`` checks
+    nothing and serves monomials the kernel derives from valid ones.
+    """
 
     __slots__ = ("real", "ghost")
 
@@ -46,6 +50,12 @@ class Monomial:
             )
         self.real = real
         self.ghost = ghost
+
+    @classmethod
+    def _trusted(cls, real, ghost):
+        m = object.__new__(cls)
+        m.real, m.ghost = real, ghost
+        return m
 
     @property
     def graph(self):
@@ -68,16 +78,15 @@ class Monomial:
         return self.ghost.is_trivial
 
     def star(self):
-        return Monomial(self.ghost, self.real)
+        return Monomial._trusted(self.ghost, self.real)
 
     def is_basis(self):
         """False exactly when both parts end in the same designated edge."""
-        if self.real.is_trivial or self.ghost.is_trivial:
+        real, ghost = self.real.edges, self.ghost.edges
+        if not real or not ghost or real[-1] != ghost[-1]:
             return True
-        last = self.real.edges[-1]
-        if last != self.ghost.edges[-1]:
-            return True
-        return self.graph.edge(last) != self.graph.designated_edge(self.graph.edge(last).src)
+        g = self.graph
+        return g.designated_edge(g.edge(real[-1]).src).name != real[-1]
 
     def sort_key(self):
         return (self.real.sort_key(), self.ghost.sort_key())
@@ -88,7 +97,7 @@ class Monomial:
         return self.real == other.real and self.ghost == other.ghost
 
     def __hash__(self):
-        return hash((self.real, self.ghost))
+        return hash((self.real.source, self.real.edges, self.ghost.source, self.ghost.edges))
 
     def __repr__(self):
         return f"Monomial({self.real!r}, {self.ghost!r})"
@@ -102,33 +111,33 @@ def _reduce_once(m, coeff):
     are basis monomials already.
     """
     g = m.graph
-    f = g.edge(m.real.edges[-1])
-    p = Path(g, m.real.source, m.real.edges[:-1])
-    q = Path(g, m.ghost.source, m.ghost.edges[:-1])
-    shorter = (Monomial(p, q), coeff)
-    siblings = [
-        (Monomial(p.append(e.name), q.append(e.name)), -coeff)
-        for e in g.out_edges(f.src)
-        if e.name != f.name
-    ]
-    return shorter, siblings
+    real, ghost = m.real, m.ghost
+    f = g.edge(real.edges[-1])
+
+    def cut(tail, at):
+        return Monomial._trusted(
+            Path._trusted(g, real.source, real.edges[:-1] + tail, at),
+            Path._trusted(g, ghost.source, ghost.edges[:-1] + tail, at),
+        )
+
+    siblings = [(cut((e.name,), e.dst), -coeff) for e in g.out_edges(f.src) if e != f]
+    return (cut((), f.src), coeff), siblings
 
 
 def normalize_terms(graph, terms, chooser=None):
     """Rewrite a raw term list to the canonical basis-monomial combination.
 
     ``terms`` is an iterable of (Monomial, coefficient). ``chooser`` picks
-    which reducible term to rewrite next (given the current list); the
-    default pops in insertion order. Any chooser yields the same result --
-    the confluence tests exercise this with randomized choosers.
+    which pending term to rewrite next (given the current list); the
+    default works the list as a stack, last in first out, which keeps it as
+    short as a depth-first walk of the rewrite tree. Any chooser yields the
+    same result -- the confluence tests exercise this with randomized
+    choosers.
     """
     result = {}
-    pending = [(m, c) for m, c in terms]
+    pending = list(terms)
     while pending:
-        if chooser is None:
-            m, c = pending.pop(0)
-        else:
-            m, c = pending.pop(chooser(pending))
+        m, c = pending.pop() if chooser is None else pending.pop(chooser(pending))
         if not c:
             continue
         if m.is_basis():
@@ -137,7 +146,7 @@ def normalize_terms(graph, terms, chooser=None):
             if acc:
                 result[m] = acc
             else:
-                result.pop(m, None)
+                del result[m]
         else:
             shorter, siblings = _reduce_once(m, c)
             pending.append(shorter)
@@ -152,13 +161,16 @@ def _monomial_product(a, b):
     relation (3) cancels the overlap.
     """
     q, r = a.ghost, b.real
-    if q.is_prefix_of(r):
-        t = r.strip_prefix(q)
-        return [Monomial(a.real.concat(t), b.ghost)]
-    if r.is_prefix_of(q):
-        t = q.strip_prefix(r)
-        return [Monomial(a.real, b.ghost.concat(t))]
-    return []
+    n = min(len(q.edges), len(r.edges))
+    if q.source != r.source or q.edges[:n] != r.edges[:n]:
+        return []
+    if n == len(q.edges):  # r = q t: the product is (p t) s*
+        p = a.real
+        pt = Path._trusted(p.graph, p.source, p.edges + r.edges[n:], r.range)
+        return [Monomial._trusted(pt, b.ghost)]
+    s = b.ghost  # q = r t: the product is p (s t)*
+    st = Path._trusted(s.graph, s.source, s.edges + q.edges[n:], q.range)
+    return [Monomial._trusted(a.real, st)]
 
 
 class Element:
@@ -182,30 +194,27 @@ class Element:
     def zero(cls, graph, field=QQ):
         return cls(graph, field, {}, _normal=True)
 
+    # Vertices, paths and sums of distinct vertices are normal forms already.
+
     @classmethod
     def vertex(cls, graph, v, field=QQ):
         t = Path.trivial(graph, v)
-        return cls(graph, field, [(Monomial(t, t), field.one())])
+        return cls(graph, field, {Monomial._trusted(t, t): field.one()}, _normal=True)
 
     @classmethod
     def edge(cls, graph, name, field=QQ):
         e = graph.edge(name)
-        p = Path.from_edges(graph, [name])
-        return cls(graph, field, [(Monomial(p, Path.trivial(graph, e.dst)), field.one())])
+        p, t = Path._trusted(graph, e.src, (name,), e.dst), Path._trusted(graph, e.dst, (), e.dst)
+        return cls(graph, field, {Monomial._trusted(p, t): field.one()}, _normal=True)
 
     @classmethod
     def ghost_edge(cls, graph, name, field=QQ):
-        e = graph.edge(name)
-        p = Path.from_edges(graph, [name])
-        return cls(graph, field, [(Monomial(Path.trivial(graph, e.dst), p), field.one())])
+        return cls.edge(graph, name, field).star()
 
     @classmethod
     def from_path(cls, path, field=QQ):
-        return cls(
-            path.graph,
-            field,
-            [(Monomial(path, Path.trivial(path.graph, path.range)), field.one())],
-        )
+        t = Path.trivial(path.graph, path.range)
+        return cls(path.graph, field, {Monomial(path, t): field.one()}, _normal=True)
 
     @classmethod
     def from_monomial(cls, monomial, field=QQ, coeff=None):
@@ -215,11 +224,8 @@ class Element:
     @classmethod
     def identity(cls, graph, field=QQ):
         """Sum of all vertex idempotents (the unit when E0 is finite)."""
-        terms = []
-        for v in graph.vertices:
-            t = Path.trivial(graph, v)
-            terms.append((Monomial(t, t), field.one()))
-        return cls(graph, field, terms)
+        ts = (Path.trivial(graph, v) for v in graph.vertices)
+        return cls(graph, field, {Monomial._trusted(t, t): field.one() for t in ts}, _normal=True)
 
     # -- structure -------------------------------------------------------
 

@@ -34,16 +34,13 @@ _TOKEN_RE = re.compile(
 def _tokenize(text):
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        if m.group("bad"):
+        kind = m.lastgroup
+        if kind == "bad":
             raise ExpressionSyntaxError(
                 f"unexpected character {m.group('bad')!r} at position {m.start('bad')}"
             )
-        if m.group("int"):
-            tokens.append(("int", int(m.group("int"))))
-        elif m.group("ident"):
-            tokens.append(("ident", m.group("ident")))
-        else:
-            tokens.append(("sym", m.group("sym")))
+        value = m.group(kind)
+        tokens.append((kind, int(value) if kind == "int" else value))
     return tokens
 
 

@@ -123,11 +123,39 @@ class RationalField:
         return "QQ"
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin primality test, exact for n < _MR_BOUND."""
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while not d % 2:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """F_p for a prime p."""
+    """F_p for a prime p below _MR_BOUND (about 3.3e24)."""
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if p >= _MR_BOUND:
+            raise PreconditionError(f"{p} is too large: primality is exact only below {_MR_BOUND}")
+        if not _is_prime(p):
             raise PreconditionError(f"{p} is not prime")
         self.p = p
         self.name = f"fp:{p}"

@@ -114,7 +114,7 @@ class Graph:
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        return other is self or (self.vertices == other.vertices and self.edges == other.edges)
 
     def __hash__(self):
         return self._hash
@@ -194,9 +194,14 @@ def _check_ident(word, lineno, raw):
 
 
 class Path:
-    """Directed path: consecutive edges, or a single vertex (trivial path)."""
+    """Directed path: consecutive edges, or a single vertex (trivial path).
 
-    __slots__ = ("graph", "source", "edges")
+    ``Path(...)`` checks every edge and stores the range, ``append``/``concat``
+    check the new junction only, and ``_trusted`` (for parts that compose by
+    construction, as in the rewriting kernel) checks nothing.
+    """
+
+    __slots__ = ("graph", "source", "edges", "range")
 
     def __init__(self, graph, source, edges=()):
         self.graph = graph
@@ -211,6 +216,13 @@ class Path:
                     f"edges do not compose: {name!r} starts at {e.src!r}, expected {at!r}"
                 )
             at = e.dst
+        self.range = at
+
+    @classmethod
+    def _trusted(cls, graph, source, edges, range_):
+        p = object.__new__(cls)
+        p.graph, p.source, p.edges, p.range = graph, source, edges, range_
+        return p
 
     @classmethod
     def trivial(cls, graph, vertex):
@@ -224,12 +236,6 @@ class Path:
         return cls(graph, graph.edge(names[0]).src, names)
 
     @property
-    def range(self):
-        if not self.edges:
-            return self.source
-        return self.graph.edge(self.edges[-1]).dst
-
-    @property
     def length(self):
         return len(self.edges)
 
@@ -238,14 +244,16 @@ class Path:
         return not self.edges
 
     def concat(self, other):
+        if other.graph != self.graph:
+            raise GraphMismatch("paths over different graphs")
         if other.source != self.range:
             raise PreconditionError(
                 f"paths do not compose: {self.range!r} then {other.source!r}"
             )
-        return Path(self.graph, self.source, self.edges + other.edges)
+        return Path._trusted(self.graph, self.source, self.edges + other.edges, other.range)
 
     def append(self, edge_name):
-        return Path(self.graph, self.source, self.edges + (edge_name,))
+        return self.concat(Path(self.graph, self.graph.edge(edge_name).src, (edge_name,)))
 
     def is_prefix_of(self, other):
         return (
@@ -257,11 +265,11 @@ class Path:
         """The tail t with self == prefix . t."""
         if not prefix.is_prefix_of(self):
             raise PreconditionError("not a prefix")
-        return Path(self.graph, prefix.range, self.edges[len(prefix.edges):])
+        return Path._trusted(self.graph, prefix.range, self.edges[len(prefix.edges):], self.range)
 
     def sort_key(self):
         g = self.graph
-        return (g.vertex_index(self.source),) + tuple(g.edge_index(e) for e in self.edges)
+        return (g._vindex[self.source], *map(g._eindex.__getitem__, self.edges))
 
     def __eq__(self, other):
         if not isinstance(other, Path):
@@ -332,7 +340,7 @@ class Walk:
     once edge direction is forgotten.
     """
 
-    __slots__ = ("graph", "source", "items")
+    __slots__ = ("graph", "source", "items", "range")
 
     def __init__(self, graph, source, items=()):
         self.graph = graph
@@ -346,14 +354,7 @@ class Walk:
             if start != at:
                 raise PreconditionError(f"walk breaks at {name!r}: at {at!r}, item starts {start!r}")
             at = end
-
-    @property
-    def range(self):
-        at = self.source
-        for name, forward in self.items:
-            e = self.graph.edge(name)
-            at = e.dst if forward else e.src
-        return at
+        self.range = at
 
 
 def walk_between(g, u, w):

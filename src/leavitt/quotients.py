@@ -63,7 +63,7 @@ def _map_path(path, target):
     for name in path.edges:
         if name not in target._eindex:
             return None
-    return Path(target, path.source, path.edges)
+    return Path._trusted(target, path.source, path.edges, path.range)
 
 
 def quotient_morphism(x, H, target=None):
@@ -85,7 +85,7 @@ def quotient_morphism(x, H, target=None):
         real = _map_path(m.real, target)
         ghost = _map_path(m.ghost, target)
         if real is not None and ghost is not None:
-            raw.append((Monomial(real, ghost), c))
+            raw.append((Monomial._trusted(real, ghost), c))
     return Element(target, x.field, raw)
 
 
@@ -268,7 +268,8 @@ def _mu_candidates(p):
 
     for q in ghosts:
         for cut in range(q.length, -1, -1):
-            prefix = Path(g, q.source, q.edges[:cut])
+            at = q.range if cut == q.length else g.edge(q.edges[cut]).src
+            prefix = Path._trusted(g, q.source, q.edges[:cut], at)
             if emit(prefix):
                 yield prefix
     frontier = list(ghosts)

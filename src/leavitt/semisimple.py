@@ -38,11 +38,14 @@ def reduced_expression(m):
     g = m.graph
     if not is_acyclic_no_bifurcation(g):
         raise PreconditionError("reduced expressions need an acyclic bifurcation-free graph")
-    real, ghost = m.real, m.ghost
-    while real.edges and ghost.edges and real.edges[-1] == ghost.edges[-1]:
-        real = Path(g, real.source, real.edges[:-1])
-        ghost = Path(g, ghost.source, ghost.edges[:-1])
-    return real, ghost
+    real, ghost = m.real.edges, m.ghost.edges
+    k, n = 0, min(len(real), len(ghost))
+    while k < n and real[-1 - k] == ghost[-1 - k]:
+        k += 1
+    if not k:
+        return m.real, m.ghost
+    at = g.edge(real[-k]).src
+    return tuple(Path._trusted(g, p.source, p.edges[:-k], at) for p in (m.real, m.ghost))
 
 
 def _component_sink(component):
@@ -54,14 +57,25 @@ def _component_sink(component):
     return sinks[0]
 
 
-def _path_to_sink(g, v):
-    """The unique maximal path from v in a bifurcation-free acyclic graph."""
-    edges = []
-    es = g.out_edges(v)
-    while es:
-        edges.append(es[0].name)
-        es = g.out_edges(es[0].dst)
-    return Path(g, v, edges)
+def _paths_to_sink(g, vertices):
+    """The unique maximal path from each vertex of a bifurcation-free acyclic
+    graph; each walk stops at the first vertex an earlier walk reached."""
+    tail = {}
+    for v in vertices:
+        chain = []
+        at = v
+        while at not in tail:
+            es = g.out_edges(at)
+            if not es:
+                tail[at] = ((), at)
+                break
+            chain.append((at, es[0].name))
+            at = es[0].dst
+        edges, sink = tail[at]
+        for u, name in reversed(chain):
+            edges = (name,) + edges
+            tail[u] = (edges, sink)
+    return [Path._trusted(g, v, *tail[v]) for v in vertices]
 
 
 def reduced_monomial_basis(g):
@@ -71,7 +85,7 @@ def reduced_monomial_basis(g):
         raise PreconditionError("reduced monomial basis needs an acyclic bifurcation-free graph")
     out = []
     for component in connected_components(g):
-        to_sink = {v: _path_to_sink(g, v) for v in component.vertices}
+        to_sink = dict(zip(component.vertices, _paths_to_sink(g, component.vertices)))
         for vj in component.vertices:
             for vk in component.vertices:
                 real, ghost = reduced_expression(Monomial(to_sink[vj], to_sink[vk]))
@@ -86,12 +100,15 @@ class MatrixDecomposition:
     the index: entry (j, k) is the class of paths[j] paths[k]*.
     """
 
-    __slots__ = ("graph", "kind", "blocks")
+    __slots__ = ("graph", "kind", "blocks", "_position")
 
     def __init__(self, graph, kind, blocks):
         self.graph = graph
         self.kind = kind  # "vertices" | "sink_paths"
         self.blocks = tuple(blocks)
+        self._position = {
+            p: (bi, j) for bi, block in enumerate(self.blocks) for j, p in enumerate(block["paths"])
+        }
 
     @property
     def sizes(self):
@@ -102,11 +119,10 @@ class MatrixDecomposition:
 
     def position_of(self, path):
         """(block number, index) of a sink-ended path."""
-        for bi, block in enumerate(self.blocks):
-            idx = block["position"].get(path)
-            if idx is not None:
-                return bi, idx
-        raise PreconditionError(f"path {path!r} does not end at a decomposed sink")
+        try:
+            return self._position[path]
+        except KeyError:
+            raise PreconditionError(f"path {path!r} does not end at a decomposed sink") from None
 
     def describe(self):
         return [
@@ -128,22 +144,14 @@ def matrix_decomposition(g):
     if is_acyclic_no_bifurcation(g):
         for component in connected_components(g):
             _component_sink(component)
-            paths = [_path_to_sink(g, v) for v in component.vertices]
-            blocks.append(_block(labels=list(component.vertices), paths=paths))
+            paths = _paths_to_sink(g, component.vertices)
+            blocks.append({"labels": component.vertices, "paths": tuple(paths)})
         return MatrixDecomposition(g, "vertices", blocks)
     for sink in g.sinks():
         paths = _paths_into(g, sink)
         labels = [".".join(p.edges) if p.edges else sink for p in paths]
-        blocks.append(_block(labels=labels, paths=paths))
+        blocks.append({"labels": tuple(labels), "paths": tuple(paths)})
     return MatrixDecomposition(g, "sink_paths", blocks)
-
-
-def _block(labels, paths):
-    return {
-        "labels": tuple(labels),
-        "paths": tuple(paths),
-        "position": {p: i for i, p in enumerate(paths)},
-    }
 
 
 def _paths_into(g, sink):
@@ -155,7 +163,7 @@ def _paths_into(g, sink):
         found.extend(nxt)
         frontier = nxt
     found.sort(key=lambda p: (len(p[1]), tuple(g.edge_index(e) for e in p[1])))
-    return [Path(g, v, edges) for v, edges in found]
+    return [Path._trusted(g, v, edges, sink) for v, edges in found]
 
 
 def _expand_to_sinks(g, m, coeff, out):
@@ -166,8 +174,8 @@ def _expand_to_sinks(g, m, coeff, out):
         v, tail = stack.pop()
         es = g.out_edges(v)
         if not es:
-            real, ghost = (Path(g, p.source, p.edges + tail) for p in (m.real, m.ghost))
-            out.append((Monomial(real, ghost), coeff))
+            real, ghost = (Path._trusted(g, p.source, p.edges + tail, v) for p in (m.real, m.ghost))
+            out.append((Monomial._trusted(real, ghost), coeff))
         stack.extend((e.dst, tail + (e.name,)) for e in reversed(es))
 
 
@@ -201,7 +209,7 @@ def from_matrix(bm, decomposition, field=QQ):
     for block, mat in zip(decomposition.blocks, bm.blocks):
         for j, row in enumerate(mat.row_dicts):
             for k in sorted(row):
-                raw.append((Monomial(block["paths"][j], block["paths"][k]), row[k]))
+                raw.append((Monomial._trusted(block["paths"][j], block["paths"][k]), row[k]))
     return Element(g, field, raw)
 
 

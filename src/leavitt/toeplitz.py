@@ -295,8 +295,11 @@ def rcfm_representation(x, window):
     monomial whose support misses the window entirely is rejected, since
     such a window could not represent the element at all.
     """
-    g = x.graph
-    v, loop_edge, connector, sink = _canonical_labels(g)
+    return _rcfm_representation(x, window, _canonical_labels(x.graph))
+
+
+def _rcfm_representation(x, window, labels):
+    _, loop_edge, connector, sink = labels
     if window < 1:
         raise PreconditionError("window size must be positive")
     field = x.field
@@ -354,7 +357,11 @@ def bandwidth(window):
 
 def socle_module_element(g, i, j, field=QQ):
     """The element mapping to the matrix unit E_ij: (b_i path)(b_j path)*."""
-    v, loop_edge, connector, sink = _canonical_labels(g)
+    return _socle_module_element(g, _canonical_labels(g), i, j, field)
+
+
+def _socle_module_element(g, labels, i, j, field):
+    v, loop_edge, connector, sink = labels
 
     def basis_path(k):
         if k == 0:
@@ -372,13 +379,13 @@ def sandwich_report(g, degree_bound, window, field=QQ):
     (c) matrix units E_jk for j, k <= N-2 are images of explicit socle
         elements built from the module basis paths.
     """
-    _canonical_labels(g)
+    labels = _canonical_labels(g)
     monomials = basis_monomials_up_to(g, degree_bound)
     socle_failures = []
     finiteness_failures = []
     for m in monomials:
         x = Element.from_monomial(m, field)
-        w = rcfm_representation(x, window)
+        w = _rcfm_representation(x, window, labels)
         if not (w.flags["row_finite_on_window"] and w.flags["col_finite_on_window"]):
             finiteness_failures.append(format_monomial(m))
         if in_socle(x) and not w.flags["finitely_supported"]:
@@ -386,8 +393,8 @@ def sandwich_report(g, degree_bound, window, field=QQ):
     unit_failures = []
     for i in range(window - 1):
         for j in range(window - 1):
-            x = socle_module_element(g, i, j, field)
-            w = rcfm_representation(x, window)
+            x = _socle_module_element(g, labels, i, j, field)
+            w = _rcfm_representation(x, window, labels)
             unit = [{j: field.one()} if a == i else {} for a in range(window)]
             if w.matrix != Matrix.from_row_dicts(unit, window, field):
                 unit_failures.append(f"E[{i}][{j}] != window({format_element(x)})")

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import leavitt as L
-from leavitt import Element, Graph, Monomial, Path
+from leavitt import Element, Graph, Monomial, Path, PreconditionError
 
 TOEPLITZ_DSL = "graph T\nvertex v\nvertex w\nedge e v v\nedge f v w\n"
 A2_DSL = "graph A2\nvertex u\nvertex w\nedge f u w\n"
@@ -343,6 +343,145 @@ def dense_group_inverse(rows, field):
     core_inv = dense_inverse(dense_mul(R, C, r, field), field)
     left = dense_mul(dense_mul(C, core_inv, r, field), core_inv, r, field)
     return dense_mul(left, R, n, field)
+
+
+# ---------------------------------------------------------------------------
+# Validating reference kernel: the monomial layer before paths carried their
+# range, with every path rebuilt through the full edge-by-edge check and the
+# rewrite worked first in, first out. Monomials are pairs of ReferencePath.
+
+
+class ReferencePath:
+    __slots__ = ("graph", "source", "edges")
+
+    def __init__(self, graph, source, edges=()):
+        self.graph = graph
+        self.source = source
+        self.edges = tuple(edges)
+        graph.vertex_index(source)
+        at = source
+        for name in self.edges:
+            e = graph.edge(name)
+            if e.src != at:
+                raise PreconditionError(
+                    f"edges do not compose: {name!r} starts at {e.src!r}, expected {at!r}"
+                )
+            at = e.dst
+
+    @property
+    def range(self):
+        if not self.edges:
+            return self.source
+        return self.graph.edge(self.edges[-1]).dst
+
+    def concat(self, other):
+        if other.source != self.range:
+            raise PreconditionError("paths do not compose")
+        return ReferencePath(self.graph, self.source, self.edges + other.edges)
+
+    def append(self, edge_name):
+        return ReferencePath(self.graph, self.source, self.edges + (edge_name,))
+
+    def is_prefix_of(self, other):
+        return self.source == other.source and other.edges[: len(self.edges)] == self.edges
+
+    def strip_prefix(self, prefix):
+        if not prefix.is_prefix_of(self):
+            raise PreconditionError("not a prefix")
+        return ReferencePath(self.graph, prefix.range, self.edges[len(prefix.edges):])
+
+    def key(self):
+        return (self.source, self.edges)
+
+
+def reference_monomial(m):
+    """A leavitt Monomial as a (real, ghost) pair, each part re-validated."""
+    g = m.graph
+    return tuple(ReferencePath(g, p.source, p.edges) for p in (m.real, m.ghost))
+
+
+def reference_key(pair):
+    return pair[0].key() + pair[1].key()
+
+
+def reference_is_basis(pair):
+    real, ghost = pair
+    if not real.edges or not ghost.edges or real.edges[-1] != ghost.edges[-1]:
+        return True
+    g = real.graph
+    last = g.edge(real.edges[-1])
+    return last != g.designated_edge(last.src)
+
+
+def reference_reduce_once(pair, coeff):
+    real, ghost = pair
+    g = real.graph
+    f = g.edge(real.edges[-1])
+    p = ReferencePath(g, real.source, real.edges[:-1])
+    q = ReferencePath(g, ghost.source, ghost.edges[:-1])
+    siblings = [
+        ((p.append(e.name), q.append(e.name)), -coeff)
+        for e in g.out_edges(f.src)
+        if e.name != f.name
+    ]
+    return ((p, q), coeff), siblings
+
+
+def reference_normalize_terms(terms):
+    """{reference_key: coefficient} of the normal form of (pair, coeff) terms."""
+    result = {}
+    pending = list(terms)
+    while pending:
+        pair, c = pending.pop(0)
+        if not c:
+            continue
+        if reference_is_basis(pair):
+            k = reference_key(pair)
+            acc = result.get(k)
+            acc = c if acc is None else acc + c
+            if acc:
+                result[k] = acc
+            else:
+                result.pop(k, None)
+        else:
+            shorter, siblings = reference_reduce_once(pair, c)
+            pending.append(shorter)
+            pending.extend(siblings)
+    return result
+
+
+def reference_monomial_product(a, b):
+    (p, q), (r, s) = a, b
+    if q.is_prefix_of(r):
+        return [(p.concat(r.strip_prefix(q)), s)]
+    if r.is_prefix_of(q):
+        return [(p, s.concat(q.strip_prefix(r)))]
+    return []
+
+
+def reference_product(x, y):
+    """x * y through the reference kernel, as {reference_key: coefficient}."""
+    raw = []
+    for ma, ca in x.terms.items():
+        for mb, cb in y.terms.items():
+            for pair in reference_monomial_product(reference_monomial(ma), reference_monomial(mb)):
+                raw.append((pair, ca * cb))
+    return reference_normalize_terms(raw)
+
+
+def reference_element(g, field, normal):
+    """Element built from a reference normal form through the public,
+    validating Path and Monomial constructors."""
+    terms = {
+        Monomial(Path(g, rs, re), Path(g, gs, ge)): c for (rs, re, gs, ge), c in normal.items()
+    }
+    return Element(g, field, terms, _normal=True)
+
+
+def element_key_terms(x):
+    return {
+        (m.real.source, m.real.edges, m.ghost.source, m.ghost.edges): c for m, c in x.terms.items()
+    }
 
 
 def path_count_dimension(g):

@@ -9,10 +9,16 @@ from leavitt.algebra import normalize_terms
 
 from conftest import (
     corpus_graphs,
+    element_key_terms,
     path_count_dimension,
     random_element,
+    random_graph,
     random_raw_terms,
     raw_monomials,
+    reference_element,
+    reference_monomial,
+    reference_normalize_terms,
+    reference_product,
     seeded,
 )
 
@@ -206,6 +212,66 @@ def test_confluence_randomized_strategies():
             assert first == second
             for m in first:
                 assert m.is_basis()
+
+
+def assert_paths_revalidate(x):
+    for m in x.terms:
+        for p in (m.real, m.ghost):
+            again = Path(x.graph, p.source, p.edges)
+            assert again == p and again.range == p.range
+        Monomial(m.real, m.ghost)
+
+
+def test_kernel_matches_validated_reference():
+    """Normal forms, products, the involution and the printer agree with the
+    validating first-in-first-out kernel on random graphs over QQ and F_7."""
+    rng = seeded("kernel-reference")
+    for field in (L.QQ, L.GF(7)):
+        for _ in range(50):
+            g = random_graph(rng)
+            pool = raw_monomials(g)
+            raws = [random_raw_terms(g, rng, pool, size=5, field=field) for _ in range(3)]
+            x, y, w = (Element(g, field, raw) for raw in raws)
+            for el, raw in zip((x, y, w), raws):
+                expected = reference_normalize_terms((reference_monomial(m), c) for m, c in raw)
+                assert element_key_terms(el) == expected
+            for a, b in ((x, y), (x, y.star()), (x.star(), y), (x * y, w), (w, y.star() * x)):
+                z = a * b
+                expected = reference_product(a, b)
+                assert element_key_terms(z) == expected
+                printed = L.format_element(reference_element(g, field, expected))
+                assert L.format_element(z) == printed
+                assert_paths_revalidate(z)
+            swapped = reference_normalize_terms(
+                (reference_monomial(m)[::-1], c) for m, c in x.terms.items()
+            )
+            assert element_key_terms(x.star()) == swapped
+            assert_paths_revalidate(x.star())
+
+
+def test_path_and_monomial_boundary_checks(toeplitz, a2):
+    g = toeplitz  # e: v -> v, f: v -> w
+    f = Path.from_edges(g, ["f"])
+    assert f.range == "w" and Path.trivial(g, "v").append("e").append("f").range == "w"
+    assert Path.trivial(g, "v").concat(f) == f and f.strip_prefix(f) == Path.trivial(g, "w")
+    with pytest.raises(L.PreconditionError):
+        f.append("e")
+    with pytest.raises(L.PreconditionError):
+        f.concat(Path.from_edges(g, ["e"]))
+    with pytest.raises(L.UnknownIdentifier):
+        f.append("nope")
+    with pytest.raises(GraphMismatch):
+        Path.trivial(a2, "w").concat(Path.trivial(g, "w"))
+    with pytest.raises(L.PreconditionError):
+        Path(g, "w", ["e"])
+    with pytest.raises(L.UnknownIdentifier):
+        Path(g, "nope")
+    with pytest.raises(L.PreconditionError):
+        Path.trivial(g, "w").strip_prefix(Path.trivial(g, "v"))
+    with pytest.raises(L.PreconditionError):
+        Monomial(f, Path.trivial(g, "v"))
+    with pytest.raises(GraphMismatch):
+        Monomial(Path.trivial(a2, "w"), Path.trivial(g, "w"))
 
 
 def test_normal_form_idempotent_and_equality():

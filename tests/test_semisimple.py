@@ -5,7 +5,14 @@ import pytest
 import leavitt as L
 from leavitt import Element, Monomial, NotFoundWithinBounds, NotSquareCancellable, Path, PreconditionError
 
-from conftest import corpus_graphs, path_count_dimension, random_element, raw_monomials, seeded
+from conftest import (
+    corpus_graphs,
+    path_count_dimension,
+    random_element,
+    random_graph,
+    raw_monomials,
+    seeded,
+)
 
 
 def E(g, text):
@@ -37,6 +44,7 @@ def test_reduced_expression_idempotent_and_canonical(line3):
     seen = {}
     for m in raw_monomials(line3, 4):
         real, ghost = L.reduced_expression(m)
+        assert [Path(line3, p.source, p.edges).range for p in (real, ghost)] == [real.range] * 2
         again = L.reduced_expression(Monomial(real, ghost))
         assert again == (real, ghost)
         key = (real, ghost)
@@ -96,6 +104,23 @@ def test_decomposition_with_bifurcations_indexes_sink_paths():
     assert d.block_sizes() == [4]  # s, p, q, r.q
     assert d.describe()[0]["index"] == ["s", "p", "q", "r.q"]
     assert len(L.full_basis(g)) == 16 == path_count_dimension(g)
+
+
+def test_decomposition_paths_revalidate_and_are_indexed(line3):
+    rng = seeded("decomposition-paths")
+    graphs = corpus_graphs() + [random_graph(rng) for _ in range(150)]
+    for g in (g for g in graphs if L.is_acyclic(g)):
+        d = L.matrix_decomposition(g)
+        for bi, block in enumerate(d.blocks):
+            for j, p in enumerate(block["paths"]):
+                again = Path(g, p.source, p.edges)
+                assert again == p and again.range == p.range and g.is_sink(p.range)
+                assert d.position_of(again) == (bi, j)
+    with pytest.raises(PreconditionError, match="does not end at a decomposed sink"):
+        L.matrix_decomposition(line3).position_of(Path.trivial(line3, "x1"))
+    many = L.Graph("many", [f"v{i}" for i in range(2000)], [])
+    d = L.matrix_decomposition(many)
+    assert L.to_matrix(Element.identity(many), d) == L.BlockMatrix([L.Matrix.identity(1)] * 2000)
 
 
 def test_decomposition_rejects_cycles(toeplitz, r1):

@@ -4,6 +4,7 @@ import pytest
 
 import leavitt as L
 from leavitt import Element, LaurentPoly, PreconditionError
+from leavitt import toeplitz
 from leavitt.toeplitz import bandwidth
 
 from conftest import random_element, random_graph, raw_monomials, seeded, toeplitz_oracle
@@ -224,6 +225,10 @@ def test_socle_module_elements_hit_matrix_units():
 def test_window_rejects_foreign_graphs(a2):
     with pytest.raises(PreconditionError):
         L.rcfm_representation(Element.vertex(a2, "u"), 6)
+    with pytest.raises(PreconditionError):
+        L.socle_module_element(a2, 0, 1)
+    with pytest.raises(PreconditionError):
+        L.sandwich_report(a2, 2, 6)
 
 
 def test_window_too_small_for_rank_one_support():
@@ -240,6 +245,14 @@ def test_sandwich_report():
     assert report["socle_finite_support_failures"] == []
     assert report["row_col_finiteness_failures"] == []
     assert report["matrix_unit_failures"] == []
+
+
+def test_sandwich_report_recognizes_the_graph_once(monkeypatch):
+    calls = []
+    recognize = toeplitz.recognize_toeplitz
+    monkeypatch.setattr(toeplitz, "recognize_toeplitz", lambda g: calls.append(g) or recognize(g))
+    assert L.sandwich_report(L.toeplitz_graph(), 2, 6)["pass"]
+    assert len(calls) == 1
 
 
 def test_distinct_monomials_have_independent_windows():
