@@ -16,10 +16,7 @@ from .algebra import (
     basis_monomials_up_to,
     full_basis,
     homogeneous_components,
-    involution,
     is_in_path_algebra,
-    multiply,
-    normal_form,
     paths_up_to,
 )
 from .errors import (

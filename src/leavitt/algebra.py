@@ -341,19 +341,6 @@ class Element:
 # Module operations
 
 
-def multiply(x, y):
-    return x * y
-
-
-def normal_form(x):
-    """Identity on Element values: they are kept in normal form throughout."""
-    return x
-
-
-def involution(x):
-    return x.star()
-
-
 def homogeneous_components(x):
     """Split by Z-degree l(p) - l(q); the parts sum back to x."""
     parts = {}

@@ -36,77 +36,8 @@ from .semisimple import element_group_inverse, matrix_decomposition
 from .toeplitz import exact_sequence_report, recognize_toeplitz, sandwich_report
 
 
-def _common(parser):
-    parser.add_argument("graphfile", help="graph DSL file")
-    parser.add_argument("--field", default="q", help="coefficient field: q or fp:<p>")
-    parser.add_argument("--only", help="emit a single key of the result")
-    parser.add_argument("--pretty", action="store_true", help="plain-text rendering")
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="leavitt",
-        description="Symbolic computation for path algebras and Leavitt path algebras",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="full structural report")
-    _common(p)
-
-    p = sub.add_parser("nf", help="normal form of an expression")
-    _common(p)
-    p.add_argument("expr")
-
-    p = sub.add_parser("mul", help="product of two expressions")
-    _common(p)
-    p.add_argument("x")
-    p.add_argument("y")
-
-    p = sub.add_parser("eq", help="equality of two expressions")
-    _common(p)
-    p.add_argument("x")
-    p.add_argument("y")
-
-    p = sub.add_parser("decompose", help="matrix decomposition of an acyclic graph")
-    _common(p)
-
-    p = sub.add_parser("group-inverse", help="group inverse of an element")
-    _common(p)
-    p.add_argument("expr")
-
-    p = sub.add_parser("socle-member", help="socle membership of an element")
-    _common(p)
-    p.add_argument("expr")
-
-    p = sub.add_parser("quotient", help="quotient graph and generator images")
-    _common(p)
-    p.add_argument("--set", required=True, help="comma-separated hereditary saturated vertices")
-
-    p = sub.add_parser("restrict", help="restriction graph for a hereditary saturated set")
-    _common(p)
-    p.add_argument("--set", required=True, help="comma-separated hereditary saturated vertices")
-    p.add_argument("--truncate", type=int, default=6, help="entry-path length bound")
-
-    p = sub.add_parser("denominator", help="right denominator witness for (p, q)")
-    _common(p)
-    p.add_argument("p")
-    p.add_argument("q")
-
-    p = sub.add_parser("toeplitz-check", help="Toeplitz recognition and verification reports")
-    _common(p)
-    p.add_argument("--degree", type=int, default=4)
-    p.add_argument("--window", type=int, default=12)
-
-    p = sub.add_parser("closure", help="hereditary saturated closure of a vertex set")
-    _common(p)
-    p.add_argument("--set", required=True, help="comma-separated vertices")
-
-    return parser
-
-
-def _load_graph(args):
-    with open(args.graphfile, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+def _arg(*flags, **options):
+    return flags, options
 
 
 def _vertex_set(arg):
@@ -121,119 +52,163 @@ def _graph_payload(g):
     }
 
 
+def _generator_images(g, field, image):
+    """Formatted image of every vertex, then every edge, of g."""
+    images = {v: format_element(image(Element.vertex(g, v, field))) for v in g.vertices}
+    for e in g.edges:
+        images[e.name] = format_element(image(Element.edge(g, e.name, field)))
+    return images
+
+
+def _nf(g, field, args):
+    x = parse_element(g, args.expr, field)
+    return {"input": args.expr, "normal_form": format_element(x)}
+
+
+def _mul(g, field, args):
+    x = parse_element(g, args.x, field)
+    y = parse_element(g, args.y, field)
+    return {"product": format_element(x * y)}
+
+
+def _eq(g, field, args):
+    x = parse_element(g, args.x, field)
+    y = parse_element(g, args.y, field)
+    return {"equal": x == y}
+
+
+def _decompose(g, field, args):
+    d = matrix_decomposition(g)
+    return {"kind": d.kind, "components": d.describe()}
+
+
+def _group_inverse(g, field, args):
+    x = parse_element(g, args.expr, field)
+    return {"inverse": format_element(element_group_inverse(x))}
+
+
+def _socle_member(g, field, args):
+    x = parse_element(g, args.expr, field)
+    H = hereditary_saturated_closure(g, line_points(g))
+    return {"member": in_socle(x), "socle_generators": list(H.ordered())}
+
+
+def _quotient(g, field, args):
+    H = _vertex_set(args.set)
+    target = quotient_graph(g, H)
+    saturated = is_saturated(g, H)
+    images = None
+    if saturated:  # the morphism only exists for saturated H
+        images = _generator_images(g, field, lambda x: quotient_morphism(x, H, target))
+    return {"graph": _graph_payload(target), "saturated": saturated, "generator_images": images}
+
+
+def _restrict(g, field, args):
+    rg = restriction_graph(g, _vertex_set(args.set), args.truncate)
+    return {
+        "graph": _graph_payload(rg.graph),
+        "complete": rg.complete,
+        "truncation_bound": rg.bound,
+        "embedding_images": _generator_images(
+            rg.graph, field, lambda y: restriction_embedding(rg, y)
+        ),
+    }
+
+
+def _denominator(g, field, args):
+    p = parse_element(g, args.p, field)
+    q = parse_element(g, args.q, field)
+    witness = denominator_search(p, q)
+    return {
+        "r": format_element(witness.r),
+        "mu": format_element(Element.from_path(witness.mu, field)),
+        "extensions": list(witness.extensions),
+        "p_times_r": format_element(witness.p_times_r),
+        "q_times_r": format_element(witness.q_times_r),
+    }
+
+
+def _toeplitz_check(g, field, args):
+    d = recognize_toeplitz(g)
+    if d is None:
+        return {"recognized": False}
+    return {
+        "recognized": True,
+        "decomposition": d.describe(),
+        "exact_sequence": exact_sequence_report(g, args.degree, field),
+        "sandwich": (
+            sandwich_report(g, args.degree, args.window, field)
+            if d.is_canonical
+            else {"pass": None, "note": "matrix picture is defined for the canonical graph only"}
+        ),
+    }
+
+
+def _closure(g, field, args):
+    X = _vertex_set(args.set)
+    closure = hereditary_saturated_closure(g, X)
+    return {
+        "set": X,
+        "closure": list(closure.ordered()),
+        "hereditary": is_hereditary(g, closure),
+        "saturated": is_saturated(g, closure),
+    }
+
+
+_HS_SET = _arg("--set", required=True, help="comma-separated hereditary saturated vertices")
+
+# subcommand -> (help, its own arguments, handler(graph, field, args) -> result)
+COMMANDS = {
+    "analyze": ("full structural report", (), lambda g, field, args: analyzer_report(g)),
+    "nf": ("normal form of an expression", (_arg("expr"),), _nf),
+    "mul": ("product of two expressions", (_arg("x"), _arg("y")), _mul),
+    "eq": ("equality of two expressions", (_arg("x"), _arg("y")), _eq),
+    "decompose": ("matrix decomposition of an acyclic graph", (), _decompose),
+    "group-inverse": ("group inverse of an element", (_arg("expr"),), _group_inverse),
+    "socle-member": ("socle membership of an element", (_arg("expr"),), _socle_member),
+    "quotient": ("quotient graph and generator images", (_HS_SET,), _quotient),
+    "restrict": (
+        "restriction graph for a hereditary saturated set",
+        (_HS_SET, _arg("--truncate", type=int, default=6, help="entry-path length bound")),
+        _restrict,
+    ),
+    "denominator": ("right denominator witness for (p, q)", (_arg("p"), _arg("q")), _denominator),
+    "toeplitz-check": (
+        "Toeplitz recognition and verification reports",
+        (_arg("--degree", type=int, default=4), _arg("--window", type=int, default=12)),
+        _toeplitz_check,
+    ),
+    "closure": (
+        "hereditary saturated closure of a vertex set",
+        (_arg("--set", required=True, help="comma-separated vertices"),),
+        _closure,
+    ),
+}
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="leavitt",
+        description="Symbolic computation for path algebras and Leavitt path algebras",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, arguments, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("graphfile", help="graph DSL file")
+        p.add_argument("--field", default="q", help="coefficient field: q or fp:<p>")
+        p.add_argument("--only", help="emit a single key of the result")
+        p.add_argument("--pretty", action="store_true", help="plain-text rendering")
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+    return parser
+
+
 def run(args):
-    g = _load_graph(args)
+    with open(args.graphfile, "r", encoding="utf-8") as fh:
+        g = parse_graph(fh.read())
     field = field_from_name(args.field)
-    command = args.command
-
-    if command == "analyze":
-        result = analyzer_report(g)
-
-    elif command == "nf":
-        x = parse_element(g, args.expr, field)
-        result = {"input": args.expr, "normal_form": format_element(x)}
-
-    elif command == "mul":
-        x = parse_element(g, args.x, field)
-        y = parse_element(g, args.y, field)
-        result = {"product": format_element(x * y)}
-
-    elif command == "eq":
-        x = parse_element(g, args.x, field)
-        y = parse_element(g, args.y, field)
-        result = {"equal": x == y}
-
-    elif command == "decompose":
-        d = matrix_decomposition(g)
-        result = {"kind": d.kind, "components": d.describe()}
-
-    elif command == "group-inverse":
-        x = parse_element(g, args.expr, field)
-        result = {"inverse": format_element(element_group_inverse(x))}
-
-    elif command == "socle-member":
-        x = parse_element(g, args.expr, field)
-        H = hereditary_saturated_closure(g, line_points(g))
-        result = {"member": in_socle(x), "socle_generators": list(H.ordered())}
-
-    elif command == "quotient":
-        H = _vertex_set(getattr(args, "set"))
-        target = quotient_graph(g, H)
-        saturated = is_saturated(g, H)
-        if saturated:
-            # the morphism only exists for saturated H
-            images = {}
-            for v in g.vertices:
-                images[v] = format_element(
-                    quotient_morphism(Element.vertex(g, v, field), H, target)
-                )
-            for e in g.edges:
-                images[e.name] = format_element(
-                    quotient_morphism(Element.edge(g, e.name, field), H, target)
-                )
-        else:
-            images = None
-        result = {
-            "graph": _graph_payload(target),
-            "saturated": saturated,
-            "generator_images": images,
-        }
-
-    elif command == "restrict":
-        H = _vertex_set(getattr(args, "set"))
-        rg = restriction_graph(g, H, args.truncate)
-        images = {}
-        for v in rg.graph.vertices:
-            y = Element.vertex(rg.graph, v, field)
-            images[v] = format_element(restriction_embedding(rg, y))
-        for e in rg.graph.edges:
-            y = Element.edge(rg.graph, e.name, field)
-            images[e.name] = format_element(restriction_embedding(rg, y))
-        result = {
-            "graph": _graph_payload(rg.graph),
-            "complete": rg.complete,
-            "truncation_bound": rg.bound,
-            "embedding_images": images,
-        }
-
-    elif command == "denominator":
-        p = parse_element(g, args.p, field)
-        q = parse_element(g, args.q, field)
-        witness = denominator_search(p, q)
-        result = {
-            "r": format_element(witness.r),
-            "mu": format_element(Element.from_path(witness.mu, field)),
-            "extensions": list(witness.extensions),
-            "p_times_r": format_element(witness.p_times_r),
-            "q_times_r": format_element(witness.q_times_r),
-        }
-
-    elif command == "toeplitz-check":
-        d = recognize_toeplitz(g)
-        result = {"recognized": d is not None}
-        if d is not None:
-            result["decomposition"] = d.describe()
-            result["exact_sequence"] = exact_sequence_report(g, args.degree, field)
-            canonical = len(d.connectors) == 1 and len(d.subgraph.vertices) == 1 and not d.subgraph.edges
-            if canonical:
-                result["sandwich"] = sandwich_report(g, args.degree, args.window, field)
-            else:
-                result["sandwich"] = {"pass": None, "note": "matrix picture is defined for the canonical graph only"}
-
-    elif command == "closure":
-        X = _vertex_set(getattr(args, "set"))
-        closure = hereditary_saturated_closure(g, X)
-        result = {
-            "set": X,
-            "closure": list(closure.ordered()),
-            "hereditary": is_hereditary(g, closure),
-            "saturated": is_saturated(g, closure),
-        }
-
-    else:  # pragma: no cover - argparse enforces the command set
-        raise LeavittError(f"unknown command {command!r}")
-
-    return {"command": command, "graph": g.name, "version": __version__, "result": result}
+    result = COMMANDS[args.command][2](g, field, args)
+    return {"command": args.command, "graph": g.name, "version": __version__, "result": result}
 
 
 def _render_pretty(value, indent=0):
@@ -258,32 +233,27 @@ def _render_pretty(value, indent=0):
     return lines
 
 
+def _fail(kind, message, code=2):
+    print(json.dumps({"error": {"type": kind, "message": message}}), file=sys.stderr)
+    return code
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         report = run(args)
     except LeavittError as exc:
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(payload), file=sys.stderr)
-        return 2
+        return _fail(type(exc).__name__, str(exc))
     except OSError as exc:
-        payload = {"error": {"type": "IOError", "message": str(exc)}}
-        print(json.dumps(payload), file=sys.stderr)
-        return 2
+        return _fail("IOError", str(exc))
     except Exception as exc:  # pragma: no cover - defensive
-        payload = {"error": {"type": "InternalError", "message": f"{type(exc).__name__}: {exc}"}}
-        print(json.dumps(payload), file=sys.stderr)
-        return 1
+        return _fail("InternalError", f"{type(exc).__name__}: {exc}", 1)
 
     output = report
     if args.only:
         if args.only not in report["result"]:
-            print(
-                json.dumps({"error": {"type": "KeyError", "message": f"no result key {args.only!r}"}}),
-                file=sys.stderr,
-            )
-            return 2
+            return _fail("KeyError", f"no result key {args.only!r}")
         output = report["result"][args.only]
 
     if args.pretty:

@@ -71,24 +71,31 @@ class _Parser:
             raise ExpressionSyntaxError(f"trailing input at token {self.peek()[1]!r}")
         return result
 
+    # Each decision peeks once; a token already peeked is consumed by
+    # advancing pos rather than by take(), which would look it up again.
+
     def expr(self):
-        sign = 1
-        if self.peek() == ("sym", "-"):
-            self.take()
-            sign = -1
-        total = self.term().scale(self.field.from_int(sign))
-        while self.peek()[0] == "sym" and self.peek()[1] in "+-":
-            op = self.take()[1]
+        negative = self.peek() == ("sym", "-")
+        if negative:
+            self.pos += 1
+        total = self.term()
+        if negative:
+            total = -total
+        kind, op = self.peek()
+        while kind == "sym" and op in "+-":
+            self.pos += 1
             nxt = self.term()
             total = total + nxt if op == "+" else total - nxt
+            kind, op = self.peek()
         return total
 
     def term(self):
-        coeff = self.field.one()
-        if self.peek()[0] == "int":
-            numerator = self.take()[1]
+        coeff = None
+        kind, numerator = self.peek()
+        if kind == "int":
+            self.pos += 1
             if self.peek() == ("sym", "/"):
-                self.take()
+                self.pos += 1
                 kind, den = self.take()
                 if kind != "int" or den == 0:
                     raise ExpressionSyntaxError("expected positive integer denominator")
@@ -96,21 +103,21 @@ class _Parser:
             else:
                 coeff = self.field.from_int(numerator)
             if self.peek() == ("sym", "*"):
-                self.take()
+                self.pos += 1
             elif numerator == 0 and not coeff:
                 return Element.zero(self.graph, self.field)
             else:
                 raise ExpressionSyntaxError("a scalar must multiply a factor")
         product = self.factor()
         while self.peek() == ("sym", "*"):
-            self.take()
+            self.pos += 1
             product = product * self.factor()
-        return product.scale(coeff)
+        return product if coeff is None else product.scale(coeff)
 
     def factor(self):
         value = self.atom()
         while self.peek() == ("sym", "'"):
-            self.take()
+            self.pos += 1
             value = value.star()
         return value
 

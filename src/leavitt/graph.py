@@ -290,7 +290,11 @@ class Path:
 
 
 class Cycle:
-    """Closed path whose edge sources are pairwise distinct."""
+    """Closed path whose edge sources are pairwise distinct.
+
+    ``Cycle(...)`` checks that; ``_trusted`` checks nothing and serves the
+    cycles the search in ``cycles`` closes.
+    """
 
     __slots__ = ("path",)
 
@@ -301,6 +305,12 @@ class Cycle:
         if len(set(sources)) != len(sources):
             raise PreconditionError("closed path revisits a source: not a cycle")
         self.path = path
+
+    @classmethod
+    def _trusted(cls, path):
+        c = object.__new__(cls)
+        c.path = path
+        return c
 
     @property
     def graph(self):
@@ -333,28 +343,9 @@ class Cycle:
         return f"Cycle({'.'.join(self.edges)})"
 
 
-class Walk:
-    """Path in the underlying undirected graph.
-
-    Items are (edge_name, forward) pairs; consecutive items must compose
-    once edge direction is forgotten.
-    """
-
-    __slots__ = ("graph", "source", "items", "range")
-
-    def __init__(self, graph, source, items=()):
-        self.graph = graph
-        self.source = source
-        self.items = tuple(items)
-        graph.vertex_index(source)
-        at = source
-        for name, forward in self.items:
-            e = graph.edge(name)
-            start, end = (e.src, e.dst) if forward else (e.dst, e.src)
-            if start != at:
-                raise PreconditionError(f"walk breaks at {name!r}: at {at!r}, item starts {start!r}")
-            at = end
-        self.range = at
+# Path in the underlying undirected graph: items are (edge_name, forward)
+# pairs that compose once edge direction is forgotten.
+Walk = namedtuple("Walk", "graph source items range")
 
 
 def walk_between(g, u, w):
@@ -383,7 +374,7 @@ def walk_between(g, u, w):
         prev, name, forward = parents[at]
         items.append((name, forward))
         at = prev
-    return Walk(g, u, reversed(items))
+    return Walk(g, u, tuple(reversed(items)), w)
 
 
 # ---------------------------------------------------------------------------
@@ -500,15 +491,15 @@ def cycles(g):
         while stack:
             for e in stack[-1][2]:
                 if e.dst == start:
-                    edges = [frame[1] for frame in stack[1:]] + [e.name]
-                    found.append(Cycle(Path(g, start, edges)))
+                    edges = tuple(frame[1] for frame in stack[1:]) + (e.name,)
+                    found.append(Cycle._trusted(Path._trusted(g, start, edges, start)))
                 elif e.dst in free:
                     free.remove(e.dst)
                     stack.append((e.dst, e.name, iter(g._out[e.dst])))
                     break
             else:
                 free.add(stack.pop()[0])
-    found.sort(key=lambda c: tuple(g.edge_index(e) for e in c.edges))
+    found.sort(key=lambda c: tuple(map(g._eindex.__getitem__, c.edges)))
     return tuple(found)
 
 
@@ -562,23 +553,32 @@ def is_saturated(g, X):
 
 
 def hereditary_saturated_closure(g, X):
-    """Least hereditary saturated superset, by the saturation fixpoint.
+    """Least hereditary saturated superset, in time linear in the graph.
 
-    Stage 0 is the tree of X; each later stage adds the vertices all of
-    whose targets already lie in the previous stage.
+    Start from the tree of X, which is hereditary. Saturation adds an
+    emitting vertex once all of its edges land in the set, so each vertex
+    outside counts its edges that do not yet; a vertex joining decrements
+    the counts of the sources of its incoming edges, and a count reaching
+    0 adds that source. Adding such vertices keeps the set hereditary.
     """
-    current = tree_of_set(g, X).members
-    while True:
-        added = {
-            v
-            for v in g.vertices
-            if v not in current
-            and g.out_edges(v)
-            and all(e.dst in current for e in g.out_edges(v))
-        }
-        if not added:
-            return VertexSet(g, current)
-        current = current | added
+    closure = _reach(g, _as_members(g, X))
+    missing = {}
+    ready = []
+    for v in g.vertices:
+        if v not in closure and g._out[v]:
+            missing[v] = sum(e.dst not in closure for e in g._out[v])
+            if not missing[v]:
+                ready.append(v)
+    closure.update(ready)
+    while ready:
+        for e in g._in[ready.pop()]:
+            u = e.src
+            if u not in closure:
+                missing[u] -= 1
+                if not missing[u]:
+                    closure.add(u)
+                    ready.append(u)
+    return VertexSet(g, closure)
 
 
 def strongly_connected_components(g):
@@ -684,7 +684,7 @@ def analyzer_report(g):
         "semiprime_path_algebra": is_path_algebra_semiprime(g),
         "line_points": list(line_points(g).ordered()),
         "socle_essential": socle_is_essential(g),
-        "cycles": [list(c.canonical().edges) for c in cycles(g)],
+        "cycles": [list(c.edges) for c in cycles(g)],
         "bifurcations": list(bifurcations(g).ordered()),
         "components": [
             {"vertices": list(c.vertices), "edges": [e.name for e in c.edges]}

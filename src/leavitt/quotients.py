@@ -133,10 +133,12 @@ class RestrictionGraph:
         self.bound = bound
         self.complete = complete
 
-    def vertex_for(self, path):
+    @staticmethod
+    def vertex_for(path):
         return "path:" + ".".join(path.edges)
 
-    def bar_edge_for(self, path):
+    @staticmethod
+    def bar_edge_for(path):
         return "bar:" + ".".join(path.edges)
 
     def __repr__(self):
@@ -174,11 +176,11 @@ def restriction_graph(g, H, bound):
         raise PreconditionError("length bound must be at least 1")
     paths, complete = _entry_paths(g, members, bound)
     h_order = [v for v in g.vertices if v in members]
-    vertices = h_order + ["path:" + ".".join(p.edges) for p in paths]
-    edges = [e for e in g.edges if e.src in members]
-    edges = [(e.name, e.src, e.dst) for e in edges]
+    vertices = h_order + [RestrictionGraph.vertex_for(p) for p in paths]
+    edges = [(e.name, e.src, e.dst) for e in g.edges if e.src in members]
     edges += [
-        ("bar:" + ".".join(p.edges), "path:" + ".".join(p.edges), p.range) for p in paths
+        (RestrictionGraph.bar_edge_for(p), RestrictionGraph.vertex_for(p), p.range)
+        for p in paths
     ]
     built = Graph(f"{g.name}_restrict", vertices, edges)
     return RestrictionGraph(g, frozenset(members), built, tuple(paths), bound, complete)

@@ -111,6 +111,16 @@ class ToeplitzDecomposition:
         self.connectors = tuple(connectors)
         self.subgraph = subgraph
 
+    @property
+    def is_canonical(self):
+        """One connector into a single vertex with no edges: the canonical
+        graph, the only one with the row-and-column-finite matrix picture."""
+        return (
+            len(self.connectors) == 1
+            and len(self.subgraph.vertices) == 1
+            and not self.subgraph.edges
+        )
+
     def describe(self):
         return {
             "loop_vertex": self.loop_vertex,
@@ -256,12 +266,7 @@ class MatrixWindow:
 
 def _canonical_labels(g):
     d = recognize_toeplitz(g)
-    if (
-        d is None
-        or len(d.connectors) != 1
-        or len(d.subgraph.vertices) != 1
-        or d.subgraph.edges
-    ):
+    if d is None or not d.is_canonical:
         raise PreconditionError("the matrix picture needs the canonical loop-plus-sink graph")
     return d.loop_vertex, d.loop_edge, d.connectors[0], d.subgraph.vertices[0]
 

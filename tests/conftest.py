@@ -257,6 +257,24 @@ def closure_oracle(g, X):
     return best
 
 
+def reference_closure(g, X):
+    """The saturation fixpoint, one rescan of every vertex per stage: stage 0
+    is the tree of X, each later stage adds the emitting vertices all of
+    whose ranges lie in the previous one."""
+    current = L.tree_of_set(g, X).members
+    while True:
+        added = {
+            v
+            for v in g.vertices
+            if v not in current
+            and g.out_edges(v)
+            and all(e.dst in current for e in g.out_edges(v))
+        }
+        if not added:
+            return current
+        current = current | added
+
+
 def components_oracle(g):
     """Vertex blocks of the undirected components, by union-find: each block
     in declaration order, blocks ordered by their first vertex."""

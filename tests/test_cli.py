@@ -5,7 +5,7 @@ import json
 import pytest
 
 from leavitt import line_graph
-from leavitt.cli import main
+from leavitt.cli import COMMANDS, main
 from leavitt.expressions import MAX_NESTING
 
 from conftest import A2_DSL, TOEPLITZ_DSL, deep_graphs
@@ -40,6 +40,173 @@ def test_analyze_golden(capsys, tfile):
         '"socle_essential": true, "cycles": [["e"]], "bifurcations": ["v"], '
         '"components": [{"vertices": ["v", "w"], "edges": ["e", "f"]}]}}\n'
     )
+
+
+# A Toeplitz graph E(2, F) with two connectors: recognized, not canonical.
+T2_DSL = "graph T2\nvertex v\nvertex w\nedge e v v\nedge f1 v w\nedge f2 v w\n"
+
+# ((subcommand, graph, further arguments), exit code, exact stdout)
+GOLDEN = [
+    (
+        ("analyze", "T"),
+        0,
+        (
+            '{"command": "analyze", "graph": "T", "version": "0.1.0", '
+            '"result": {"semiprime_path_algebra": false, "line_points": ["w"], '
+            '"socle_essential": true, "cycles": [["e"]], "bifurcations": ["v"], '
+            '"components": [{"vertices": ["v", "w"], "edges": ["e", "f"]}]}}\n'
+        ),
+    ),
+    (
+        ("nf", "T", "f*f' + 2*e'"),
+        0,
+        (
+            '{"command": "nf", "graph": "T", "version": "0.1.0", '
+            '"result": {"input": "f*f\' + 2*e\'", "normal_form": "v + 2*e\' - e*e\'"}}\n'
+        ),
+    ),
+    (
+        ("mul", "T", "e + f", "e'"),
+        0,
+        (
+            '{"command": "mul", "graph": "T", "version": "0.1.0", '
+            '"result": {"product": "e*e\'"}}\n'
+        ),
+    ),
+    (
+        ("eq", "T", "f*f'", "v - e*e'"),
+        0,
+        (
+            '{"command": "eq", "graph": "T", "version": "0.1.0", '
+            '"result": {"equal": true}}\n'
+        ),
+    ),
+    (
+        ("decompose", "A2"),
+        0,
+        (
+            '{"command": "decompose", "graph": "A2", "version": "0.1.0", '
+            '"result": {"kind": "vertices", "components": [{"size": 2, "index": ["u", '
+            '"w"]}]}}\n'
+        ),
+    ),
+    (
+        ("group-inverse", "A2", "2*u + w"),
+        0,
+        (
+            '{"command": "group-inverse", "graph": "A2", "version": "0.1.0", '
+            '"result": {"inverse": "1/2*u + w"}}\n'
+        ),
+    ),
+    (
+        ("group-inverse", "A2", "f"),
+        2,
+        '',
+    ),
+    (
+        ("socle-member", "T", "w + e*f", "--only", "socle_generators"),
+        0,
+        '["w"]\n',
+    ),
+    (
+        ("quotient", "T", "--set", "w"),
+        0,
+        (
+            '{"command": "quotient", "graph": "T", "version": "0.1.0", '
+            '"result": {"graph": {"name": "T_mod_w", "vertices": ["v"], "edges": [["e", '
+            '"v", "v"]]}, "saturated": true, "generator_images": {"v": "v", "w": "0", '
+            '"e": "e", "f": "0"}}}\n'
+        ),
+    ),
+    (
+        ("quotient", "A2", "--set", "w"),
+        0,
+        (
+            '{"command": "quotient", "graph": "A2", "version": "0.1.0", '
+            '"result": {"graph": {"name": "A2_mod_w", "vertices": ["u"], "edges": []}, '
+            '"saturated": false, "generator_images": null}}\n'
+        ),
+    ),
+    (
+        ("restrict", "A2", "--set", "w", "--truncate", "4"),
+        0,
+        (
+            '{"command": "restrict", "graph": "A2", "version": "0.1.0", '
+            '"result": {"graph": {"name": "A2_restrict", "vertices": ["w", "path:f"], '
+            '"edges": [["bar:f", "path:f", "w"]]}, "complete": true, '
+            '"truncation_bound": 4, "embedding_images": {"w": "w", "path:f": "u", '
+            '"bar:f": "f"}}}\n'
+        ),
+    ),
+    (
+        ("denominator", "T", "v", "e'"),
+        0,
+        (
+            '{"command": "denominator", "graph": "T", "version": "0.1.0", '
+            '"result": {"r": "e", "mu": "v", "extensions": ["e"], "p_times_r": "e", '
+            '"q_times_r": "v"}}\n'
+        ),
+    ),
+    (
+        ("toeplitz-check", "T", "--degree", "2", "--window", "6"),
+        0,
+        (
+            '{"command": "toeplitz-check", "graph": "T", "version": "0.1.0", '
+            '"result": {"recognized": true, "decomposition": {"loop_vertex": "v", '
+            '"loop_edge": "e", "connectors": ["f"], "subgraph_vertices": ["w"], '
+            '"subgraph_edges": []}, "exact_sequence": {"degree": 2, '
+            '"monomials_checked": 11, "socle_kernel_mismatches": [], '
+            '"surjectivity_missing": [], "pass": true}, "sandwich": {"window": 6, '
+            '"degree": 2, "monomials_checked": 11, "socle_finite_support_failures": [], '
+            '"row_col_finiteness_failures": [], "matrix_unit_failures": [], '
+            '"pass": true}}}\n'
+        ),
+    ),
+    (
+        ("toeplitz-check", "T2", "--degree", "1"),
+        0,
+        (
+            '{"command": "toeplitz-check", "graph": "T2", "version": "0.1.0", '
+            '"result": {"recognized": true, "decomposition": {"loop_vertex": "v", '
+            '"loop_edge": "e", "connectors": ["f1", "f2"], "subgraph_vertices": ["w"], '
+            '"subgraph_edges": []}, "exact_sequence": {"degree": 1, '
+            '"monomials_checked": 8, "socle_kernel_mismatches": [], '
+            '"surjectivity_missing": [], "pass": true}, "sandwich": {"pass": null, '
+            '"note": "matrix picture is defined for the canonical graph only"}}}\n'
+        ),
+    ),
+    (
+        ("toeplitz-check", "A2", "--field", "fp:5"),
+        0,
+        (
+            '{"command": "toeplitz-check", "graph": "A2", "version": "0.1.0", '
+            '"result": {"recognized": false}}\n'
+        ),
+    ),
+    (
+        ("closure", "T", "--set", "w", "--pretty"),
+        0,
+        (
+            'command: closure\ngraph: T\nversion: 0.1.0\nresult:\n  set:\n    - w\n  closure:\n   '
+            ' - w\n  hereditary: True\n  saturated: True\n'
+        ),
+    ),
+
+]
+
+
+def test_every_command_golden(capsys, tmp_path):
+    assert {argv[0] for argv, _, _ in GOLDEN} == set(COMMANDS)
+    dsl = {"T": TOEPLITZ_DSL, "A2": A2_DSL, "T2": T2_DSL}
+    for (command, graph, *rest), code, stdout in GOLDEN:
+        path = tmp_path / f"{graph}.graph"
+        path.write_text(dsl[graph])
+        got_code, out, err = run_cli(capsys, command, str(path), *rest)
+        assert (got_code, out) == (code, stdout), (command, graph, *rest)
+        if code == 0:
+            assert err == ""
+        else:
+            assert json.loads(err)["error"]["type"] == "NotGroupInvertible"
 
 
 def test_byte_identical_across_runs(capsys, tfile):

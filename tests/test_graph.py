@@ -1,5 +1,7 @@
 """Graph DSL and analyzer tests, including the exhaustive-subset oracles."""
 
+from time import perf_counter
+
 import pytest
 
 import leavitt as L
@@ -20,6 +22,7 @@ from conftest import (
     subsets,
     seeded,
     random_graph,
+    reference_closure,
 )
 
 
@@ -166,6 +169,7 @@ def test_cycle_facts_match_oracles_on_random_graphs():
         cs = L.cycles(g)
         expected = sorted(cycles_oracle(g), key=lambda es: [g.edge_index(e) for e in es])
         assert [c.edges for c in cs] == expected
+        assert all(c.canonical().edges == c.edges for c in cs)
         on_cycles = {v for c in cs for v in c.vertices()}
         assert vertex_on_a_cycle(g) == on_cycles
         assert L.is_acyclic(g) == (not on_cycles)
@@ -208,6 +212,23 @@ def test_closure_matches_exhaustive_oracle():
             assert got == closure_oracle(g, X)
             assert L.is_hereditary(g, got) and L.is_saturated(g, got)
             assert X <= got
+
+
+def test_closure_matches_fixpoint_on_random_graphs():
+    rng = seeded("closure-fixpoint")
+    for _ in range(500):
+        g = random_graph(rng, max_vertices=12, max_edges=20)
+        for _ in range(3):
+            X = frozenset(v for v in g.vertices if rng.random() < 0.3)
+            assert L.hereditary_saturated_closure(g, X).members == reference_closure(g, X)
+
+
+def test_closure_is_linear_on_long_lines():
+    g = L.line_graph(10000)
+    start = perf_counter()
+    closure = L.hereditary_saturated_closure(g, ["x10000"])
+    assert perf_counter() - start < 1.0
+    assert len(closure) == 10000
 
 
 # -- semiprimeness -------------------------------------------------------------
