@@ -255,9 +255,6 @@ class Element:
     def total_degree(self):
         return max((m.total_length for m in self.terms), default=0)
 
-    def is_homogeneous(self):
-        return len({m.degree for m in self.terms}) <= 1
-
     def _check_compatible(self, other):
         if not isinstance(other, Element):
             raise GraphMismatch(f"cannot combine Element with {type(other).__name__}")

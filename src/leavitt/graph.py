@@ -6,7 +6,11 @@ everywhere a canonical choice is needed (designated edges for normal forms,
 cycle rotations, report ordering), so graphs preserve it exactly.
 
 Graphs are immutable after construction and every analyzer is a pure
-function, so instances can be shared freely across threads.
+function, so instances can be shared freely across threads. The facts
+that depend on the graph alone (strongly connected components, line
+points, the socle quotient, the matrix decomposition, the Toeplitz
+pattern) are computed on first use and kept in the graph's memo; see
+``_memoised``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 class Graph:
     """Finite directed graph with declaration-ordered vertices and edges."""
 
-    __slots__ = ("name", "vertices", "edges", "_vindex", "_eindex", "_out", "_in", "_hash")
+    __slots__ = ("name", "vertices", "edges", "_vindex", "_eindex", "_out", "_in", "_hash", "_memo")
 
     def __init__(self, name, vertices, edges):
         self.name = name
@@ -59,6 +63,7 @@ class Graph:
         self._out = {v: tuple(es) for v, es in out.items()}
         self._in = {v: tuple(es) for v, es in inc.items()}
         self._hash = hash((self.vertices, self.edges))
+        self._memo = {}  # derived facts, filled by _memoised below
 
     # -- lookups -----------------------------------------------------------
 
@@ -434,6 +439,24 @@ def _as_members(g, X):
 # Analyzers
 
 
+def _memoised(g, key, compute):
+    """The fact ``key`` of g: compute(g) on first use, then the stored value.
+
+    Only immutable values are stored, so every caller can share them.
+    Vertex sets are stored as frozensets: a VertexSet refers back to its
+    graph, and that cycle would keep a dropped graph alive until the next
+    garbage collection. Two threads may both miss and both compute; each
+    stores an equal value with one atomic dict assignment, so the race is
+    benign and graphs stay safe to share. A compute that raises stores
+    nothing.
+    """
+    try:
+        return g._memo[key]
+    except KeyError:
+        value = g._memo[key] = compute(g)
+        return value
+
+
 def _reach(g, sources, backwards=False, keep=None):
     """Every vertex reached from the sources (included) along directed edges,
     or against them when backwards: the vertices that reach some source.
@@ -467,7 +490,11 @@ def connects_to(g, u, w):
 
 def bifurcations(g):
     """Vertices emitting at least two edges."""
-    return VertexSet(g, (v for v in g.vertices if g.out_degree(v) >= 2))
+    return VertexSet(g, _memoised(g, "bifurcations", _bifurcations))
+
+
+def _bifurcations(g):
+    return frozenset(v for v in g.vertices if g.out_degree(v) >= 2)
 
 
 def cycles(g):
@@ -518,21 +545,30 @@ def cycle_has_exit(g, cycle):
 
 
 def vertex_on_a_cycle(g):
-    """Vertices on some cycle: those of the strongly connected components
-    with more than one vertex, and the sources of loops."""
+    """Vertices on some cycle, as a frozenset: those of the strongly
+    connected components with more than one vertex, and the sources of
+    loops."""
+    return _memoised(g, "on_cycle", _vertex_on_a_cycle)
+
+
+def _vertex_on_a_cycle(g):
     on = {e.src for e in g.edges if e.src == e.dst}
     for comp in strongly_connected_components(g):
         if len(comp) > 1:
             on |= comp
-    return on
+    return frozenset(on)
 
 
 def line_points(g):
     """Vertices u whose tree T(u) has no bifurcations and meets no cycle:
     by backwards reachability, those reaching no bifurcation and no vertex
     on a cycle."""
+    return VertexSet(g, _memoised(g, "line_points", _line_points))
+
+
+def _line_points(g):
     blocked = bifurcations(g).members | vertex_on_a_cycle(g)
-    return VertexSet(g, set(g.vertices) - _reach(g, blocked, backwards=True))
+    return frozenset(set(g.vertices) - _reach(g, blocked, backwards=True))
 
 
 def is_hereditary(g, X):
@@ -582,7 +618,12 @@ def hereditary_saturated_closure(g, X):
 
 
 def strongly_connected_components(g):
-    """Tarjan, iterative; components listed in discovery order."""
+    """The components as a tuple of frozensets, in Tarjan's discovery order."""
+    return _memoised(g, "scc", _tarjan)
+
+
+def _tarjan(g):
+    """Tarjan's algorithm, iterative."""
     index = {}
     low = {}
     on_stack = set()
@@ -618,8 +659,8 @@ def strongly_connected_components(g):
                         w = stack.pop()
                         on_stack.discard(w)
                         comp.add(w)
-                    comps.append(comp)
-    return comps
+                    comps.append(frozenset(comp))
+    return tuple(comps)
 
 
 def is_path_algebra_semiprime(g):

@@ -22,6 +22,7 @@ from .graph import (
     is_saturated,
     line_points,
     _as_members,
+    _memoised,
 )
 
 
@@ -78,6 +79,12 @@ def quotient_morphism(x, H, target=None):
     _require_hereditary_saturated(x.graph, H)
     if target is None:
         target = quotient_graph(x.graph, H)
+    return _quotient_image(x, target)
+
+
+def _quotient_image(x, target):
+    """pi(x) in L_K(target), for target = E/H with H hereditary saturated;
+    the caller vouches for H."""
     if target == x.graph:
         return x
     raw = []
@@ -94,10 +101,22 @@ def in_graded_ideal(x, H):
     return quotient_morphism(x, H).is_zero()
 
 
+def _socle_quotient(g):
+    """(H, E/H) for H the hereditary saturated closure of the line points,
+    as a frozenset, so that Soc(L_K(E)) = I(H); computed once per graph."""
+    return _memoised(g, "socle_quotient", _build_socle_quotient)
+
+
+def _build_socle_quotient(g):
+    H = hereditary_saturated_closure(g, line_points(g)).members
+    return H, quotient_graph(g, H)
+
+
 def in_socle(x):
-    """Membership in Soc(L_K(E)) = I(closure of the line points)."""
-    H = hereditary_saturated_closure(x.graph, line_points(x.graph))
-    return in_graded_ideal(x, H.members)
+    """Membership in Soc(L_K(E)) = I(closure of the line points). The
+    closure is hereditary and saturated by construction, so the image is
+    taken without checking it again."""
+    return _quotient_image(x, _socle_quotient(x.graph)[1]).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +142,7 @@ class RestrictionGraph:
     out all longer ones since qualifying paths are suffix-closed).
     """
 
-    __slots__ = ("source", "H", "graph", "entry_paths", "bound", "complete")
+    __slots__ = ("source", "H", "graph", "entry_paths", "bound", "complete", "_path_for", "_closure")
 
     def __init__(self, source, H, graph, entry_paths, bound, complete):
         self.source = source
@@ -132,6 +151,12 @@ class RestrictionGraph:
         self.entry_paths = entry_paths
         self.bound = bound
         self.complete = complete
+        # fresh vertex and bar-edge names -> entry path, for the embedding;
+        # the "path:" and "bar:" prefixes keep the two kinds apart
+        self._path_for = {}
+        for p in entry_paths:
+            self._path_for[self.vertex_for(p)] = self._path_for[self.bar_edge_for(p)] = p
+        self._closure = hereditary_saturated_closure(source, H)
 
     @staticmethod
     def vertex_for(path):
@@ -198,22 +223,19 @@ def restriction_embedding(rg, y):
         raise PreconditionError("element is not over this restriction graph")
     E = rg.source
     field = y.field
-
-    path_for_vertex = {rg.vertex_for(p): p for p in rg.entry_paths}
-    path_for_bar = {rg.bar_edge_for(p): p for p in rg.entry_paths}
+    path_for = rg._path_for
 
     def vertex_image(v):
-        if v in path_for_vertex:
-            alpha = path_for_vertex[v]
-            a = Element.from_path(alpha, field)
+        if v in path_for:
+            a = Element.from_path(path_for[v], field)
             return a * a.star()
         return Element.vertex(E, v, field)
 
     def path_image(path):
         acc = vertex_image(path.source)
         for name in path.edges:
-            if name in path_for_bar:
-                step = Element.from_path(path_for_bar[name], field)
+            if name in path_for:
+                step = Element.from_path(path_for[name], field)
             else:
                 step = Element.edge(E, name, field)
             acc = acc * step
@@ -223,7 +245,7 @@ def restriction_embedding(rg, y):
     for m, c in y.terms.items():
         total = total + (path_image(m.real) * path_image(m.ghost).star()).scale(c)
     # I(H) = I(closure(H)); the closure is saturated, so the kernel test applies.
-    closure = hereditary_saturated_closure(E, rg.H)
+    closure = rg._closure
     assert in_graded_ideal(total, closure.members), "embedding image escaped I(H)"
     return total
 

@@ -15,6 +15,7 @@ matrix images are reproducible.
 from __future__ import annotations
 
 from itertools import product as cartesian_product
+from types import MappingProxyType
 
 from .algebra import Element, Monomial, full_basis
 from .errors import (
@@ -24,7 +25,7 @@ from .errors import (
     PreconditionError,
 )
 from .fields import QQ
-from .graph import Path, connected_components, is_acyclic, is_acyclic_no_bifurcation
+from .graph import Path, _memoised, connected_components, is_acyclic, is_acyclic_no_bifurcation
 from .matrices import BlockMatrix, Matrix, add_entry
 
 
@@ -97,7 +98,8 @@ class MatrixDecomposition:
     """Block structure of L_K(E) for finite acyclic E.
 
     Each block holds its size, its index labels, and the paths realizing
-    the index: entry (j, k) is the class of paths[j] paths[k]*.
+    the index: entry (j, k) is the class of paths[j] paths[k]*. Blocks are
+    read-only mappings, since one decomposition serves every caller.
     """
 
     __slots__ = ("graph", "kind", "blocks", "_position")
@@ -105,7 +107,7 @@ class MatrixDecomposition:
     def __init__(self, graph, kind, blocks):
         self.graph = graph
         self.kind = kind  # "vertices" | "sink_paths"
-        self.blocks = tuple(blocks)
+        self.blocks = tuple(MappingProxyType(dict(b)) for b in blocks)
         self._position = {
             p: (bi, j) for bi, block in enumerate(self.blocks) for j, p in enumerate(block["paths"])
         }
@@ -137,7 +139,12 @@ def matrix_decomposition(g):
     order); general acyclic graphs by the paths into each sink, sorted by
     length then edge order. Both index the same matrix units p q* over
     paths into a sink, so to_matrix/from_matrix below serve either case.
+    Computed once per graph.
     """
+    return _memoised(g, "matrix_decomposition", _matrix_decomposition)
+
+
+def _matrix_decomposition(g):
     if not is_acyclic(g):
         raise PreconditionError("matrix decomposition needs an acyclic graph")
     blocks = []

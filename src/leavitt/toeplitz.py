@@ -21,9 +21,14 @@ from .algebra import Element, Monomial, basis_monomials_up_to
 from .errors import PreconditionError
 from .expressions import format_element, format_monomial
 from .fields import QQ
-from .graph import Graph, Path, is_acyclic, socle_is_essential, vertex_on_a_cycle
+from .graph import Graph, Path, _memoised, is_acyclic, socle_is_essential, vertex_on_a_cycle
 from .matrices import Matrix, add_entry
-from .quotients import in_socle, quotient_graph, quotient_morphism
+from .quotients import (
+    _quotient_image,
+    _require_hereditary_saturated,
+    in_socle,
+    quotient_graph,
+)
 
 
 class LaurentPoly:
@@ -166,8 +171,12 @@ def recognize_toeplitz(g):
     with every vertex connecting to a line point -- automatic for finite F,
     but evaluated anyway. With v the only vertex on a cycle, every cycle is
     a loop at v and F is acyclic, so the first two conditions say that v
-    has in-degree one.
+    has in-degree one. Computed once per graph.
     """
+    return _memoised(g, "toeplitz", _recognize_toeplitz)
+
+
+def _recognize_toeplitz(g):
     on_cycle = vertex_on_a_cycle(g)
     if len(on_cycle) != 1:
         return None
@@ -191,12 +200,18 @@ def laurent_quotient(x, decomposition=None):
     d = decomposition or recognize_toeplitz(x.graph)
     if d is None:
         raise PreconditionError("graph does not match the Toeplitz pattern")
-    H = set(d.subgraph.vertices)
-    target = quotient_graph(x.graph, H)
-    image = quotient_morphism(x, H, target)
+    return _laurent_image(x, _laurent_target(x.graph, d))
+
+
+def _laurent_target(g, d):
+    """E/F0, the one-loop graph that L_K(E) maps onto."""
+    return quotient_graph(g, _require_hereditary_saturated(g, d.subgraph.vertices))
+
+
+def _laurent_image(x, target):
     # Normal forms over the one-loop quotient are e^k, (e^k)*, or v.
     coeffs = {}
-    for m, c in image.terms.items():
+    for m, c in _quotient_image(x, target).terms.items():
         add_entry(coeffs, m.degree, c)
     return LaurentPoly(coeffs, x.field)
 
@@ -211,13 +226,14 @@ def exact_sequence_report(g, degree_bound, field=QQ):
     d = recognize_toeplitz(g)
     if d is None:
         raise PreconditionError("graph does not match the Toeplitz pattern")
+    target = _laurent_target(g, d)
     monomials = basis_monomials_up_to(g, degree_bound)
     mismatches = []
     hit_exponents = set()
     for m in monomials:
         x = Element.from_monomial(m, field)
         in_ideal = in_socle(x)
-        image = laurent_quotient(x, d)
+        image = _laurent_image(x, target)
         if in_ideal != image.is_zero():
             mismatches.append(format_monomial(m))
         if not image.is_zero() and len(image.coeffs) == 1:
@@ -304,10 +320,25 @@ def rcfm_representation(x, window):
 
 
 def _rcfm_representation(x, window, labels):
+    rows = _action_rows(x, window, labels)
+    matrix = Matrix.from_row_dicts(rows, window, x.field)
+    validity = max(window - x.total_degree(), 0)
+    terms = max(len(x.terms), 1)
+    col_counts = Counter(j for _, j in _nonzero_cells(matrix))
+    flags = {
+        "finitely_supported": _finitely_supported(matrix, validity),
+        "row_finite_on_window": max(map(len, matrix.row_dicts)) <= terms,
+        "col_finite_on_window": max(col_counts.values(), default=0) <= terms,
+    }
+    return MatrixWindow(matrix, validity, flags)
+
+
+def _action_rows(x, window, labels):
+    """The window of x as N row dicts {column: scalar}; sums that cancel
+    are kept as zero entries."""
     _, loop_edge, connector, sink = labels
     if window < 1:
         raise PreconditionError("window size must be positive")
-    field = x.field
     rows = [{} for _ in range(window)]
     for m, c in x.terms.items():
         if m.real.range == sink:
@@ -329,16 +360,7 @@ def _rcfm_representation(x, window, labels):
                 i = j - aghost + creal
                 if i < window:
                     add_entry(rows[i], j, c)
-    matrix = Matrix.from_row_dicts(rows, window, field)
-    validity = max(window - x.total_degree(), 0)
-    terms = max(len(x.terms), 1)
-    col_counts = Counter(j for _, j in _nonzero_cells(matrix))
-    flags = {
-        "finitely_supported": _finitely_supported(matrix, validity),
-        "row_finite_on_window": max(map(len, matrix.row_dicts)) <= terms,
-        "col_finite_on_window": max(col_counts.values(), default=0) <= terms,
-    }
-    return MatrixWindow(matrix, validity, flags)
+    return rows
 
 
 def _nonzero_cells(matrix):
@@ -396,12 +418,13 @@ def sandwich_report(g, degree_bound, window, field=QQ):
         if in_socle(x) and not w.flags["finitely_supported"]:
             socle_failures.append(format_monomial(m))
     unit_failures = []
+    one = field.one()
     for i in range(window - 1):
         for j in range(window - 1):
             x = _socle_module_element(g, labels, i, j, field)
-            w = _rcfm_representation(x, window, labels)
-            unit = [{j: field.one()} if a == i else {} for a in range(window)]
-            if w.matrix != Matrix.from_row_dicts(unit, window, field):
+            rows = _action_rows(x, window, labels)
+            nonzeros = {(a, b): c for a, row in enumerate(rows) for b, c in row.items() if c}
+            if nonzeros != {(i, j): one}:
                 unit_failures.append(f"E[{i}][{j}] != window({format_element(x)})")
     return {
         "window": window,

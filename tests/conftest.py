@@ -516,3 +516,22 @@ def path_count_dimension(g):
 
 def seeded(label):
     return random.Random(f"leavitt:{label}")
+
+
+def reference_sandwich_units(g, window, field, element):
+    """The matrix-unit part of sandwich_report as a full window Matrix per
+    unit, compared with the unit Matrix: the failure line of every E_ij,
+    i, j < window - 1, whose element(g, labels, i, j, field) does not act
+    as E_ij."""
+    from leavitt import toeplitz
+
+    labels = toeplitz._canonical_labels(g)
+    failures = []
+    for i in range(window - 1):
+        for j in range(window - 1):
+            x = element(g, labels, i, j, field)
+            w = toeplitz._rcfm_representation(x, window, labels)
+            unit = [{j: field.one()} if a == i else {} for a in range(window)]
+            if w.matrix != L.Matrix.from_row_dicts(unit, window, field):
+                failures.append(f"E[{i}][{j}] != window({L.format_element(x)})")
+    return failures

@@ -1,0 +1,152 @@
+"""The per-Graph memo of derived facts.
+
+Every memoised analyzer must answer on a graph it has already seen as it
+does on a fresh copy, and hand out nothing a caller could mutate into a
+later answer.
+"""
+
+import gc
+
+import pytest
+
+import leavitt as L
+from leavitt import Element, Graph, PreconditionError
+from leavitt import graph as graph_module
+from leavitt import quotients, toeplitz
+from leavitt.graph import strongly_connected_components, vertex_on_a_cycle
+from leavitt.quotients import _socle_quotient
+
+from conftest import corpus_graphs, random_graph, seeded
+
+
+def _paths(block):
+    return [(p.source, p.edges, p.range) for p in block["paths"]]
+
+
+def _decomposition(g):
+    try:
+        d = L.matrix_decomposition(g)
+    except PreconditionError as exc:
+        return ("error", str(exc))
+    return (d.kind, d.describe(), [_paths(b) for b in d.blocks])
+
+
+def _socle(g):
+    H, target = _socle_quotient(g)
+    return (H, target.name, target.vertices, target.edges)
+
+
+def _toeplitz(g):
+    d = L.recognize_toeplitz(g)
+    return None if d is None else d.describe()
+
+
+# name -> comparable answer of one memoised analyzer
+ANALYZERS = {
+    "scc": strongly_connected_components,
+    "on_cycle": vertex_on_a_cycle,
+    "bifurcations": lambda g: L.bifurcations(g).ordered(),
+    "line_points": lambda g: L.line_points(g).ordered(),
+    "socle_quotient": _socle,
+    "matrix_decomposition": _decomposition,
+    "toeplitz": _toeplitz,
+}
+
+
+def fresh(g):
+    return Graph(g.name, g.vertices, g.edges)
+
+
+def memo_graphs():
+    rng = seeded("memo")
+    graphs = [random_graph(rng) for _ in range(200)]
+    graphs += [g for g in corpus_graphs() if L.is_acyclic(g)]
+    graphs.append(L.toeplitz_graph())
+    for n, F in ((1, L.line_graph(3)), (2, L.comb_graph(2)), (3, L.line_graph(4))):
+        graphs.append(L.build_toeplitz_family(n, F, F.vertices[:n]))
+    return graphs
+
+
+def test_memoised_answers_match_fresh_graphs():
+    for g in memo_graphs():
+        expected = {name: f(fresh(g)) for name, f in ANALYZERS.items()}
+        shared = fresh(g)
+        for _ in range(2):
+            for name, f in ANALYZERS.items():
+                assert f(shared) == expected[name], (g, name)
+
+
+def test_memoised_values_are_immutable():
+    g = L.toeplitz_graph()
+    on = vertex_on_a_cycle(g)
+    with pytest.raises(AttributeError):
+        on.add("w")
+    copy = set(on)
+    copy.add("w")
+    assert vertex_on_a_cycle(g) == {"v"}
+    comps = strongly_connected_components(g)
+    assert isinstance(comps, tuple) and all(isinstance(c, frozenset) for c in comps)
+    assert isinstance(L.line_points(g).members, frozenset)
+
+    fork = L.parse_graph("graph F\nvertex u\nvertex a\nvertex b\nedge x u a\nedge y u b\n")
+    d = L.matrix_decomposition(fork)
+    with pytest.raises(TypeError):
+        d.blocks[0]["paths"] = ()
+    with pytest.raises(AttributeError):
+        d.blocks[0]["paths"].append(None)
+    assert L.matrix_decomposition(fork) is d
+    assert d.describe() == _decomposition(fresh(fork))[1]
+
+
+def test_memo_keeps_no_cycle_through_the_graph():
+    """Outside the matrix decomposition, whose paths refer to their graph,
+    nothing in the memo refers back to it: a dropped graph is freed at
+    once, not at the next garbage collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        for g in (L.ladder_graph(4), L.toeplitz_graph()):
+            L.analyzer_report(g)
+            L.in_socle(Element.vertex(g, g.vertices[-1]))
+            L.recognize_toeplitz(g)
+            del g
+            assert gc.collect() == 0
+        g = L.toeplitz_graph()
+        L.exact_sequence_report(g, 2)
+        L.sandwich_report(g, 2, 6)
+        del g
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_analyzer_report_runs_one_scc_pass(monkeypatch):
+    calls = []
+    tarjan = graph_module._tarjan
+    monkeypatch.setattr(graph_module, "_tarjan", lambda g: calls.append(g) or tarjan(g))
+    g = L.ladder_graph(4)
+    L.analyzer_report(g)
+    assert len(calls) == 1
+    L.analyzer_report(g)
+    assert len(calls) == 1
+
+
+def test_reports_build_the_socle_quotient_once(monkeypatch):
+    closures, quotient_graphs = [], []
+    closure, quotient_graph = quotients.hereditary_saturated_closure, quotients.quotient_graph
+
+    def counted_quotient_graph(g, H):
+        quotient_graphs.append(g)
+        return quotient_graph(g, H)
+
+    monkeypatch.setattr(quotients, "hereditary_saturated_closure",
+                        lambda g, X: closures.append(g) or closure(g, X))
+    monkeypatch.setattr(quotients, "quotient_graph", counted_quotient_graph)
+    monkeypatch.setattr(toeplitz, "quotient_graph", counted_quotient_graph)
+    g = L.toeplitz_graph()
+    assert L.exact_sequence_report(g, 4)["pass"]
+    # one socle quotient for in_socle, one Laurent target for the report
+    assert len(closures) == 1 and len(quotient_graphs) == 2
+    assert L.sandwich_report(g, 3, 8)["pass"]
+    assert all(L.in_socle(Element.vertex(g, "w")) for _ in range(5))
+    assert len(closures) == 1 and len(quotient_graphs) == 2

@@ -7,7 +7,14 @@ from leavitt import Element, LaurentPoly, PreconditionError
 from leavitt import toeplitz
 from leavitt.toeplitz import bandwidth
 
-from conftest import random_element, random_graph, raw_monomials, seeded, toeplitz_oracle
+from conftest import (
+    random_element,
+    random_graph,
+    raw_monomials,
+    reference_sandwich_units,
+    seeded,
+    toeplitz_oracle,
+)
 
 
 def E(g, text):
@@ -245,6 +252,32 @@ def test_sandwich_report():
     assert report["socle_finite_support_failures"] == []
     assert report["row_col_finiteness_failures"] == []
     assert report["matrix_unit_failures"] == []
+
+
+@pytest.mark.parametrize("field", [L.QQ, L.GF(7)], ids=["qq", "f7"])
+def test_sandwich_report_lists_wrong_units_like_the_matrix_check(monkeypatch, field):
+    build = toeplitz._socle_module_element
+
+    def wrong(g, labels, i, j, field):
+        """A unit shifted one column, twice a unit, or zero, on every
+        third (i, j) each; the right unit elsewhere."""
+        x = build(g, labels, i, j, field)
+        k = (i * 5 + j) % 9
+        if k == 0:
+            return build(g, labels, i, j + 1, field)
+        if k == 3:
+            return x + x
+        if k == 6:
+            return x - x
+        return x
+
+    g = L.toeplitz_graph()
+    monkeypatch.setattr(toeplitz, "_socle_module_element", wrong)
+    expected = reference_sandwich_units(g, 9, field, wrong)
+    assert len(expected) == sum((i * 5 + j) % 9 in (0, 3, 6) for i in range(8) for j in range(8))
+    report = L.sandwich_report(g, 2, 9, field)
+    assert report["matrix_unit_failures"] == expected
+    assert not report["pass"]
 
 
 def test_sandwich_report_recognizes_the_graph_once(monkeypatch):
