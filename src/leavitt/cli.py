@@ -21,10 +21,10 @@ from .graph import (
     hereditary_saturated_closure,
     is_hereditary,
     is_saturated,
-    line_points,
     parse_graph,
 )
 from .quotients import (
+    _socle_quotient,
     denominator_search,
     in_socle,
     quotient_graph,
@@ -89,8 +89,8 @@ def _group_inverse(g, field, args):
 
 def _socle_member(g, field, args):
     x = parse_element(g, args.expr, field)
-    H = hereditary_saturated_closure(g, line_points(g))
-    return {"member": in_socle(x), "socle_generators": list(H.ordered())}
+    H = _socle_quotient(g)[0]
+    return {"member": in_socle(x), "socle_generators": [v for v in g.vertices if v in H]}
 
 
 def _quotient(g, field, args):

@@ -7,6 +7,10 @@ each undirected component has a unique sink, every vertex carries a unique
 path to it, and the block can equivalently be indexed by the component's
 vertices; the matrix units are then the reduced monomials mu_jk.
 
+Both are one action, ``PathModule``, on the span of the paths into the
+sinks: p q* sends a path q t to p t and every other path to 0. The
+Toeplitz window is the same action on the first N paths into its sink.
+
 The isomorphism depends on the index order; here it is pinned to
 declaration order (vertices) resp. (length, edge order) for sink paths, so
 matrix images are reproducible.
@@ -26,7 +30,7 @@ from .errors import (
 )
 from .fields import QQ
 from .graph import Path, _memoised, connected_components, is_acyclic, is_acyclic_no_bifurcation
-from .matrices import BlockMatrix, Matrix, add_entry
+from .matrices import BlockMatrix, Matrix
 
 
 def reduced_expression(m):
@@ -47,15 +51,6 @@ def reduced_expression(m):
         return m.real, m.ghost
     at = g.edge(real[-k]).src
     return tuple(Path._trusted(g, p.source, p.edges[:-k], at) for p in (m.real, m.ghost))
-
-
-def _component_sink(component):
-    sinks = component.sinks()
-    if len(sinks) != 1:
-        raise PreconditionError(
-            f"component {component.name!r} has {len(sinks)} sinks; expected exactly 1"
-        )
-    return sinks[0]
 
 
 def _paths_to_sink(g, vertices):
@@ -102,15 +97,13 @@ class MatrixDecomposition:
     read-only mappings, since one decomposition serves every caller.
     """
 
-    __slots__ = ("graph", "kind", "blocks", "_position")
+    __slots__ = ("graph", "kind", "blocks", "_module")
 
     def __init__(self, graph, kind, blocks):
         self.graph = graph
         self.kind = kind  # "vertices" | "sink_paths"
         self.blocks = tuple(MappingProxyType(dict(b)) for b in blocks)
-        self._position = {
-            p: (bi, j) for bi, block in enumerate(self.blocks) for j, p in enumerate(block["paths"])
-        }
+        self._module = PathModule(p for b in self.blocks for p in b["paths"])
 
     @property
     def sizes(self):
@@ -121,10 +114,10 @@ class MatrixDecomposition:
 
     def position_of(self, path):
         """(block number, index) of a sink-ended path."""
-        try:
-            return self._position[path]
-        except KeyError:
-            raise PreconditionError(f"path {path!r} does not end at a decomposed sink") from None
+        at = self._module.position(path) if path.graph == self.graph else None
+        if at is None:
+            raise PreconditionError(f"path {path!r} does not end at a decomposed sink")
+        return at
 
     def describe(self):
         return [
@@ -149,8 +142,10 @@ def _matrix_decomposition(g):
         raise PreconditionError("matrix decomposition needs an acyclic graph")
     blocks = []
     if is_acyclic_no_bifurcation(g):
+        # A component of n vertices and s sinks has n - s edges (one out of
+        # each non-sink) and, being connected, at least n - 1: its one sink
+        # ends every path of the block.
         for component in connected_components(g):
-            _component_sink(component)
             paths = _paths_to_sink(g, component.vertices)
             blocks.append({"labels": component.vertices, "paths": tuple(paths)})
         return MatrixDecomposition(g, "vertices", blocks)
@@ -161,48 +156,84 @@ def _matrix_decomposition(g):
     return MatrixDecomposition(g, "sink_paths", blocks)
 
 
-def _paths_into(g, sink):
-    # (source, edges) pairs extended backwards by the edges into the source
+def _paths_into(g, sink, bound=None):
+    """The paths into the sink in (length, edge order): all of them, or the
+    first ``bound`` of them (a sink a cycle reaches has infinitely many).
+    They grow backwards from the sink, one length at a time."""
     found = [(sink, ())]
-    frontier = found[:]
-    while frontier:
-        nxt = [(e.src, (e.name,) + edges) for v, edges in frontier for e in g.in_edges(v)]
-        found.extend(nxt)
-        frontier = nxt
-    found.sort(key=lambda p: (len(p[1]), tuple(g.edge_index(e) for e in p[1])))
-    return [Path._trusted(g, v, edges, sink) for v, edges in found]
+    level = found
+    while level and (bound is None or len(found) < bound):
+        level = [(e.src, (e.name,) + edges) for v, edges in level for e in g.in_edges(v)]
+        level.sort(key=lambda p: tuple(map(g.edge_index, p[1])))
+        found.extend(level)
+    return [Path._trusted(g, v, edges, sink) for v, edges in found[:bound]]
 
 
-def _expand_to_sinks(g, m, coeff, out):
-    """Rewrite p q* as the sum of the units (p t)(q t)* over the paths t from
-    r(p) to a sink (relation (4) forward), depth-first in edge order."""
-    stack = [(m.real.range, ())]
-    while stack:
-        v, tail = stack.pop()
-        es = g.out_edges(v)
-        if not es:
-            real, ghost = (Path._trusted(g, p.source, p.edges + tail, v) for p in (m.real, m.ghost))
-            out.append((Monomial._trusted(real, ghost), coeff))
-        stack.extend((e.dst, tail + (e.name,)) for e in reversed(es))
+class PathModule:
+    """The left action of L_K(E) on the span of some paths into sinks.
+
+    The basis is ``paths``, none a prefix of another, in one block per sink
+    (in order of first appearance) and indexed within its block. p q* sends
+    a basis path q t to p t and every other basis path to 0; a p t outside
+    the basis is dropped, which restricts the action to a window.
+    ``shift(P)`` maps each basis path t at r(P) to the index of P t. It is
+    kept once computed (two threads that race store equal dicts), so each
+    matrix entry of ``act`` costs one dict lookup.
+    """
+
+    __slots__ = ("paths", "sizes", "_index", "_block", "_starting", "_shifts")
+
+    def __init__(self, paths):
+        self.paths = tuple(paths)
+        blocks, self._index, self._block, self._starting = {}, {}, [], {}
+        for k, p in enumerate(self.paths):
+            at = blocks.setdefault(p.range, [len(blocks), 0])  # [block, paths so far]
+            self._index[p.source, p.edges] = tuple(at)
+            at[1] += 1
+            self._block.append(at[0])
+            self._starting.setdefault(p.source, []).append(k)
+        self.sizes = tuple(n for _, n in blocks.values())
+        self._shifts = {}
+
+    def position(self, path):
+        """(block, index) of a basis path; None for any other path."""
+        return self._index.get((path.source, path.edges))
+
+    def shift(self, path):
+        """{k: index of path . paths[k]} over the basis paths k at r(path)
+        whose product with path is a basis path."""
+        key = (path.source, path.edges)
+        out = self._shifts.get(key)
+        if out is None:
+            index, paths = self._index, self.paths
+            at = ((k, index.get((path.source, path.edges + paths[k].edges)))
+                  for k in self._starting.get(path.range, ()))
+            out = self._shifts[key] = {k: a[1] for k, a in at if a is not None}
+        return out
+
+    def act(self, x):
+        """x as one list of row dicts {column: scalar} per block: entry
+        (i, j) is the coefficient of the i-th path in x times the j-th.
+        Sums that cancel are kept as zero entries."""
+        blocks = [[{} for _ in range(n)] for n in self.sizes]
+        block, shift = self._block, self.shift
+        for m, c in x.terms.items():
+            ghost = shift(m.ghost)
+            for k, i in shift(m.real).items():
+                j = ghost.get(k)
+                if j is not None:
+                    row = blocks[block[k]][i]
+                    row[j] = row[j] + c if j in row else c
+        return blocks
 
 
 def to_matrix(x, decomposition):
     """The block-matrix image of x; a linear and multiplicative bijection."""
     if x.graph != decomposition.graph:
         raise PreconditionError("element and decomposition disagree on the graph")
-    g = x.graph
-    field = x.field
-    blocks = [[{} for _ in range(n)] for n in decomposition.sizes]
-    expanded = []
-    for m, c in x.terms.items():
-        _expand_to_sinks(g, m, c, expanded)
-    for m, c in expanded:
-        bi, j = decomposition.position_of(m.real)
-        bj, k = decomposition.position_of(m.ghost)
-        if bi != bj:
-            raise PreconditionError("monomial straddles two blocks; decomposition is stale")
-        add_entry(blocks[bi][j], k, c)
-    return BlockMatrix(Matrix.from_row_dicts(rows, len(rows), field) for rows in blocks)
+    return BlockMatrix(
+        Matrix.from_row_dicts(rows, len(rows), x.field) for rows in decomposition._module.act(x)
+    )
 
 
 def from_matrix(bm, decomposition, field=QQ):

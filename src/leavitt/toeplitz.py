@@ -7,10 +7,11 @@ connecting edges out of the loop vertex. Quotienting by F0 collapses the
 algebra onto Laurent polynomials (loop -> x); the kernel is the socle.
 
 The faithful matrix picture acts on the cyclic left module generated by
-the sink: basis b0 = w, b_{k+1} = e^k f. Each generator acts by an exact
-shift/rank-one rule, so windows onto the first N basis vectors are exact
-restrictions of the infinite matrix; the validity bound N - deg(x) is the
-region where window products agree with the window of the product.
+the sink: its basis is the paths into w, b0 = w, b_{k+1} = e^k f, and p q*
+sends q t to p t. This is the action of semisimple.PathModule, on the first
+N paths into w, so windows are exact restrictions of the infinite matrix;
+the validity bound N - deg(x) is the region where window products agree
+with the window of the product.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .algebra import Element, Monomial, basis_monomials_up_to
 from .errors import PreconditionError
 from .expressions import format_element, format_monomial
 from .fields import QQ
-from .graph import Graph, Path, _memoised, is_acyclic, socle_is_essential, vertex_on_a_cycle
+from .graph import Graph, _memoised, is_acyclic, socle_is_essential, vertex_on_a_cycle
 from .matrices import Matrix, add_entry
 from .quotients import (
     _quotient_image,
@@ -29,6 +30,7 @@ from .quotients import (
     in_socle,
     quotient_graph,
 )
+from .semisimple import PathModule, _paths_into
 
 
 class LaurentPoly:
@@ -280,48 +282,31 @@ class MatrixWindow:
         return f"MatrixWindow({self.size}, validity={self.validity_bound})"
 
 
-def _canonical_labels(g):
+def _window_module(g, window):
+    """The module of the canonical graph on its first N basis paths; b_k is
+    the one path of length k into w. Empty for N < 1."""
     d = recognize_toeplitz(g)
     if d is None or not d.is_canonical:
         raise PreconditionError("the matrix picture needs the canonical loop-plus-sink graph")
-    return d.loop_vertex, d.loop_edge, d.connectors[0], d.subgraph.vertices[0]
-
-
-def _basis_index(path, loop_edge, connector, sink):
-    """Index of a path among b0 = w, b_{k+1} = e^k f; None if not basis-shaped."""
-    if path.is_trivial:
-        return 0 if path.source == sink else None
-    if path.edges[-1] != connector:
-        return None
-    if any(e != loop_edge for e in path.edges[:-1]):
-        return None
-    return len(path.edges)
-
-
-def _loop_power(path, loop_edge):
-    if any(e != loop_edge for e in path.edges):
-        return None
-    return len(path.edges)
+    return PathModule(_paths_into(g, d.subgraph.vertices[0], max(window, 0)))
 
 
 def rcfm_representation(x, window):
     """Window of the left-multiplication action of x on L_K(E) w.
 
-    Monomials ending at the sink act with rank one (b_index(q) -> b_index(p));
-    monomials ending at the loop vertex act as the partial shift
-    b_j -> b_{j - a + c} for j > a where (c, a) are the real/ghost loop
-    powers. Both rules are exact on the infinite basis, so any window is an
-    exact restriction of the infinite matrix; the validity bound only
+    p q* sends b_j = q t to p t: monomials ending at the sink act with rank
+    one, monomials ending at the loop vertex as a partial shift. Any window
+    is an exact restriction of the infinite matrix; the validity bound only
     limits where window PRODUCTS agree with product windows. A rank-one
     monomial whose support misses the window entirely is rejected, since
     such a window could not represent the element at all.
     """
-    return _rcfm_representation(x, window, _canonical_labels(x.graph))
+    return _rcfm_representation(x, _window_module(x.graph, window))
 
 
-def _rcfm_representation(x, window, labels):
-    rows = _action_rows(x, window, labels)
-    matrix = Matrix.from_row_dicts(rows, window, x.field)
+def _rcfm_representation(x, module):
+    window = len(module.paths)
+    matrix = Matrix.from_row_dicts(_window_rows(x, module), window, x.field)
     validity = max(window - x.total_degree(), 0)
     terms = max(len(x.terms), 1)
     col_counts = Counter(j for _, j in _nonzero_cells(matrix))
@@ -333,34 +318,20 @@ def _rcfm_representation(x, window, labels):
     return MatrixWindow(matrix, validity, flags)
 
 
-def _action_rows(x, window, labels):
+def _window_rows(x, module):
     """The window of x as N row dicts {column: scalar}; sums that cancel
     are kept as zero entries."""
-    _, loop_edge, connector, sink = labels
+    window = len(module.paths)
     if window < 1:
         raise PreconditionError("window size must be positive")
-    rows = [{} for _ in range(window)]
-    for m, c in x.terms.items():
-        if m.real.range == sink:
-            i = _basis_index(m.real, loop_edge, connector, sink)
-            j = _basis_index(m.ghost, loop_edge, connector, sink)
-            if i is None or j is None:
-                raise PreconditionError("monomial does not act on the sink module")
-            if i >= window or j >= window:
-                raise PreconditionError(
-                    f"window {window} too small: support at ({i}, {j}) falls outside"
-                )
-            add_entry(rows[i], j, c)
-        else:
-            creal = _loop_power(m.real, loop_edge)
-            aghost = _loop_power(m.ghost, loop_edge)
-            if creal is None or aghost is None:
-                raise PreconditionError("monomial does not act on the sink module")
-            for j in range(aghost + 1, window):
-                i = j - aghost + creal
-                if i < window:
-                    add_entry(rows[i], j, c)
-    return rows
+    sink, position = module.paths[0].range, module.position
+    for m in x.terms:  # a term ending at the sink acts with rank one, b_|q| -> b_|p|
+        if m.real.range == sink and None in (position(m.real), position(m.ghost)):
+            raise PreconditionError(
+                f"window {window} too small: support at"
+                f" ({m.real.length}, {m.ghost.length}) falls outside"
+            )
+    return module.act(x)[0]
 
 
 def _nonzero_cells(matrix):
@@ -384,18 +355,14 @@ def bandwidth(window):
 
 def socle_module_element(g, i, j, field=QQ):
     """The element mapping to the matrix unit E_ij: (b_i path)(b_j path)*."""
-    return _socle_module_element(g, _canonical_labels(g), i, j, field)
+    module = _window_module(g, max(i, j) + 1)
+    if min(i, j) < 0:
+        raise PreconditionError("matrix unit indices must be nonnegative")
+    return _socle_module_element(module, i, j, field)
 
 
-def _socle_module_element(g, labels, i, j, field):
-    v, loop_edge, connector, sink = labels
-
-    def basis_path(k):
-        if k == 0:
-            return Path.trivial(g, sink)
-        return Path(g, v, (loop_edge,) * (k - 1) + (connector,))
-
-    return Element.from_monomial(Monomial(basis_path(i), basis_path(j)), field)
+def _socle_module_element(module, i, j, field):
+    return Element.from_monomial(Monomial._trusted(module.paths[i], module.paths[j]), field)
 
 
 def sandwich_report(g, degree_bound, window, field=QQ):
@@ -406,13 +373,13 @@ def sandwich_report(g, degree_bound, window, field=QQ):
     (c) matrix units E_jk for j, k <= N-2 are images of explicit socle
         elements built from the module basis paths.
     """
-    labels = _canonical_labels(g)
+    module = _window_module(g, window)
     monomials = basis_monomials_up_to(g, degree_bound)
     socle_failures = []
     finiteness_failures = []
     for m in monomials:
         x = Element.from_monomial(m, field)
-        w = _rcfm_representation(x, window, labels)
+        w = _rcfm_representation(x, module)
         if not (w.flags["row_finite_on_window"] and w.flags["col_finite_on_window"]):
             finiteness_failures.append(format_monomial(m))
         if in_socle(x) and not w.flags["finitely_supported"]:
@@ -421,8 +388,8 @@ def sandwich_report(g, degree_bound, window, field=QQ):
     one = field.one()
     for i in range(window - 1):
         for j in range(window - 1):
-            x = _socle_module_element(g, labels, i, j, field)
-            rows = _action_rows(x, window, labels)
+            x = _socle_module_element(module, i, j, field)
+            rows = _window_rows(x, module)
             nonzeros = {(a, b): c for a, row in enumerate(rows) for b, c in row.items() if c}
             if nonzeros != {(i, j): one}:
                 unit_failures.append(f"E[{i}][{j}] != window({format_element(x)})")

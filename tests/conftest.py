@@ -521,17 +521,120 @@ def seeded(label):
 def reference_sandwich_units(g, window, field, element):
     """The matrix-unit part of sandwich_report as a full window Matrix per
     unit, compared with the unit Matrix: the failure line of every E_ij,
-    i, j < window - 1, whose element(g, labels, i, j, field) does not act
+    i, j < window - 1, whose element(module, i, j, field) does not act
     as E_ij."""
     from leavitt import toeplitz
 
-    labels = toeplitz._canonical_labels(g)
+    module = toeplitz._window_module(g, window)
     failures = []
     for i in range(window - 1):
         for j in range(window - 1):
-            x = element(g, labels, i, j, field)
-            w = toeplitz._rcfm_representation(x, window, labels)
+            x = element(module, i, j, field)
+            w = toeplitz._rcfm_representation(x, module)
             unit = [{j: field.one()} if a == i else {} for a in range(window)]
             if w.matrix != L.Matrix.from_row_dicts(unit, window, field):
                 failures.append(f"E[{i}][{j}] != window({L.format_element(x)})")
     return failures
+
+
+# ---------------------------------------------------------------------------
+# Reference matrix pictures: to_matrix by expansion into sink units, and the
+# Toeplitz window by its shift/rank-one rule, as two separate actions.
+
+
+def _reference_expand_to_sinks(g, m, coeff, out):
+    """Rewrite p q* as the sum of the units (p t)(q t)* over the paths t from
+    r(p) to a sink (relation (4) forward), depth-first in edge order."""
+    stack = [(m.real.range, ())]
+    while stack:
+        v, tail = stack.pop()
+        es = g.out_edges(v)
+        if not es:
+            real, ghost = (Path._trusted(g, p.source, p.edges + tail, v) for p in (m.real, m.ghost))
+            out.append((Monomial._trusted(real, ghost), coeff))
+        stack.extend((e.dst, tail + (e.name,)) for e in reversed(es))
+
+
+def reference_position_of(decomposition, path):
+    """(block number, index) of a sink-ended path, from a {Path: position} map."""
+    position = {
+        p: (bi, j)
+        for bi, block in enumerate(decomposition.blocks)
+        for j, p in enumerate(block["paths"])
+    }
+    try:
+        return position[path]
+    except KeyError:
+        raise PreconditionError(f"path {path!r} does not end at a decomposed sink") from None
+
+
+def reference_to_matrix(x, decomposition):
+    if x.graph != decomposition.graph:
+        raise PreconditionError("element and decomposition disagree on the graph")
+    g = x.graph
+    blocks = [[{} for _ in range(n)] for n in decomposition.sizes]
+    expanded = []
+    for m, c in x.terms.items():
+        _reference_expand_to_sinks(g, m, c, expanded)
+    for m, c in expanded:
+        bi, j = reference_position_of(decomposition, m.real)
+        bj, k = reference_position_of(decomposition, m.ghost)
+        if bi != bj:
+            raise PreconditionError("monomial straddles two blocks; decomposition is stale")
+        _add(blocks[bi][j], k, c)
+    return L.BlockMatrix(L.Matrix.from_row_dicts(rows, len(rows), x.field) for rows in blocks)
+
+
+def _add(row, j, c):
+    row[j] = row[j] + c if j in row else c
+
+
+def _reference_basis_index(path, loop_edge, connector, sink):
+    """Index of a path among b0 = w, b_{k+1} = e^k f; None if not basis-shaped."""
+    if path.is_trivial:
+        return 0 if path.source == sink else None
+    if path.edges[-1] != connector:
+        return None
+    if any(e != loop_edge for e in path.edges[:-1]):
+        return None
+    return len(path.edges)
+
+
+def _reference_loop_power(path, loop_edge):
+    if any(e != loop_edge for e in path.edges):
+        return None
+    return len(path.edges)
+
+
+def reference_window_rows(x, window):
+    """The Toeplitz window of x as N row dicts: monomials ending at the sink
+    act with rank one, monomials ending at the loop vertex as a partial
+    shift."""
+    d = L.recognize_toeplitz(x.graph)
+    if d is None or not d.is_canonical:
+        raise PreconditionError("the matrix picture needs the canonical loop-plus-sink graph")
+    loop_edge, connector, sink = d.loop_edge, d.connectors[0], d.subgraph.vertices[0]
+    if window < 1:
+        raise PreconditionError("window size must be positive")
+    rows = [{} for _ in range(window)]
+    for m, c in x.terms.items():
+        if m.real.range == sink:
+            i = _reference_basis_index(m.real, loop_edge, connector, sink)
+            j = _reference_basis_index(m.ghost, loop_edge, connector, sink)
+            if i is None or j is None:
+                raise PreconditionError("monomial does not act on the sink module")
+            if i >= window or j >= window:
+                raise PreconditionError(
+                    f"window {window} too small: support at ({i}, {j}) falls outside"
+                )
+            _add(rows[i], j, c)
+        else:
+            creal = _reference_loop_power(m.real, loop_edge)
+            aghost = _reference_loop_power(m.ghost, loop_edge)
+            if creal is None or aghost is None:
+                raise PreconditionError("monomial does not act on the sink module")
+            for j in range(aghost + 1, window):
+                i = j - aghost + creal
+                if i < window:
+                    _add(rows[i], j, c)
+    return rows

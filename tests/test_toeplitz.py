@@ -258,13 +258,13 @@ def test_sandwich_report():
 def test_sandwich_report_lists_wrong_units_like_the_matrix_check(monkeypatch, field):
     build = toeplitz._socle_module_element
 
-    def wrong(g, labels, i, j, field):
+    def wrong(module, i, j, field):
         """A unit shifted one column, twice a unit, or zero, on every
         third (i, j) each; the right unit elsewhere."""
-        x = build(g, labels, i, j, field)
+        x = build(module, i, j, field)
         k = (i * 5 + j) % 9
         if k == 0:
-            return build(g, labels, i, j + 1, field)
+            return build(module, i, j + 1, field)
         if k == 3:
             return x + x
         if k == 6:
