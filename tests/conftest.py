@@ -6,6 +6,7 @@ import pytest
 
 import leavitt as L
 from leavitt import Element, Graph, Monomial, Path, PreconditionError
+from leavitt.expressions import MAX_NESTING, _tokenize
 
 TOEPLITZ_DSL = "graph T\nvertex v\nvertex w\nedge e v v\nedge f v w\n"
 A2_DSL = "graph A2\nvertex u\nvertex w\nedge f u w\n"
@@ -638,3 +639,111 @@ def reference_window_rows(x, window):
                 if i < window:
                     _add(rows[i], j, c)
     return rows
+
+
+# ---------------------------------------------------------------------------
+# The expression parser as it was before words folded to one monomial: one
+# normal-form Element per atom and per product. Kept as the oracle for the
+# word fold; tokenizing is shared, as it did not change.
+
+
+class _ReferenceParser:
+    def __init__(self, graph, tokens, field):
+        self.graph = graph
+        self.tokens = tokens
+        self.pos = 0
+        self.field = field
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+
+    def take(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def expect_sym(self, sym):
+        kind, value = self.take()
+        if kind != "sym" or value != sym:
+            raise L.ExpressionSyntaxError(f"expected {sym!r}, got {value!r}")
+
+    def parse(self):
+        result = self.expr()
+        if self.pos != len(self.tokens):
+            raise L.ExpressionSyntaxError(f"trailing input at token {self.peek()[1]!r}")
+        return result
+
+    def expr(self):
+        negative = self.peek() == ("sym", "-")
+        if negative:
+            self.pos += 1
+        total = self.term()
+        if negative:
+            total = -total
+        kind, op = self.peek()
+        while kind == "sym" and op in "+-":
+            self.pos += 1
+            nxt = self.term()
+            total = total + nxt if op == "+" else total - nxt
+            kind, op = self.peek()
+        return total
+
+    def term(self):
+        coeff = None
+        kind, numerator = self.peek()
+        if kind == "int":
+            self.pos += 1
+            if self.peek() == ("sym", "/"):
+                self.pos += 1
+                kind, den = self.take()
+                if kind != "int" or den == 0:
+                    raise L.ExpressionSyntaxError("expected positive integer denominator")
+                coeff = self.field.from_fraction(numerator, den)
+            else:
+                coeff = self.field.from_int(numerator)
+            if self.peek() == ("sym", "*"):
+                self.pos += 1
+            elif numerator == 0 and not coeff:
+                return Element.zero(self.graph, self.field)
+            else:
+                raise L.ExpressionSyntaxError("a scalar must multiply a factor")
+        product = self.factor()
+        while self.peek() == ("sym", "*"):
+            self.pos += 1
+            product = product * self.factor()
+        return product if coeff is None else product.scale(coeff)
+
+    def factor(self):
+        value = self.atom()
+        while self.peek() == ("sym", "'"):
+            self.pos += 1
+            value = value.star()
+        return value
+
+    def atom(self):
+        kind, value = self.take()
+        if kind == "ident":
+            if self.graph.has_vertex(value):
+                return Element.vertex(self.graph, value, self.field)
+            if self.graph.has_edge(value):
+                return Element.edge(self.graph, value, self.field)
+            raise L.UnknownIdentifier(
+                f"unknown identifier {value!r} in graph {self.graph.name!r}"
+            )
+        if kind == "sym" and value == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise L.ExpressionSyntaxError(f"parentheses nested deeper than {MAX_NESTING}")
+            inner = self.expr()
+            self.expect_sym(")")
+            self.depth -= 1
+            return inner
+        raise L.ExpressionSyntaxError(f"expected identifier or '(', got {value!r}")
+
+
+def reference_parse_element(graph, text, field=L.QQ):
+    tokens = _tokenize(text)
+    if not tokens:
+        raise L.ExpressionSyntaxError("empty expression")
+    return _ReferenceParser(graph, tokens, field).parse()

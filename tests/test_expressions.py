@@ -3,10 +3,10 @@
 import pytest
 
 import leavitt as L
-from leavitt import Element, ExpressionSyntaxError, UnknownIdentifier
+from leavitt import Element, ExpressionSyntaxError, Graph, Monomial, Path, UnknownIdentifier
 from leavitt.expressions import MAX_NESTING
 
-from conftest import corpus_graphs, random_element, seeded
+from conftest import corpus_graphs, random_element, random_graph, reference_parse_element, seeded
 
 
 def test_scalars_and_signs(toeplitz):
@@ -71,3 +71,128 @@ def test_syntax_errors(toeplitz):
 def test_noncomposable_product_is_zero_not_error(toeplitz):
     assert L.parse_element(toeplitz, "v*w").is_zero()
     assert L.parse_element(toeplitz, "f*e").is_zero()
+
+
+# ---------------------------------------------------------------------------
+# The word fold against the per-atom reference parser
+
+
+def _outcome(parse, g, text, field):
+    try:
+        x = parse(g, text, field)
+    except Exception as exc:  # the error type and message are part of the outcome
+        return type(exc), str(exc)
+    return x.terms
+
+
+def _generators(g):
+    """(text, left vertex, right vertex) of every vertex, edge and ghost edge."""
+    out = [(v, v, v) for v in g.vertices]
+    out += [(e.name, e.src, e.dst) for e in g.edges]
+    out += [(e.name + "'", e.dst, e.src) for e in g.edges]
+    return out
+
+
+def _random_word(g, rng, depth):
+    """Mostly composable generators, so that many words survive; now and then
+    a parenthesised expression, an unknown identifier or extra primes."""
+    gens = _generators(g)
+    at, factors = rng.choice(g.vertices), []
+    for _ in range(rng.randint(1, 7)):
+        roll = rng.random()
+        if roll < 0.01:
+            factors.append("zz")
+            continue
+        if depth and roll < 0.12:
+            inner = _random_expression(g, rng, depth - 1)
+            factors.append(f"({inner})" + "'" * rng.randint(0, 3))
+            continue
+        nxt = [x for x in gens if x[1] == at] if roll < 0.85 else gens
+        text, _, at = rng.choice(nxt or gens)
+        factors.append(text + "''" * rng.choice((0, 0, 0, 1, 2)))
+    coeff = rng.choice(["", "", "", "0*", "7*", "2*", "3/4*", "5/3*", "14/2*"])
+    return coeff + "*".join(factors)
+
+
+def _random_expression(g, rng, depth=2):
+    text = ("-" if rng.random() < 0.2 else "") + _random_word(g, rng, depth)
+    for _ in range(rng.randint(0, 3)):
+        text += rng.choice([" + ", " - "]) + _random_word(g, rng, depth)
+    return text
+
+
+def _mutate(text, rng):
+    """One character inserted or deleted: syntax errors, in their order."""
+    i = rng.randrange(len(text) + 1)
+    if rng.random() < 0.5:
+        return text[:i] + rng.choice("()*+-'/0 ") + text[i:]
+    return text[:i] + text[i + 1:]
+
+
+def test_word_fold_matches_reference_parser():
+    rng = seeded("word-fold")
+    fields = [L.QQ, L.GF(7)]
+    for _ in range(60):
+        g = random_graph(rng)
+        for _ in range(25):
+            text = _random_expression(g, rng)
+            if rng.random() < 0.15:
+                text = _mutate(text, rng)
+            field = rng.choice(fields)
+            assert _outcome(L.parse_element, g, text, field) == _outcome(
+                reference_parse_element, g, text, field
+            ), (g.to_dsl(), text, field)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "f*e*zz",  # a zero product, then an unknown identifier
+        "w*v*zz*e",
+        "f*e*(v + zz)",
+        "(f*e)'*zz",
+        "0*zz",
+        "7*e*zz",
+        "e*(zz",
+        "e*f*(v)*",
+        "v''' + e'''' - (e + f)''*f''' + (v)'",
+        "0*(e + f)'' - 7*v + 1/7*e",
+        "3/4*e*e' - 2/6*(v + w)*f*f' + 0",
+        "-0 + 0*e",
+        "((e'*e)*(f'*f))'*v",
+        "e*f*f'*e' - e*e' + (e*f)*(e*f)'",
+    ],
+)
+def test_word_fold_matches_reference_on_edge_cases(toeplitz, text):
+    for field in (L.QQ, L.GF(7)):
+        assert _outcome(L.parse_element, toeplitz, text, field) == _outcome(
+            reference_parse_element, toeplitz, text, field
+        )
+
+
+def test_unknown_identifier_after_a_zero_product():
+    g = L.parse_graph("graph Z\nvertex u\nvertex w\nedge e u w\nedge f u w\n")
+    assert L.parse_element(g, "e*f").is_zero()
+    for text in ("e*f*zz", "(e*f)'*zz"):
+        with pytest.raises(UnknownIdentifier, match="unknown identifier 'zz' in graph 'Z'"):
+            L.parse_element(g, text)
+
+
+def test_nesting_bound_message_unchanged(toeplitz):
+    text = "(" * (MAX_NESTING + 1) + "v" + ")" * (MAX_NESTING + 1)
+    with pytest.raises(ExpressionSyntaxError, match="^parentheses nested deeper than 100$"):
+        L.parse_element(toeplitz, text)
+
+
+def test_long_word_parses_to_one_monomial():
+    # 20,000 generators on the two-petal rose: a real path p, ghost edges
+    # prepended to q, then real edges cancelling the newer half of q.
+    g = Graph("rose2", ["v"], [("e1", "v", "v"), ("e2", "v", "v")])
+    rng = seeded("long-word")
+    real = [rng.choice(("e1", "e2")) for _ in range(7999)] + ["e1"]
+    ghosts = ["e2"] + [rng.choice(("e1", "e2")) for _ in range(7999)]
+    text = "*".join(real + [e + "'" for e in ghosts] + ghosts[:3999:-1])
+    assert text.count("*") == 19999
+    expected = Monomial(Path(g, "v", real), Path(g, "v", ghosts[3999::-1]))
+    assert expected.is_basis()
+    assert L.parse_element(g, text).terms == {expected: 1}
