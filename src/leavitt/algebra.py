@@ -19,7 +19,8 @@ order). A monomial is a basis monomial iff it is not of the left-hand shape.
 Each application shortens the only possibly-reducible descendant by two,
 so rewriting terminates; distinct monomials rewrite independently, so the
 normal form does not depend on the rewrite order (the test suite checks
-this with randomized strategies).
+this with randomized strategies). When f is the only edge out of s(f) the
+sum is empty, so a run of such common last edges is stripped in one step.
 
 Elements are immutable and always kept in normal form; equality of elements
 is equality of their normal forms.
@@ -108,20 +109,30 @@ def _reduce_once(m, coeff):
 
     Returns (shorter_term, irreducible_terms): the shorter descendant may
     need further rewriting, the siblings end in a non-designated edge and
-    are basis monomials already.
+    are basis monomials already. An edge that is the only one out of its
+    source has no siblings, so a run of such common last edges is stripped
+    in one cut.
     """
     g = m.graph
     real, ghost = m.real, m.ghost
     f = g.edge(real.edges[-1])
+    exits, at, k = g.out_edges(f.src), f.src, 1
+    if len(exits) == 1:
+        n = min(real.length, ghost.length)
+        while k < n and real.edges[-1 - k] == ghost.edges[-1 - k]:
+            src = g.edge(real.edges[-1 - k]).src
+            if len(g.out_edges(src)) != 1:
+                break
+            at, k = src, k + 1
 
-    def cut(tail, at):
+    def cut(tail, end):
         return Monomial._trusted(
-            Path._trusted(g, real.source, real.edges[:-1] + tail, at),
-            Path._trusted(g, ghost.source, ghost.edges[:-1] + tail, at),
+            Path._trusted(g, real.source, real.edges[:-k] + tail, end),
+            Path._trusted(g, ghost.source, ghost.edges[:-k] + tail, end),
         )
 
-    siblings = [(cut((e.name,), e.dst), -coeff) for e in g.out_edges(f.src) if e != f]
-    return (cut((), f.src), coeff), siblings
+    siblings = [(cut((e.name,), e.dst), -coeff) for e in exits if e != f]
+    return (cut((), at), coeff), siblings
 
 
 def normalize_terms(graph, terms, chooser=None):

@@ -170,6 +170,8 @@ class PrimeField:
         return PrimeFieldElement(n, self.p)
 
     def from_fraction(self, numerator, denominator=1):
+        if not denominator % self.p:
+            raise PreconditionError(f"denominator {denominator} is zero in F_{self.p}")
         return self.from_int(numerator) / self.from_int(denominator)
 
     def format(self, value):

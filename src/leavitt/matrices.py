@@ -9,6 +9,11 @@ Everything is elimination-based and exact: rank, rank factorization
 m = C R (C of full column rank, R of full row rank), and the group inverse
 m# = C (RC)^-2 R, which exists precisely when RC is invertible, i.e. when
 rank(m^2) = rank(m).
+
+Since m# = m# m# m = m m# m#, the group inverse lives on the rows and
+columns where m has a nonzero, so it is computed on that corner alone and
+costs per nonzero, not per block size. A corner of full rank has R = I and
+C = m, and its group inverse is its ordinary inverse.
 """
 
 from __future__ import annotations
@@ -201,19 +206,37 @@ class Matrix:
         inv = [{j - n: a for j, a in r.items() if j >= n} for r in reduced.row_dicts]
         return Matrix.from_row_dicts(inv, n, self.field)
 
+    def _corner(self):
+        """(S, the S x S corner) for S the sorted rows and columns holding a nonzero."""
+        if self.nrows != self.ncols:
+            raise PreconditionError(f"only square matrices have a group inverse: {self.shape}")
+        rows = self.row_dicts
+        support = sorted({i for i, r in enumerate(rows) if r}.union(*rows))
+        at = {k: n for n, k in enumerate(support)}
+        corner = [{at[j]: a for j, a in rows[i].items()} for i in support]
+        return support, Matrix.from_row_dicts(corner, len(support), self.field)
+
     def group_inverse(self):
         """The unique b with aba=a, bab=b, ab=ba; exists iff rank(m)=rank(m^2)."""
-        C, R = self.rank_factorization()
-        core = R * C
+        support, corner = self._corner()  # b is zero outside it
         try:
-            core_inv = core.inverse()
+            inv = corner.inverse()  # full rank: R = I and C = corner
         except NotGroupInvertible:
-            raise NotGroupInvertible("no group inverse: rank(m^2) < rank(m)") from None
-        return C * core_inv * core_inv * R
+            C, R = corner.rank_factorization()
+            try:
+                core_inv = (R * C).inverse()
+            except NotGroupInvertible:
+                raise NotGroupInvertible("no group inverse: rank(m^2) < rank(m)") from None
+            inv = C * core_inv * core_inv * R
+        out = [{}] * self.nrows
+        for i, row in zip(support, inv.row_dicts):
+            out[i] = {support[j]: a for j, a in row.items()}
+        return Matrix.from_row_dicts(out, self.ncols, self.field)
 
     def is_group_invertible(self):
-        C, R = self.rank_factorization()
-        return (R * C).rank() == R.nrows
+        _, corner = self._corner()
+        C, R = corner.rank_factorization()
+        return R.nrows == corner.nrows or (R * C).rank() == R.nrows
 
 
 def add_entry(row, j, c):

@@ -325,12 +325,14 @@ def _window_rows(x, module):
     if window < 1:
         raise PreconditionError("window size must be positive")
     sink, position = module.paths[0].range, module.position
-    for m in x.terms:  # a term ending at the sink acts with rank one, b_|q| -> b_|p|
-        if m.real.range == sink and None in (position(m.real), position(m.ghost)):
-            raise PreconditionError(
-                f"window {window} too small: support at"
-                f" ({m.real.length}, {m.ghost.length}) falls outside"
-            )
+    # A term ending at the sink acts with rank one, b_|q| -> b_|p|; the least
+    # (|p|, |q|) outside the window is named, whatever the term order.
+    outside = [(m.real.length, m.ghost.length) for m in x.terms
+               if m.real.range == sink and None in (position(m.real), position(m.ghost))]
+    if outside:
+        raise PreconditionError(
+            f"window {window} too small: support at {min(outside)} falls outside"
+        )
     return module.act(x)[0]
 
 

@@ -365,6 +365,26 @@ def dense_group_inverse(rows, field):
 
 
 # ---------------------------------------------------------------------------
+# The whole-matrix group inverse that the support-corner one replaced:
+# the rank-factorization formula on the full block, whatever its rank.
+
+
+def whole_matrix_group_inverse(m):
+    C, R = m.rank_factorization()
+    core = R * C
+    try:
+        core_inv = core.inverse()
+    except L.NotGroupInvertible:
+        raise L.NotGroupInvertible("no group inverse: rank(m^2) < rank(m)") from None
+    return C * core_inv * core_inv * R
+
+
+def whole_matrix_is_group_invertible(m):
+    C, R = m.rank_factorization()
+    return (R * C).rank() == R.nrows
+
+
+# ---------------------------------------------------------------------------
 # Validating reference kernel: the monomial layer before paths carried their
 # range, with every path rebuilt through the full edge-by-edge check and the
 # rewrite worked first in, first out. Monomials are pairs of ReferencePath.
@@ -464,6 +484,45 @@ def reference_normalize_terms(terms):
                 result.pop(k, None)
         else:
             shorter, siblings = reference_reduce_once(pair, c)
+            pending.append(shorter)
+            pending.extend(siblings)
+    return result
+
+
+def one_edge_reduce_once(m, coeff):
+    """The rewrite rule applied to the last edge only, siblings or not: the
+    step that the single-exit run cut replaced."""
+    g = m.graph
+    real, ghost = m.real, m.ghost
+    f = g.edge(real.edges[-1])
+
+    def cut(tail, at):
+        return Monomial._trusted(
+            Path._trusted(g, real.source, real.edges[:-1] + tail, at),
+            Path._trusted(g, ghost.source, ghost.edges[:-1] + tail, at),
+        )
+
+    siblings = [(cut((e.name,), e.dst), -coeff) for e in g.out_edges(f.src) if e != f]
+    return (cut((), f.src), coeff), siblings
+
+
+def one_edge_normalize_terms(terms):
+    """{Monomial: coefficient} of the normal form, one edge per rewrite."""
+    result = {}
+    pending = list(terms)
+    while pending:
+        m, c = pending.pop()
+        if not c:
+            continue
+        if m.is_basis():
+            acc = result.get(m)
+            acc = c if acc is None else acc + c
+            if acc:
+                result[m] = acc
+            else:
+                del result[m]
+        else:
+            shorter, siblings = one_edge_reduce_once(m, c)
             pending.append(shorter)
             pending.extend(siblings)
     return result
@@ -618,6 +677,7 @@ def reference_window_rows(x, window):
     if window < 1:
         raise PreconditionError("window size must be positive")
     rows = [{} for _ in range(window)]
+    outside = []
     for m, c in x.terms.items():
         if m.real.range == sink:
             i = _reference_basis_index(m.real, loop_edge, connector, sink)
@@ -625,10 +685,9 @@ def reference_window_rows(x, window):
             if i is None or j is None:
                 raise PreconditionError("monomial does not act on the sink module")
             if i >= window or j >= window:
-                raise PreconditionError(
-                    f"window {window} too small: support at ({i}, {j}) falls outside"
-                )
-            _add(rows[i], j, c)
+                outside.append((i, j))
+            else:
+                _add(rows[i], j, c)
         else:
             creal = _reference_loop_power(m.real, loop_edge)
             aghost = _reference_loop_power(m.ghost, loop_edge)
@@ -638,6 +697,10 @@ def reference_window_rows(x, window):
                 i = j - aghost + creal
                 if i < window:
                     _add(rows[i], j, c)
+    if outside:  # the least outside support is named, whatever the term order
+        raise PreconditionError(
+            f"window {window} too small: support at {min(outside)} falls outside"
+        )
     return rows
 
 

@@ -10,6 +10,7 @@ from leavitt.algebra import normalize_terms
 from conftest import (
     corpus_graphs,
     element_key_terms,
+    one_edge_normalize_terms,
     path_count_dimension,
     random_element,
     random_graph,
@@ -212,6 +213,38 @@ def test_confluence_randomized_strategies():
             assert first == second
             for m in first:
                 assert m.is_basis()
+
+
+def long_raw_terms(g, rng, max_len, count):
+    """Random terms p q* with r(p) = r(q) and |p|, |q| <= max_len; most
+    pairs share a long common tail."""
+    by_range = {}
+    for p in L.paths_up_to(g, max_len):
+        by_range.setdefault(p.range, []).append(p)
+    groups = list(by_range.values())
+    terms = []
+    for _ in range(count):
+        group = rng.choice(groups)
+        terms.append((Monomial(rng.choice(group), rng.choice(group)), rng.choice([-2, -1, 1, 3])))
+    return terms
+
+
+def test_single_exit_run_cut_matches_one_edge_rewriting():
+    """Stripping a run of single-exit common last edges in one cut gives the
+    normal form of the one-edge-per-step rule, over QQ and F_7."""
+    rng = seeded("single-exit-run")
+    graphs = [L.line_graph(24), L.comb_graph(5), L.ladder_graph(3)] + corpus_graphs()
+    acyclic = []
+    while len(acyclic) < 60:
+        g = random_graph(rng, max_vertices=7, max_edges=9)
+        if L.is_acyclic(g):
+            acyclic.append(g)
+    for g in graphs + acyclic:
+        max_len = 24 if g.name == "line24" else 5
+        for field in (L.QQ, L.GF(7)):
+            for _ in range(6):
+                terms = [(m, field.from_int(c)) for m, c in long_raw_terms(g, rng, max_len, 5)]
+                assert normalize_terms(g, terms) == one_edge_normalize_terms(terms), g.name
 
 
 def assert_paths_revalidate(x):

@@ -321,6 +321,12 @@ def test_error_paths(capsys, tfile, tmp_path):
     assert code == 2
     assert json.loads(err)["error"]["type"] == "PreconditionError"
 
+    code, out, err = run_cli(capsys, "nf", "--field", "fp:7", tfile, "1/7*v")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "PreconditionError", "message": "denominator 7 is zero in F_7"
+    }
+
     code, out, err = run_cli(capsys, "analyze", str(tmp_path / "missing.graph"))
     assert code == 2
     assert json.loads(err)["error"]["type"] == "IOError"

@@ -44,3 +44,11 @@ def test_large_moduli_are_decided_quickly():
     with pytest.raises(L.PreconditionError, match="too large"):
         L.GF(2**89 - 1)
     assert time.perf_counter() - start < 1.0
+
+
+def test_a_denominator_divisible_by_p_is_a_precondition_error():
+    f7 = L.GF(7)
+    assert f7.from_fraction(3, 2) == f7.from_int(5)
+    for den in (7, 14, -21):
+        with pytest.raises(L.PreconditionError, match=f"denominator {den} is zero in F_7"):
+            f7.from_fraction(1, den)

@@ -13,6 +13,8 @@ from conftest import (
     dense_rank_factorization,
     dense_rref,
     seeded,
+    whole_matrix_group_inverse,
+    whole_matrix_is_group_invertible,
 )
 
 
@@ -250,3 +252,89 @@ def test_rank_and_inverse_match_sympy():
                 assert m.rank() == s.rank()
                 if kind == "full":
                     assert to_sympy(m.inverse().rows) == s.inv()
+
+
+# -- the support-corner group inverse against the whole-matrix formula ----------
+
+
+def support_sample(rng, kind, n, field):
+    """A random sparse n x n matrix of one shape: zero, identity, nilpotent,
+    full support, support in a few rows or a few columns, an invertible
+    block on scattered indices, or scattered nonzeros."""
+    def scalar():
+        return field.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+
+    rows = [{} for _ in range(n)]
+    if kind == "identity":
+        return Matrix.identity(n, field)
+    if kind == "nilpotent":  # strictly upper triangular on a shuffled index
+        order = rng.sample(range(n), n)
+        for a in range(n):
+            for b in range(a + 1, n):
+                if rng.random() < 0.3:
+                    rows[order[a]][order[b]] = scalar()
+    elif kind == "full":
+        rows = [{j: scalar() for j in range(n)} for _ in range(n)]
+    elif kind in ("few_rows", "few_cols"):
+        lines = rng.sample(range(n), rng.randint(1, min(3, n)))
+        for i in lines:
+            for j in range(n):
+                if rng.random() < 0.5:
+                    rows[i][j] = scalar()
+        if kind == "few_cols":
+            rows = [dict(r) for r in Matrix.from_row_dicts(rows, n, field).transpose().row_dicts]
+    elif kind == "block":
+        at = rng.sample(range(n), rng.randint(1, n))
+        for i in at:
+            rows[i] = {j: scalar() for j in at if rng.random() < 0.6}
+            rows[i][i] = scalar()
+    elif kind == "scattered":
+        for _ in range(rng.randint(1, 2 * n)):
+            rows[rng.randrange(n)][rng.randrange(n)] = scalar()
+    return Matrix.from_row_dicts(rows, n, field)
+
+
+SUPPORT_KINDS = ("zero", "identity", "nilpotent", "full", "few_rows", "few_cols", "block",
+                 "scattered")
+
+
+def _group_inverse_outcome(f, m):
+    try:
+        return f(m)
+    except L.LeavittError as exc:
+        return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("field", [L.QQ, L.GF(7)], ids=repr)
+def test_support_corner_group_inverse_matches_whole_matrix(field):
+    rng = seeded(f"support-corner:{field!r}")
+    inverted = refused = 0
+    for kind in SUPPORT_KINDS:
+        for _ in range(25):
+            m = support_sample(rng, kind, rng.randint(1, 9), field)
+            expected = _group_inverse_outcome(whole_matrix_group_inverse, m)
+            got = _group_inverse_outcome(Matrix.group_inverse, m)
+            assert got == expected, (kind, m)
+            assert m.is_group_invertible() == whole_matrix_is_group_invertible(m)
+            assert m.is_group_invertible() == isinstance(got, Matrix)
+            if isinstance(got, Matrix):
+                b = got
+                assert m * b * m == m and b * m * b == b and m * b == b * m
+                inverted += 1
+            else:
+                refused += 1
+    assert inverted > 100 and refused > 30
+
+
+def test_support_corner_reaches_indices_outside_the_nonzero_rows():
+    # The idempotent m = E_11 + E_12 has nonzeros in row 1 only, but in
+    # columns 1 and 2: its group inverse, m itself, needs both.
+    m = M([[0, 0, 0], [0, 1, 1], [0, 0, 0]])
+    assert m.group_inverse() == whole_matrix_group_inverse(m) == m
+    assert m.transpose().group_inverse() == m.transpose()
+    tall = M([[0, 0, 0], [2, 0, 0], [0, 0, 0]])
+    with pytest.raises(L.NotGroupInvertible, match=r"rank\(m\^2\) < rank\(m\)"):
+        tall.group_inverse()
+    with pytest.raises(L.NotGroupInvertible, match="block 1 has no group inverse"):
+        BlockMatrix([Matrix.identity(1), tall]).group_inverse()
+    assert Matrix.zero(4, 4).group_inverse() == Matrix.zero(4, 4)

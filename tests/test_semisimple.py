@@ -244,3 +244,29 @@ def test_fg_witness_search_succeeds_inside_full_algebra(a2):
     a, b = L.find_fg_witness(q, membership=lambda _: True, basis=basis)
     d = L.matrix_decomposition(a2)
     assert L.to_matrix(q, d) == L.to_matrix(a, d) * L.to_matrix(b, d).group_inverse()
+
+
+def test_round_trip_on_a_long_line_cuts_each_unit_once(monkeypatch):
+    """(p)(p)* for the path p from x1 to the sink of a 1000-vertex line
+    normalises in one rewrite (a run of 999 single-exit edges), and the
+    line's matrix round trip inverts 3*x500 + x501 without a step per edge."""
+    from leavitt import algebra
+
+    g = L.line_graph(1000)
+    calls = []
+    one_edge = algebra._reduce_once
+
+    def counted(m, coeff):
+        calls.append(m)
+        return one_edge(m, coeff)
+
+    monkeypatch.setattr(algebra, "_reduce_once", counted)
+    p = Path(g, "x1", tuple(f"a{i}" for i in range(1, 1000)))
+    assert Element(g, L.QQ, [(Monomial(p, p), L.QQ.one())]) == Element.vertex(g, "x1")
+    assert len(calls) == 1
+
+    d = L.matrix_decomposition(g)
+    x = E(g, "3*x500 + x501")
+    inv = L.from_matrix(L.to_matrix(x, d).group_inverse(), d, x.field)
+    assert L.format_element(inv) == "1/3*x500 + x501"
+    assert inv == E(g, "1/3*x500 + x501")

@@ -295,3 +295,12 @@ def test_distinct_monomials_have_independent_windows():
     windows = [L.rcfm_representation(Element.from_monomial(m), N) for m in monomials]
     flat = L.Matrix([[w.matrix[i, j] for i in range(N) for j in range(N)] for w in windows])
     assert flat.rank() == len(monomials)
+
+
+def test_window_too_small_names_the_least_outside_support_in_any_order():
+    g = L.toeplitz_graph()
+    one, other = E(g, "e*e*e*e*e*e*f + e*e*e*e*e*e*e*f"), E(g, "e*e*e*e*e*e*e*f + e*e*e*e*e*e*f")
+    assert one == other and list(one.terms) != list(other.terms)
+    for x in (one, other):
+        with pytest.raises(PreconditionError, match=r"^window 3 too small: support at \(7, 0\)"):
+            L.rcfm_representation(x, 3)
