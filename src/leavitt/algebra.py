@@ -28,9 +28,11 @@ is equality of their normal forms.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .errors import GraphMismatch, PreconditionError
 from .fields import QQ
-from .graph import Path, is_acyclic
+from .graph import Path, _paths_ending_in, is_acyclic
 
 
 class Monomial:
@@ -115,13 +117,13 @@ def _reduce_once(m, coeff):
     """
     g = m.graph
     real, ghost = m.real, m.ghost
-    f = g.edge(real.edges[-1])
-    exits, at, k = g.out_edges(f.src), f.src, 1
+    f = g.edges[g._eindex[real.edges[-1]]]
+    exits, at, k = g._out[f.src], f.src, 1
     if len(exits) == 1:
         n = min(real.length, ghost.length)
         while k < n and real.edges[-1 - k] == ghost.edges[-1 - k]:
-            src = g.edge(real.edges[-1 - k]).src
-            if len(g.out_edges(src)) != 1:
+            src = g.edges[g._eindex[real.edges[-1 - k]]].src
+            if len(g._out[src]) != 1:
                 break
             at, k = src, k + 1
 
@@ -372,11 +374,8 @@ def is_in_path_algebra(x):
 
 def paths_up_to(g, length):
     """All paths of length <= bound, deterministic order (by sort key)."""
-    layers = [[Path.trivial(g, v) for v in g.vertices]]
-    for _ in range(length):
-        prev = layers[-1]
-        layers.append([p.append(e.name) for p in prev for e in g.out_edges(p.range)])
-    out = [p for layer in layers for p in layer]
+    levels = islice(_paths_ending_in(g, g.vertices), max(length, 0) + 1)
+    out = [p for level in levels for p in level]
     out.sort(key=Path.sort_key)
     return out
 

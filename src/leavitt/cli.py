@@ -13,7 +13,7 @@ import sys
 
 from . import __version__
 from .algebra import Element
-from .errors import LeavittError
+from .errors import GraphSyntaxError, LeavittError
 from .expressions import format_element, parse_element
 from .fields import field_from_name
 from .graph import (
@@ -204,8 +204,13 @@ def build_parser():
 
 
 def run(args):
-    with open(args.graphfile, "r", encoding="utf-8") as fh:
-        g = parse_graph(fh.read())
+    with open(args.graphfile, "rb") as fh:
+        source = fh.read()
+    try:
+        text = source.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphSyntaxError(f"not UTF-8: invalid byte at offset {exc.start}") from None
+    g = parse_graph(text)
     field = field_from_name(args.field)
     result = COMMANDS[args.command][2](g, field, args)
     return {"command": args.command, "graph": g.name, "version": __version__, "result": result}

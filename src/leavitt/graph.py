@@ -473,6 +473,24 @@ def _reach(g, sources, backwards=False, keep=None):
     return reached
 
 
+def _paths_ending_in(g, targets, keep=None):
+    """The paths into the targets, one list per length, trivial paths first;
+    it stops at the first empty length. Each length grows the previous one
+    backwards by an edge, e . p; with keep, only through sources w for which
+    keep(w) holds. Sorting a length stably by its first edge, when the
+    previous one is in edge order, leaves it in full edge-index order."""
+    level = [Path._trusted(g, v, (), v) for v in targets]
+    while level:
+        yield level
+        level = [
+            Path._trusted(g, e.src, (e.name,) + p.edges, p.range)
+            for p in level
+            for e in g._in[p.source]
+            if keep is None or keep(e.src)
+        ]
+        level.sort(key=lambda p: g._eindex[p.edges[0]])
+
+
 def tree(g, v):
     """T(v): every vertex reachable from v by a directed path, v included."""
     g.vertex_index(v)

@@ -12,6 +12,8 @@ exact.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .algebra import Element, Monomial, is_in_path_algebra
 from .errors import PreconditionError
 from .graph import (
@@ -23,6 +25,7 @@ from .graph import (
     line_points,
     _as_members,
     _memoised,
+    _paths_ending_in,
 )
 
 
@@ -151,11 +154,8 @@ class RestrictionGraph:
         self.entry_paths = entry_paths
         self.bound = bound
         self.complete = complete
-        # fresh vertex and bar-edge names -> entry path, for the embedding;
-        # the "path:" and "bar:" prefixes keep the two kinds apart
-        self._path_for = {}
-        for p in entry_paths:
-            self._path_for[self.vertex_for(p)] = self._path_for[self.bar_edge_for(p)] = p
+        # fresh vertex name -> entry path, for the embedding
+        self._path_for = {self.vertex_for(p): p for p in entry_paths}
         self._closure = hereditary_saturated_closure(source, H)
 
     @staticmethod
@@ -171,25 +171,14 @@ class RestrictionGraph:
 
 
 def _entry_paths(g, members, length):
-    """Qualifying paths of length <= bound: s outside H, interior outside, r inside."""
-    out = []
-    frontier = [
-        Path.from_edges(g, [e.name])
-        for v in g.vertices
-        if v not in members
-        for e in g.out_edges(v)
-    ]
-    for _ in range(length):
-        nxt = []
-        for p in frontier:
-            if p.range in members:
-                out.append(p)
-            else:
-                nxt.extend(p.append(e.name) for e in g.out_edges(p.range))
-        frontier = nxt
+    """Qualifying paths of length <= bound (s outside H, interior outside, r
+    inside), grown backwards from H, and whether none has length bound+1."""
+    h_order = [v for v in g.vertices if v in members]
+    levels = _paths_ending_in(g, h_order, keep=lambda w: w not in members)
+    next(levels)  # the trivial paths
+    out = [p for level in islice(levels, length) for p in level]
     out.sort(key=lambda p: (p.length, p.sort_key()))
-    has_longer = any(p.range in members for p in frontier)
-    return out, not has_longer
+    return out, next(levels, None) is None
 
 
 def restriction_graph(g, H, bound):
@@ -215,35 +204,27 @@ def restriction_embedding(rg, y):
     """Image in L_K(E) of an element over the restriction graph.
 
     Generator images: u in H -> u; path-vertex for alpha -> alpha alpha*;
-    E-edge -> itself; bar edge for alpha -> alpha. The image always lands
-    in I(H) (the embedding realizes I(H) inside L_K(E)); this is asserted
-    because it is cheap and any failure would mean a bug.
+    E-edge -> itself; bar edge for alpha -> alpha. So each monomial maps to
+    one monomial: a path from the path-vertex for alpha to alpha followed
+    by its E-edges after the bar edge (its trivial path to alpha on both
+    sides), every other path to itself. The image always lands in I(H)
+    (the embedding realizes I(H) inside L_K(E)); this is asserted because
+    it is cheap and any failure would mean a bug.
     """
     if y.graph != rg.graph:
         raise PreconditionError("element is not over this restriction graph")
     E = rg.source
-    field = y.field
     path_for = rg._path_for
 
-    def vertex_image(v):
-        if v in path_for:
-            a = Element.from_path(path_for[v], field)
-            return a * a.star()
-        return Element.vertex(E, v, field)
+    def image(path):
+        alpha = path_for.get(path.source)
+        if alpha is None:
+            return Path._trusted(E, path.source, path.edges, path.range)
+        end = alpha.range if path.is_trivial else path.range
+        return Path._trusted(E, alpha.source, alpha.edges + path.edges[1:], end)
 
-    def path_image(path):
-        acc = vertex_image(path.source)
-        for name in path.edges:
-            if name in path_for:
-                step = Element.from_path(path_for[name], field)
-            else:
-                step = Element.edge(E, name, field)
-            acc = acc * step
-        return acc
-
-    total = Element.zero(E, field)
-    for m, c in y.terms.items():
-        total = total + (path_image(m.real) * path_image(m.ghost).star()).scale(c)
+    raw = [(Monomial._trusted(image(m.real), image(m.ghost)), c) for m, c in y.terms.items()]
+    total = Element(E, y.field, raw)
     # I(H) = I(closure(H)); the closure is saturated, so the kernel test applies.
     closure = rg._closure
     assert in_graded_ideal(total, closure.members), "embedding image escaped I(H)"
@@ -282,19 +263,13 @@ def _mu_candidates(p):
         {m.ghost for m in p.terms},
         key=lambda q: (-q.length, q.sort_key()),
     )
-    seen = []
-
-    def emit(path):
-        if path not in seen:
-            seen.append(path)
-            return True
-        return False
-
+    seen = set()
     for q in ghosts:
         for cut in range(q.length, -1, -1):
             at = q.range if cut == q.length else g.edge(q.edges[cut]).src
             prefix = Path._trusted(g, q.source, q.edges[:cut], at)
-            if emit(prefix):
+            if prefix not in seen:
+                seen.add(prefix)
                 yield prefix
     frontier = list(ghosts)
     while frontier:
@@ -304,7 +279,8 @@ def _mu_candidates(p):
                 continue
             for e in g.out_edges(q.range):
                 ext = q.append(e.name)
-                if emit(ext):
+                if ext not in seen:
+                    seen.add(ext)
                     yield ext
                 nxt.append(ext)
         frontier = nxt

@@ -2,9 +2,10 @@
 
 A finite acyclic graph yields L_K(E) isomorphic to a direct sum of matrix
 algebras, one block per sink, of size the number of paths into that sink
-(trivial path included). When the graph is additionally bifurcation-free,
-each undirected component has a unique sink, every vertex carries a unique
-path to it, and the block can equivalently be indexed by the component's
+(trivial path included). Both kinds of decomposition come from these sink
+paths: when the graph is additionally bifurcation-free, each undirected
+component has a unique sink and every vertex carries a unique path to it,
+so the block is indexed by the sources of its paths, the component's
 vertices; the matrix units are then the reduced monomials mu_jk.
 
 Both are one action, ``PathModule``, on the span of the paths into the
@@ -21,7 +22,7 @@ from __future__ import annotations
 from itertools import product as cartesian_product
 from types import MappingProxyType
 
-from .algebra import Element, Monomial, full_basis
+from .algebra import Element, Monomial, full_basis, normalize_terms
 from .errors import (
     NotFoundWithinBounds,
     NotGroupInvertible,
@@ -29,7 +30,7 @@ from .errors import (
     PreconditionError,
 )
 from .fields import QQ
-from .graph import Path, _memoised, connected_components, is_acyclic, is_acyclic_no_bifurcation
+from .graph import _memoised, _paths_ending_in, is_acyclic, is_acyclic_no_bifurcation
 from .matrices import BlockMatrix, Matrix
 
 
@@ -38,40 +39,15 @@ def reduced_expression(m):
 
     Only defined over acyclic bifurcation-free graphs, where a common last
     edge f of both parts satisfies f f* = s(f) and can be stripped; what
-    remains is reduced and unique.
+    remains is reduced and unique. Every edge is the only one out of its
+    source there, so the rewrite rule strips the whole common suffix at
+    once and the normal form of m is that one monomial.
     """
     g = m.graph
     if not is_acyclic_no_bifurcation(g):
         raise PreconditionError("reduced expressions need an acyclic bifurcation-free graph")
-    real, ghost = m.real.edges, m.ghost.edges
-    k, n = 0, min(len(real), len(ghost))
-    while k < n and real[-1 - k] == ghost[-1 - k]:
-        k += 1
-    if not k:
-        return m.real, m.ghost
-    at = g.edge(real[-k]).src
-    return tuple(Path._trusted(g, p.source, p.edges[:-k], at) for p in (m.real, m.ghost))
-
-
-def _paths_to_sink(g, vertices):
-    """The unique maximal path from each vertex of a bifurcation-free acyclic
-    graph; each walk stops at the first vertex an earlier walk reached."""
-    tail = {}
-    for v in vertices:
-        chain = []
-        at = v
-        while at not in tail:
-            es = g.out_edges(at)
-            if not es:
-                tail[at] = ((), at)
-                break
-            chain.append((at, es[0].name))
-            at = es[0].dst
-        edges, sink = tail[at]
-        for u, name in reversed(chain):
-            edges = (name,) + edges
-            tail[u] = (edges, sink)
-    return [Path._trusted(g, v, *tail[v]) for v in vertices]
+    (reduced,) = normalize_terms(g, [(m, 1)])
+    return reduced.real, reduced.ghost
 
 
 def reduced_monomial_basis(g):
@@ -79,14 +55,12 @@ def reduced_monomial_basis(g):
     by the declaration order of the source/range vertex pair."""
     if not is_acyclic_no_bifurcation(g):
         raise PreconditionError("reduced monomial basis needs an acyclic bifurcation-free graph")
-    out = []
-    for component in connected_components(g):
-        to_sink = dict(zip(component.vertices, _paths_to_sink(g, component.vertices)))
-        for vj in component.vertices:
-            for vk in component.vertices:
-                real, ghost = reduced_expression(Monomial(to_sink[vj], to_sink[vk]))
-                out.append(Monomial(real, ghost))
-    return out
+    return [
+        Monomial._trusted(*reduced_expression(Monomial._trusted(p, q)))
+        for block in matrix_decomposition(g).blocks
+        for p in block["paths"]
+        for q in block["paths"]
+    ]
 
 
 class MatrixDecomposition:
@@ -128,11 +102,11 @@ class MatrixDecomposition:
 def matrix_decomposition(g):
     """The direct-sum decomposition of a finite acyclic graph.
 
-    Bifurcation-free graphs are indexed by component vertices (declaration
-    order); general acyclic graphs by the paths into each sink, sorted by
-    length then edge order. Both index the same matrix units p q* over
-    paths into a sink, so to_matrix/from_matrix below serve either case.
-    Computed once per graph.
+    Each block holds the paths into one sink. Bifurcation-free graphs are
+    indexed by their sources, the component vertices (declaration order,
+    blocks by first vertex); general acyclic graphs by the paths, sorted
+    by length then edge order. Both index the same matrix units p q*, so
+    to_matrix/from_matrix below serve either case. Computed once per graph.
     """
     return _memoised(g, "matrix_decomposition", _matrix_decomposition)
 
@@ -140,33 +114,31 @@ def matrix_decomposition(g):
 def _matrix_decomposition(g):
     if not is_acyclic(g):
         raise PreconditionError("matrix decomposition needs an acyclic graph")
+    kind = "vertices" if is_acyclic_no_bifurcation(g) else "sink_paths"
     blocks = []
-    if is_acyclic_no_bifurcation(g):
-        # A component of n vertices and s sinks has n - s edges (one out of
-        # each non-sink) and, being connected, at least n - 1: its one sink
-        # ends every path of the block.
-        for component in connected_components(g):
-            paths = _paths_to_sink(g, component.vertices)
-            blocks.append({"labels": component.vertices, "paths": tuple(paths)})
-        return MatrixDecomposition(g, "vertices", blocks)
     for sink in g.sinks():
         paths = _paths_into(g, sink)
-        labels = [".".join(p.edges) if p.edges else sink for p in paths]
+        if kind == "vertices":
+            # each vertex of the sink's component has one path to it
+            paths.sort(key=lambda p: g._vindex[p.source])
+            labels = [p.source for p in paths]
+        else:
+            labels = [".".join(p.edges) or sink for p in paths]
         blocks.append({"labels": tuple(labels), "paths": tuple(paths)})
-    return MatrixDecomposition(g, "sink_paths", blocks)
+    if kind == "vertices":
+        blocks.sort(key=lambda b: g._vindex[b["labels"][0]])
+    return MatrixDecomposition(g, kind, blocks)
 
 
 def _paths_into(g, sink, bound=None):
     """The paths into the sink in (length, edge order): all of them, or the
-    first ``bound`` of them (a sink a cycle reaches has infinitely many).
-    They grow backwards from the sink, one length at a time."""
-    found = [(sink, ())]
-    level = found
-    while level and (bound is None or len(found) < bound):
-        level = [(e.src, (e.name,) + edges) for v, edges in level for e in g.in_edges(v)]
-        level.sort(key=lambda p: tuple(map(g.edge_index, p[1])))
-        found.extend(level)
-    return [Path._trusted(g, v, edges, sink) for v, edges in found[:bound]]
+    first ``bound`` of them (a sink a cycle reaches has infinitely many)."""
+    found = []
+    for level in _paths_ending_in(g, (sink,)):
+        found += level
+        if bound is not None and len(found) >= bound:
+            break
+    return found[:bound]
 
 
 class PathModule:

@@ -810,3 +810,211 @@ def reference_parse_element(graph, text, field=L.QQ):
     if not tokens:
         raise L.ExpressionSyntaxError("empty expression")
     return _ReferenceParser(graph, tokens, field).parse()
+
+
+# ---------------------------------------------------------------------------
+# Path families as they were built before every family grew backwards from
+# its targets: forward enumerations that validate each appended edge, a
+# per-vertex walker for bifurcation-free graphs with its own decomposition
+# branch, a suffix-stripping loop, and the restriction embedding as element
+# products. Kept as oracles; none of them calls the shared enumerator.
+
+
+def shuffled(g, rng):
+    """g with its vertices and its edges declared in a random order."""
+    vertices, edges = list(g.vertices), list(g.edges)
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return Graph(g.name, vertices, edges)
+
+
+def random_acyclic_graph(rng, max_vertices=6, max_edges=8, bifurcation_free=False):
+    """Edges go forward in a random order of the vertices; bifurcation-free
+    graphs give each vertex at most one edge. Declarations are shuffled."""
+    n = rng.randint(1, max_vertices)
+    order = [f"v{i}" for i in range(n)]
+    rng.shuffle(order)
+    edges = []
+    if bifurcation_free:
+        for i in range(n - 1):
+            if rng.random() < 0.7:
+                edges.append((f"e{i}", order[i], order[rng.randrange(i + 1, n)]))
+    else:
+        for k in range(rng.randint(0, max_edges) if n > 1 else 0):
+            i = rng.randrange(n - 1)
+            edges.append((f"e{k}", order[i], order[rng.randrange(i + 1, n)]))
+    return shuffled(Graph(f"dag{n}_{len(edges)}", order, edges), rng)
+
+
+def reference_paths_up_to(g, length):
+    layers = [[Path.trivial(g, v) for v in g.vertices]]
+    for _ in range(length):
+        prev = layers[-1]
+        layers.append([p.append(e.name) for p in prev for e in g.out_edges(p.range)])
+    out = [p for layer in layers for p in layer]
+    out.sort(key=Path.sort_key)
+    return out
+
+
+def reference_entry_paths(g, members, length):
+    out = []
+    frontier = [
+        Path.from_edges(g, [e.name])
+        for v in g.vertices
+        if v not in members
+        for e in g.out_edges(v)
+    ]
+    for _ in range(length):
+        nxt = []
+        for p in frontier:
+            if p.range in members:
+                out.append(p)
+            else:
+                nxt.extend(p.append(e.name) for e in g.out_edges(p.range))
+        frontier = nxt
+    out.sort(key=lambda p: (p.length, p.sort_key()))
+    has_longer = any(p.range in members for p in frontier)
+    return out, not has_longer
+
+
+def reference_reduced_expression(m):
+    g = m.graph
+    if not L.is_acyclic_no_bifurcation(g):
+        raise PreconditionError("reduced expressions need an acyclic bifurcation-free graph")
+    real, ghost = m.real.edges, m.ghost.edges
+    k, n = 0, min(len(real), len(ghost))
+    while k < n and real[-1 - k] == ghost[-1 - k]:
+        k += 1
+    if not k:
+        return m.real, m.ghost
+    at = g.edge(real[-k]).src
+    return tuple(Path._trusted(g, p.source, p.edges[:-k], at) for p in (m.real, m.ghost))
+
+
+def reference_paths_to_sink(g, vertices):
+    tail = {}
+    for v in vertices:
+        chain = []
+        at = v
+        while at not in tail:
+            es = g.out_edges(at)
+            if not es:
+                tail[at] = ((), at)
+                break
+            chain.append((at, es[0].name))
+            at = es[0].dst
+        edges, sink = tail[at]
+        for u, name in reversed(chain):
+            edges = (name,) + edges
+            tail[u] = (edges, sink)
+    return [Path._trusted(g, v, *tail[v]) for v in vertices]
+
+
+def reference_paths_into(g, sink, bound=None):
+    found = [(sink, ())]
+    level = found
+    while level and (bound is None or len(found) < bound):
+        level = [(e.src, (e.name,) + edges) for v, edges in level for e in g.in_edges(v)]
+        level.sort(key=lambda p: tuple(map(g.edge_index, p[1])))
+        found.extend(level)
+    return [Path._trusted(g, v, edges, sink) for v, edges in found[:bound]]
+
+
+def reference_matrix_decomposition(g):
+    """(kind, [(labels, paths) per block]) from the two-branch construction."""
+    if not L.is_acyclic(g):
+        raise PreconditionError("matrix decomposition needs an acyclic graph")
+    blocks = []
+    if L.is_acyclic_no_bifurcation(g):
+        for component in L.connected_components(g):
+            paths = reference_paths_to_sink(g, component.vertices)
+            blocks.append((component.vertices, tuple(paths)))
+        return "vertices", blocks
+    for sink in g.sinks():
+        paths = reference_paths_into(g, sink)
+        labels = [".".join(p.edges) if p.edges else sink for p in paths]
+        blocks.append((tuple(labels), tuple(paths)))
+    return "sink_paths", blocks
+
+
+def reference_reduced_monomial_basis(g):
+    if not L.is_acyclic_no_bifurcation(g):
+        raise PreconditionError("reduced monomial basis needs an acyclic bifurcation-free graph")
+    out = []
+    for component in L.connected_components(g):
+        to_sink = dict(zip(component.vertices, reference_paths_to_sink(g, component.vertices)))
+        for vj in component.vertices:
+            for vk in component.vertices:
+                real, ghost = reference_reduced_expression(Monomial(to_sink[vj], to_sink[vk]))
+                out.append(Monomial(real, ghost))
+    return out
+
+
+def reference_restriction_embedding(rg, y):
+    """Generator images multiplied out: u in H -> u, path-vertex for alpha
+    -> alpha alpha*, E-edge -> itself, bar edge for alpha -> alpha."""
+    if y.graph != rg.graph:
+        raise PreconditionError("element is not over this restriction graph")
+    E = rg.source
+    field = y.field
+    path_for = {}
+    for p in rg.entry_paths:
+        path_for[rg.vertex_for(p)] = path_for[rg.bar_edge_for(p)] = p
+
+    def vertex_image(v):
+        if v in path_for:
+            a = Element.from_path(path_for[v], field)
+            return a * a.star()
+        return Element.vertex(E, v, field)
+
+    def path_image(path):
+        acc = vertex_image(path.source)
+        for name in path.edges:
+            if name in path_for:
+                step = Element.from_path(path_for[name], field)
+            else:
+                step = Element.edge(E, name, field)
+            acc = acc * step
+        return acc
+
+    total = Element.zero(E, field)
+    for m, c in y.terms.items():
+        total = total + (path_image(m.real) * path_image(m.ghost).star()).scale(c)
+    return total
+
+
+def reference_mu_candidates(p):
+    """The denominator-path candidates with duplicates found by a scan of a
+    list of the paths emitted so far."""
+    g = p.graph
+    bound = p.ghost_degree()
+    ghosts = sorted(
+        {m.ghost for m in p.terms},
+        key=lambda q: (-q.length, q.sort_key()),
+    )
+    seen = []
+
+    def emit(path):
+        if path not in seen:
+            seen.append(path)
+            return True
+        return False
+
+    for q in ghosts:
+        for cut in range(q.length, -1, -1):
+            at = q.range if cut == q.length else g.edge(q.edges[cut]).src
+            prefix = Path._trusted(g, q.source, q.edges[:cut], at)
+            if emit(prefix):
+                yield prefix
+    frontier = list(ghosts)
+    while frontier:
+        nxt = []
+        for q in frontier:
+            if q.length >= bound:
+                continue
+            for e in g.out_edges(q.range):
+                ext = q.append(e.name)
+                if emit(ext):
+                    yield ext
+                nxt.append(ext)
+        frontier = nxt

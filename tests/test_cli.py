@@ -341,6 +341,16 @@ def test_error_paths(capsys, tfile, tmp_path):
     assert code == 2
 
 
+def test_graph_file_that_is_not_utf8_is_bad_input(capsys, tmp_path):
+    bad = tmp_path / "bad.graph"
+    bad.write_bytes(b"graph G\nvertex v\xff\n")
+    code, out, err = run_cli(capsys, "analyze", str(bad))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "GraphSyntaxError", "message": "not UTF-8: invalid byte at offset 16"
+    }
+
+
 def test_analyze_paths_past_the_recursion_limit(capsys, tmp_path):
     for g in deep_graphs():
         path = tmp_path / f"{g.name}.graph"

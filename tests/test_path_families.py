@@ -1,0 +1,165 @@
+"""Every path family grows backwards from its targets through one shared
+enumerator, ``graph._paths_ending_in``. Each family is diffed against a
+copy, in conftest, of the construction it replaced: on random graphs,
+cyclic and acyclic with shuffled declarations, and on the corpus."""
+
+import pytest
+
+import leavitt as L
+from leavitt import Element, Graph, PreconditionError
+from leavitt.graph import _paths_ending_in
+from leavitt.quotients import _entry_paths, _mu_candidates
+
+from conftest import (
+    corpus_graphs,
+    random_acyclic_graph,
+    random_element,
+    random_graph,
+    random_nonzero_element,
+    raw_monomials,
+    reference_entry_paths,
+    reference_matrix_decomposition,
+    reference_mu_candidates,
+    reference_paths_up_to,
+    reference_reduced_expression,
+    reference_reduced_monomial_basis,
+    reference_restriction_embedding,
+    seeded,
+    shuffled,
+)
+
+FIELDS = [L.QQ, L.GF(7)]
+
+
+def sample_graphs(rng, count, max_vertices=6):
+    graphs = []
+    for _ in range(count):
+        graphs.append(shuffled(random_graph(rng, max_vertices), rng))
+        graphs.append(random_acyclic_graph(rng, max_vertices))
+        graphs.append(random_acyclic_graph(rng, max_vertices, bifurcation_free=True))
+    return graphs + corpus_graphs()
+
+
+def random_hereditary(g, rng):
+    """The tree of a random nonempty vertex set: nonempty and hereditary."""
+    seed = [v for v in g.vertices if rng.random() < 0.3] or [rng.choice(g.vertices)]
+    return L.tree_of_set(g, seed).members
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except PreconditionError as exc:
+        return (type(exc), str(exc))
+
+
+def test_levels_are_in_edge_order_and_pass_only_kept_sources():
+    rng = seeded("paths-ending-in")
+    for g in sample_graphs(rng, 60):
+        targets = [v for v in g.vertices if rng.random() < 0.5]
+        kept = {v for v in g.vertices if rng.random() < 0.7}
+        levels = _paths_ending_in(g, targets, kept.__contains__)
+        assert [p.source for p in next(levels, [])] == targets
+        for length, level in zip(range(1, 5), levels):
+            assert level == sorted(level, key=lambda p: [g.edge_index(e) for e in p.edges])
+            for p in level:
+                assert p.length == length and p.range in targets
+                assert all(g.edge(e).src in kept for e in p.edges)
+
+
+def test_paths_up_to_matches_the_forward_enumeration():
+    rng = seeded("paths-up-to-diff")
+    for g in sample_graphs(rng, 100):
+        for length in (-1, 0, 1, 2, 4):
+            assert L.paths_up_to(g, length) == reference_paths_up_to(g, length), (g, length)
+
+
+def test_entry_paths_match_the_forward_enumeration():
+    rng = seeded("entry-paths-diff")
+    complete = incomplete = 0
+    for g in sample_graphs(rng, 100):
+        for _ in range(2):
+            H = random_hereditary(g, rng)
+            for bound in (1, 2, 4):
+                got = _entry_paths(g, H, bound)
+                assert got == reference_entry_paths(g, H, bound), (g, H, bound)
+                complete += got[1] and bool(got[0])
+                incomplete += not got[1]
+    assert complete > 50 and incomplete > 50
+
+
+def test_decomposition_matches_the_two_branch_construction():
+    rng = seeded("decomposition-diff")
+    several = 0
+    for g in sample_graphs(rng, 150):
+        if not L.is_acyclic(g):
+            continue
+        d = L.matrix_decomposition(g)
+        kind, blocks = reference_matrix_decomposition(g)
+        assert d.kind == kind, g
+        assert [(b["labels"], b["paths"]) for b in d.blocks] == blocks, g
+        expected = _outcome(reference_reduced_monomial_basis, g)
+        assert _outcome(L.reduced_monomial_basis, g) == expected, g
+        several += kind == "vertices" and len(blocks) > 1
+    assert several > 40
+
+
+def test_reduced_expression_matches_the_suffix_loop():
+    rng = seeded("reduced-expression-diff")
+    checked = 0
+    for g in sample_graphs(rng, 60):
+        if L.is_acyclic_no_bifurcation(g):
+            monomials = raw_monomials(g, 4)
+        else:  # both reject every monomial here
+            monomials = raw_monomials(g, 0)[:1]
+        for m in monomials:
+            assert _outcome(L.reduced_expression, m) == _outcome(reference_reduced_expression, m)
+            checked += 1
+    assert checked > 1000
+
+
+def test_restriction_embedding_matches_the_element_products():
+    rng = seeded("restriction-embedding-diff")
+    for g in sample_graphs(rng, 50, max_vertices=5):
+        H = random_hereditary(g, rng)
+        rg = L.restriction_graph(g, H, rng.choice((1, 2)))
+        h = rg.graph
+        pool = raw_monomials(h, 2)
+        for field in FIELDS:
+            ys = [Element.vertex(h, v, field) for v in h.vertices]
+            ys += [Element.edge(h, e.name, field) for e in h.edges]
+            ys += [random_element(h, rng, pool, field=field) for _ in range(4)]
+            for y in ys:
+                got = L.restriction_embedding(rg, y)
+                assert got == reference_restriction_embedding(rg, y), (g, H, y)
+
+
+def test_restriction_embedding_sends_a_path_vertex_to_its_projection(toeplitz):
+    rg = L.restriction_graph(toeplitz, {"w"}, 3)
+    for field in FIELDS:
+        for p in rg.entry_paths:
+            alpha = Element.from_path(p, field)
+            image = L.restriction_embedding(rg, Element.vertex(rg.graph, rg.vertex_for(p), field))
+            assert image == alpha * alpha.star()
+
+
+def rose3():
+    return Graph("rose3", ["v"], [(f"e{i}", "v", "v") for i in (1, 2, 3)])
+
+
+def test_mu_candidates_match_the_list_scan():
+    rng = seeded("mu-candidates-diff")
+    for g in sample_graphs(rng, 40, max_vertices=4):
+        pool = raw_monomials(g, 3)
+        for _ in range(3):
+            p = random_nonzero_element(g, rng, pool, field=rng.choice(FIELDS))
+            assert list(_mu_candidates(p)) == list(reference_mu_candidates(p)), p
+    p = L.parse_element(rose3(), "*".join(["e1'"] * 7) + " + e2'")
+    got = list(_mu_candidates(p))
+    assert len(got) == 1101 and got == list(reference_mu_candidates(p))
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_mu_candidate_counts_on_the_rose(k):
+    p = L.parse_element(rose3(), "*".join(["e1'"] * k) + " + e2'")
+    assert len(list(_mu_candidates(p))) == {5: 127, 6: 371}[k]
