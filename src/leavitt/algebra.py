@@ -32,7 +32,7 @@ from itertools import islice
 
 from .errors import GraphMismatch, PreconditionError
 from .fields import QQ
-from .graph import Path, _paths_ending_in, is_acyclic
+from .graph import Path, _designated_edges, _paths_ending_in, is_acyclic
 
 
 class Monomial:
@@ -88,8 +88,7 @@ class Monomial:
         real, ghost = self.real.edges, self.ghost.edges
         if not real or not ghost or real[-1] != ghost[-1]:
             return True
-        g = self.graph
-        return g.designated_edge(g.edge(real[-1]).src).name != real[-1]
+        return real[-1] not in _designated_edges(self.graph)
 
     def sort_key(self):
         return (self.real.sort_key(), self.ghost.sort_key())

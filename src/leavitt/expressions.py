@@ -6,12 +6,17 @@
     atom   := identifier | '(' expr ')'
     scalar := integer ['/' positive-integer]
 
-The postfix prime is the involution (on an edge: its ghost edge). A run of
-generators folds left to right into one monomial p q* or 0 (non-composable
-products are 0, not an error); terms stay raw until the whole expression,
-or a parenthesised one, is normalised once. A bare ``0`` is the zero element,
-as the printer spells it. The printer emits this grammar, with terms in
-basis order and explicit signs, so printing and reparsing round-trips.
+The postfix prime is the involution (on an edge: its ghost edge). The parser
+reads the text once, left to right, through one position index: one pattern
+match takes a term's whole scalar prefix, and one takes a whole run of
+generators (identifiers and their primes joined by '*'). A run folds left to
+right into one monomial p q* or 0 (non-composable products are 0, not an
+error); terms stay raw until the whole expression, or a parenthesised one, is
+normalised once. One search before the scan finds the first character that
+no token can hold, so that error wins over every other. A bare ``0`` is the
+zero element, as the printer spells it.
+The printer emits this grammar, with terms in basis order and explicit signs,
+so printing and reparsing round-trips.
 """
 
 from __future__ import annotations
@@ -23,176 +28,164 @@ from .errors import ExpressionSyntaxError, UnknownIdentifier
 from .fields import QQ
 from .graph import Path
 
-# Each nesting level costs four stack frames (expr, term, factor, atom), so
-# this bound keeps the deepest parse far below the interpreter's recursion
-# limit of 1000.
+# Each nesting level costs three stack frames (expr, term, factor), so this
+# bound keeps the deepest parse far below the interpreter's recursion limit
+# of 1000.
 MAX_NESTING = 100
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[-+*/()'])|(?P<bad>\S))"
-)
-
-
-def _tokenize(text):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ExpressionSyntaxError(
-                f"unexpected character {m.group('bad')!r} at position {m.start('bad')}"
-            )
-        value = m.group(kind)
-        tokens.append((kind, int(value) if kind == "int" else value))
-    return tokens
-
-
-class _Word:
-    """A run of generators folded left to right into one monomial p q*; q's
-    edges are kept last to first, so cancelling or prepending one is O(1)."""
-
-    __slots__ = ("source", "real", "range", "ghost_source", "ghost")
-
-    def __init__(self, v):
-        self.source = self.range = self.ghost_source = v
-        self.real, self.ghost = [], []
-
-    def times(self, name, src, dst, ghost):
-        """Right-multiply by a generator: the word itself, or False when 0."""
-        if name is None:  # p q* v = p q* iff s(q) = v
-            ok = self.ghost_source == src
-        elif ghost:  # p q* e* = p (e q)* iff r(e) = s(q)
-            ok, self.ghost_source = self.ghost_source == dst, src
-            self.ghost.append(name)
-        elif self.ghost:  # q = f t: q* e = t* f* e = delta(f, e) t*
-            ok, self.ghost_source = self.ghost.pop() == name, dst
-        else:  # q trivial, so s(q) = r(p): p e iff r(p) = s(e)
-            ok = self.ghost_source == src
-            self.range = self.ghost_source = dst
-            self.real.append(name)
-        return ok and self
-
-    def raw(self, graph, coeff):
-        p = Path._trusted(graph, self.source, tuple(self.real), self.range)
-        q = Path._trusted(graph, self.ghost_source, tuple(reversed(self.ghost)), self.range)
-        return [(Monomial._trusted(p, q), coeff)]
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_BAD = re.compile(r"[^\s\dA-Za-z_\-+*/()']")
+_SPACE = re.compile(r"\s*")
+# integer, then '/' and maybe a denominator, then maybe '*'; the caller
+# tells the cases apart, so every error keeps its message
+_SCALAR = re.compile(r"\s*(\d+)\s*(?:(/)\s*(\d+)?\s*)?(\*)?")
+# a whole run of generators, then whether a '*' follows it
+_RUN = re.compile(rf"\s*({_IDENT}(?:\s*')*(?:\s*\*\s*{_IDENT}(?:\s*')*)*)\s*(\*)?")
+_GENERATOR = re.compile(rf"({_IDENT})((?:\s*')*)")
+# the token an error message names: an int, a name or symbol, None at the end
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({_IDENT}|\S))")
 
 
 class _Parser:
-    def __init__(self, graph, tokens, field):
+    def __init__(self, graph, text, field):
         self.graph = graph
-        self.tokens = tokens
-        self.pos = 0
+        self.text = text
         self.field = field
-        self.depth = 0
+        self.pos = self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+    def next_char(self):
+        """The next character that is not whitespace, '' at the end; pos
+        moves onto it."""
+        pos = self.pos = _SPACE.match(self.text, self.pos).end()
+        return self.text[pos:pos + 1]
 
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        raw = self.expr()
-        if self.pos != len(self.tokens):
-            raise ExpressionSyntaxError(f"trailing input at token {self.peek()[1]!r}")
-        return Element(self.graph, self.field, raw)
-
-    # Each decision peeks once; a token already peeked is consumed by
-    # advancing pos rather than by take(), which would look it up again.
+    def token(self):
+        m = _TOKEN.match(self.text, self.pos)
+        return None if m is None else int(m[1]) if m[1] else m[2]
 
     def expr(self):
-        negative = self.peek() == ("sym", "-")
-        if negative:
+        op = self.next_char()
+        if op == "-":
             self.pos += 1
-        raw = self.term(negative)
-        kind, op = self.peek()
-        while kind == "sym" and op in "+-":
+        raw = self.term(op == "-")
+        op = self.next_char()
+        while op == "+" or op == "-":
             self.pos += 1
             raw += self.term(op == "-")
-            kind, op = self.peek()
+            op = self.next_char()
         return raw
 
     def term(self, negative):
-        graph, field = self.graph, self.field
+        graph, field, text = self.graph, self.field, self.text
         one = coeff = field.one()
-        kind, numerator = self.peek()
-        if kind == "int":
-            self.pos += 1
-            if self.peek() == ("sym", "/"):
-                self.pos += 1
-                kind, den = self.take()
-                if kind != "int" or den == 0:
+        m = _SCALAR.match(text, self.pos)
+        if m:
+            numerator, slash, den, star = m.groups()
+            numerator = int(numerator)
+            if slash:
+                if not den or not int(den):
                     raise ExpressionSyntaxError("expected positive integer denominator")
-                coeff = field.from_fraction(numerator, den)
+                coeff = field.from_fraction(numerator, int(den))
             else:
                 coeff = field.from_int(numerator)
-            if self.peek() == ("sym", "*"):
-                self.pos += 1
-            elif numerator == 0 and not coeff:
-                return []
-            else:
+            self.pos = m.end()
+            if not star:
+                if numerator == 0 and not coeff:
+                    return []
                 raise ExpressionSyntaxError("a scalar must multiply a factor")
         coeff = -coeff if negative else coeff
-        product = word = None  # Element of the factors before the run; the run, False once 0
+        # the Element of the factors before the pending run; the run's
+        # monomial, False once it is 0
+        product = word = None
         while True:
+            m = _RUN.match(text, self.pos)
+            if m:  # a run ends at the term's end or at a parenthesised factor
+                self.pos = m.end()
+                word = self.fold(m.start(1), m.end(1))
+                if not m[2]:
+                    break
+                continue
             value = self.factor()
-            if isinstance(value, Element):  # ends the run
-                if word is not None:
-                    value = Element(graph, field, word.raw(graph, one) if word else []) * value
-                product, word = value if product is None else product * value, None
-            else:
-                if word is None:
-                    word = _Word(value[2] if value[3] else value[1])
-                word = word and word.times(*value)
-            if self.peek() != ("sym", "*"):
+            if word is not None:
+                value = Element(graph, field, [(word, one)] if word else []) * value
+            product, word = value if product is None else product * value, None
+            if self.next_char() != "*":
                 break
             self.pos += 1
         if product is None:
-            return word.raw(graph, coeff) if word else []
+            return [(word, coeff)] if word else []
         if word is not None:
-            product = product * Element(graph, field, word.raw(graph, one) if word else [])
+            product = product * Element(graph, field, [(word, one)] if word else [])
         return [(m, c * coeff) for m, c in product.terms.items()]
 
-    def factor(self):
-        """'( expr )' as an Element starred once per prime, or a generator
-        (edge name or None for a vertex, source, range, is_ghost)."""
-        value, ghost = self.atom(), False
-        while self.peek() == ("sym", "'"):
-            self.pos += 1
-            if isinstance(value, Element):
-                value = value.star()
-            else:
-                ghost = not ghost
-        return value if isinstance(value, Element) else (*value, ghost)
+    def fold(self, start, end):
+        """The run of generators in text[start:end] multiplied left to right:
+        one monomial p q*, or False when the product is 0. q's edges are kept
+        last to first, so cancelling or prepending one is O(1)."""
+        g = self.graph
+        vindex, eindex, edges = g._vindex, g._eindex, g.edges
+        real, ghost = [], []
+        source = None  # s(p), set by the first generator; at = s(q), rng = r(p)
+        ok = True
+        for name, primes in _GENERATOR.findall(self.text, start, end):
+            if name not in eindex:
+                if name not in vindex:
+                    raise UnknownIdentifier(f"unknown identifier {name!r} in graph {g.name!r}")
+                if source is None:
+                    source = rng = at = name
+                ok = ok and at == name  # p q* v = p q* iff s(q) = v
+                continue
+            if not ok:
+                continue
+            _, src, dst = edges[eindex[name]]
+            if primes and primes.count("'") % 2:  # p q* e* = p (e q)* iff r(e) = s(q)
+                if source is None:
+                    source = rng = at = dst
+                ok, at = at == dst, src
+                ghost.append(name)
+            elif ghost:  # q = f t: q* e = t* f* e = delta(f, e) t*
+                ok, at = ghost.pop() == name, dst
+            else:  # q trivial, so s(q) = r(p): p e iff r(p) = s(e)
+                if source is None:
+                    source = at = src
+                ok = at == src
+                rng = at = dst
+                real.append(name)
+        return ok and Monomial._trusted(
+            Path._trusted(g, source, tuple(real), rng),
+            Path._trusted(g, at, tuple(reversed(ghost)), rng),
+        )
 
-    def atom(self):
-        kind, value = self.take()
-        if kind == "ident":
-            if self.graph.has_vertex(value):
-                return None, value, value
-            if self.graph.has_edge(value):
-                return self.graph.edge(value)
-            raise UnknownIdentifier(f"unknown identifier {value!r} in graph {self.graph.name!r}")
-        if kind == "sym" and value == "(":
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ExpressionSyntaxError(f"parentheses nested deeper than {MAX_NESTING}")
-            inner = Element(self.graph, self.field, self.expr())
-            kind, close = self.take()
-            if kind != "sym" or close != ")":
-                raise ExpressionSyntaxError(f"expected ')', got {close!r}")
-            self.depth -= 1
-            return inner
-        raise ExpressionSyntaxError(f"expected identifier or '(', got {value!r}")
+    def factor(self):
+        """'( expr )' as an Element, starred once per prime."""
+        if self.next_char() != "(":
+            raise ExpressionSyntaxError(f"expected identifier or '(', got {self.token()!r}")
+        self.pos += 1
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExpressionSyntaxError(f"parentheses nested deeper than {MAX_NESTING}")
+        value = Element(self.graph, self.field, self.expr())
+        if self.next_char() != ")":
+            raise ExpressionSyntaxError(f"expected ')', got {self.token()!r}")
+        self.pos += 1
+        self.depth -= 1
+        while self.next_char() == "'":
+            self.pos += 1
+            value = value.star()
+        return value
 
 
 def parse_element(graph, text, field=QQ):
-    tokens = _tokenize(text)
-    if not tokens:
+    bad = _BAD.search(text)
+    if bad:
+        raise ExpressionSyntaxError(f"unexpected character {bad[0]!r} at position {bad.start()}")
+    parser = _Parser(graph, text, field)
+    if not parser.next_char():
         raise ExpressionSyntaxError("empty expression")
-    return _Parser(graph, tokens, field).parse()
+    raw = parser.expr()
+    if parser.next_char():
+        raise ExpressionSyntaxError(f"trailing input at token {parser.token()!r}")
+    return Element(graph, field, raw)
 
 
 # ---------------------------------------------------------------------------

@@ -515,6 +515,15 @@ def _bifurcations(g):
     return frozenset(v for v in g.vertices if g.out_degree(v) >= 2)
 
 
+def _designated_edges(g):
+    """The names of the designated edges, one per vertex that is not a sink."""
+    return _memoised(g, "designated_edges", _designated_edge_names)
+
+
+def _designated_edge_names(g):
+    return frozenset(es[-1].name for es in g._out.values() if es)
+
+
 def cycles(g):
     """All cycles, one representative per rotation class, for the report.
 

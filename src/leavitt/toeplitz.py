@@ -24,12 +24,7 @@ from .expressions import format_element, format_monomial
 from .fields import QQ
 from .graph import Graph, _memoised, is_acyclic, socle_is_essential, vertex_on_a_cycle
 from .matrices import Matrix, add_entry
-from .quotients import (
-    _quotient_image,
-    _require_hereditary_saturated,
-    in_socle,
-    quotient_graph,
-)
+from .quotients import _require_hereditary_saturated, in_socle
 from .semisimple import PathModule, _paths_into
 
 
@@ -202,19 +197,19 @@ def laurent_quotient(x, decomposition=None):
     d = decomposition or recognize_toeplitz(x.graph)
     if d is None:
         raise PreconditionError("graph does not match the Toeplitz pattern")
-    return _laurent_image(x, _laurent_target(x.graph, d))
+    _require_hereditary_saturated(x.graph, d.subgraph.vertices)
+    return _laurent_image(x, d)
 
 
-def _laurent_target(g, d):
-    """E/F0, the one-loop graph that L_K(E) maps onto."""
-    return quotient_graph(g, _require_hereditary_saturated(g, d.subgraph.vertices))
-
-
-def _laurent_image(x, target):
-    # Normal forms over the one-loop quotient are e^k, (e^k)*, or v.
+def _laurent_image(x, d):
+    """E/F0 is the loop e at v alone, so a term c e^a (e^b)* maps to
+    c x^(a - b) and every term that touches F0 maps to 0."""
+    v, loop = d.loop_vertex, {d.loop_edge}
     coeffs = {}
-    for m, c in _quotient_image(x, target).terms.items():
-        add_entry(coeffs, m.degree, c)
+    for m, c in x.terms.items():
+        p, q = m.real, m.ghost
+        if p.source == q.source == v and loop.issuperset(p.edges + q.edges):
+            add_entry(coeffs, len(p.edges) - len(q.edges), c)
     return LaurentPoly(coeffs, x.field)
 
 
@@ -228,14 +223,13 @@ def exact_sequence_report(g, degree_bound, field=QQ):
     d = recognize_toeplitz(g)
     if d is None:
         raise PreconditionError("graph does not match the Toeplitz pattern")
-    target = _laurent_target(g, d)
     monomials = basis_monomials_up_to(g, degree_bound)
     mismatches = []
     hit_exponents = set()
     for m in monomials:
         x = Element.from_monomial(m, field)
         in_ideal = in_socle(x)
-        image = _laurent_image(x, target)
+        image = _laurent_image(x, d)
         if in_ideal != image.is_zero():
             mismatches.append(format_monomial(m))
         if not image.is_zero() and len(image.coeffs) == 1:

@@ -1,12 +1,13 @@
 """Shared corpus graphs, random generators, and independent oracles."""
 
 import random
+import re
 
 import pytest
 
 import leavitt as L
 from leavitt import Element, Graph, Monomial, Path, PreconditionError
-from leavitt.expressions import MAX_NESTING, _tokenize
+from leavitt.expressions import MAX_NESTING
 
 TOEPLITZ_DSL = "graph T\nvertex v\nvertex w\nedge e v v\nedge f v w\n"
 A2_DSL = "graph A2\nvertex u\nvertex w\nedge f u w\n"
@@ -205,6 +206,16 @@ def toeplitz_oracle(g):
     into = [e for e in g.edges if e.dst == v]
     out = [e for e in g.edges if e.src == v]
     return len(into) == 1 and len(out) >= 2
+
+
+def reference_laurent_quotient(x):
+    """The Laurent image as the quotient morphism onto E/F0 gives it: the
+    image normalised in the one-loop graph, its terms summed by degree."""
+    F0 = L.recognize_toeplitz(x.graph).subgraph.vertices
+    image = L.LaurentPoly.zero(x.field)
+    for m, c in L.quotient_morphism(x, F0).terms.items():
+        image = image + L.LaurentPoly.monomial(m.degree, x.field, c)
+    return image
 
 
 def semiprime_oracle(g):
@@ -706,8 +717,26 @@ def reference_window_rows(x, window):
 
 # ---------------------------------------------------------------------------
 # The expression parser as it was before words folded to one monomial: one
-# normal-form Element per atom and per product. Kept as the oracle for the
-# word fold; tokenizing is shared, as it did not change.
+# normal-form Element per atom and per product, over a token list built
+# before parsing starts. Kept as the oracle for the one-pass parser; it
+# shares neither scanner nor fold with it.
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[-+*/()'])|(?P<bad>\S))"
+)
+
+
+def _tokenize(text):
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise L.ExpressionSyntaxError(
+                f"unexpected character {m.group('bad')!r} at position {m.start('bad')}"
+            )
+        value = m.group(kind)
+        tokens.append((kind, int(value) if kind == "int" else value))
+    return tokens
 
 
 class _ReferenceParser:

@@ -122,10 +122,12 @@ def _random_expression(g, rng, depth=2):
 
 
 def _mutate(text, rng):
-    """One character inserted or deleted: syntax errors, in their order."""
+    """One character inserted or deleted: syntax errors, in their order. The
+    inserted ones include a bad character, a non-ASCII digit (Arabic-Indic
+    three) and whitespace other than a space (no-break space, tab)."""
     i = rng.randrange(len(text) + 1)
     if rng.random() < 0.5:
-        return text[:i] + rng.choice("()*+-'/0 ") + text[i:]
+        return text[:i] + rng.choice("()*+-'/0 $\u0663\u00a0\t") + text[i:]
     return text[:i] + text[i + 1:]
 
 
@@ -161,6 +163,18 @@ def test_word_fold_matches_reference_parser():
         "-0 + 0*e",
         "((e'*e)*(f'*f))'*v",
         "e*f*f'*e' - e*e' + (e*f)*(e*f)'",
+        "zz + $",  # a bad character anywhere wins, also after an unknown identifier
+        "(zz $",
+        "\u0663*v",  # Arabic-Indic three, a digit to \d
+        "v +\tv",
+        "e ' '",
+        "v 3",  # trailing input at token 3
+        "3 /4*v",
+        "07*v",
+        "1/7*zz",  # over F_7 the zero denominator wins over the unknown identifier
+        "e*",
+        "v+",
+        "   ",
     ],
 )
 def test_word_fold_matches_reference_on_edge_cases(toeplitz, text):
@@ -168,6 +182,21 @@ def test_word_fold_matches_reference_on_edge_cases(toeplitz, text):
         assert _outcome(L.parse_element, toeplitz, text, field) == _outcome(
             reference_parse_element, toeplitz, text, field
         )
+
+
+def test_error_messages_of_the_one_pass_scan(toeplitz):
+    cases = [
+        ("zz + $", L.QQ, ExpressionSyntaxError, "unexpected character '$' at position 5"),
+        ("v 3", L.QQ, ExpressionSyntaxError, "trailing input at token 3"),
+        ("v +", L.QQ, ExpressionSyntaxError, "expected identifier or '(', got None"),
+        ("(v w", L.QQ, ExpressionSyntaxError, "expected ')', got 'w'"),
+        ("3 /x*v", L.QQ, ExpressionSyntaxError, "expected positive integer denominator"),
+        ("1/7*zz", L.GF(7), L.PreconditionError, "denominator 7 is zero in F_7"),
+        ("\u00a0\t", L.QQ, ExpressionSyntaxError, "empty expression"),
+    ]
+    for text, field, error, message in cases:
+        assert _outcome(L.parse_element, toeplitz, text, field) == (error, message), text
+    assert L.parse_element(toeplitz, "\u0663*v") == L.parse_element(toeplitz, "3*v")
 
 
 def test_unknown_identifier_after_a_zero_product():

@@ -12,7 +12,7 @@ import pytest
 import leavitt as L
 from leavitt import Element, Graph, PreconditionError
 from leavitt import graph as graph_module
-from leavitt import quotients, toeplitz
+from leavitt import quotients
 from leavitt.graph import strongly_connected_components, vertex_on_a_cycle
 from leavitt.quotients import _socle_quotient
 
@@ -46,6 +46,7 @@ ANALYZERS = {
     "scc": strongly_connected_components,
     "on_cycle": vertex_on_a_cycle,
     "bifurcations": lambda g: L.bifurcations(g).ordered(),
+    "designated_edges": graph_module._designated_edges,
     "line_points": lambda g: L.line_points(g).ordered(),
     "socle_quotient": _socle,
     "matrix_decomposition": _decomposition,
@@ -142,11 +143,10 @@ def test_reports_build_the_socle_quotient_once(monkeypatch):
     monkeypatch.setattr(quotients, "hereditary_saturated_closure",
                         lambda g, X: closures.append(g) or closure(g, X))
     monkeypatch.setattr(quotients, "quotient_graph", counted_quotient_graph)
-    monkeypatch.setattr(toeplitz, "quotient_graph", counted_quotient_graph)
     g = L.toeplitz_graph()
     assert L.exact_sequence_report(g, 4)["pass"]
-    # one socle quotient for in_socle, one Laurent target for the report
-    assert len(closures) == 1 and len(quotient_graphs) == 2
+    # one socle quotient for in_socle; the Laurent side builds no graph
+    assert len(closures) == 1 and len(quotient_graphs) == 1
     assert L.sandwich_report(g, 3, 8)["pass"]
     assert all(L.in_socle(Element.vertex(g, "w")) for _ in range(5))
-    assert len(closures) == 1 and len(quotient_graphs) == 2
+    assert len(closures) == 1 and len(quotient_graphs) == 1

@@ -4,13 +4,14 @@ import pytest
 
 import leavitt as L
 from leavitt import Element, LaurentPoly, PreconditionError
-from leavitt import toeplitz
+from leavitt import quotients, toeplitz
 from leavitt.toeplitz import bandwidth
 
 from conftest import (
     random_element,
     random_graph,
     raw_monomials,
+    reference_laurent_quotient,
     reference_sandwich_units,
     seeded,
     toeplitz_oracle,
@@ -113,6 +114,35 @@ def test_laurent_quotient_is_morphism():
         assert L.laurent_quotient(x * y) == L.laurent_quotient(x) * L.laurent_quotient(y)
         assert L.laurent_quotient(x + y) == L.laurent_quotient(x) + L.laurent_quotient(y)
         assert L.laurent_quotient(x.star()) == L.laurent_quotient(x).substitute_inverse()
+
+
+def test_laurent_quotient_matches_the_quotient_morphism():
+    rng = seeded("laurent-direct")
+    graphs = [L.toeplitz_graph()]
+    for n, F in ((1, L.line_graph(3)), (2, L.comb_graph(2)), (3, L.line_graph(4))):
+        graphs.append(L.build_toeplitz_family(n, F, F.vertices[:n]))
+    for g in graphs:
+        pool = raw_monomials(g)
+        for field in (L.QQ, L.GF(7)):
+            for _ in range(40):
+                x = random_element(g, rng, pool, field=field)
+                assert L.laurent_quotient(x) == reference_laurent_quotient(x), (g, x)
+
+
+def test_middle_exactness_check_can_fail(monkeypatch):
+    """Socle membership that drops a term of the quotient image must show as
+    mismatches, so the Laurent side may not go through that image too."""
+    image = quotients._quotient_image
+
+    def dropping(x, target):
+        terms = list(image(x, target).terms.items())[1:]
+        return Element(target, x.field, terms, _normal=True)
+
+    monkeypatch.setattr(quotients, "_quotient_image", dropping)
+    monkeypatch.setattr(toeplitz, "_quotient_image", dropping, raising=False)
+    report = L.exact_sequence_report(L.toeplitz_graph(), 2)
+    assert not report["pass"]
+    assert "v" in report["socle_kernel_mismatches"]
 
 
 def test_laurent_poly_arithmetic():
