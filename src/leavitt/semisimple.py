@@ -9,8 +9,7 @@ so the block is indexed by the sources of its paths, the component's
 vertices; the matrix units are then the reduced monomials mu_jk.
 
 Both are one action, ``PathModule``, on the span of the paths into the
-sinks: p q* sends a path q t to p t and every other path to 0. The
-Toeplitz window is the same action on the first N paths into its sink.
+sinks: p q* sends a path q t to p t and every other path to 0.
 
 The isomorphism depends on the index order; here it is pinned to
 declaration order (vertices) resp. (length, edge order) for sink paths, so
@@ -130,27 +129,22 @@ def _matrix_decomposition(g):
     return MatrixDecomposition(g, kind, blocks)
 
 
-def _paths_into(g, sink, bound=None):
-    """The paths into the sink in (length, edge order): all of them, or the
-    first ``bound`` of them (a sink a cycle reaches has infinitely many)."""
-    found = []
-    for level in _paths_ending_in(g, (sink,)):
-        found += level
-        if bound is not None and len(found) >= bound:
-            break
-    return found[:bound]
+def _paths_into(g, sink):
+    """The paths into the sink of a finite acyclic graph, in (length, edge
+    order)."""
+    return [p for level in _paths_ending_in(g, (sink,)) for p in level]
 
 
 class PathModule:
-    """The left action of L_K(E) on the span of some paths into sinks.
+    """The left action of L_K(E) on the span of the paths into the sinks of
+    a finite acyclic graph.
 
-    The basis is ``paths``, none a prefix of another, in one block per sink
+    The basis is ``paths``, every path into each sink, in one block per sink
     (in order of first appearance) and indexed within its block. p q* sends
-    a basis path q t to p t and every other basis path to 0; a p t outside
-    the basis is dropped, which restricts the action to a window.
-    ``shift(P)`` maps each basis path t at r(P) to the index of P t. It is
-    kept once computed (two threads that race store equal dicts), so each
-    matrix entry of ``act`` costs one dict lookup.
+    a basis path q t to p t, again a basis path, and every other basis path
+    to 0. ``shift(P)`` maps each basis path t at r(P) to the index of P t.
+    It is kept once computed (two threads that race store equal dicts), so
+    each matrix entry of ``act`` costs one dict lookup.
     """
 
     __slots__ = ("paths", "sizes", "_index", "_block", "_starting", "_shifts")
@@ -172,15 +166,15 @@ class PathModule:
         return self._index.get((path.source, path.edges))
 
     def shift(self, path):
-        """{k: index of path . paths[k]} over the basis paths k at r(path)
-        whose product with path is a basis path."""
+        """{k: index of path . paths[k]} over the basis paths k at r(path)."""
         key = (path.source, path.edges)
         out = self._shifts.get(key)
         if out is None:
             index, paths = self._index, self.paths
-            at = ((k, index.get((path.source, path.edges + paths[k].edges)))
-                  for k in self._starting.get(path.range, ()))
-            out = self._shifts[key] = {k: a[1] for k, a in at if a is not None}
+            out = self._shifts[key] = {
+                k: index[path.source, path.edges + paths[k].edges][1]
+                for k in self._starting.get(path.range, ())
+            }
         return out
 
     def act(self, x):

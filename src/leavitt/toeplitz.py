@@ -8,24 +8,26 @@ algebra onto Laurent polynomials (loop -> x); the kernel is the socle.
 
 The faithful matrix picture acts on the cyclic left module generated by
 the sink: its basis is the paths into w, b0 = w, b_{k+1} = e^k f, and p q*
-sends q t to p t. This is the action of semisimple.PathModule, on the first
-N paths into w, so windows are exact restrictions of the infinite matrix;
-the validity bound N - deg(x) is the region where window products agree
-with the window of the product.
+sends q t to p t. So a normal-form term (b_a)(b_b)* ending at w is the one
+cell (a, b), and a term e^a (e^b)* is the diagonal run b_k -> b_{k+a-b},
+k > b. Windows are read off these cells and runs, at a cost that follows
+the terms and the nonzero entries, and are exact restrictions of the
+infinite matrix; the validity bound N - deg(x) is the region where window
+products agree with the window of the product.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
 
 from .algebra import Element, Monomial, basis_monomials_up_to
 from .errors import PreconditionError
 from .expressions import format_element, format_monomial
 from .fields import QQ
-from .graph import Graph, _memoised, is_acyclic, socle_is_essential, vertex_on_a_cycle
+from .graph import Graph, Path, _memoised, is_acyclic, socle_is_essential, vertex_on_a_cycle
 from .matrices import Matrix, add_entry
 from .quotients import _require_hereditary_saturated, in_socle
-from .semisimple import PathModule, _paths_into
 
 
 class LaurentPoly:
@@ -276,13 +278,12 @@ class MatrixWindow:
         return f"MatrixWindow({self.size}, validity={self.validity_bound})"
 
 
-def _window_module(g, window):
-    """The module of the canonical graph on its first N basis paths; b_k is
-    the one path of length k into w. Empty for N < 1."""
+def _canonical(g):
+    """The decomposition of the canonical graph, the only one with a window."""
     d = recognize_toeplitz(g)
     if d is None or not d.is_canonical:
         raise PreconditionError("the matrix picture needs the canonical loop-plus-sink graph")
-    return PathModule(_paths_into(g, d.subgraph.vertices[0], max(window, 0)))
+    return d
 
 
 def rcfm_representation(x, window):
@@ -295,70 +296,77 @@ def rcfm_representation(x, window):
     monomial whose support misses the window entirely is rejected, since
     such a window could not represent the element at all.
     """
-    return _rcfm_representation(x, _window_module(x.graph, window))
+    return _rcfm_representation(x, _canonical(x.graph), window)
 
 
-def _rcfm_representation(x, module):
-    window = len(module.paths)
-    matrix = Matrix.from_row_dicts(_window_rows(x, module), window, x.field)
+def _rcfm_representation(x, d, window):
+    cells = _window_cells(x, d, window)
+    rows = [{} for _ in range(window)]
+    for (i, j), c in cells.items():
+        rows[i][j] = c
     validity = max(window - x.total_degree(), 0)
     terms = max(len(x.terms), 1)
-    col_counts = Counter(j for _, j in _nonzero_cells(matrix))
     flags = {
-        "finitely_supported": _finitely_supported(matrix, validity),
-        "row_finite_on_window": max(map(len, matrix.row_dicts)) <= terms,
-        "col_finite_on_window": max(col_counts.values(), default=0) <= terms,
+        # nothing at or past the exact region's margin; shifts reach the border
+        "finitely_supported": all(max(ij) < validity - 1 for ij in cells),
+        "row_finite_on_window": max(map(len, rows)) <= terms,
+        "col_finite_on_window": max(Counter(j for _, j in cells).values(), default=0) <= terms,
     }
-    return MatrixWindow(matrix, validity, flags)
+    return MatrixWindow(Matrix.from_row_dicts(rows, window, x.field), validity, flags)
 
 
-def _window_rows(x, module):
-    """The window of x as N row dicts {column: scalar}; sums that cancel
-    are kept as zero entries."""
-    window = len(module.paths)
+def _window_cells(x, d, window):
+    """The nonzero entries {(row, column): scalar} of the N x N window of x,
+    from its cells and its runs; the runs on one diagonal, summed in order
+    of their first column, form a step function."""
     if window < 1:
         raise PreconditionError("window size must be positive")
-    sink, position = module.paths[0].range, module.position
-    # A term ending at the sink acts with rank one, b_|q| -> b_|p|; the least
-    # (|p|, |q|) outside the window is named, whatever the term order.
-    outside = [(m.real.length, m.ghost.length) for m in x.terms
-               if m.real.range == sink and None in (position(m.real), position(m.ghost))]
+    sink = d.subgraph.vertices[0]
+    cells, steps = {}, {}
+    for m, c in x.terms.items():
+        a, b = m.real.length, m.ghost.length
+        if m.real.range == sink:
+            cells[a, b] = c
+        else:
+            steps.setdefault(a - b, {})[b + 1] = c
+    # the least (a, b) outside the window is named, whatever the term order
+    outside = [ab for ab in cells if max(ab) >= window]
     if outside:
         raise PreconditionError(
             f"window {window} too small: support at {min(outside)} falls outside"
         )
-    return module.act(x)[0]
-
-
-def _nonzero_cells(matrix):
-    return ((i, j) for i, row in enumerate(matrix.row_dicts) for j in row)
-
-
-def _finitely_supported(matrix, validity):
-    """Support well inside the exact region: nothing at or past its margin.
-
-    Shift-type actions keep entries all the way to the window border, so
-    they fail this; ideal (socle) elements act with bounded support and
-    pass for any window comfortably larger than the support.
-    """
-    return all(max(i, j) < validity - 1 for i, j in _nonzero_cells(matrix))
+    # a normal-form cell has a = 0 or b = 0 (f f* rewrites), and a run starts
+    # below row 0 and right of column 0, so no entry is written twice
+    for shift, step in steps.items():
+        end = min(window, window - shift)  # columns k with k, k + shift < N
+        starts = sorted(step)
+        sums = accumulate(step[k] for k in starts)
+        for start, stop, total in zip(starts, starts[1:] + [end], sums):
+            if total:
+                cells.update(((k + shift, k), total) for k in range(start, min(stop, end)))
+    return cells
 
 
 def bandwidth(window):
     """Largest |i - j| over nonzero entries; 0 for the zero window."""
-    return max((abs(i - j) for i, j in _nonzero_cells(window.matrix)), default=0)
+    rows = enumerate(window.matrix.row_dicts)
+    return max((abs(i - j) for i, row in rows for j in row), default=0)
 
 
 def socle_module_element(g, i, j, field=QQ):
     """The element mapping to the matrix unit E_ij: (b_i path)(b_j path)*."""
-    module = _window_module(g, max(i, j) + 1)
+    d = _canonical(g)
     if min(i, j) < 0:
         raise PreconditionError("matrix unit indices must be nonnegative")
-    return _socle_module_element(module, i, j, field)
+    return _socle_module_element(g, d, i, j, field)
 
 
-def _socle_module_element(module, i, j, field):
-    return Element.from_monomial(Monomial._trusted(module.paths[i], module.paths[j]), field)
+def _socle_module_element(g, d, i, j, field):
+    """(b_i)(b_j)*, where b_k is the sink for k = 0 and e^(k-1) f else."""
+    w, loop = d.subgraph.vertices[0], (d.loop_edge,)
+    b_i, b_j = (Path._trusted(g, d.loop_vertex, loop * (k - 1) + d.connectors, w) if k
+                else Path._trusted(g, w, (), w) for k in (i, j))
+    return Element.from_monomial(Monomial._trusted(b_i, b_j), field)
 
 
 def sandwich_report(g, degree_bound, window, field=QQ):
@@ -369,13 +377,13 @@ def sandwich_report(g, degree_bound, window, field=QQ):
     (c) matrix units E_jk for j, k <= N-2 are images of explicit socle
         elements built from the module basis paths.
     """
-    module = _window_module(g, window)
+    d = _canonical(g)
     monomials = basis_monomials_up_to(g, degree_bound)
     socle_failures = []
     finiteness_failures = []
     for m in monomials:
         x = Element.from_monomial(m, field)
-        w = _rcfm_representation(x, module)
+        w = _rcfm_representation(x, d, window)
         if not (w.flags["row_finite_on_window"] and w.flags["col_finite_on_window"]):
             finiteness_failures.append(format_monomial(m))
         if in_socle(x) and not w.flags["finitely_supported"]:
@@ -384,10 +392,8 @@ def sandwich_report(g, degree_bound, window, field=QQ):
     one = field.one()
     for i in range(window - 1):
         for j in range(window - 1):
-            x = _socle_module_element(module, i, j, field)
-            rows = _window_rows(x, module)
-            nonzeros = {(a, b): c for a, row in enumerate(rows) for b, c in row.items() if c}
-            if nonzeros != {(i, j): one}:
+            x = _socle_module_element(g, d, i, j, field)
+            if _window_cells(x, d, window) != {(i, j): one}:
                 unit_failures.append(f"E[{i}][{j}] != window({format_element(x)})")
     return {
         "window": window,

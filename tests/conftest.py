@@ -590,20 +590,17 @@ def seeded(label):
 
 
 def reference_sandwich_units(g, window, field, element):
-    """The matrix-unit part of sandwich_report as a full window Matrix per
-    unit, compared with the unit Matrix: the failure line of every E_ij,
-    i, j < window - 1, whose element(module, i, j, field) does not act
-    as E_ij."""
-    from leavitt import toeplitz
-
-    module = toeplitz._window_module(g, window)
+    """The matrix-unit part of sandwich_report from the full window rows of
+    reference_window_rows: the failure line of every E_ij, i, j < window - 1,
+    whose element(g, decomposition, i, j, field) does not act as E_ij."""
+    d = L.recognize_toeplitz(g)
     failures = []
     for i in range(window - 1):
         for j in range(window - 1):
-            x = element(module, i, j, field)
-            w = toeplitz._rcfm_representation(x, module)
-            unit = [{j: field.one()} if a == i else {} for a in range(window)]
-            if w.matrix != L.Matrix.from_row_dicts(unit, window, field):
+            x = element(g, d, i, j, field)
+            rows = reference_window_rows(x, window)
+            nonzeros = [(a, b, c) for a, row in enumerate(rows) for b, c in row.items() if c]
+            if nonzeros != [(i, j, field.one())]:
                 failures.append(f"E[{i}][{j}] != window({L.format_element(x)})")
     return failures
 

@@ -1,16 +1,15 @@
-"""The one path-module action behind to_matrix and the Toeplitz window.
+"""The two matrix pictures: the path-module action behind to_matrix, and
+the Toeplitz window read off cells and diagonal runs.
 
-Both matrix pictures are checked against the separate reference actions in
-conftest, and the action itself against window(x) window(y) = window(xy)
-on graphs beyond the canonical one.
+Both are checked against the separate reference actions in conftest.
 """
 
 import pytest
 
 import leavitt as L
-from leavitt import Element, Graph, Matrix, Path, PreconditionError
+from leavitt import Element, Graph, Matrix, Monomial, Path, PreconditionError
 from leavitt import toeplitz
-from leavitt.semisimple import PathModule, _paths_into
+from leavitt.semisimple import _paths_into
 
 from conftest import (
     corpus_graphs,
@@ -83,74 +82,73 @@ def test_window_matches_the_shift_rule():
     assert outside > 20 and compared > 400
 
 
-def _window(module, x):
-    (rows,) = module.act(x)
-    return Matrix.from_row_dicts(rows, len(rows), x.field)
+def _loop_monomial(g, a, b):
+    """e^a (e^b)*, a run along the diagonal a - b of the window."""
+    return Monomial(Path(g, "v", ("e",) * a), Path(g, "v", ("e",) * b))
 
 
-def _complete_length(g, paths):
-    """The greatest length whose paths into the sink all lie in ``paths``."""
-    longest = paths[-1].length
-    every = [p for p in L.paths_up_to(g, longest) if p.range == paths[0].range]
-    held = sum(1 for p in paths if p.length == longest)
-    return longest if held == sum(1 for p in every if p.length == longest) else longest - 1
+def _diagonal_sum(g, rng, field):
+    """Several runs e^(a+t) (e^(b+t))* on one diagonal whose coefficients
+    sum to zero from the k-th start to the next, and not just after it;
+    returns the element, its diagonal and the first column of that stretch."""
+    a, b = rng.randint(0, 4), rng.randint(0, 4)
+    offsets = sorted(rng.sample(range(8), rng.randint(3, 5)))
+    coeffs = [rng.choice([1, -1, 2, 3]) for _ in offsets]
+    k = rng.randrange(1, len(offsets) - 1)
+    coeffs[k] = -sum(coeffs[:k])
+    raw = [(_loop_monomial(g, a + t, b + t), field.from_int(c)) for t, c in zip(offsets, coeffs)]
+    return Element(g, field, raw), a - b, b + offsets[k] + 1
 
 
-def _family(rng):
-    for _ in range(100):
-        F = random_graph(rng, max_vertices=4, max_edges=5)
-        if L.is_acyclic(F):
-            n = rng.randint(1, 3)
-            return L.build_toeplitz_family(n, F, [rng.choice(F.vertices) for _ in range(n)])
-    raise AssertionError("no acyclic F sampled")
-
-
-def test_window_products_beyond_the_canonical_graph():
-    rng = seeded("path-module-products")
-    graphs = [_family(rng) for _ in range(25)] + acyclic_graphs(rng, 25)
-    checked = 0
-    for g in graphs:
-        pool = raw_monomials(g)
-        for w in g.sinks():
-            paths = _paths_into(g, w, rng.randint(1, 14))
-            module = PathModule(paths)
-            bound = _complete_length(g, paths)
-            for _ in range(4):
-                x = random_element(g, rng, pool, size=3)
-                y = random_element(g, rng, pool, size=3)
-                product = _window(module, x) * _window(module, y)
-                wxy = _window(module, x * y)
-                for j, r in enumerate(paths):
-                    if r.length + y.real_degree() <= bound:
-                        checked += 1
-                        column = [product[i, j] - wxy[i, j] for i in range(len(paths))]
-                        assert not any(column), (g, x, y, r)
-    assert checked > 500
+def test_window_cells_match_the_shift_rule():
+    rng = seeded("window-cells")
+    g = L.toeplitz_graph()
+    d = L.recognize_toeplitz(g)
+    pool = L.basis_monomials_up_to(g, 10)
+    outside = compared = cancelled = 0
+    for window in range(1, 31):
+        for field in FIELDS:
+            for _ in range(6):
+                runs, shift, zero_from = _diagonal_sum(g, rng, field)
+                x = runs + random_element(g, rng, pool, size=3, field=field)
+                expected = _outcome(reference_window_rows, x, window)
+                got = _outcome(toeplitz._window_cells, x, d, window)
+                if isinstance(expected, tuple):
+                    assert got == expected, (window, x)
+                    outside += "too small" in expected[1]
+                else:
+                    rows = enumerate(expected)
+                    assert got == {(i, j): c for i, row in rows for j, c in row.items() if c}, x
+                    compared += 1
+                    cancelled += zero_from < min(window, window - shift)
+    assert outside > 15 and compared > 250 and cancelled > 200
 
 
 def test_paths_into_lists_the_first_paths_in_length_then_edge_order():
     rng = seeded("paths-into")
-    for g in [random_graph(rng, max_edges=7) for _ in range(150)] + corpus_graphs():
+    checked = 0
+    for g in [random_graph(rng, max_edges=7) for _ in range(300)] + corpus_graphs():
+        if not L.is_acyclic(g):
+            continue
         for w in g.sinks():
-            bound = rng.randint(0, 6)
-            limit = len(g.vertices) if L.is_acyclic(g) else bound
-            every = [p for p in L.paths_up_to(g, limit) if p.range == w]
+            every = [p for p in L.paths_up_to(g, len(g.vertices)) if p.range == w]
             every.sort(key=lambda p: (p.length, [g.edge_index(e) for e in p.edges]))
-            assert _paths_into(g, w, bound) == every[:bound], (g, w, bound)
-            if L.is_acyclic(g):
-                assert _paths_into(g, w) == every, (g, w)
-    t = L.toeplitz_graph()
-    assert [p.edges for p in _paths_into(t, "w", 4)] == [(), ("f",), ("e", "f"), ("e", "e", "f")]
+            assert _paths_into(g, w) == every, (g, w)
+            checked += 1
+    assert checked > 100
 
 
 @pytest.mark.parametrize("window", [1, 2, 7])
 def test_socle_module_elements_are_the_window_units(window):
     g = L.toeplitz_graph()
-    module = toeplitz._window_module(g, window)
+    d = L.recognize_toeplitz(g)
+    basis = sorted((p for p in L.paths_up_to(g, window) if p.range == "w"), key=lambda p: p.length)
     for i in range(window):
         for j in range(window):
             x = L.socle_module_element(g, i, j)
-            assert x == toeplitz._socle_module_element(module, i, j, L.QQ)
-            assert module.paths[i].length == i
+            assert x == toeplitz._socle_module_element(g, d, i, j, L.QQ)
+            assert x == Element.from_monomial(Monomial(basis[i], basis[j]))
+            rows = reference_window_rows(x, window)
+            assert [(a, b) for a, row in enumerate(rows) for b, c in row.items() if c] == [(i, j)]
     with pytest.raises(PreconditionError, match="nonnegative"):
         L.socle_module_element(g, -1, 0)

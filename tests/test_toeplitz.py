@@ -288,13 +288,13 @@ def test_sandwich_report():
 def test_sandwich_report_lists_wrong_units_like_the_matrix_check(monkeypatch, field):
     build = toeplitz._socle_module_element
 
-    def wrong(module, i, j, field):
+    def wrong(g, d, i, j, field):
         """A unit shifted one column, twice a unit, or zero, on every
         third (i, j) each; the right unit elsewhere."""
-        x = build(module, i, j, field)
+        x = build(g, d, i, j, field)
         k = (i * 5 + j) % 9
         if k == 0:
-            return build(module, i, j + 1, field)
+            return build(g, d, i, j + 1, field)
         if k == 3:
             return x + x
         if k == 6:
@@ -334,3 +334,17 @@ def test_window_too_small_names_the_least_outside_support_in_any_order():
     for x in (one, other):
         with pytest.raises(PreconditionError, match=r"^window 3 too small: support at \(7, 0\)"):
             L.rcfm_representation(x, 3)
+
+
+def test_a_wide_window_holds_its_entries_not_its_basis_paths():
+    """A window's cost follows its nonzero entries: v on 20,000 basis paths
+    is the 19,999 diagonal ones, and the unit E[19999][0] is one entry."""
+    g = L.toeplitz_graph()
+    N = 20_000
+    one = L.QQ.one()
+    v = L.rcfm_representation(Element.vertex(g, "v"), N)
+    assert v.matrix.row_dicts == ({},) + tuple({k: one} for k in range(1, N))
+    x = L.socle_module_element(g, N - 1, 0)
+    win = L.rcfm_representation(x, N)
+    assert [(i, j, c) for i, row in enumerate(win.matrix.row_dicts) for j, c in row.items()] == [
+        (N - 1, 0, one)]
