@@ -19,7 +19,7 @@ products agree with the window of the product.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, product
 
 from .algebra import Element, Monomial, basis_monomials_up_to
 from .errors import PreconditionError
@@ -316,27 +316,29 @@ def _rcfm_representation(x, d, window):
 
 
 def _window_cells(x, d, window):
-    """The nonzero entries {(row, column): scalar} of the N x N window of x,
-    from its cells and its runs; the runs on one diagonal, summed in order
-    of their first column, form a step function."""
+    """The nonzero entries {(row, column): scalar} of the N x N window of x.
+    A cell (a, b) is the run over column b alone and may lie on a longer one
+    (f f* is a normal form when the loop is designated), so each diagonal's
+    runs are summed in order of their first column, as a step function."""
     if window < 1:
         raise PreconditionError("window size must be positive")
     sink = d.subgraph.vertices[0]
-    cells, steps = {}, {}
+    ranks, steps = [], {}
     for m, c in x.terms.items():
         a, b = m.real.length, m.ghost.length
+        step = steps.setdefault(a - b, {})
         if m.real.range == sink:
-            cells[a, b] = c
-        else:
-            steps.setdefault(a - b, {})[b + 1] = c
+            ranks.append((a, b))
+            add_entry(step, b, c)
+            c = -c  # the cell's run stops after column b
+        add_entry(step, b + 1, c)
     # the least (a, b) outside the window is named, whatever the term order
-    outside = [ab for ab in cells if max(ab) >= window]
+    outside = [ab for ab in ranks if max(ab) >= window]
     if outside:
         raise PreconditionError(
             f"window {window} too small: support at {min(outside)} falls outside"
         )
-    # a normal-form cell has a = 0 or b = 0 (f f* rewrites), and a run starts
-    # below row 0 and right of column 0, so no entry is written twice
+    cells = {}
     for shift, step in steps.items():
         end = min(window, window - shift)  # columns k with k, k + shift < N
         starts = sorted(step)
@@ -379,8 +381,7 @@ def sandwich_report(g, degree_bound, window, field=QQ):
     """
     d = _canonical(g)
     monomials = basis_monomials_up_to(g, degree_bound)
-    socle_failures = []
-    finiteness_failures = []
+    socle_failures, finiteness_failures = [], []
     for m in monomials:
         x = Element.from_monomial(m, field)
         w = _rcfm_representation(x, d, window)
@@ -390,11 +391,10 @@ def sandwich_report(g, degree_bound, window, field=QQ):
             socle_failures.append(format_monomial(m))
     unit_failures = []
     one = field.one()
-    for i in range(window - 1):
-        for j in range(window - 1):
-            x = _socle_module_element(g, d, i, j, field)
-            if _window_cells(x, d, window) != {(i, j): one}:
-                unit_failures.append(f"E[{i}][{j}] != window({format_element(x)})")
+    for i, j in product(range(window - 1), repeat=2):
+        x = _socle_module_element(g, d, i, j, field)
+        if _window_cells(x, d, window) != {(i, j): one}:
+            unit_failures.append(f"E[{i}][{j}] != window({format_element(x)})")
     return {
         "window": window,
         "degree": degree_bound,

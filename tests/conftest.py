@@ -32,6 +32,13 @@ def toeplitz():
     return L.parse_graph(TOEPLITZ_DSL)
 
 
+def loop_designated_toeplitz():
+    """The canonical Toeplitz graph with f declared first: the loop e is the
+    designated edge at v, so f f* is a normal form, and its window cell
+    (1, 1) lies on the diagonal run of v."""
+    return Graph("T", ["v", "w"], [("f", "v", "w"), ("e", "v", "v")])
+
+
 @pytest.fixture
 def a2():
     return L.parse_graph(A2_DSL)

@@ -4,6 +4,8 @@ the Toeplitz window read off cells and diagonal runs.
 Both are checked against the separate reference actions in conftest.
 """
 
+from itertools import product
+
 import pytest
 
 import leavitt as L
@@ -13,6 +15,7 @@ from leavitt.semisimple import _paths_into
 
 from conftest import (
     corpus_graphs,
+    loop_designated_toeplitz,
     random_element,
     random_graph,
     raw_monomials,
@@ -64,22 +67,20 @@ def test_to_matrix_matches_the_sink_expansion():
 
 def test_window_matches_the_shift_rule():
     rng = seeded("path-module-window")
-    g = L.toeplitz_graph()
-    pool = L.basis_monomials_up_to(g, 6)
     outside = compared = 0
-    for window in range(-2, 31):
-        for field in FIELDS:
-            for _ in range(8):
-                x = random_element(g, rng, pool, size=3, field=field)
-                expected = _outcome(reference_window_rows, x, window)
-                got = _outcome(lambda: L.rcfm_representation(x, window).matrix)
-                if isinstance(expected, tuple):
-                    assert got == expected, (window, x)
-                    outside += "too small" in expected[1]
-                else:
-                    assert got == Matrix.from_row_dicts(expected, window, field), (window, x)
-                    compared += 1
-    assert outside > 20 and compared > 400
+    for g in (L.toeplitz_graph(), loop_designated_toeplitz()):
+        pool = L.basis_monomials_up_to(g, 6)
+        for window, field, _ in product(range(-2, 31), FIELDS, range(8)):
+            x = random_element(g, rng, pool, size=3, field=field)
+            expected = _outcome(reference_window_rows, x, window)
+            got = _outcome(lambda: L.rcfm_representation(x, window).matrix)
+            if isinstance(expected, tuple):
+                assert got == expected, (window, x)
+                outside += "too small" in expected[1]
+            else:
+                assert got == Matrix.from_row_dicts(expected, window, field), (window, x)
+                compared += 1
+    assert outside > 40 and compared > 800
 
 
 def _loop_monomial(g, a, b):
@@ -100,28 +101,40 @@ def _diagonal_sum(g, rng, field):
     return Element(g, field, raw), a - b, b + offsets[k] + 1
 
 
+def test_window_cells_add_to_the_runs_they_lie_on():
+    g = loop_designated_toeplitz()
+    d = L.recognize_toeplitz(g)
+    assert d.is_canonical
+    two, ff = L.QQ.from_int(2), Monomial(Path(g, "v", ("f",)), Path(g, "v", ("f",)))
+    x = Element.vertex(g, "v") + Element.from_monomial(ff)
+    assert ff in x.terms and toeplitz._window_cells(x, d, 4) == {(1, 1): two, (2, 2): 1, (3, 3): 1}
+    window = L.rcfm_representation(x, 4)
+    assert window.matrix == Matrix.from_row_dicts(reference_window_rows(x, 4), 4, L.QQ)
+    assert window.flags["row_finite_on_window"] and window.flags["col_finite_on_window"]
+    y = Element.vertex(g, "v") - Element.from_monomial(ff)
+    assert toeplitz._window_cells(y, d, 4) == {(2, 2): 1, (3, 3): 1}
+
+
 def test_window_cells_match_the_shift_rule():
     rng = seeded("window-cells")
-    g = L.toeplitz_graph()
-    d = L.recognize_toeplitz(g)
-    pool = L.basis_monomials_up_to(g, 10)
     outside = compared = cancelled = 0
-    for window in range(1, 31):
-        for field in FIELDS:
-            for _ in range(6):
-                runs, shift, zero_from = _diagonal_sum(g, rng, field)
-                x = runs + random_element(g, rng, pool, size=3, field=field)
-                expected = _outcome(reference_window_rows, x, window)
-                got = _outcome(toeplitz._window_cells, x, d, window)
-                if isinstance(expected, tuple):
-                    assert got == expected, (window, x)
-                    outside += "too small" in expected[1]
-                else:
-                    rows = enumerate(expected)
-                    assert got == {(i, j): c for i, row in rows for j, c in row.items() if c}, x
-                    compared += 1
-                    cancelled += zero_from < min(window, window - shift)
-    assert outside > 15 and compared > 250 and cancelled > 200
+    for g in (L.toeplitz_graph(), loop_designated_toeplitz()):
+        d = L.recognize_toeplitz(g)
+        pool = L.basis_monomials_up_to(g, 10)
+        for window, field, _ in product(range(1, 31), FIELDS, range(6)):
+            runs, shift, zero_from = _diagonal_sum(g, rng, field)
+            x = runs + random_element(g, rng, pool, size=3, field=field)
+            expected = _outcome(reference_window_rows, x, window)
+            got = _outcome(toeplitz._window_cells, x, d, window)
+            if isinstance(expected, tuple):
+                assert got == expected, (window, x)
+                outside += "too small" in expected[1]
+            else:
+                rows = enumerate(expected)
+                assert got == {(i, j): c for i, row in rows for j, c in row.items() if c}, x
+                compared += 1
+                cancelled += zero_from < min(window, window - shift)
+    assert outside > 30 and compared > 500 and cancelled > 400
 
 
 def test_paths_into_lists_the_first_paths_in_length_then_edge_order():

@@ -8,6 +8,7 @@ from leavitt import quotients, toeplitz
 from leavitt.toeplitz import bandwidth
 
 from conftest import (
+    loop_designated_toeplitz,
     random_element,
     random_graph,
     raw_monomials,
@@ -301,13 +302,13 @@ def test_sandwich_report_lists_wrong_units_like_the_matrix_check(monkeypatch, fi
             return x - x
         return x
 
-    g = L.toeplitz_graph()
     monkeypatch.setattr(toeplitz, "_socle_module_element", wrong)
-    expected = reference_sandwich_units(g, 9, field, wrong)
-    assert len(expected) == sum((i * 5 + j) % 9 in (0, 3, 6) for i in range(8) for j in range(8))
-    report = L.sandwich_report(g, 2, 9, field)
-    assert report["matrix_unit_failures"] == expected
-    assert not report["pass"]
+    for g in (L.toeplitz_graph(), loop_designated_toeplitz()):
+        expected = reference_sandwich_units(g, 9, field, wrong)
+        assert len(expected) == sum((i * 5 + j) % 9 in (0, 3, 6) for i in range(8) for j in range(8))
+        report = L.sandwich_report(g, 2, 9, field)
+        assert report["matrix_unit_failures"] == expected
+        assert not report["pass"]
 
 
 def test_sandwich_report_recognizes_the_graph_once(monkeypatch):
