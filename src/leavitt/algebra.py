@@ -148,11 +148,13 @@ def normalize_terms(graph, terms, chooser=None):
     """
     result = {}
     pending = list(terms)
+    designated = _designated_edges(graph)
     while pending:
         m, c = pending.pop() if chooser is None else pending.pop(chooser(pending))
         if not c:
             continue
-        if m.is_basis():
+        real, ghost = m.real.edges, m.ghost.edges  # the test of Monomial.is_basis
+        if not real or not ghost or real[-1] != ghost[-1] or real[-1] not in designated:
             acc = result.get(m)
             acc = c if acc is None else acc + c
             if acc:

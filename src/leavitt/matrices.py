@@ -1,9 +1,9 @@
 """Sparse exact matrices over a field, with the group-inverse machinery.
 
-A matrix stores each row as a dict {column: nonzero scalar}; zeros are
-never stored, so every operation costs per nonzero entry, not per cell.
-The matrix images used here (one block per sink of an acyclic graph, and
-windows onto the Toeplitz action) hold a handful of nonzeros per row.
+A matrix stores only its nonzero rows, as {row: {column: nonzero scalar}},
+so every operation, construction included, costs per nonzero entry, not
+per row or cell: the images used here (a block per sink of an acyclic
+graph, windows onto the Toeplitz action) hold a few nonzeros in few rows.
 
 Everything is elimination-based and exact: rank, rank factorization
 m = C R (C of full column rank, R of full row rank), and the group inverse
@@ -23,47 +23,58 @@ from .fields import QQ
 
 
 class Matrix:
-    """Immutable exact matrix: a tuple of row dicts {column: nonzero scalar}.
+    """Immutable exact matrix, stored as ``nonzero_rows`` {row: {column: nonzero}}.
 
-    ``Matrix(rows, field, ncols)`` takes dense rows (lists of scalars) and
-    drops their zeros; ``ncols`` matters only when there are no rows.
-    ``row_dicts`` is the stored form. ``rows`` is a read-only dense view,
-    built anew on every access, for printing and tests.
+    A row without a nonzero has no entry, so ``Matrix.zero(n, n)`` is an
+    empty map. ``Matrix(rows, field, ncols)`` (dense rows) and
+    ``from_row_dicts`` drop zeros and check indices; results are built by
+    ``_trusted`` from rows already free of zeros. ``row_dicts`` and ``rows``
+    are read-only dense views, built on each access, for printing and tests.
     """
 
-    __slots__ = ("row_dicts", "nrows", "ncols", "field")
+    __slots__ = ("nonzero_rows", "nrows", "ncols", "field")
 
     def __init__(self, rows, field=QQ, ncols=None):
         rows = [tuple(r) for r in rows]
         if any(len(r) != len(rows[0]) for r in rows):
             raise PreconditionError("ragged matrix")
-        self.row_dicts = tuple({j: a for j, a in enumerate(r) if a} for r in rows)
+        self.nonzero_rows = _nonzero(enumerate(dict(enumerate(r)) for r in rows))
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else ncols or 0
         self.field = field
 
     @classmethod
-    def from_row_dicts(cls, rows, ncols, field=QQ):
-        """The matrix with these {column < ncols: scalar} rows, zeros dropped."""
+    def _trusted(cls, rows, nrows, ncols, field):
+        """The matrix with these nonzero rows {row: {column: nonzero}}, not copied."""
         m = cls.__new__(cls)
-        m.row_dicts = tuple({j: a for j, a in r.items() if a} for r in rows)
-        m.nrows = len(m.row_dicts)
-        m.ncols = ncols
-        m.field = field
+        m.nonzero_rows, m.nrows, m.ncols, m.field = rows, nrows, ncols, field
         return m
 
     @classmethod
+    def from_row_dicts(cls, rows, ncols, field=QQ, nrows=None):
+        """The matrix with these {column: scalar} rows, zeros dropped: one dict
+        per row, or with ``nrows`` a map {row: dict} of some of the rows."""
+        nrows, rows = (len(rows), enumerate(rows)) if nrows is None else (nrows, rows.items())
+        out = _nonzero(rows)
+        if any(not 0 <= i < nrows or min(r) < 0 or max(r) >= ncols for i, r in out.items()):
+            raise PreconditionError(f"a nonzero entry lies outside the {nrows} x {ncols} matrix")
+        return cls._trusted(out, nrows, ncols, field)
+
+    @classmethod
     def zero(cls, nrows, ncols, field=QQ):
-        return cls.from_row_dicts([{}] * nrows, ncols, field)
+        return cls._trusted({}, nrows, ncols, field)
 
     @classmethod
     def identity(cls, n, field=QQ):
-        o = field.one()
-        return cls.from_row_dicts([{i: o} for i in range(n)], n, field)
+        return cls._trusted({i: {i: field.one()} for i in range(n)}, n, n, field)
 
     @classmethod
     def from_int_rows(cls, rows, field=QQ):
         return cls([[field.from_int(x) for x in r] for r in rows], field)
+
+    @property
+    def row_dicts(self):
+        return tuple(dict(self.nonzero_rows.get(i, ())) for i in range(self.nrows))
 
     @property
     def rows(self):
@@ -72,24 +83,27 @@ class Matrix:
 
     def __getitem__(self, ij):
         i, j = ij
+        if not 0 <= i < self.nrows:
+            raise IndexError("matrix row index out of range")
         if not 0 <= j < self.ncols:
             raise IndexError("matrix column index out of range")
-        return self.row_dicts[i].get(j, self.field.zero())
+        return self.nonzero_rows.get(i, {}).get(j, self.field.zero())
 
     def transpose(self):
-        cols = [{} for _ in range(self.ncols)]
-        for i, r in enumerate(self.row_dicts):
+        cols = {}
+        for i, r in self.nonzero_rows.items():
             for j, a in r.items():
-                cols[j][i] = a
-        return Matrix.from_row_dicts(cols, self.nrows, self.field)
+                cols.setdefault(j, {})[i] = a
+        return Matrix._trusted(cols, self.ncols, self.nrows, self.field)
 
     def __add__(self, other):
         self._match(other)
-        out = [dict(r) for r in self.row_dicts]
-        for row, rb in zip(out, other.row_dicts):
+        out = {i: dict(r) for i, r in self.nonzero_rows.items()}
+        for i, rb in other.nonzero_rows.items():
+            row = out.setdefault(i, {})
             for j, b in rb.items():
                 add_entry(row, j, b)
-        return Matrix.from_row_dicts(out, self.ncols, self.field)
+        return Matrix._trusted(_nonzero(out.items()), self.nrows, self.ncols, self.field)
 
     def __sub__(self, other):
         return self + -other
@@ -98,30 +112,29 @@ class Matrix:
         return self.scale(-self.field.one())
 
     def scale(self, scalar):
-        rows = [{j: a * scalar for j, a in r.items()} for r in self.row_dicts]
-        return Matrix.from_row_dicts(rows, self.ncols, self.field)
+        rows = {i: {j: a * scalar for j, a in r.items()} for i, r in self.nonzero_rows.items()}
+        return Matrix._trusted(rows if scalar else {}, self.nrows, self.ncols, self.field)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise PreconditionError(f"shape mismatch: {self.shape} * {other.shape}")
-        right = other.row_dicts
-        out = []
-        for r in self.row_dicts:
-            acc = {}
+        right = other.nonzero_rows
+        out = {}
+        for i, r in self.nonzero_rows.items():
+            acc = out[i] = {}
             for k, a in r.items():
-                for j, b in right[k].items():
+                for j, b in right.get(k, {}).items():
                     add_entry(acc, j, a * b)
-            out.append(acc)
-        return Matrix.from_row_dicts(out, other.ncols, self.field)
+        return Matrix._trusted(_nonzero(out.items()), self.nrows, other.ncols, self.field)
 
     @property
     def shape(self):
         return (self.nrows, self.ncols)
 
     def is_zero(self):
-        return not any(self.row_dicts)
+        return not self.nonzero_rows
 
     def _match(self, other):
         if self.shape != other.shape:
@@ -130,14 +143,12 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.shape == other.shape
-            and self.field == other.field
-            and self.row_dicts == other.row_dicts
-        )
+        same = self.shape == other.shape and self.field == other.field
+        return same and self.nonzero_rows == other.nonzero_rows
 
     def __hash__(self):
-        return hash((self.shape, tuple(frozenset(r.items()) for r in self.row_dicts)))
+        rows = self.nonzero_rows.items()
+        return hash((self.shape, frozenset((i, frozenset(r.items())) for i, r in rows)))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(a) for a in r) for r in self.rows)
@@ -153,15 +164,15 @@ class Matrix:
         row operation writes only into the pivot row's columns. The pivot
         of a column is the first row at or after ``lead`` that holds it.
         """
-        rows = [dict(r) for r in self.row_dicts]
-        where = {j: set(col) for j, col in enumerate(self.transpose().row_dicts) if col}
+        rows = {i: dict(r) for i, r in self.nonzero_rows.items()}
+        where = {j: set(col) for j, col in self.transpose().nonzero_rows.items()}
         pivots = []
         lead = 0
         for col in sorted(where):
             pivot_row = min((i for i in where[col] if i >= lead), default=None)
             if pivot_row is None:
                 continue
-            rows[lead], rows[pivot_row] = rows[pivot_row], rows[lead]
+            rows[lead], rows[pivot_row] = rows[pivot_row], rows.get(lead, {})
             for j in rows[lead].keys() ^ rows[pivot_row].keys():
                 where[j] ^= {lead, pivot_row}
             inv = self.field.one() / rows[lead][col]
@@ -181,40 +192,43 @@ class Matrix:
             lead += 1
             if lead == self.nrows:
                 break
-        return Matrix.from_row_dicts(rows, self.ncols, self.field), pivots
+        rows = {i: r for i, r in rows.items() if r}  # swaps and cancellations empty some
+        return Matrix._trusted(rows, self.nrows, self.ncols, self.field), pivots
 
     def rank(self):
         return len(self.rref()[1])
 
     def rank_factorization(self):
-        """C (nrows x r) and R (r x ncols) with self == C R."""
+        """C (nrows x r) and R (r x ncols) with self == C R; C's zero rows are self's."""
         reduced, pivots = self.rref()
         r = len(pivots)
         position = {j: k for k, j in enumerate(pivots)}
-        C = [{position[j]: a for j, a in row.items() if j in position} for row in self.row_dicts]
-        R = Matrix.from_row_dicts(reduced.row_dicts[:r], self.ncols, self.field)
-        return Matrix.from_row_dicts(C, r, self.field), R
+        C = {i: {position[j]: a for j, a in row.items() if j in position}
+             for i, row in self.nonzero_rows.items()}
+        R = Matrix._trusted(reduced.nonzero_rows, r, self.ncols, self.field)
+        return Matrix._trusted(C, self.nrows, r, self.field), R
 
     def inverse(self):
         if self.nrows != self.ncols:
             raise PreconditionError("only square matrices invert")
-        n = self.nrows
-        aug = [{**r, n + i: self.field.one()} for i, r in enumerate(self.row_dicts)]
-        reduced, pivots = Matrix.from_row_dicts(aug, 2 * n, self.field).rref()
+        n, one, rows = self.nrows, self.field.one(), self.nonzero_rows
+        aug = {i: {**rows.get(i, {}), n + i: one} for i in range(n)}
+        reduced, pivots = Matrix._trusted(aug, n, 2 * n, self.field).rref()
         if pivots != list(range(n)):
             raise NotGroupInvertible("matrix is singular")
-        inv = [{j - n: a for j, a in r.items() if j >= n} for r in reduced.row_dicts]
-        return Matrix.from_row_dicts(inv, n, self.field)
+        rows = reduced.nonzero_rows.items()
+        inv = {i: {j - n: a for j, a in r.items() if j >= n} for i, r in rows}
+        return Matrix._trusted(inv, n, n, self.field)
 
     def _corner(self):
         """(S, the S x S corner) for S the sorted rows and columns holding a nonzero."""
         if self.nrows != self.ncols:
             raise PreconditionError(f"only square matrices have a group inverse: {self.shape}")
-        rows = self.row_dicts
-        support = sorted({i for i, r in enumerate(rows) if r}.union(*rows))
+        rows = self.nonzero_rows
+        support = sorted(set(rows).union(*rows.values()))
         at = {k: n for n, k in enumerate(support)}
-        corner = [{at[j]: a for j, a in rows[i].items()} for i in support]
-        return support, Matrix.from_row_dicts(corner, len(support), self.field)
+        corner = {at[i]: {at[j]: a for j, a in r.items()} for i, r in rows.items()}
+        return support, Matrix._trusted(corner, len(support), len(support), self.field)
 
     def group_inverse(self):
         """The unique b with aba=a, bab=b, ab=ba; exists iff rank(m)=rank(m^2)."""
@@ -228,10 +242,9 @@ class Matrix:
             except NotGroupInvertible:
                 raise NotGroupInvertible("no group inverse: rank(m^2) < rank(m)") from None
             inv = C * core_inv * core_inv * R
-        out = [{}] * self.nrows
-        for i, row in zip(support, inv.row_dicts):
-            out[i] = {support[j]: a for j, a in row.items()}
-        return Matrix.from_row_dicts(out, self.ncols, self.field)
+        rows = inv.nonzero_rows.items()
+        out = {support[i]: {support[j]: a for j, a in r.items()} for i, r in rows}
+        return Matrix._trusted(out, self.nrows, self.ncols, self.field)
 
     def is_group_invertible(self):
         _, corner = self._corner()
@@ -244,6 +257,11 @@ def add_entry(row, j, c):
     row[j] = row[j] + c if j in row else c
 
 
+def _nonzero(rows):
+    """{row: {column: nonzero}} from (row, {column: scalar}) pairs: zeros and empty rows dropped."""
+    return {i: r for i, r in ((i, {j: a for j, a in r.items() if a}) for i, r in rows if r) if r}
+
+
 class BlockMatrix:
     """Element of a finite direct sum of matrix algebras, blockwise exact."""
 
@@ -251,10 +269,6 @@ class BlockMatrix:
 
     def __init__(self, blocks):
         self.blocks = tuple(blocks)
-
-    @classmethod
-    def zero(cls, sizes, field=QQ):
-        return cls(Matrix.zero(n, n, field) for n in sizes)
 
     @property
     def sizes(self):
@@ -269,8 +283,7 @@ class BlockMatrix:
         return BlockMatrix(a + b for a, b in zip(self.blocks, other.blocks))
 
     def __sub__(self, other):
-        self._match(other)
-        return BlockMatrix(a - b for a, b in zip(self.blocks, other.blocks))
+        return self + -other
 
     def __neg__(self):
         return BlockMatrix(-b for b in self.blocks)

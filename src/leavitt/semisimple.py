@@ -30,7 +30,7 @@ from .errors import (
 )
 from .fields import QQ
 from .graph import _memoised, _paths_ending_in, is_acyclic, is_acyclic_no_bifurcation
-from .matrices import BlockMatrix, Matrix
+from .matrices import BlockMatrix, Matrix, add_entry
 
 
 def reduced_expression(m):
@@ -178,28 +178,25 @@ class PathModule:
         return out
 
     def act(self, x):
-        """x as one list of row dicts {column: scalar} per block: entry
-        (i, j) is the coefficient of the i-th path in x times the j-th.
-        Sums that cancel are kept as zero entries."""
-        blocks = [[{} for _ in range(n)] for n in self.sizes]
+        """x as one Matrix per block: entry (i, j) is the coefficient of the
+        i-th path in x times the j-th. A row is made only when an entry lands
+        in it, and the constructor drops the sums that cancel."""
+        blocks = [{} for _ in self.sizes]
         block, shift = self._block, self.shift
         for m, c in x.terms.items():
             ghost = shift(m.ghost)
             for k, i in shift(m.real).items():
                 j = ghost.get(k)
                 if j is not None:
-                    row = blocks[block[k]][i]
-                    row[j] = row[j] + c if j in row else c
-        return blocks
+                    add_entry(blocks[block[k]].setdefault(i, {}), j, c)
+        return [Matrix.from_row_dicts(r, n, x.field, nrows=n) for r, n in zip(blocks, self.sizes)]
 
 
 def to_matrix(x, decomposition):
     """The block-matrix image of x; a linear and multiplicative bijection."""
     if x.graph != decomposition.graph:
         raise PreconditionError("element and decomposition disagree on the graph")
-    return BlockMatrix(
-        Matrix.from_row_dicts(rows, len(rows), x.field) for rows in decomposition._module.act(x)
-    )
+    return BlockMatrix(decomposition._module.act(x))
 
 
 def from_matrix(bm, decomposition, field=QQ):
@@ -208,13 +205,13 @@ def from_matrix(bm, decomposition, field=QQ):
         raise PreconditionError("block sizes disagree with the decomposition")
     if bm.blocks:
         field = bm.blocks[0].field
-    g = decomposition.graph
     raw = []
     for block, mat in zip(decomposition.blocks, bm.blocks):
-        for j, row in enumerate(mat.row_dicts):
-            for k in sorted(row):
-                raw.append((Monomial._trusted(block["paths"][j], block["paths"][k]), row[k]))
-    return Element(g, field, raw)
+        paths, rows = block["paths"], mat.nonzero_rows
+        for j in sorted(rows):  # rows and columns in order, so the raw terms keep their order
+            for k in sorted(rows[j]):
+                raw.append((Monomial._trusted(paths[j], paths[k]), rows[j][k]))
+    return Element(decomposition.graph, field, raw)
 
 
 def element_group_inverse(x, decomposition=None):

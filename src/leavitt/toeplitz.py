@@ -301,18 +301,18 @@ def rcfm_representation(x, window):
 
 def _rcfm_representation(x, d, window):
     cells = _window_cells(x, d, window)
-    rows = [{} for _ in range(window)]
+    rows = {}
     for (i, j), c in cells.items():
-        rows[i][j] = c
+        rows.setdefault(i, {})[j] = c
     validity = max(window - x.total_degree(), 0)
     terms = max(len(x.terms), 1)
     flags = {
         # nothing at or past the exact region's margin; shifts reach the border
         "finitely_supported": all(max(ij) < validity - 1 for ij in cells),
-        "row_finite_on_window": max(map(len, rows)) <= terms,
+        "row_finite_on_window": max(map(len, rows.values()), default=0) <= terms,
         "col_finite_on_window": max(Counter(j for _, j in cells).values(), default=0) <= terms,
     }
-    return MatrixWindow(Matrix.from_row_dicts(rows, window, x.field), validity, flags)
+    return MatrixWindow(Matrix.from_row_dicts(rows, window, x.field, nrows=window), validity, flags)
 
 
 def _window_cells(x, d, window):
@@ -351,7 +351,7 @@ def _window_cells(x, d, window):
 
 def bandwidth(window):
     """Largest |i - j| over nonzero entries; 0 for the zero window."""
-    rows = enumerate(window.matrix.row_dicts)
+    rows = window.matrix.nonzero_rows.items()
     return max((abs(i - j) for i, row in rows for j in row), default=0)
 
 

@@ -383,6 +383,229 @@ def dense_group_inverse(rows, field):
 
 
 # ---------------------------------------------------------------------------
+# All-rows reference Matrix: the storage that the nonzero-row Matrix
+# replaced, one dict per row in a tuple, every result rebuilt through
+# from_row_dicts. Verbatim but for its name and imports.
+
+
+class ReferenceMatrix:
+    """Immutable exact matrix: a tuple of row dicts {column: nonzero scalar}.
+
+    ``Matrix(rows, field, ncols)`` takes dense rows (lists of scalars) and
+    drops their zeros; ``ncols`` matters only when there are no rows.
+    ``row_dicts`` is the stored form. ``rows`` is a read-only dense view,
+    built anew on every access, for printing and tests.
+    """
+
+    __slots__ = ("row_dicts", "nrows", "ncols", "field")
+
+    def __init__(self, rows, field=L.QQ, ncols=None):
+        rows = [tuple(r) for r in rows]
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise L.PreconditionError("ragged matrix")
+        self.row_dicts = tuple({j: a for j, a in enumerate(r) if a} for r in rows)
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else ncols or 0
+        self.field = field
+
+    @classmethod
+    def from_row_dicts(cls, rows, ncols, field=L.QQ):
+        """The matrix with these {column < ncols: scalar} rows, zeros dropped."""
+        m = cls.__new__(cls)
+        m.row_dicts = tuple({j: a for j, a in r.items() if a} for r in rows)
+        m.nrows = len(m.row_dicts)
+        m.ncols = ncols
+        m.field = field
+        return m
+
+    @classmethod
+    def zero(cls, nrows, ncols, field=L.QQ):
+        return cls.from_row_dicts([{}] * nrows, ncols, field)
+
+    @classmethod
+    def identity(cls, n, field=L.QQ):
+        o = field.one()
+        return cls.from_row_dicts([{i: o} for i in range(n)], n, field)
+
+    @classmethod
+    def from_int_rows(cls, rows, field=L.QQ):
+        return cls([[field.from_int(x) for x in r] for r in rows], field)
+
+    @property
+    def rows(self):
+        z = self.field.zero()
+        return tuple(tuple(r.get(j, z) for j in range(self.ncols)) for r in self.row_dicts)
+
+    def __getitem__(self, ij):
+        i, j = ij
+        if not 0 <= j < self.ncols:
+            raise IndexError("matrix column index out of range")
+        return self.row_dicts[i].get(j, self.field.zero())
+
+    def transpose(self):
+        cols = [{} for _ in range(self.ncols)]
+        for i, r in enumerate(self.row_dicts):
+            for j, a in r.items():
+                cols[j][i] = a
+        return ReferenceMatrix.from_row_dicts(cols, self.nrows, self.field)
+
+    def __add__(self, other):
+        self._match(other)
+        out = [dict(r) for r in self.row_dicts]
+        for row, rb in zip(out, other.row_dicts):
+            for j, b in rb.items():
+                _add(row, j, b)
+        return ReferenceMatrix.from_row_dicts(out, self.ncols, self.field)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self.scale(-self.field.one())
+
+    def scale(self, scalar):
+        rows = [{j: a * scalar for j, a in r.items()} for r in self.row_dicts]
+        return ReferenceMatrix.from_row_dicts(rows, self.ncols, self.field)
+
+    def __mul__(self, other):
+        if not isinstance(other, ReferenceMatrix):
+            return NotImplemented
+        if self.ncols != other.nrows:
+            raise L.PreconditionError(f"shape mismatch: {self.shape} * {other.shape}")
+        right = other.row_dicts
+        out = []
+        for r in self.row_dicts:
+            acc = {}
+            for k, a in r.items():
+                for j, b in right[k].items():
+                    _add(acc, j, a * b)
+            out.append(acc)
+        return ReferenceMatrix.from_row_dicts(out, other.ncols, self.field)
+
+    @property
+    def shape(self):
+        return (self.nrows, self.ncols)
+
+    def is_zero(self):
+        return not any(self.row_dicts)
+
+    def _match(self, other):
+        if self.shape != other.shape:
+            raise L.PreconditionError(f"shape mismatch: {self.shape} vs {other.shape}")
+
+    def __eq__(self, other):
+        if not isinstance(other, ReferenceMatrix):
+            return NotImplemented
+        return (
+            self.shape == other.shape
+            and self.field == other.field
+            and self.row_dicts == other.row_dicts
+        )
+
+    def __hash__(self):
+        return hash((self.shape, tuple(frozenset(r.items()) for r in self.row_dicts)))
+
+    def __repr__(self):
+        body = "; ".join(" ".join(str(a) for a in r) for r in self.rows)
+        return f"Matrix[{body}]"
+
+    # -- elimination -----------------------------------------------------
+
+    def rref(self):
+        """(reduced row echelon form, pivot column list).
+
+        Gauss-Jordan over the nonzeros; ``where[j]`` is the set of rows with
+        a nonzero in column j. A column with none never gains one, since a
+        row operation writes only into the pivot row's columns. The pivot
+        of a column is the first row at or after ``lead`` that holds it.
+        """
+        rows = [dict(r) for r in self.row_dicts]
+        where = {j: set(col) for j, col in enumerate(self.transpose().row_dicts) if col}
+        pivots = []
+        lead = 0
+        for col in sorted(where):
+            pivot_row = min((i for i in where[col] if i >= lead), default=None)
+            if pivot_row is None:
+                continue
+            rows[lead], rows[pivot_row] = rows[pivot_row], rows[lead]
+            for j in rows[lead].keys() ^ rows[pivot_row].keys():
+                where[j] ^= {lead, pivot_row}
+            inv = self.field.one() / rows[lead][col]
+            prow = rows[lead] = {j: a * inv for j, a in rows[lead].items()}
+            for i in where[col] - {lead}:
+                row = rows[i]
+                factor = row[col]
+                for j, b in prow.items():
+                    a = row[j] - factor * b if j in row else -factor * b
+                    if a:
+                        row[j] = a
+                        where[j].add(i)
+                    else:
+                        del row[j]
+                        where[j].discard(i)
+            pivots.append(col)
+            lead += 1
+            if lead == self.nrows:
+                break
+        return ReferenceMatrix.from_row_dicts(rows, self.ncols, self.field), pivots
+
+    def rank(self):
+        return len(self.rref()[1])
+
+    def rank_factorization(self):
+        """C (nrows x r) and R (r x ncols) with self == C R."""
+        reduced, pivots = self.rref()
+        r = len(pivots)
+        position = {j: k for k, j in enumerate(pivots)}
+        C = [{position[j]: a for j, a in row.items() if j in position} for row in self.row_dicts]
+        R = ReferenceMatrix.from_row_dicts(reduced.row_dicts[:r], self.ncols, self.field)
+        return ReferenceMatrix.from_row_dicts(C, r, self.field), R
+
+    def inverse(self):
+        if self.nrows != self.ncols:
+            raise L.PreconditionError("only square matrices invert")
+        n = self.nrows
+        aug = [{**r, n + i: self.field.one()} for i, r in enumerate(self.row_dicts)]
+        reduced, pivots = ReferenceMatrix.from_row_dicts(aug, 2 * n, self.field).rref()
+        if pivots != list(range(n)):
+            raise L.NotGroupInvertible("matrix is singular")
+        inv = [{j - n: a for j, a in r.items() if j >= n} for r in reduced.row_dicts]
+        return ReferenceMatrix.from_row_dicts(inv, n, self.field)
+
+    def _corner(self):
+        """(S, the S x S corner) for S the sorted rows and columns holding a nonzero."""
+        if self.nrows != self.ncols:
+            raise L.PreconditionError(f"only square matrices have a group inverse: {self.shape}")
+        rows = self.row_dicts
+        support = sorted({i for i, r in enumerate(rows) if r}.union(*rows))
+        at = {k: n for n, k in enumerate(support)}
+        corner = [{at[j]: a for j, a in rows[i].items()} for i in support]
+        return support, ReferenceMatrix.from_row_dicts(corner, len(support), self.field)
+
+    def group_inverse(self):
+        """The unique b with aba=a, bab=b, ab=ba; exists iff rank(m)=rank(m^2)."""
+        support, corner = self._corner()  # b is zero outside it
+        try:
+            inv = corner.inverse()  # full rank: R = I and C = corner
+        except L.NotGroupInvertible:
+            C, R = corner.rank_factorization()
+            try:
+                core_inv = (R * C).inverse()
+            except L.NotGroupInvertible:
+                raise L.NotGroupInvertible("no group inverse: rank(m^2) < rank(m)") from None
+            inv = C * core_inv * core_inv * R
+        out = [{}] * self.nrows
+        for i, row in zip(support, inv.row_dicts):
+            out[i] = {support[j]: a for j, a in row.items()}
+        return ReferenceMatrix.from_row_dicts(out, self.ncols, self.field)
+
+    def is_group_invertible(self):
+        _, corner = self._corner()
+        C, R = corner.rank_factorization()
+        return R.nrows == corner.nrows or (R * C).rank() == R.nrows
+
+
+# ---------------------------------------------------------------------------
 # The whole-matrix group inverse that the support-corner one replaced:
 # the rank-factorization formula on the full block, whatever its rank.
 

@@ -1,12 +1,14 @@
 """Exact matrix arithmetic: elimination, rank factorization, group inverses."""
 
 import pytest
+from collections import Counter
 from fractions import Fraction
 
 import leavitt as L
 from leavitt.matrices import BlockMatrix, Matrix
 
 from conftest import (
+    ReferenceMatrix,
     dense_group_inverse,
     dense_inverse,
     dense_mul,
@@ -338,3 +340,123 @@ def test_support_corner_reaches_indices_outside_the_nonzero_rows():
     with pytest.raises(L.NotGroupInvertible, match="block 1 has no group inverse"):
         BlockMatrix([Matrix.identity(1), tall]).group_inverse()
     assert Matrix.zero(4, 4).group_inverse() == Matrix.zero(4, 4)
+
+
+# -- the nonzero-row storage against the all-rows reference ----------------------
+
+
+def _outcome(f, *args):
+    """Either kernel's answer in one comparable form: each matrix of the
+    result as (shape, dense rows), other parts as they are, or an error as
+    (type, message)."""
+    try:
+        out = f(*args)
+    except L.LeavittError as exc:
+        return (type(exc), str(exc))
+    parts = out if isinstance(out, tuple) else (out,)
+    for p in parts:  # the new kernel stores no zero and no empty row
+        if isinstance(p, Matrix):
+            stored = p.nonzero_rows.items()
+            assert all(0 <= i < p.nrows and r and all(r.values()) for i, r in stored), p
+    return tuple((p.shape, p.rows) if hasattr(p, "rows") else p for p in parts)
+
+
+def sparse_sample(rng, nrows, ncols, field):
+    """Random {column: scalar} rows: most rows empty, some zeros stored."""
+    rows = [{} for _ in range(nrows)]
+    for _ in range(rng.randint(0, 2 * max(nrows, ncols))):
+        if ncols:
+            rows[rng.randrange(nrows)][rng.randrange(ncols)] = field.from_int(rng.randint(-2, 2))
+    return rows
+
+
+@pytest.mark.parametrize("field", [L.QQ, L.GF(7)], ids=repr)
+def test_nonzero_rows_match_the_all_rows_reference(field):
+    rng = seeded(f"nonzero-rows:{field!r}")
+    ops = {
+        "rref": lambda m: m.rref(),
+        "rank_factorization": lambda m: m.rank_factorization(),
+        "inverse": lambda m: m.inverse(),
+        "group_inverse": lambda m: m.group_inverse(),
+        "support corner": lambda m: m._corner(),
+        "is_group_invertible": lambda m: m.is_group_invertible(),
+        "transpose": lambda m: m.transpose(),
+        "neg": lambda m: -m,
+        "scale": lambda m: m.scale(m.field.from_int(3)),
+        "scale by zero": lambda m: m.scale(m.field.zero()),
+    }
+    samples = [([], 0, 0)]  # 0 x 0
+    for kind in SUPPORT_KINDS:  # square: zero (empty corner), nilpotent, full rank, ...
+        for _ in range(12):
+            n = rng.randint(1, 9)
+            samples.append((list(support_sample(rng, kind, n, field).row_dicts), n, n))
+    for _ in range(60):  # rectangular, with zero rows and stored zeros
+        r, c = rng.randint(1, 8), rng.randint(0, 8)
+        samples.append((sparse_sample(rng, r, c, field), r, c))
+    worked = Counter()
+    for rows, nrows, ncols in samples:
+        new = Matrix.from_row_dicts(rows, ncols, field)
+        ref = ReferenceMatrix.from_row_dicts(rows, ncols, field)
+        assert (new.shape, new.rows, new.row_dicts) == (ref.shape, ref.rows, ref.row_dicts)
+        assert new.is_zero() == ref.is_zero() and new.rank() == ref.rank()
+        for name, op in ops.items():
+            got = _outcome(op, new)
+            assert got == _outcome(op, ref), (name, rows, ncols)
+            worked[name] += not isinstance(got[0], type)  # not an error
+        # products and sums against a second random matrix of a fitting shape
+        k = rng.randint(0, 7)
+        other = sparse_sample(rng, ncols, k, field) if ncols else []
+        twin = sparse_sample(rng, nrows, ncols, field)
+        assert _outcome(lambda a, b: a * b, new, Matrix.from_row_dicts(other, k, field)) == \
+            _outcome(lambda a, b: a * b, ref, ReferenceMatrix.from_row_dicts(other, k, field))
+        for b_rows in (twin, [dict(r) for r in rows], [{j: -a for j, a in r.items()} for r in rows]):
+            b_new = Matrix.from_row_dicts(b_rows, ncols, field)
+            b_ref = ReferenceMatrix.from_row_dicts(b_rows, ncols, field)
+            assert _outcome(lambda a, b: a + b, new, b_new) == _outcome(lambda a, b: a + b, ref, b_ref)
+            assert (new == b_new) == (ref == b_ref)
+            if new == b_new:
+                assert hash(new) == hash(b_new)
+    # inverses and group inverses both found and refused, over every shape
+    assert worked["inverse"] > 20 and worked["group_inverse"] > 50
+    assert len(samples) - worked["group_inverse"] > 50
+
+
+def test_from_row_dicts_rejects_entries_outside_the_shape():
+    with pytest.raises(L.PreconditionError, match="outside the 2 x 2 matrix"):
+        Matrix.from_row_dicts([{0: 1}, {7: 1}], 2)
+    with pytest.raises(L.PreconditionError):
+        Matrix.from_row_dicts([{-1: 1}], 2)
+    with pytest.raises(L.PreconditionError):
+        Matrix.from_row_dicts({2: {0: 1}}, 2, nrows=2)
+    # a zero is no entry, wherever it is written
+    assert Matrix.from_row_dicts([{0: 1}, {7: 0}], 2) == M([[1, 0], [0, 0]])
+    assert Matrix.from_row_dicts({1: {0: 3}}, 2, nrows=2) == M([[0, 0], [3, 0]])
+
+
+def test_getitem_checks_the_row_index_like_the_column_index():
+    m = M([[1, 2], [3, 4]])
+    assert [m[i, j] for i in range(2) for j in range(2)] == [1, 2, 3, 4]
+    assert Matrix.zero(2, 2)[1, 1] == 0
+    for i, j, what in ((-1, 0, "row"), (5, 0, "row"), (2, 0, "row"), (0, -1, "column"),
+                       (0, 2, "column")):
+        with pytest.raises(IndexError, match=f"matrix {what} index out of range"):
+            m[i, j]
+
+
+def test_group_inverse_of_a_huge_sparse_matrix_costs_per_nonzero():
+    # 2 E_01 + 3 E_10 + 5 E_nn in order 10^6: the support corner is 3 x 3
+    # and invertible, so the group inverse is its inverse placed back.
+    import time
+
+    n = 10**6
+    m = Matrix.from_row_dicts({0: {1: 2}, 1: {0: 3}, n - 1: {n - 1: 5}}, n, nrows=n)
+    start = time.perf_counter()
+    b = m.group_inverse()
+    took = time.perf_counter() - start
+    third, half, fifth = Fraction(1, 3), Fraction(1, 2), Fraction(1, 5)
+    assert b.nonzero_rows == {0: {1: third}, 1: {0: half}, n - 1: {n - 1: fifth}}
+    # compared by their stored rows: a failing == would print the dense views
+    assert b.shape == (n, n) and (m * b * m).nonzero_rows == m.nonzero_rows
+    assert (m * b).nonzero_rows == (b * m).nonzero_rows
+    assert Matrix.zero(n, n).nonzero_rows == {}
+    assert took < 0.25, took
