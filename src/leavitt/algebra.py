@@ -23,7 +23,11 @@ this with randomized strategies). When f is the only edge out of s(f) the
 sum is empty, so a run of such common last edges is stripped in one step.
 
 Elements are immutable and always kept in normal form; equality of elements
-is equality of their normal forms.
+is equality of their normal forms. An element stores its normal form as
+{key: coefficient}, a key being the flat tuple (real source, real edges,
+ghost source, ghost edges), so parsing, products, sums and printing build no
+Path or Monomial. Its ``terms``, the same form keyed by Monomial, is built
+on first read and kept.
 """
 
 from __future__ import annotations
@@ -105,121 +109,124 @@ class Monomial:
         return f"Monomial({self.real!r}, {self.ghost!r})"
 
 
-def _reduce_once(m, coeff):
-    """One application of the rewrite rule to a non-basis monomial.
+def _key(m):
+    """A monomial's stored key: (real source, real edges, ghost source, ghost edges)."""
+    return (m.real.source, m.real.edges, m.ghost.source, m.ghost.edges)
 
-    Returns (shorter_term, irreducible_terms): the shorter descendant may
-    need further rewriting, the siblings end in a non-designated edge and
-    are basis monomials already. An edge that is the only one out of its
-    source has no siblings, so a run of such common last edges is stripped
-    in one cut.
-    """
-    g = m.graph
-    real, ghost = m.real, m.ghost
-    f = g.edges[g._eindex[real.edges[-1]]]
-    exits, at, k = g._out[f.src], f.src, 1
+
+def _monomial(g, key):
+    """The Monomial of a stored key; both parts end at r(p)."""
+    source, real, ghost_source, ghost = key
+    at = g.edges[g._eindex[real[-1]]].dst if real else source
+    real, ghost = Path._trusted(g, source, real, at), Path._trusted(g, ghost_source, ghost, at)
+    return Monomial._trusted(real, ghost)
+
+
+def _reduce_once(g, key):
+    """One application of the rewrite rule to a non-basis key: (shorter,
+    siblings). The shorter descendant keeps the coefficient and may need
+    further rewriting; the siblings negate it and end in a non-designated
+    edge, so they are basis keys. An edge that is the only one out of its
+    source has no siblings, so a run of such common last edges is one cut."""
+    source, real, ghost_source, ghost = key
+    edges, eindex, out = g.edges, g._eindex, g._out
+    f = edges[eindex[real[-1]]]
+    exits, k = out[f.src], 1
     if len(exits) == 1:
-        n = min(real.length, ghost.length)
-        while k < n and real.edges[-1 - k] == ghost.edges[-1 - k]:
-            src = g.edges[g._eindex[real.edges[-1 - k]]].src
-            if len(g._out[src]) != 1:
+        n = min(len(real), len(ghost))
+        while k < n and real[-1 - k] == ghost[-1 - k]:
+            if len(out[edges[eindex[real[-1 - k]]].src]) != 1:
                 break
-            at, k = src, k + 1
-
-    def cut(tail, end):
-        return Monomial._trusted(
-            Path._trusted(g, real.source, real.edges[:-k] + tail, end),
-            Path._trusted(g, ghost.source, ghost.edges[:-k] + tail, end),
-        )
-
-    siblings = [(cut((e.name,), e.dst), -coeff) for e in exits if e != f]
-    return (cut((), at), coeff), siblings
+            k += 1
+    p, q = real[:-k], ghost[:-k]
+    siblings = [(source, p + (e.name,), ghost_source, q + (e.name,)) for e in exits if e != f]
+    return (source, p, ghost_source, q), siblings
 
 
-def normalize_terms(graph, terms, chooser=None):
-    """Rewrite a raw term list to the canonical basis-monomial combination.
-
-    ``terms`` is an iterable of (Monomial, coefficient). ``chooser`` picks
-    which pending term to rewrite next (given the current list); the
-    default works the list as a stack, last in first out, which keeps it as
-    short as a depth-first walk of the rewrite tree. Any chooser yields the
-    same result -- the confluence tests exercise this with randomized
-    choosers.
-    """
+def _normal_form(g, pending, chooser=None):
+    """The normal form {key: coefficient} of a raw list of (key, coefficient),
+    which it consumes. ``chooser(pending)`` picks the next term to rewrite; by
+    default the list is a stack, as short as a depth-first walk of the rewrite
+    tree. Any chooser yields the same result (the confluence tests check it)."""
     result = {}
-    pending = list(terms)
-    designated = _designated_edges(graph)
+    designated = _designated_edges(g)
     while pending:
-        m, c = pending.pop() if chooser is None else pending.pop(chooser(pending))
+        key, c = pending.pop() if chooser is None else pending.pop(chooser(pending))
         if not c:
             continue
-        real, ghost = m.real.edges, m.ghost.edges  # the test of Monomial.is_basis
-        if not real or not ghost or real[-1] != ghost[-1] or real[-1] not in designated:
-            acc = result.get(m)
+        real, ghost = key[1], key[3]
+        if real and ghost and real[-1] == ghost[-1] and real[-1] in designated:
+            shorter, siblings = _reduce_once(g, key)
+            pending.append((shorter, c))
+            basis, c = reversed(siblings), -c  # in the order a stack would pop them
+        else:
+            basis = (key,)
+        for k in basis:
+            acc = result.get(k)
             acc = c if acc is None else acc + c
             if acc:
-                result[m] = acc
+                result[k] = acc
             else:
-                del result[m]
-        else:
-            shorter, siblings = _reduce_once(m, c)
-            pending.append(shorter)
-            pending.extend(siblings)
+                del result[k]
     return result
 
 
-def _monomial_product(a, b):
-    """(p q*)(r s*) as a list of at most one raw term.
-
-    Nonzero only when one of q, r is a prefix of the other; the Cuntz-Krieger
-    relation (3) cancels the overlap.
-    """
-    q, r = a.ghost, b.real
-    n = min(len(q.edges), len(r.edges))
-    if q.source != r.source or q.edges[:n] != r.edges[:n]:
-        return []
-    if n == len(q.edges):  # r = q t: the product is (p t) s*
-        p = a.real
-        pt = Path._trusted(p.graph, p.source, p.edges + r.edges[n:], r.range)
-        return [Monomial._trusted(pt, b.ghost)]
-    s = b.ghost  # q = r t: the product is p (s t)*
-    st = Path._trusted(s.graph, s.source, s.edges + q.edges[n:], q.range)
-    return [Monomial._trusted(a.real, st)]
+def normalize_terms(graph, terms, chooser=None):
+    """Rewrite (Monomial, coefficient) terms to the canonical {Monomial:
+    coefficient} combination; ``chooser`` as in ``_normal_form``."""
+    flat = _normal_form(graph, [(_key(m), c) for m, c in terms], chooser)
+    return {_monomial(graph, k): c for k, c in flat.items()}
 
 
 class Element:
-    """Normal-form element of L_K(E) over an exact field."""
+    """Normal-form element of L_K(E) over an exact field: the normal form of
+    (Monomial, coefficient) pairs, or of a dict of them, which ``_normal``
+    vouches to be one already."""
 
-    __slots__ = ("graph", "field", "terms")
+    __slots__ = ("graph", "field", "_flat", "_terms")
 
     def __init__(self, graph, field, raw_terms, _normal=False):
-        self.graph = graph
-        self.field = field
-        if _normal:
-            self.terms = dict(raw_terms)
-        else:
-            if isinstance(raw_terms, dict):
-                raw_terms = raw_terms.items()
-            self.terms = normalize_terms(graph, raw_terms)
+        terms = raw_terms.items() if isinstance(raw_terms, dict) else raw_terms
+        raw = [(_key(m), c) for m, c in terms]
+        self.graph, self.field, self._terms = graph, field, None
+        self._flat = dict(raw) if _normal else _normal_form(graph, raw)
+
+    @classmethod
+    def _of(cls, graph, field, flat):
+        """The element whose stored normal form is ``flat``, taken as is."""
+        x = object.__new__(cls)
+        x.graph, x.field, x._flat, x._terms = graph, field, flat, None
+        return x
+
+    @classmethod
+    def _from_raw(cls, graph, field, raw):
+        """The normal form of a raw list of (key, coefficient)."""
+        return cls._of(graph, field, _normal_form(graph, raw))
+
+    @property
+    def terms(self):
+        """{Monomial: coefficient}, built from the stored form on first read."""
+        if self._terms is None:
+            self._terms = {_monomial(self.graph, k): c for k, c in self._flat.items()}
+        return self._terms
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def zero(cls, graph, field=QQ):
-        return cls(graph, field, {}, _normal=True)
+        return cls._of(graph, field, {})
 
     # Vertices, paths and sums of distinct vertices are normal forms already.
 
     @classmethod
     def vertex(cls, graph, v, field=QQ):
-        t = Path.trivial(graph, v)
-        return cls(graph, field, {Monomial._trusted(t, t): field.one()}, _normal=True)
+        graph.vertex_index(v)
+        return cls._of(graph, field, {(v, (), v, ()): field.one()})
 
     @classmethod
     def edge(cls, graph, name, field=QQ):
         e = graph.edge(name)
-        p, t = Path._trusted(graph, e.src, (name,), e.dst), Path._trusted(graph, e.dst, (), e.dst)
-        return cls(graph, field, {Monomial._trusted(p, t): field.one()}, _normal=True)
+        return cls._of(graph, field, {(e.src, (name,), e.dst, ()): field.one()})
 
     @classmethod
     def ghost_edge(cls, graph, name, field=QQ):
@@ -227,47 +234,44 @@ class Element:
 
     @classmethod
     def from_path(cls, path, field=QQ):
-        t = Path.trivial(path.graph, path.range)
-        return cls(path.graph, field, {Monomial(path, t): field.one()}, _normal=True)
+        return cls._of(path.graph, field, {(path.source, path.edges, path.range, ()): field.one()})
 
     @classmethod
     def from_monomial(cls, monomial, field=QQ, coeff=None):
         c = field.one() if coeff is None else coeff
-        return cls(monomial.graph, field, [(monomial, c)])
+        return cls._from_raw(monomial.graph, field, [(_key(monomial), c)])
 
     @classmethod
     def identity(cls, graph, field=QQ):
         """Sum of all vertex idempotents (the unit when E0 is finite)."""
-        ts = (Path.trivial(graph, v) for v in graph.vertices)
-        return cls(graph, field, {Monomial._trusted(t, t): field.one() for t in ts}, _normal=True)
+        one = field.one()
+        return cls._of(graph, field, {(v, (), v, ()): one for v in graph.vertices})
 
     # -- structure -------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: item[0].sort_key())
+        return not self._flat
 
     def monomials(self):
-        return [m for m, _ in self.sorted_terms()]
+        return sorted(self.terms, key=Monomial.sort_key)
 
     def coefficient(self, monomial):
-        return self.terms.get(monomial, self.field.zero())
+        zero = self.field.zero()
+        return self._flat.get(_key(monomial), zero) if monomial.graph == self.graph else zero
 
     def support_size(self):
-        return len(self.terms)
+        return len(self._flat)
 
     def real_degree(self):
         """Maximal real path length across the normal form (0 for zero)."""
-        return max((m.real.length for m in self.terms), default=0)
+        return max((len(k[1]) for k in self._flat), default=0)
 
     def ghost_degree(self):
         """Maximal ghost path length across the normal form (0 for zero)."""
-        return max((m.ghost.length for m in self.terms), default=0)
+        return max((len(k[3]) for k in self._flat), default=0)
 
     def total_degree(self):
-        return max((m.total_length for m in self.terms), default=0)
+        return max((len(k[1]) + len(k[3]) for k in self._flat), default=0)
 
     def _check_compatible(self, other):
         if not isinstance(other, Element):
@@ -281,20 +285,12 @@ class Element:
 
     def __add__(self, other):
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = terms.get(m)
-            acc = c if acc is None else acc + c
-            if acc:
-                terms[m] = acc
-            else:
-                terms.pop(m, None)
-        return Element(self.graph, self.field, terms, _normal=True)
+        # the stack pops self's terms first, in order, then other's
+        raw = [*reversed(other._flat.items()), *reversed(self._flat.items())]
+        return Element._from_raw(self.graph, self.field, raw)
 
     def __neg__(self):
-        return Element(
-            self.graph, self.field, {m: -c for m, c in self.terms.items()}, _normal=True
-        )
+        return Element._of(self.graph, self.field, {k: -c for k, c in self._flat.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -302,9 +298,7 @@ class Element:
     def scale(self, scalar):
         if not scalar:
             return Element.zero(self.graph, self.field)
-        return Element(
-            self.graph, self.field, {m: c * scalar for m, c in self.terms.items()}, _normal=True
-        )
+        return Element._of(self.graph, self.field, {k: c * scalar for k, c in self._flat.items()})
 
     def __rmul__(self, scalar):
         if isinstance(scalar, Element):
@@ -312,24 +306,35 @@ class Element:
         return self.scale(self.field.from_int(scalar) if isinstance(scalar, int) else scalar)
 
     def __mul__(self, other):
+        """(p q*)(r s*) is nonzero only when one of q, r is a prefix of the
+        other; relation (3) cancels the overlap. The right factor's terms are
+        indexed by s(r), and coefficients multiply and rewrite as integers
+        over the factors' common denominators (``field.scaled``)."""
         if isinstance(other, int):
             return self.scale(self.field.from_int(other))
         self._check_compatible(other)
+        left, d_left = self.field.scaled(self._flat.values())
+        right, d_right = self.field.scaled(other._flat.values())
+        by_source = {}
+        for (source, real, ghost_source, ghost), n in zip(other._flat, right):
+            by_source.setdefault(source, []).append((real, len(real), ghost_source, ghost, n))
         raw = []
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                for m in _monomial_product(ma, mb):
-                    raw.append((m, ca * cb))
-        return Element(self.graph, self.field, raw)
+        for (source, p, ghost_source, q), n in zip(self._flat, left):
+            k = len(q)
+            for r, j, s_source, s, m in by_source.get(ghost_source, ()):
+                if k <= j:
+                    if r[:k] == q:  # r = q t: the product is (p t) s*
+                        raw.append(((source, p + r[k:], s_source, s), n * m))
+                elif q[:j] == r:  # q = r t: the product is p (s t)*
+                    raw.append(((source, p, s_source, s + q[j:]), n * m))
+        d, flat = d_left * d_right, _normal_form(self.graph, raw)
+        flat = {k: c for k, n in flat.items() if (c := self.field.from_fraction(n, d))}
+        return Element._of(self.graph, self.field, flat)
 
     def star(self):
         """The involution p q* -> q p*, extended linearly."""
-        return Element(
-            self.graph,
-            self.field,
-            {m.star(): c for m, c in self.terms.items()},
-            _normal=True,
-        )
+        flat = {(gs, ge, rs, re): c for (rs, re, gs, ge), c in self._flat.items()}
+        return Element._of(self.graph, self.field, flat)
 
     def __eq__(self, other):
         if not isinstance(other, Element):
@@ -337,7 +342,7 @@ class Element:
         return (
             self.graph == other.graph
             and self.field == other.field
-            and self.terms == other.terms
+            and self._flat == other._flat
         )
 
     __hash__ = None
@@ -355,12 +360,9 @@ class Element:
 def homogeneous_components(x):
     """Split by Z-degree l(p) - l(q); the parts sum back to x."""
     parts = {}
-    for m, c in x.terms.items():
-        parts.setdefault(m.degree, {})[m] = c
-    return {
-        n: Element(x.graph, x.field, terms, _normal=True)
-        for n, terms in sorted(parts.items())
-    }
+    for k, c in x._flat.items():
+        parts.setdefault(len(k[1]) - len(k[3]), {})[k] = c
+    return {n: Element._of(x.graph, x.field, flat) for n, flat in sorted(parts.items())}
 
 
 def is_in_path_algebra(x):
@@ -370,7 +372,7 @@ def is_in_path_algebra(x):
     removes every eliminable ghost (e.g. the full sum ee* collapses to its
     vertex), so an element lies in KE exactly when no ghost survives.
     """
-    return all(m.is_pure_path for m in x.terms)
+    return not any(k[3] for k in x._flat)
 
 
 def paths_up_to(g, length):

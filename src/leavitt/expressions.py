@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import re
 
-from .algebra import Element, Monomial
+from .algebra import Element, _key
 from .errors import ExpressionSyntaxError, UnknownIdentifier
 from .fields import QQ
-from .graph import Path
 
 # Each nesting level costs three stack frames (expr, term, factor), so this
 # bound keeps the deepest parse far below the interpreter's recursion limit
@@ -76,12 +75,14 @@ class _Parser:
         return raw
 
     def term(self, negative):
-        graph, field, text = self.graph, self.field, self.text
-        one = coeff = field.one()
+        g, field, text, one = self.graph, self.field, self.text, self.field.one
+        sign = -1 if negative else 1
         m = _SCALAR.match(text, self.pos)
-        if m:
+        if not m:
+            coeff = field.from_int(sign)
+        else:
             numerator, slash, den, star = m.groups()
-            numerator = int(numerator)
+            numerator = sign * int(numerator)
             if slash:
                 if not den or not int(den):
                     raise ExpressionSyntaxError("expected positive integer denominator")
@@ -93,9 +94,8 @@ class _Parser:
                 if numerator == 0 and not coeff:
                     return []
                 raise ExpressionSyntaxError("a scalar must multiply a factor")
-        coeff = -coeff if negative else coeff
-        # the Element of the factors before the pending run; the run's
-        # monomial, False once it is 0
+        # the Element of the factors before the pending run; the run's key,
+        # False once it is 0
         product = word = None
         while True:
             m = _RUN.match(text, self.pos)
@@ -107,7 +107,7 @@ class _Parser:
                 continue
             value = self.factor()
             if word is not None:
-                value = Element(graph, field, [(word, one)] if word else []) * value
+                value = Element._from_raw(g, field, [(word, one())] if word else []) * value
             product, word = value if product is None else product * value, None
             if self.next_char() != "*":
                 break
@@ -115,13 +115,14 @@ class _Parser:
         if product is None:
             return [(word, coeff)] if word else []
         if word is not None:
-            product = product * Element(graph, field, [(word, one)] if word else [])
-        return [(m, c * coeff) for m, c in product.terms.items()]
+            product = product * Element._from_raw(g, field, [(word, one())] if word else [])
+        return [(k, c * coeff) for k, c in product._flat.items()]
 
     def fold(self, start, end):
         """The run of generators in text[start:end] multiplied left to right:
-        one monomial p q*, or False when the product is 0. q's edges are kept
-        last to first, so cancelling or prepending one is O(1)."""
+        the stored key (s(p), p, s(q), q) of one monomial p q*, or False when
+        the product is 0. q's edges are kept last to first, so cancelling or
+        prepending one is O(1)."""
         g = self.graph
         vindex, eindex, edges = g._vindex, g._eindex, g.edges
         real, ghost = [], []
@@ -151,10 +152,7 @@ class _Parser:
                 ok = at == src
                 rng = at = dst
                 real.append(name)
-        return ok and Monomial._trusted(
-            Path._trusted(g, source, tuple(real), rng),
-            Path._trusted(g, at, tuple(reversed(ghost)), rng),
-        )
+        return ok and (source, tuple(real), at, tuple(reversed(ghost)))
 
     def factor(self):
         """'( expr )' as an Element, starred once per prime."""
@@ -164,7 +162,7 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ExpressionSyntaxError(f"parentheses nested deeper than {MAX_NESTING}")
-        value = Element(self.graph, self.field, self.expr())
+        value = Element._from_raw(self.graph, self.field, self.expr())
         if self.next_char() != ")":
             raise ExpressionSyntaxError(f"expected ')', got {self.token()!r}")
         self.pos += 1
@@ -185,7 +183,7 @@ def parse_element(graph, text, field=QQ):
     raw = parser.expr()
     if parser.next_char():
         raise ExpressionSyntaxError(f"trailing input at token {parser.token()!r}")
-    return Element(graph, field, raw)
+    return Element._from_raw(graph, field, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +191,14 @@ def parse_element(graph, text, field=QQ):
 
 
 def format_monomial(m):
-    if m.is_vertex:
-        return m.real.source
-    parts = list(m.real.edges)
-    parts += [name + "'" for name in reversed(m.ghost.edges)]
-    return "*".join(parts)
+    return _spell(_key(m))
+
+
+def _spell(key):
+    """A stored key as a word: the real edges, then the ghost edges primed
+    and last to first; a vertex by its name."""
+    source, real, _, ghost = key
+    return "*".join([*real, *[name + "'" for name in reversed(ghost)]]) or source
 
 
 def format_element(x):
@@ -205,12 +206,17 @@ def format_element(x):
     if x.is_zero():
         return "0"
     field = x.field
-    one, ordered = field.one(), field.is_ordered()  # prime-field residues print unsigned
+    vindex, eindex = x.graph._vindex, x.graph._eindex.__getitem__
+
+    def basis_order(item):  # Monomial.sort_key, flattened
+        (s, p, t, q), _ = item
+        return vindex[s], tuple(map(eindex, p)), vindex[t], tuple(map(eindex, q))
+
     out = []
-    for m, c in x.sorted_terms():
-        negative = ordered and c < 0
-        mag = -c if negative else c
-        body = format_monomial(m) if mag == one else f"{field.format(mag)}*{format_monomial(m)}"
-        sign = ("- " if out else "-") if negative else ("+ " if out else "")
+    for k, c in sorted(x._flat.items(), key=basis_order):
+        text = field.format(c)  # a sign only over QQ
+        mag = text.removeprefix("-")
+        body = _spell(k) if mag == "1" else f"{mag}*{_spell(k)}"
+        sign = ("- " if out else "-") if mag != text else ("+ " if out else "")
         out.append(sign + body)
     return " ".join(out)

@@ -8,6 +8,7 @@ allowed anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import LeavittError, PreconditionError
 
@@ -106,12 +107,14 @@ class RationalField:
     def from_fraction(self, numerator, denominator=1):
         return Fraction(numerator, denominator)
 
-    def format(self, value):
-        return str(value)
+    def scaled(self, values):
+        """(ns, d): each value as an integer n over d, their least common denominator."""
+        d = lcm(*(v.denominator for v in values))
+        return [v.numerator * (d // v.denominator) for v in values], d
 
-    def is_ordered(self):
+    def format(self, value):
         # Rational coefficients print with real signs; prime fields do not.
-        return True
+        return str(value)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -172,13 +175,14 @@ class PrimeField:
     def from_fraction(self, numerator, denominator=1):
         if not denominator % self.p:
             raise PreconditionError(f"denominator {denominator} is zero in F_{self.p}")
-        return self.from_int(numerator) / self.from_int(denominator)
+        return PrimeFieldElement(numerator * pow(denominator, -1, self.p), self.p)
+
+    def scaled(self, values):
+        """(residues, 1), as ``RationalField.scaled``."""
+        return [v.residue for v in values], 1
 
     def format(self, value):
         return str(value.residue)
-
-    def is_ordered(self):
-        return False
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

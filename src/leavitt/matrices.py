@@ -151,8 +151,9 @@ class Matrix:
         return hash((self.shape, frozenset((i, frozenset(r.items())) for i, r in rows)))
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(a) for a in r) for r in self.rows)
-        return f"Matrix[{body}]"
+        rows = sorted(self.nonzero_rows.items())
+        body = "".join(f"; {i}: " + " ".join(f"{j}={r[j]}" for j in sorted(r)) for i, r in rows)
+        return f"Matrix[{self.nrows}x{self.ncols}{body}]"
 
     # -- elimination -----------------------------------------------------
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .algebra import Element, Monomial, is_in_path_algebra
+from .algebra import Element, is_in_path_algebra
 from .errors import PreconditionError
 from .graph import (
     Graph,
@@ -60,16 +60,6 @@ def quotient_graph(g, H):
     return Graph(name, vertices, edges)
 
 
-def _map_path(path, target):
-    """Image of a path under the quotient morphism, or None when killed."""
-    if path.source not in target._vindex:
-        return None
-    for name in path.edges:
-        if name not in target._eindex:
-            return None
-    return Path._trusted(target, path.source, path.edges, path.range)
-
-
 def quotient_morphism(x, H, target=None):
     """pi(x) in L_K(E/H): kill H and edges into H, renormalize in E/H.
 
@@ -90,13 +80,12 @@ def _quotient_image(x, target):
     the caller vouches for H."""
     if target == x.graph:
         return x
-    raw = []
-    for m, c in x.terms.items():
-        real = _map_path(m.real, target)
-        ghost = _map_path(m.ghost, target)
-        if real is not None and ghost is not None:
-            raw.append((Monomial._trusted(real, ghost), c))
-    return Element(target, x.field, raw)
+    vertices, edges = target._vindex, target._eindex
+    raw = [
+        (k, c) for k, c in x._flat.items()
+        if k[0] in vertices and k[2] in vertices and all(e in edges for e in k[1] + k[3])
+    ]
+    return Element._from_raw(target, x.field, raw)
 
 
 def in_graded_ideal(x, H):
@@ -213,18 +202,14 @@ def restriction_embedding(rg, y):
     """
     if y.graph != rg.graph:
         raise PreconditionError("element is not over this restriction graph")
-    E = rg.source
     path_for = rg._path_for
 
-    def image(path):
-        alpha = path_for.get(path.source)
-        if alpha is None:
-            return Path._trusted(E, path.source, path.edges, path.range)
-        end = alpha.range if path.is_trivial else path.range
-        return Path._trusted(E, alpha.source, alpha.edges + path.edges[1:], end)
+    def image(source, edges):
+        alpha = path_for.get(source)
+        return (source, edges) if alpha is None else (alpha.source, alpha.edges + edges[1:])
 
-    raw = [(Monomial._trusted(image(m.real), image(m.ghost)), c) for m, c in y.terms.items()]
-    total = Element(E, y.field, raw)
+    raw = [(image(rs, re) + image(gs, ge), c) for (rs, re, gs, ge), c in y._flat.items()]
+    total = Element._from_raw(rg.source, y.field, raw)
     # I(H) = I(closure(H)); the closure is saturated, so the kernel test applies.
     closure = rg._closure
     assert in_graded_ideal(total, closure.members), "embedding image escaped I(H)"

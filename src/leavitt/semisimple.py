@@ -142,7 +142,7 @@ class PathModule:
     The basis is ``paths``, every path into each sink, in one block per sink
     (in order of first appearance) and indexed within its block. p q* sends
     a basis path q t to p t, again a basis path, and every other basis path
-    to 0. ``shift(P)`` maps each basis path t at r(P) to the index of P t.
+    to 0. ``shift`` maps each basis path t at r(P) to the index of P t.
     It is kept once computed (two threads that race store equal dicts), so
     each matrix entry of ``act`` costs one dict lookup.
     """
@@ -165,15 +165,15 @@ class PathModule:
         """(block, index) of a basis path; None for any other path."""
         return self._index.get((path.source, path.edges))
 
-    def shift(self, path):
-        """{k: index of path . paths[k]} over the basis paths k at r(path)."""
-        key = (path.source, path.edges)
+    def shift(self, source, edges, at):
+        """{k: index of P . paths[k]} over the basis paths k at r(P) = at, for
+        the path P from ``source`` along ``edges``."""
+        key = (source, edges)
         out = self._shifts.get(key)
         if out is None:
             index, paths = self._index, self.paths
             out = self._shifts[key] = {
-                k: index[path.source, path.edges + paths[k].edges][1]
-                for k in self._starting.get(path.range, ())
+                k: index[source, edges + paths[k].edges][1] for k in self._starting.get(at, ())
             }
         return out
 
@@ -183,9 +183,11 @@ class PathModule:
         in it, and the constructor drops the sums that cancel."""
         blocks = [{} for _ in self.sizes]
         block, shift = self._block, self.shift
-        for m, c in x.terms.items():
-            ghost = shift(m.ghost)
-            for k, i in shift(m.real).items():
+        edges, eindex = x.graph.edges, x.graph._eindex
+        for (source, p, ghost_source, q), c in x._flat.items():
+            at = edges[eindex[p[-1]]].dst if p else source
+            ghost = shift(ghost_source, q, at)
+            for k, i in shift(source, p, at).items():
                 j = ghost.get(k)
                 if j is not None:
                     add_entry(blocks[block[k]].setdefault(i, {}), j, c)
@@ -209,9 +211,10 @@ def from_matrix(bm, decomposition, field=QQ):
     for block, mat in zip(decomposition.blocks, bm.blocks):
         paths, rows = block["paths"], mat.nonzero_rows
         for j in sorted(rows):  # rows and columns in order, so the raw terms keep their order
-            for k in sorted(rows[j]):
-                raw.append((Monomial._trusted(paths[j], paths[k]), rows[j][k]))
-    return Element(decomposition.graph, field, raw)
+            row, p = rows[j], paths[j]
+            for k in sorted(row):
+                raw.append(((p.source, p.edges, paths[k].source, paths[k].edges), row[k]))
+    return Element._from_raw(decomposition.graph, field, raw)
 
 
 def element_group_inverse(x, decomposition=None):

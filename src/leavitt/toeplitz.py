@@ -21,11 +21,11 @@ from __future__ import annotations
 from collections import Counter
 from itertools import accumulate, product
 
-from .algebra import Element, Monomial, basis_monomials_up_to
+from .algebra import Element, basis_monomials_up_to
 from .errors import PreconditionError
 from .expressions import format_element, format_monomial
 from .fields import QQ
-from .graph import Graph, Path, _memoised, is_acyclic, socle_is_essential, vertex_on_a_cycle
+from .graph import Graph, _memoised, is_acyclic, socle_is_essential, vertex_on_a_cycle
 from .matrices import Matrix, add_entry
 from .quotients import _require_hereditary_saturated, in_socle
 
@@ -208,10 +208,9 @@ def _laurent_image(x, d):
     c x^(a - b) and every term that touches F0 maps to 0."""
     v, loop = d.loop_vertex, {d.loop_edge}
     coeffs = {}
-    for m, c in x.terms.items():
-        p, q = m.real, m.ghost
-        if p.source == q.source == v and loop.issuperset(p.edges + q.edges):
-            add_entry(coeffs, len(p.edges) - len(q.edges), c)
+    for (source, p, ghost_source, q), c in x._flat.items():
+        if source == ghost_source == v and loop.issuperset(p + q):
+            add_entry(coeffs, len(p) - len(q), c)
     return LaurentPoly(coeffs, x.field)
 
 
@@ -305,7 +304,7 @@ def _rcfm_representation(x, d, window):
     for (i, j), c in cells.items():
         rows.setdefault(i, {})[j] = c
     validity = max(window - x.total_degree(), 0)
-    terms = max(len(x.terms), 1)
+    terms = max(x.support_size(), 1)
     flags = {
         # nothing at or past the exact region's margin; shifts reach the border
         "finitely_supported": all(max(ij) < validity - 1 for ij in cells),
@@ -324,10 +323,11 @@ def _window_cells(x, d, window):
         raise PreconditionError("window size must be positive")
     sink = d.subgraph.vertices[0]
     ranks, steps = [], {}
-    for m, c in x.terms.items():
-        a, b = m.real.length, m.ghost.length
+    edges, eindex = x.graph.edges, x.graph._eindex
+    for (source, p, _, q), c in x._flat.items():
+        a, b = len(p), len(q)
         step = steps.setdefault(a - b, {})
-        if m.real.range == sink:
+        if (edges[eindex[p[-1]]].dst if p else source) == sink:
             ranks.append((a, b))
             add_entry(step, b, c)
             c = -c  # the cell's run stops after column b
@@ -366,9 +366,8 @@ def socle_module_element(g, i, j, field=QQ):
 def _socle_module_element(g, d, i, j, field):
     """(b_i)(b_j)*, where b_k is the sink for k = 0 and e^(k-1) f else."""
     w, loop = d.subgraph.vertices[0], (d.loop_edge,)
-    b_i, b_j = (Path._trusted(g, d.loop_vertex, loop * (k - 1) + d.connectors, w) if k
-                else Path._trusted(g, w, (), w) for k in (i, j))
-    return Element.from_monomial(Monomial._trusted(b_i, b_j), field)
+    b_i, b_j = ((d.loop_vertex, loop * (k - 1) + d.connectors) if k else (w, ()) for k in (i, j))
+    return Element._from_raw(g, field, [(b_i + b_j, field.one())])
 
 
 def sandwich_report(g, degree_bound, window, field=QQ):

@@ -967,6 +967,8 @@ def _tokenize(text):
 
 
 class _ReferenceParser:
+    element = Element  # the algebra the parsed expression is evaluated in
+
     def __init__(self, graph, tokens, field):
         self.graph = graph
         self.tokens = tokens
@@ -1024,7 +1026,7 @@ class _ReferenceParser:
             if self.peek() == ("sym", "*"):
                 self.pos += 1
             elif numerator == 0 and not coeff:
-                return Element.zero(self.graph, self.field)
+                return self.element.zero(self.graph, self.field)
             else:
                 raise L.ExpressionSyntaxError("a scalar must multiply a factor")
         product = self.factor()
@@ -1044,9 +1046,9 @@ class _ReferenceParser:
         kind, value = self.take()
         if kind == "ident":
             if self.graph.has_vertex(value):
-                return Element.vertex(self.graph, value, self.field)
+                return self.element.vertex(self.graph, value, self.field)
             if self.graph.has_edge(value):
-                return Element.edge(self.graph, value, self.field)
+                return self.element.edge(self.graph, value, self.field)
             raise L.UnknownIdentifier(
                 f"unknown identifier {value!r} in graph {self.graph.name!r}"
             )
@@ -1061,11 +1063,207 @@ class _ReferenceParser:
         raise L.ExpressionSyntaxError(f"expected identifier or '(', got {value!r}")
 
 
-def reference_parse_element(graph, text, field=L.QQ):
+def reference_parse_element(graph, text, field=L.QQ, parser=_ReferenceParser):
     tokens = _tokenize(text)
     if not tokens:
         raise L.ExpressionSyntaxError("empty expression")
-    return _ReferenceParser(graph, tokens, field).parse()
+    return parser(graph, tokens, field).parse()
+
+
+# ---------------------------------------------------------------------------
+# The Monomial-keyed kernel as it was before elements stored their normal
+# forms as flat edge-tuple keys: the rewrite step, the normaliser, the
+# pairwise monomial product, the element arithmetic and the printer, kept
+# verbatim (renamed, and the printer's sign test spelt out) as the
+# reference the flat kernel is diffed against.
+
+
+def parent_reduce_once(m, coeff):
+    g = m.graph
+    real, ghost = m.real, m.ghost
+    f = g.edges[g._eindex[real.edges[-1]]]
+    exits, at, k = g._out[f.src], f.src, 1
+    if len(exits) == 1:
+        n = min(real.length, ghost.length)
+        while k < n and real.edges[-1 - k] == ghost.edges[-1 - k]:
+            src = g.edges[g._eindex[real.edges[-1 - k]]].src
+            if len(g._out[src]) != 1:
+                break
+            at, k = src, k + 1
+
+    def cut(tail, end):
+        return Monomial._trusted(
+            Path._trusted(g, real.source, real.edges[:-k] + tail, end),
+            Path._trusted(g, ghost.source, ghost.edges[:-k] + tail, end),
+        )
+
+    siblings = [(cut((e.name,), e.dst), -coeff) for e in exits if e != f]
+    return (cut((), at), coeff), siblings
+
+
+def parent_normalize_terms(graph, terms, chooser=None):
+    result = {}
+    pending = list(terms)
+    designated = L.graph._designated_edges(graph)
+    while pending:
+        m, c = pending.pop() if chooser is None else pending.pop(chooser(pending))
+        if not c:
+            continue
+        real, ghost = m.real.edges, m.ghost.edges  # the test of Monomial.is_basis
+        if not real or not ghost or real[-1] != ghost[-1] or real[-1] not in designated:
+            acc = result.get(m)
+            acc = c if acc is None else acc + c
+            if acc:
+                result[m] = acc
+            else:
+                del result[m]
+        else:
+            shorter, siblings = parent_reduce_once(m, c)
+            pending.append(shorter)
+            pending.extend(siblings)
+    return result
+
+
+def parent_monomial_product(a, b):
+    q, r = a.ghost, b.real
+    n = min(len(q.edges), len(r.edges))
+    if q.source != r.source or q.edges[:n] != r.edges[:n]:
+        return []
+    if n == len(q.edges):  # r = q t: the product is (p t) s*
+        p = a.real
+        pt = Path._trusted(p.graph, p.source, p.edges + r.edges[n:], r.range)
+        return [Monomial._trusted(pt, b.ghost)]
+    s = b.ghost  # q = r t: the product is p (s t)*
+    st = Path._trusted(s.graph, s.source, s.edges + q.edges[n:], q.range)
+    return [Monomial._trusted(a.real, st)]
+
+
+class ParentElement:
+    """The element class as it was, over {Monomial: coefficient} terms."""
+
+    __slots__ = ("graph", "field", "terms")
+
+    def __init__(self, graph, field, raw_terms, _normal=False):
+        self.graph = graph
+        self.field = field
+        if _normal:
+            self.terms = dict(raw_terms)
+        else:
+            if isinstance(raw_terms, dict):
+                raw_terms = raw_terms.items()
+            self.terms = parent_normalize_terms(graph, raw_terms)
+
+    @classmethod
+    def zero(cls, graph, field=L.QQ):
+        return cls(graph, field, {}, _normal=True)
+
+    @classmethod
+    def vertex(cls, graph, v, field=L.QQ):
+        t = Path.trivial(graph, v)
+        return cls(graph, field, {Monomial._trusted(t, t): field.one()}, _normal=True)
+
+    @classmethod
+    def edge(cls, graph, name, field=L.QQ):
+        e = graph.edge(name)
+        p, t = Path._trusted(graph, e.src, (name,), e.dst), Path._trusted(graph, e.dst, (), e.dst)
+        return cls(graph, field, {Monomial._trusted(p, t): field.one()}, _normal=True)
+
+    def is_zero(self):
+        return not self.terms
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda item: item[0].sort_key())
+
+    def coefficient(self, monomial):
+        return self.terms.get(monomial, self.field.zero())
+
+    def real_degree(self):
+        return max((m.real.length for m in self.terms), default=0)
+
+    def ghost_degree(self):
+        return max((m.ghost.length for m in self.terms), default=0)
+
+    def total_degree(self):
+        return max((m.total_length for m in self.terms), default=0)
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            acc = terms.get(m)
+            acc = c if acc is None else acc + c
+            if acc:
+                terms[m] = acc
+            else:
+                terms.pop(m, None)
+        return ParentElement(self.graph, self.field, terms, _normal=True)
+
+    def __neg__(self):
+        return ParentElement(
+            self.graph, self.field, {m: -c for m, c in self.terms.items()}, _normal=True
+        )
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, scalar):
+        if not scalar:
+            return ParentElement.zero(self.graph, self.field)
+        return ParentElement(
+            self.graph, self.field, {m: c * scalar for m, c in self.terms.items()}, _normal=True
+        )
+
+    def __mul__(self, other):
+        raw = []
+        for ma, ca in self.terms.items():
+            for mb, cb in other.terms.items():
+                for m in parent_monomial_product(ma, mb):
+                    raw.append((m, ca * cb))
+        return ParentElement(self.graph, self.field, raw)
+
+    def star(self):
+        return ParentElement(
+            self.graph,
+            self.field,
+            {m.star(): c for m, c in self.terms.items()},
+            _normal=True,
+        )
+
+    def __eq__(self, other):
+        return (
+            self.graph == other.graph
+            and self.field == other.field
+            and self.terms == other.terms
+        )
+
+
+class ParentParser(_ReferenceParser):
+    element = ParentElement
+
+
+def parent_format_monomial(m):
+    if m.is_vertex:
+        return m.real.source
+    parts = list(m.real.edges)
+    parts += [name + "'" for name in reversed(m.ghost.edges)]
+    return "*".join(parts)
+
+
+def parent_format_element(x):
+    if x.is_zero():
+        return "0"
+    field = x.field
+    one, ordered = field.one(), field == L.QQ  # prime-field residues print unsigned
+    out = []
+    for m, c in x.sorted_terms():
+        negative = ordered and c < 0
+        mag = -c if negative else c
+        body = (
+            parent_format_monomial(m) if mag == one
+            else f"{field.format(mag)}*{parent_format_monomial(m)}"
+        )
+        sign = ("- " if out else "-") if negative else ("+ " if out else "")
+        out.append(sign + body)
+    return " ".join(out)
 
 
 # ---------------------------------------------------------------------------

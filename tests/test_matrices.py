@@ -460,3 +460,15 @@ def test_group_inverse_of_a_huge_sparse_matrix_costs_per_nonzero():
     assert (m * b).nonzero_rows == (b * m).nonzero_rows
     assert Matrix.zero(n, n).nonzero_rows == {}
     assert took < 0.25, took
+
+
+def test_repr_prints_the_shape_and_the_nonzero_rows_only():
+    import time
+
+    start = time.perf_counter()
+    text = repr(Matrix.zero(2000, 2000))
+    took = time.perf_counter() - start
+    assert text == "Matrix[2000x2000]"
+    assert took < 0.1, took
+    m = M([[0, 2], [0, 0], [Fraction(1, 3), -5]])
+    assert repr(m) == "Matrix[3x2; 0: 1=2; 2: 0=1/3 1=-5]"

@@ -256,9 +256,9 @@ def test_round_trip_on_a_long_line_cuts_each_unit_once(monkeypatch):
     calls = []
     one_edge = algebra._reduce_once
 
-    def counted(m, coeff):
-        calls.append(m)
-        return one_edge(m, coeff)
+    def counted(g, key):
+        calls.append(key)
+        return one_edge(g, key)
 
     monkeypatch.setattr(algebra, "_reduce_once", counted)
     p = Path(g, "x1", tuple(f"a{i}" for i in range(1, 1000)))
