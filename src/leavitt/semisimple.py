@@ -8,8 +8,10 @@ component has a unique sink and every vertex carries a unique path to it,
 so the block is indexed by the sources of its paths, the component's
 vertices; the matrix units are then the reduced monomials mu_jk.
 
-Both are one action, ``PathModule``, on the span of the paths into the
-sinks: p q* sends a path q t to p t and every other path to 0.
+``MatrixDecomposition`` is the one index of these sink paths behind
+``position_of``, ``to_matrix`` and ``from_matrix``. ``to_matrix`` is the
+left action on their span: p q* sends a path q t to p t and every other
+path to 0.
 
 The isomorphism depends on the index order; here it is pinned to
 declaration order (vertices) resp. (length, edge order) for sink paths, so
@@ -68,34 +70,50 @@ class MatrixDecomposition:
     Each block holds its size, its index labels, and the paths realizing
     the index: entry (j, k) is the class of paths[j] paths[k]*. Blocks are
     read-only mappings, since one decomposition serves every caller.
+    ``_index`` maps each path (source, edges) to its (block, index), and
+    ``_starting`` each vertex to the edges of the paths leaving it.
     """
 
-    __slots__ = ("graph", "kind", "blocks", "_module")
+    __slots__ = ("graph", "kind", "blocks", "_sizes", "_index", "_starting", "_shifts")
 
     def __init__(self, graph, kind, blocks):
         self.graph = graph
         self.kind = kind  # "vertices" | "sink_paths"
         self.blocks = tuple(MappingProxyType(dict(b)) for b in blocks)
-        self._module = PathModule(p for b in self.blocks for p in b["paths"])
+        self._sizes = tuple(len(b["paths"]) for b in self.blocks)
+        self._index, self._starting, self._shifts = {}, {}, {}
+        for bi, block in enumerate(self.blocks):
+            for j, p in enumerate(block["paths"]):
+                self._index[p.source, p.edges] = (bi, j)
+                self._starting.setdefault(p.source, []).append(p.edges)
 
     @property
     def sizes(self):
-        return tuple(len(b["paths"]) for b in self.blocks)
+        return self._sizes
 
     def block_sizes(self):
         return list(self.sizes)
 
     def position_of(self, path):
         """(block number, index) of a sink-ended path."""
-        at = self._module.position(path) if path.graph == self.graph else None
+        at = self._index.get((path.source, path.edges)) if path.graph == self.graph else None
         if at is None:
             raise PreconditionError(f"path {path!r} does not end at a decomposed sink")
         return at
 
+    def _shift(self, source, edges, at):
+        """The (block, index) of P t for each t in ``_starting[at]``, for the
+        path P from ``source`` along ``edges`` into ``at``. It is kept once
+        computed (two threads that race store equal lists)."""
+        key = (source, edges)
+        out = self._shifts.get(key)
+        if out is None:
+            index = self._index
+            out = self._shifts[key] = [index[source, edges + t] for t in self._starting[at]]
+        return out
+
     def describe(self):
-        return [
-            {"size": len(b["paths"]), "index": list(b["labels"])} for b in self.blocks
-        ]
+        return [{"size": n, "index": list(b["labels"])} for n, b in zip(self.sizes, self.blocks)]
 
 
 def matrix_decomposition(g):
@@ -135,75 +153,31 @@ def _paths_into(g, sink):
     return [p for level in _paths_ending_in(g, (sink,)) for p in level]
 
 
-class PathModule:
-    """The left action of L_K(E) on the span of the paths into the sinks of
-    a finite acyclic graph.
-
-    The basis is ``paths``, every path into each sink, in one block per sink
-    (in order of first appearance) and indexed within its block. p q* sends
-    a basis path q t to p t, again a basis path, and every other basis path
-    to 0. ``shift`` maps each basis path t at r(P) to the index of P t.
-    It is kept once computed (two threads that race store equal dicts), so
-    each matrix entry of ``act`` costs one dict lookup.
-    """
-
-    __slots__ = ("paths", "sizes", "_index", "_block", "_starting", "_shifts")
-
-    def __init__(self, paths):
-        self.paths = tuple(paths)
-        blocks, self._index, self._block, self._starting = {}, {}, [], {}
-        for k, p in enumerate(self.paths):
-            at = blocks.setdefault(p.range, [len(blocks), 0])  # [block, paths so far]
-            self._index[p.source, p.edges] = tuple(at)
-            at[1] += 1
-            self._block.append(at[0])
-            self._starting.setdefault(p.source, []).append(k)
-        self.sizes = tuple(n for _, n in blocks.values())
-        self._shifts = {}
-
-    def position(self, path):
-        """(block, index) of a basis path; None for any other path."""
-        return self._index.get((path.source, path.edges))
-
-    def shift(self, source, edges, at):
-        """{k: index of P . paths[k]} over the basis paths k at r(P) = at, for
-        the path P from ``source`` along ``edges``."""
-        key = (source, edges)
-        out = self._shifts.get(key)
-        if out is None:
-            index, paths = self._index, self.paths
-            out = self._shifts[key] = {
-                k: index[source, edges + paths[k].edges][1] for k in self._starting.get(at, ())
-            }
-        return out
-
-    def act(self, x):
-        """x as one Matrix per block: entry (i, j) is the coefficient of the
-        i-th path in x times the j-th. A row is made only when an entry lands
-        in it, and the constructor drops the sums that cancel."""
-        blocks = [{} for _ in self.sizes]
-        block, shift = self._block, self.shift
-        edges, eindex = x.graph.edges, x.graph._eindex
-        for (source, p, ghost_source, q), c in x._flat.items():
-            at = edges[eindex[p[-1]]].dst if p else source
-            ghost = shift(ghost_source, q, at)
-            for k, i in shift(source, p, at).items():
-                j = ghost.get(k)
-                if j is not None:
-                    add_entry(blocks[block[k]].setdefault(i, {}), j, c)
-        return [Matrix.from_row_dicts(r, n, x.field, nrows=n) for r, n in zip(blocks, self.sizes)]
-
-
 def to_matrix(x, decomposition):
-    """The block-matrix image of x; a linear and multiplicative bijection."""
-    if x.graph != decomposition.graph:
+    """The block-matrix image of x; a linear and multiplicative bijection.
+
+    p q* sends each sink path q t to p t and every other one to 0; p and q
+    end at one vertex, so their shifts run over the same paths t. A row is
+    made only when an entry lands in it, and sums that cancel are dropped."""
+    d = decomposition
+    if x.graph != d.graph:
         raise PreconditionError("element and decomposition disagree on the graph")
-    return BlockMatrix(decomposition._module.act(x))
+    sizes = d.sizes
+    blocks = [{} for _ in sizes]
+    edges, eindex = x.graph.edges, x.graph._eindex
+    shift = d._shift
+    for (source, p, ghost_source, q), c in x._flat.items():
+        at = edges[eindex[p[-1]]].dst if p else source
+        for (b, i), (_, j) in zip(shift(source, p, at), shift(ghost_source, q, at)):
+            add_entry(blocks[b].setdefault(i, {}), j, c)
+    return BlockMatrix(
+        [Matrix.from_row_dicts(r, n, x.field, nrows=n) for r, n in zip(blocks, sizes)]
+    )
 
 
 def from_matrix(bm, decomposition, field=QQ):
     """Inverse of to_matrix: entry (j,k) of block i pulls back to p_j p_k*."""
-    if bm.sizes != decomposition.sizes:
+    if [m.shape for m in bm.blocks] != [(n, n) for n in decomposition.sizes]:
         raise PreconditionError("block sizes disagree with the decomposition")
     if bm.blocks:
         field = bm.blocks[0].field
@@ -240,10 +214,11 @@ def verify_fg_witness(a, b, q, membership, decomposition=None):
     d = decomposition or matrix_decomposition(q.graph)
     if not membership(a) or not membership(b):
         return False
-    bm = to_matrix(b, d)
-    if not bm.is_group_invertible():
-        raise NotSquareCancellable("witness b is not square-cancellable")
-    return to_matrix(q, d) == to_matrix(a, d) * bm.group_inverse()
+    try:
+        b_inv = to_matrix(b, d).group_inverse()
+    except NotGroupInvertible:
+        raise NotSquareCancellable("witness b is not square-cancellable") from None
+    return to_matrix(q, d) == to_matrix(a, d) * b_inv
 
 
 def find_fg_witness(q, membership, basis=None, coefficients=(-1, 0, 1)):

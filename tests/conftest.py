@@ -6,8 +6,9 @@ import re
 import pytest
 
 import leavitt as L
-from leavitt import Element, Graph, Monomial, Path, PreconditionError
+from leavitt import Element, Graph, Matrix, Monomial, Path, PreconditionError
 from leavitt.expressions import MAX_NESTING
+from leavitt.matrices import add_entry
 
 TOEPLITZ_DSL = "graph T\nvertex v\nvertex w\nedge e v v\nedge f v w\n"
 A2_DSL = "graph A2\nvertex u\nvertex w\nedge f u w\n"
@@ -1472,3 +1473,87 @@ def reference_mu_candidates(p):
                     yield ext
                 nxt.append(ext)
         frontier = nxt
+
+
+# ---------------------------------------------------------------------------
+# The sink-path module as it stood before MatrixDecomposition indexed its own
+# paths: a verbatim copy of the class, built from a decomposition's blocks,
+# and the position_of and to_matrix that forwarded to it.
+
+
+class PathModule:
+    """The left action of L_K(E) on the span of the paths into the sinks of
+    a finite acyclic graph.
+
+    The basis is ``paths``, every path into each sink, in one block per sink
+    (in order of first appearance) and indexed within its block. p q* sends
+    a basis path q t to p t, again a basis path, and every other basis path
+    to 0. ``shift`` maps each basis path t at r(P) to the index of P t.
+    It is kept once computed (two threads that race store equal dicts), so
+    each matrix entry of ``act`` costs one dict lookup.
+    """
+
+    __slots__ = ("paths", "sizes", "_index", "_block", "_starting", "_shifts")
+
+    def __init__(self, paths):
+        self.paths = tuple(paths)
+        blocks, self._index, self._block, self._starting = {}, {}, [], {}
+        for k, p in enumerate(self.paths):
+            at = blocks.setdefault(p.range, [len(blocks), 0])  # [block, paths so far]
+            self._index[p.source, p.edges] = tuple(at)
+            at[1] += 1
+            self._block.append(at[0])
+            self._starting.setdefault(p.source, []).append(k)
+        self.sizes = tuple(n for _, n in blocks.values())
+        self._shifts = {}
+
+    def position(self, path):
+        """(block, index) of a basis path; None for any other path."""
+        return self._index.get((path.source, path.edges))
+
+    def shift(self, source, edges, at):
+        """{k: index of P . paths[k]} over the basis paths k at r(P) = at, for
+        the path P from ``source`` along ``edges``."""
+        key = (source, edges)
+        out = self._shifts.get(key)
+        if out is None:
+            index, paths = self._index, self.paths
+            out = self._shifts[key] = {
+                k: index[source, edges + paths[k].edges][1] for k in self._starting.get(at, ())
+            }
+        return out
+
+    def act(self, x):
+        """x as one Matrix per block: entry (i, j) is the coefficient of the
+        i-th path in x times the j-th. A row is made only when an entry lands
+        in it, and the constructor drops the sums that cancel."""
+        blocks = [{} for _ in self.sizes]
+        block, shift = self._block, self.shift
+        edges, eindex = x.graph.edges, x.graph._eindex
+        for (source, p, ghost_source, q), c in x._flat.items():
+            at = edges[eindex[p[-1]]].dst if p else source
+            ghost = shift(ghost_source, q, at)
+            for k, i in shift(source, p, at).items():
+                j = ghost.get(k)
+                if j is not None:
+                    add_entry(blocks[block[k]].setdefault(i, {}), j, c)
+        return [Matrix.from_row_dicts(r, n, x.field, nrows=n) for r, n in zip(blocks, self.sizes)]
+
+
+def parent_path_module(decomposition):
+    return PathModule(p for b in decomposition.blocks for p in b["paths"])
+
+
+def parent_position_of(module, decomposition, path):
+    """(block number, index) of a sink-ended path."""
+    at = module.position(path) if path.graph == decomposition.graph else None
+    if at is None:
+        raise PreconditionError(f"path {path!r} does not end at a decomposed sink")
+    return at
+
+
+def parent_to_matrix(module, x, decomposition):
+    """The block-matrix image of x; a linear and multiplicative bijection."""
+    if x.graph != decomposition.graph:
+        raise PreconditionError("element and decomposition disagree on the graph")
+    return L.BlockMatrix(module.act(x))

@@ -1,7 +1,9 @@
-"""The two matrix pictures: the path-module action behind to_matrix, and
-the Toeplitz window read off cells and diagonal runs.
+"""The two matrix pictures: to_matrix, the action of p q* on the paths into
+the sinks through the one sink-path index of MatrixDecomposition, and the
+Toeplitz window read off cells and diagonal runs.
 
-Both are checked against the separate reference actions in conftest.
+Both are checked against the separate reference actions in conftest, and
+the index also against conftest's copy of the former PathModule.
 """
 
 from itertools import product
@@ -16,6 +18,10 @@ from leavitt.semisimple import _paths_into
 from conftest import (
     corpus_graphs,
     loop_designated_toeplitz,
+    parent_path_module,
+    parent_position_of,
+    parent_to_matrix,
+    random_acyclic_graph,
     random_element,
     random_graph,
     raw_monomials,
@@ -63,6 +69,48 @@ def test_to_matrix_matches_the_sink_expansion():
         assert _outcome(d.position_of, foreign) == _outcome(reference_position_of, d, foreign)
         x = Element.vertex(other, other.vertices[0])
         assert _outcome(L.to_matrix, x, d) == _outcome(reference_to_matrix, x, d)
+
+
+def decomposition_graphs(rng, count):
+    """Random acyclic graphs of both decomposition kinds, a long line, a
+    comb, the acyclic corpus and the empty graph."""
+    graphs = [random_acyclic_graph(rng, bifurcation_free=i % 2 == 0) for i in range(count)]
+    graphs += [L.line_graph(64), L.comb_graph(32), Graph("empty", [], [])]
+    return graphs + [g for g in corpus_graphs() if L.is_acyclic(g)]
+
+
+def test_decomposition_index_matches_the_former_path_module():
+    rng = seeded("decomposition-index")
+    kinds, compared = set(), 0
+    for g in decomposition_graphs(rng, 120):
+        d = L.matrix_decomposition(g)
+        module = parent_path_module(d)
+        kinds.add(d.kind)
+        pool = raw_monomials(g)
+        for field in FIELDS:
+            for _ in range(3):
+                x = random_element(g, rng, pool, field=field) if pool else Element(g, field, [])
+                for _ in range(2):  # the second call reads the shift caches
+                    got = L.to_matrix(x, d)
+                    assert got == parent_to_matrix(module, x, d) == reference_to_matrix(x, d), x
+                    assert repr(got) == repr(parent_to_matrix(module, x, d))
+                    assert L.from_matrix(got, d, field) == x
+                compared += 1
+        for block in d.blocks:
+            for p in block["paths"]:
+                for _ in range(2):
+                    at = d.position_of(p)
+                    assert at == parent_position_of(module, d, p) == reference_position_of(d, p)
+        if g.vertices:
+            loop = ("extra", g.vertices[0], g.vertices[0])
+            other = Graph("other", g.vertices, list(g.edges) + [loop])
+            foreign = Path.trivial(other, g.sinks()[0])
+            expected = _outcome(parent_position_of, module, d, foreign)
+            assert _outcome(d.position_of, foreign) == expected
+            x = Element.vertex(other, other.vertices[0])
+            expected = _outcome(parent_to_matrix, module, x, d)
+            assert _outcome(L.to_matrix, x, d) == expected
+    assert kinds == {"vertices", "sink_paths"} and compared > 700
 
 
 def test_window_matches_the_shift_rule():

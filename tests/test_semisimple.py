@@ -167,6 +167,16 @@ def test_from_matrix_identity_is_vertex_sum(a2):
     assert L.from_matrix(ident, d) == Element.identity(a2)
 
 
+def test_from_matrix_refuses_blocks_that_are_not_square(a2):
+    # the one block of u -f-> w is 2 x 2; a 2 x 3 block has the right row count
+    d = L.matrix_decomposition(a2)
+    outside = L.Matrix.from_row_dicts([{2: L.QQ.one()}, {}], 3)
+    inside = L.Matrix.from_row_dicts([{0: L.QQ.one()}, {1: L.QQ.one()}], 3)
+    for m in (outside, inside, inside.transpose()):
+        with pytest.raises(PreconditionError, match="block sizes disagree"):
+            L.from_matrix(L.BlockMatrix([m]), d)
+
+
 def test_to_matrix_isomorphism_random():
     rng = seeded("iso")
     for g in corpus_graphs():
