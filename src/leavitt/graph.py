@@ -10,13 +10,14 @@ function, so instances can be shared freely across threads. The facts
 that depend on the graph alone (strongly connected components, line
 points, the socle quotient, the matrix decomposition, the Toeplitz
 pattern) are computed on first use and kept in the graph's memo; see
-``_memoised``.
+``_graph_fact``.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
+from functools import wraps
 
 from .errors import (
     DuplicateIdentifier,
@@ -63,7 +64,7 @@ class Graph:
         self._out = {v: tuple(es) for v, es in out.items()}
         self._in = {v: tuple(es) for v, es in inc.items()}
         self._hash = hash((self.vertices, self.edges))
-        self._memo = {}  # derived facts, filled by _memoised below
+        self._memo = {}  # derived facts, filled by _graph_fact below
 
     # -- lookups -----------------------------------------------------------
 
@@ -439,8 +440,9 @@ def _as_members(g, X):
 # Analyzers
 
 
-def _memoised(g, key, compute):
-    """The fact ``key`` of g: compute(g) on first use, then the stored value.
+def _graph_fact(compute):
+    """Declare compute(g) a fact of g: computed on first use, then kept in
+    g's memo under the decorated function itself.
 
     Only immutable values are stored, so every caller can share them.
     Vertex sets are stored as frozensets: a VertexSet refers back to its
@@ -450,11 +452,15 @@ def _memoised(g, key, compute):
     benign and graphs stay safe to share. A compute that raises stores
     nothing.
     """
-    try:
-        return g._memo[key]
-    except KeyError:
-        value = g._memo[key] = compute(g)
-        return value
+    @wraps(compute)
+    def fact(g):
+        try:
+            return g._memo[fact]
+        except KeyError:
+            value = g._memo[fact] = compute(g)
+            return value
+
+    return fact
 
 
 def _reach(g, sources, backwards=False, keep=None):
@@ -508,19 +514,17 @@ def connects_to(g, u, w):
 
 def bifurcations(g):
     """Vertices emitting at least two edges."""
-    return VertexSet(g, _memoised(g, "bifurcations", _bifurcations))
+    return VertexSet(g, _bifurcations(g))
 
 
+@_graph_fact
 def _bifurcations(g):
     return frozenset(v for v in g.vertices if g.out_degree(v) >= 2)
 
 
+@_graph_fact
 def _designated_edges(g):
     """The names of the designated edges, one per vertex that is not a sink."""
-    return _memoised(g, "designated_edges", _designated_edge_names)
-
-
-def _designated_edge_names(g):
     return frozenset(es[-1].name for es in g._out.values() if es)
 
 
@@ -571,14 +575,11 @@ def cycle_has_exit(g, cycle):
     return False
 
 
+@_graph_fact
 def vertex_on_a_cycle(g):
     """Vertices on some cycle, as a frozenset: those of the strongly
     connected components with more than one vertex, and the sources of
     loops."""
-    return _memoised(g, "on_cycle", _vertex_on_a_cycle)
-
-
-def _vertex_on_a_cycle(g):
     on = {e.src for e in g.edges if e.src == e.dst}
     for comp in strongly_connected_components(g):
         if len(comp) > 1:
@@ -590,9 +591,10 @@ def line_points(g):
     """Vertices u whose tree T(u) has no bifurcations and meets no cycle:
     by backwards reachability, those reaching no bifurcation and no vertex
     on a cycle."""
-    return VertexSet(g, _memoised(g, "line_points", _line_points))
+    return VertexSet(g, _line_points(g))
 
 
+@_graph_fact
 def _line_points(g):
     blocked = bifurcations(g).members | vertex_on_a_cycle(g)
     return frozenset(set(g.vertices) - _reach(g, blocked, backwards=True))
@@ -644,13 +646,10 @@ def hereditary_saturated_closure(g, X):
     return VertexSet(g, closure)
 
 
+@_graph_fact
 def strongly_connected_components(g):
-    """The components as a tuple of frozensets, in Tarjan's discovery order."""
-    return _memoised(g, "scc", _tarjan)
-
-
-def _tarjan(g):
-    """Tarjan's algorithm, iterative."""
+    """The components as a tuple of frozensets, in discovery order of
+    Tarjan's algorithm, run iteratively."""
     index = {}
     low = {}
     on_stack = set()

@@ -24,7 +24,7 @@ from .graph import (
     is_saturated,
     line_points,
     _as_members,
-    _memoised,
+    _graph_fact,
     _paths_ending_in,
 )
 
@@ -93,13 +93,10 @@ def in_graded_ideal(x, H):
     return quotient_morphism(x, H).is_zero()
 
 
+@_graph_fact
 def _socle_quotient(g):
     """(H, E/H) for H the hereditary saturated closure of the line points,
-    as a frozenset, so that Soc(L_K(E)) = I(H); computed once per graph."""
-    return _memoised(g, "socle_quotient", _build_socle_quotient)
-
-
-def _build_socle_quotient(g):
+    as a frozenset, so that Soc(L_K(E)) = I(H)."""
     H = hereditary_saturated_closure(g, line_points(g)).members
     return H, quotient_graph(g, H)
 
@@ -134,7 +131,7 @@ class RestrictionGraph:
     out all longer ones since qualifying paths are suffix-closed).
     """
 
-    __slots__ = ("source", "H", "graph", "entry_paths", "bound", "complete", "_path_for", "_closure")
+    __slots__ = ("source", "H", "graph", "entry_paths", "bound", "complete", "_path_for", "_quotient")
 
     def __init__(self, source, H, graph, entry_paths, bound, complete):
         self.source = source
@@ -145,7 +142,8 @@ class RestrictionGraph:
         self.complete = complete
         # fresh vertex name -> entry path, for the embedding
         self._path_for = {self.vertex_for(p): p for p in entry_paths}
-        self._closure = hereditary_saturated_closure(source, H)
+        # E/closure(H), whose kernel is I(H) = I(closure(H)), for the embedding's check
+        self._quotient = quotient_graph(source, hereditary_saturated_closure(source, H))
 
     @staticmethod
     def vertex_for(path):
@@ -210,9 +208,7 @@ def restriction_embedding(rg, y):
 
     raw = [(image(rs, re) + image(gs, ge), c) for (rs, re, gs, ge), c in y._flat.items()]
     total = Element._from_raw(rg.source, y.field, raw)
-    # I(H) = I(closure(H)); the closure is saturated, so the kernel test applies.
-    closure = rg._closure
-    assert in_graded_ideal(total, closure.members), "embedding image escaped I(H)"
+    assert _quotient_image(total, rg._quotient).is_zero(), "embedding image escaped I(H)"
     return total
 
 

@@ -31,7 +31,7 @@ from .errors import (
     PreconditionError,
 )
 from .fields import QQ
-from .graph import _memoised, _paths_ending_in, is_acyclic, is_acyclic_no_bifurcation
+from .graph import _graph_fact, _paths_ending_in, is_acyclic, is_acyclic_no_bifurcation
 from .matrices import BlockMatrix, Matrix, add_entry
 
 
@@ -116,6 +116,7 @@ class MatrixDecomposition:
         return [{"size": n, "index": list(b["labels"])} for n, b in zip(self.sizes, self.blocks)]
 
 
+@_graph_fact
 def matrix_decomposition(g):
     """The direct-sum decomposition of a finite acyclic graph.
 
@@ -123,12 +124,8 @@ def matrix_decomposition(g):
     indexed by their sources, the component vertices (declaration order,
     blocks by first vertex); general acyclic graphs by the paths, sorted
     by length then edge order. Both index the same matrix units p q*, so
-    to_matrix/from_matrix below serve either case. Computed once per graph.
+    to_matrix/from_matrix below serve either case.
     """
-    return _memoised(g, "matrix_decomposition", _matrix_decomposition)
-
-
-def _matrix_decomposition(g):
     if not is_acyclic(g):
         raise PreconditionError("matrix decomposition needs an acyclic graph")
     kind = "vertices" if is_acyclic_no_bifurcation(g) else "sink_paths"
@@ -191,27 +188,26 @@ def from_matrix(bm, decomposition, field=QQ):
     return Element._from_raw(decomposition.graph, field, raw)
 
 
-def element_group_inverse(x, decomposition=None):
+def element_group_inverse(x):
     """Group inverse computed through the matrix image."""
-    d = decomposition or matrix_decomposition(x.graph)
+    d = matrix_decomposition(x.graph)
     inv = to_matrix(x, d).group_inverse()
     return from_matrix(inv, d, x.field)
 
 
-def is_square_cancellable(x, decomposition=None):
+def is_square_cancellable(x):
     """a^2 u = a^2 w implies a u = a w (both sides); equivalent to group
     invertibility of the matrix image in a semisimple artinian algebra."""
-    d = decomposition or matrix_decomposition(x.graph)
-    return to_matrix(x, d).is_group_invertible()
+    return to_matrix(x, matrix_decomposition(x.graph)).is_group_invertible()
 
 
-def verify_fg_witness(a, b, q, membership, decomposition=None):
+def verify_fg_witness(a, b, q, membership):
     """Check q = a b# with a, b inside the subalgebra cut out by ``membership``.
 
     A non-square-cancellable b is not a legal witness at all and is reported
     as its own error rather than a plain False.
     """
-    d = decomposition or matrix_decomposition(q.graph)
+    d = matrix_decomposition(q.graph)
     if not membership(a) or not membership(b):
         return False
     try:

@@ -25,9 +25,9 @@ from .algebra import Element, basis_monomials_up_to
 from .errors import PreconditionError
 from .expressions import format_element, format_monomial
 from .fields import QQ
-from .graph import Graph, _memoised, is_acyclic, socle_is_essential, vertex_on_a_cycle
+from .graph import Graph, _graph_fact, is_acyclic, vertex_on_a_cycle
 from .matrices import Matrix, add_entry
-from .quotients import _require_hereditary_saturated, in_socle
+from .quotients import in_socle
 
 
 class LaurentPoly:
@@ -139,16 +139,15 @@ def build_toeplitz_family(n, F, attach, name=None):
     """E(n, F): fresh loop vertex v with loop e, plus n connectors into F.
 
     Connector names: "f" when n == 1 (so the canonical graph is the n = 1,
-    single-vertex-F instance), else "f1".."fn". F must be acyclic with every
-    vertex connecting to a line point, and must not already use the fresh
-    names.
+    single-vertex-F instance), else "f1".."fn". F must be acyclic, and must
+    not already use the fresh names. Then every vertex of F connects to a
+    line point, as the family needs: it reaches a sink, and a sink is a
+    line point.
     """
     if n < 1:
         raise PreconditionError("the family needs at least one connecting edge")
     if not is_acyclic(F):
         raise PreconditionError("F must be acyclic")
-    if not socle_is_essential(F):
-        raise PreconditionError("every vertex of F must connect to a line point")
     attach = list(attach)
     if len(attach) != n:
         raise PreconditionError(f"need exactly {n} attachment vertices, got {len(attach)}")
@@ -162,20 +161,18 @@ def build_toeplitz_family(n, F, attach, name=None):
     return Graph(name or f"T_{n}_{F.name}", vertices, edges)
 
 
+@_graph_fact
 def recognize_toeplitz(g):
     """Match the E(n, F) pattern exactly; None when it does not fit.
 
     Required: a unique cycle which is a loop (at v), no other edge entering
     v, at least one edge from v into the rest, and the rest (F) acyclic
-    with every vertex connecting to a line point -- automatic for finite F,
-    but evaluated anyway. With v the only vertex on a cycle, every cycle is
-    a loop at v and F is acyclic, so the first two conditions say that v
-    has in-degree one. Computed once per graph.
+    with every vertex connecting to a line point. With v the only vertex on
+    a cycle, every cycle is a loop at v and F is acyclic, so the first two
+    conditions say that v has in-degree one. The last one then holds
+    already: in the finite acyclic F every vertex reaches a sink, and a
+    sink is a line point.
     """
-    return _memoised(g, "toeplitz", _recognize_toeplitz)
-
-
-def _recognize_toeplitz(g):
     on_cycle = vertex_on_a_cycle(g)
     if len(on_cycle) != 1:
         return None
@@ -189,17 +186,16 @@ def _recognize_toeplitz(g):
     f_vertices = [u for u in g.vertices if u != v]
     f_edges = [e for e in g.edges if e.src != v]
     subgraph = Graph(f"{g.name}_F", f_vertices, [(e.name, e.src, e.dst) for e in f_edges])
-    if not socle_is_essential(subgraph):
-        return None
     return ToeplitzDecomposition(v, loop_edge, connectors, subgraph)
 
 
-def laurent_quotient(x, decomposition=None):
-    """Image under L_K(E) -> L_K(E/F0) ~ K[x, x^-1], loop -> x."""
-    d = decomposition or recognize_toeplitz(x.graph)
+def laurent_quotient(x):
+    """Image under L_K(E) -> L_K(E/F0) ~ K[x, x^-1], loop -> x. F0 is
+    hereditary, since only the loop enters v, and saturated, since v emits
+    the loop, so the quotient morphism exists for every recognized graph."""
+    d = recognize_toeplitz(x.graph)
     if d is None:
         raise PreconditionError("graph does not match the Toeplitz pattern")
-    _require_hereditary_saturated(x.graph, d.subgraph.vertices)
     return _laurent_image(x, d)
 
 

@@ -41,17 +41,34 @@ def _toeplitz(g):
     return None if d is None else d.describe()
 
 
-# name -> comparable answer of one memoised analyzer
+# graph fact (its memo key) -> comparable answer of the fact
 ANALYZERS = {
-    "scc": strongly_connected_components,
-    "on_cycle": vertex_on_a_cycle,
-    "bifurcations": lambda g: L.bifurcations(g).ordered(),
-    "designated_edges": graph_module._designated_edges,
-    "line_points": lambda g: L.line_points(g).ordered(),
-    "socle_quotient": _socle,
-    "matrix_decomposition": _decomposition,
-    "toeplitz": _toeplitz,
+    strongly_connected_components: strongly_connected_components,
+    vertex_on_a_cycle: vertex_on_a_cycle,
+    graph_module._bifurcations: lambda g: L.bifurcations(g).ordered(),
+    graph_module._designated_edges: graph_module._designated_edges,
+    graph_module._line_points: lambda g: L.line_points(g).ordered(),
+    _socle_quotient: _socle,
+    L.matrix_decomposition: _decomposition,
+    L.recognize_toeplitz: _toeplitz,
 }
+
+
+class StoreLog(dict):
+    """A graph memo that records every key stored in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
+def logged(g):
+    g._memo = StoreLog()
+    return g._memo
 
 
 def fresh(g):
@@ -70,11 +87,12 @@ def memo_graphs():
 
 def test_memoised_answers_match_fresh_graphs():
     for g in memo_graphs():
-        expected = {name: f(fresh(g)) for name, f in ANALYZERS.items()}
+        expected = {fact: f(fresh(g)) for fact, f in ANALYZERS.items()}
         shared = fresh(g)
         for _ in range(2):
-            for name, f in ANALYZERS.items():
-                assert f(shared) == expected[name], (g, name)
+            for fact, f in ANALYZERS.items():
+                assert f(shared) == expected[fact], (g, fact.__name__)
+        assert set(shared._memo) <= set(ANALYZERS), g
 
 
 def test_memoised_values_are_immutable():
@@ -121,15 +139,40 @@ def test_memo_keeps_no_cycle_through_the_graph():
         gc.enable()
 
 
-def test_analyzer_report_runs_one_scc_pass(monkeypatch):
-    calls = []
-    tarjan = graph_module._tarjan
-    monkeypatch.setattr(graph_module, "_tarjan", lambda g: calls.append(g) or tarjan(g))
+def test_analyzer_report_runs_one_scc_pass():
     g = L.ladder_graph(4)
+    log = logged(g)
     L.analyzer_report(g)
-    assert len(calls) == 1
+    assert log.stored.count(strongly_connected_components) == 1
     L.analyzer_report(g)
-    assert len(calls) == 1
+    assert log.stored.count(strongly_connected_components) == 1
+
+
+def test_every_fact_is_computed_once():
+    """Two rounds of every query that reads graph facts store each fact at
+    most once, and all of them together store exactly the facts that
+    ANALYZERS compares with fresh graphs, so no fact escapes that
+    comparison."""
+    stored = set()
+    for g in memo_graphs():
+        g = fresh(g)
+        log = logged(g)
+        for _ in range(2):
+            L.analyzer_report(g)
+            L.in_socle(Element.vertex(g, g.vertices[-1]))
+            if L.is_acyclic(g):
+                L.matrix_decomposition(g)
+            L.recognize_toeplitz(g)
+        assert len(log.stored) == len(set(log.stored)), g
+        stored.update(log.stored)
+    g = L.toeplitz_graph()
+    log = logged(g)
+    for _ in range(2):
+        L.exact_sequence_report(g, 2)
+        L.sandwich_report(g, 2, 6)
+    assert len(log.stored) == len(set(log.stored))
+    stored.update(log.stored)
+    assert stored == set(ANALYZERS)
 
 
 def test_reports_build_the_socle_quotient_once(monkeypatch):

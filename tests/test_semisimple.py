@@ -240,6 +240,14 @@ def test_verify_fg_witness(a2):
         L.verify_fg_witness(q, E(a2, "f"), q, membership=lambda _: True)
 
 
+def test_verify_fg_witness_rejects_a_wrong_numerator(a2):
+    """Kills the mutant whose verify_fg_witness always answers True: on A2,
+    f = a b# holds for a = f and fails for a = 2*f, with b the identity."""
+    q, ident = E(a2, "f"), Element.identity(a2)
+    assert L.verify_fg_witness(q, ident, q, membership=lambda _: True)
+    assert L.verify_fg_witness(E(a2, "2*f"), ident, q, membership=lambda _: True) is False
+
+
 def test_no_path_algebra_witness_for_ghost_edge(a2):
     # KE maps onto triangular matrices; their right quotients a b# stay
     # triangular and can never produce the opposite matrix unit f*

@@ -61,6 +61,32 @@ def test_build_family_rejects_bad_f(r1, p1):
         L.build_toeplitz_family(2, p1, ["v"])
 
 
+FORK = "graph Y\nvertex a\nvertex b\nvertex c\nedge g a b\nedge h a c\n"
+
+
+def test_the_checks_the_family_leaves_out_are_implied(line3, r1):
+    """Neither build_toeplitz_family nor recognize_toeplitz checks that every
+    vertex of F connects to a line point, and laurent_quotient does not
+    check that F0 is hereditary and saturated: the pattern implies both.
+    The acyclicity check that implies the first stays."""
+    rng = seeded("implied")
+    draws = [random_graph(rng) for _ in range(3000)]
+    acyclic = [g for g in draws if L.is_acyclic(g)]
+    assert len(acyclic) >= 500 and all(L.socle_is_essential(g) for g in acyclic)
+    families = [
+        L.build_toeplitz_family(n, F, F.vertices[-n:])
+        for n in (1, 2, 3)
+        for F in (line3, L.comb_graph(3), L.parse_graph(FORK))
+    ]
+    recognized = [(g, L.recognize_toeplitz(g)) for g in draws + families]
+    recognized = [(g, d.subgraph.vertices) for g, d in recognized if d is not None]
+    assert len(recognized) > len(families) and all(
+        L.is_hereditary(g, F0) and L.is_saturated(g, F0) for g, F0 in recognized
+    )
+    with pytest.raises(PreconditionError, match="^F must be acyclic$"):
+        L.build_toeplitz_family(1, r1, ["v"])
+
+
 def test_recognize_rejections(a2, r1):
     assert L.recognize_toeplitz(a2) is None  # no cycle
     assert L.recognize_toeplitz(r1) is None  # no connectors
@@ -144,6 +170,25 @@ def test_middle_exactness_check_can_fail(monkeypatch):
     report = L.exact_sequence_report(L.toeplitz_graph(), 2)
     assert not report["pass"]
     assert "v" in report["socle_kernel_mismatches"]
+
+
+def test_surjectivity_check_can_fail(monkeypatch):
+    """Kills the mutant that sets surjectivity_missing to []: a Laurent image
+    that gives every negative power a second term hits no negative power
+    alone, while socle membership still matches its vanishing."""
+    laurent = toeplitz._laurent_image
+
+    def two_terms(x, d):
+        image = laurent(x, d)
+        if any(k < 0 for k in image.coeffs):
+            return image + LaurentPoly.monomial(0, x.field)
+        return image
+
+    monkeypatch.setattr(toeplitz, "_laurent_image", two_terms)
+    report = L.exact_sequence_report(L.toeplitz_graph(), 2)
+    assert report["socle_kernel_mismatches"] == []
+    assert report["surjectivity_missing"] == ["x^-2", "x^-1"]
+    assert not report["pass"]
 
 
 def test_laurent_poly_arithmetic():
@@ -247,6 +292,51 @@ def test_window_bandedness_and_flags():
     assert v.flags["row_finite_on_window"] and v.flags["col_finite_on_window"]
     w = L.rcfm_representation(Element.vertex(g, "w"), 12)
     assert w.flags["finitely_supported"]
+
+
+def _with_extra_cell(monkeypatch, cell):
+    """Every window gains the entry 1 at cell."""
+    cells = toeplitz._window_cells
+    monkeypatch.setattr(
+        toeplitz, "_window_cells", lambda x, d, window: {**cells(x, d, window), cell: L.QQ.one()}
+    )
+
+
+def test_row_finiteness_flag_can_fail(monkeypatch):
+    """Kills the mutant that sets row_finite_on_window to True: the window of
+    w with a second entry in its row holds more entries in a row than w has
+    terms."""
+    _with_extra_cell(monkeypatch, (0, 1))
+    w = L.rcfm_representation(Element.vertex(L.toeplitz_graph(), "w"), 6)
+    assert w.flags == {
+        "finitely_supported": True, "row_finite_on_window": False, "col_finite_on_window": True
+    }
+
+
+def test_column_finiteness_flag_can_fail(monkeypatch):
+    """Kills the mutant that sets col_finite_on_window to True: the window of
+    w with a second entry in its column holds more entries in a column than
+    w has terms."""
+    _with_extra_cell(monkeypatch, (1, 0))
+    w = L.rcfm_representation(Element.vertex(L.toeplitz_graph(), "w"), 6)
+    assert w.flags == {
+        "finitely_supported": True, "row_finite_on_window": True, "col_finite_on_window": False
+    }
+
+
+def test_socle_support_check_can_fail(monkeypatch):
+    """Kills the mutant that switches off part (a) of sandwich_report: once
+    in_socle claims v, whose window is the whole diagonal, v is a socle
+    monomial without finite support, and the report names it alone."""
+    in_socle = toeplitz.in_socle
+    monkeypatch.setattr(
+        toeplitz, "in_socle", lambda x: x == Element.vertex(x.graph, "v") or in_socle(x)
+    )
+    report = L.sandwich_report(L.toeplitz_graph(), 2, 6)
+    assert report["socle_finite_support_failures"] == ["v"]
+    assert report["row_col_finiteness_failures"] == []
+    assert report["matrix_unit_failures"] == []
+    assert not report["pass"]
 
 
 def test_socle_module_elements_hit_matrix_units():
