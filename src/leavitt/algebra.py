@@ -114,10 +114,16 @@ def _key(m):
     return (m.real.source, m.real.edges, m.ghost.source, m.ghost.edges)
 
 
+def _range(g, key):
+    """r(p) of a stored key (p's source, p, q's source, q); r(q) is the same."""
+    real = key[1]
+    return g.edges[g._eindex[real[-1]]].dst if real else key[0]
+
+
 def _monomial(g, key):
     """The Monomial of a stored key; both parts end at r(p)."""
     source, real, ghost_source, ghost = key
-    at = g.edges[g._eindex[real[-1]]].dst if real else source
+    at = _range(g, key)
     real, ghost = Path._trusted(g, source, real, at), Path._trusted(g, ghost_source, ghost, at)
     return Monomial._trusted(real, ghost)
 

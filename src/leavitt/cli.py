@@ -24,11 +24,11 @@ from .graph import (
     parse_graph,
 )
 from .quotients import (
+    _quotient_image,
     _socle_quotient,
     denominator_search,
     in_socle,
     quotient_graph,
-    quotient_morphism,
     restriction_embedding,
     restriction_graph,
 )
@@ -99,7 +99,7 @@ def _quotient(g, field, args):
     saturated = is_saturated(g, H)
     images = None
     if saturated:  # the morphism only exists for saturated H
-        images = _generator_images(g, field, lambda x: quotient_morphism(x, H, target))
+        images = _generator_images(g, field, lambda x: _quotient_image(x, target))
     return {"graph": _graph_payload(target), "saturated": saturated, "generator_images": images}
 
 

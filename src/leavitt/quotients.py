@@ -2,19 +2,19 @@
 graphs, and the constructive right-denominator search.
 
 For a hereditary saturated H, the quotient graph E/H keeps the vertices
-outside H and the edges whose range survives; the induced morphism pi kills
-H and fixes everything else. Membership in the graded ideal I(H) is decided
-as membership in ker(pi): normal-form monomials of I(H) elements can have
-ranges outside H (rewriting at a vertex with edges leaving H moves ranges),
-so inspecting monomial ranges would be wrong, while the kernel test is
-exact.
+outside H and the edges whose range survives; the induced morphism pi keeps
+a term exactly when its range lies outside H, then renormalizes in E/H.
+Membership in the graded ideal I(H) is decided as membership in ker(pi):
+normal-form monomials of I(H) elements can have ranges outside H (rewriting
+at a vertex with edges leaving H moves ranges), so the ranges alone would
+be wrong, while the renormalized kernel test is exact.
 """
 
 from __future__ import annotations
 
 from itertools import islice
 
-from .algebra import Element, is_in_path_algebra
+from .algebra import Element, _range, is_in_path_algebra
 from .errors import PreconditionError
 from .graph import (
     Graph,
@@ -36,13 +36,6 @@ def _require_hereditary(g, H):
     return members
 
 
-def _require_hereditary_saturated(g, H):
-    members = _require_hereditary(g, H)
-    if not is_saturated(g, members):
-        raise PreconditionError("H is not saturated")
-    return members
-
-
 def quotient_graph(g, H):
     """E/H: drop H and every edge with range in H.
 
@@ -60,7 +53,7 @@ def quotient_graph(g, H):
     return Graph(name, vertices, edges)
 
 
-def quotient_morphism(x, H, target=None):
+def quotient_morphism(x, H):
     """pi(x) in L_K(E/H): kill H and edges into H, renormalize in E/H.
 
     H must be saturated as well as hereditary, otherwise killing H breaks
@@ -69,22 +62,20 @@ def quotient_morphism(x, H, target=None):
     differ from those of E, so the image is rewritten in the target before
     being returned.
     """
-    _require_hereditary_saturated(x.graph, H)
-    if target is None:
-        target = quotient_graph(x.graph, H)
+    target = quotient_graph(x.graph, H)
+    if not is_saturated(x.graph, H):
+        raise PreconditionError("H is not saturated")
     return _quotient_image(x, target)
 
 
 def _quotient_image(x, target):
     """pi(x) in L_K(target), for target = E/H with H hereditary saturated;
-    the caller vouches for H."""
+    the caller vouches for H. A term p q* survives iff r(p) lies outside H:
+    a vertex of H reaches only H, so a path ending outside H never meets it."""
     if target == x.graph:
         return x
-    vertices, edges = target._vindex, target._eindex
-    raw = [
-        (k, c) for k, c in x._flat.items()
-        if k[0] in vertices and k[2] in vertices and all(e in edges for e in k[1] + k[3])
-    ]
+    g, kept = x.graph, target._vindex
+    raw = [(k, c) for k, c in x._flat.items() if _range(g, k) in kept]
     return Element._from_raw(target, x.field, raw)
 
 

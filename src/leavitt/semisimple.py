@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import product as cartesian_product
 from types import MappingProxyType
 
-from .algebra import Element, Monomial, full_basis, normalize_terms
+from .algebra import Element, Monomial, _range, full_basis, normalize_terms
 from .errors import (
     NotFoundWithinBounds,
     NotGroupInvertible,
@@ -161,11 +161,10 @@ def to_matrix(x, decomposition):
         raise PreconditionError("element and decomposition disagree on the graph")
     sizes = d.sizes
     blocks = [{} for _ in sizes]
-    edges, eindex = x.graph.edges, x.graph._eindex
-    shift = d._shift
-    for (source, p, ghost_source, q), c in x._flat.items():
-        at = edges[eindex[p[-1]]].dst if p else source
-        for (b, i), (_, j) in zip(shift(source, p, at), shift(ghost_source, q, at)):
+    g, shift = x.graph, d._shift
+    for key, c in x._flat.items():
+        at = _range(g, key)
+        for (b, i), (_, j) in zip(shift(key[0], key[1], at), shift(key[2], key[3], at)):
             add_entry(blocks[b].setdefault(i, {}), j, c)
     return BlockMatrix(
         [Matrix.from_row_dicts(r, n, x.field, nrows=n) for r, n in zip(blocks, sizes)]

@@ -4,7 +4,10 @@ The canonical graph is a loop e at v plus an edge f from v to a sink w.
 The generalized family E(n, F) replaces the sink by an acyclic graph F in
 which every vertex connects to a line point, and the single edge by n
 connecting edges out of the loop vertex. Quotienting by F0 collapses the
-algebra onto Laurent polynomials (loop -> x); the kernel is the socle.
+algebra onto Laurent polynomials (loop -> x): a term survives iff its range
+is the loop vertex, and the kernel is the socle. Every map reads the graph's
+decomposition from the memoised ``recognize_toeplitz``, so the reports call
+the public maps.
 
 The faithful matrix picture acts on the cyclic left module generated by
 the sink: its basis is the paths into w, b0 = w, b_{k+1} = e^k f, and p q*
@@ -21,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import accumulate, product
 
-from .algebra import Element, basis_monomials_up_to
+from .algebra import Element, _range, basis_monomials_up_to
 from .errors import PreconditionError
 from .expressions import format_element, format_monomial
 from .fields import QQ
@@ -192,21 +195,16 @@ def recognize_toeplitz(g):
 def laurent_quotient(x):
     """Image under L_K(E) -> L_K(E/F0) ~ K[x, x^-1], loop -> x. F0 is
     hereditary, since only the loop enters v, and saturated, since v emits
-    the loop, so the quotient morphism exists for every recognized graph."""
+    the loop, so the quotient morphism exists for every recognized graph.
+    A term survives iff its range is v; only the loop enters v, so it is
+    c e^a (e^b)* and maps to c x^(a - b)."""
     d = recognize_toeplitz(x.graph)
     if d is None:
         raise PreconditionError("graph does not match the Toeplitz pattern")
-    return _laurent_image(x, d)
-
-
-def _laurent_image(x, d):
-    """E/F0 is the loop e at v alone, so a term c e^a (e^b)* maps to
-    c x^(a - b) and every term that touches F0 maps to 0."""
-    v, loop = d.loop_vertex, {d.loop_edge}
-    coeffs = {}
-    for (source, p, ghost_source, q), c in x._flat.items():
-        if source == ghost_source == v and loop.issuperset(p + q):
-            add_entry(coeffs, len(p) - len(q), c)
+    g, v, coeffs = x.graph, d.loop_vertex, {}
+    for key, c in x._flat.items():
+        if _range(g, key) == v:
+            add_entry(coeffs, len(key[1]) - len(key[3]), c)
     return LaurentPoly(coeffs, x.field)
 
 
@@ -217,8 +215,7 @@ def exact_sequence_report(g, degree_bound, field=QQ):
     coincide with vanishing of the Laurent image (exactness in the middle),
     and every Laurent monomial x^{+-k}, k <= d, must be hit (surjectivity).
     """
-    d = recognize_toeplitz(g)
-    if d is None:
+    if recognize_toeplitz(g) is None:
         raise PreconditionError("graph does not match the Toeplitz pattern")
     monomials = basis_monomials_up_to(g, degree_bound)
     mismatches = []
@@ -226,7 +223,7 @@ def exact_sequence_report(g, degree_bound, field=QQ):
     for m in monomials:
         x = Element.from_monomial(m, field)
         in_ideal = in_socle(x)
-        image = _laurent_image(x, d)
+        image = laurent_quotient(x)
         if in_ideal != image.is_zero():
             mismatches.append(format_monomial(m))
         if not image.is_zero() and len(image.coeffs) == 1:
@@ -291,11 +288,7 @@ def rcfm_representation(x, window):
     monomial whose support misses the window entirely is rejected, since
     such a window could not represent the element at all.
     """
-    return _rcfm_representation(x, _canonical(x.graph), window)
-
-
-def _rcfm_representation(x, d, window):
-    cells = _window_cells(x, d, window)
+    cells = _window_cells(x, _canonical(x.graph), window)
     rows = {}
     for (i, j), c in cells.items():
         rows.setdefault(i, {})[j] = c
@@ -317,13 +310,12 @@ def _window_cells(x, d, window):
     runs are summed in order of their first column, as a step function."""
     if window < 1:
         raise PreconditionError("window size must be positive")
-    sink = d.subgraph.vertices[0]
+    g, sink = x.graph, d.subgraph.vertices[0]
     ranks, steps = [], {}
-    edges, eindex = x.graph.edges, x.graph._eindex
-    for (source, p, _, q), c in x._flat.items():
-        a, b = len(p), len(q)
+    for key, c in x._flat.items():
+        a, b = len(key[1]), len(key[3])
         step = steps.setdefault(a - b, {})
-        if (edges[eindex[p[-1]]].dst if p else source) == sink:
+        if _range(g, key) == sink:
             ranks.append((a, b))
             add_entry(step, b, c)
             c = -c  # the cell's run stops after column b
@@ -352,15 +344,11 @@ def bandwidth(window):
 
 
 def socle_module_element(g, i, j, field=QQ):
-    """The element mapping to the matrix unit E_ij: (b_i path)(b_j path)*."""
+    """The element mapping to the matrix unit E_ij: (b_i)(b_j)*, where b_k
+    is the sink for k = 0 and e^(k-1) f else."""
     d = _canonical(g)
     if min(i, j) < 0:
         raise PreconditionError("matrix unit indices must be nonnegative")
-    return _socle_module_element(g, d, i, j, field)
-
-
-def _socle_module_element(g, d, i, j, field):
-    """(b_i)(b_j)*, where b_k is the sink for k = 0 and e^(k-1) f else."""
     w, loop = d.subgraph.vertices[0], (d.loop_edge,)
     b_i, b_j = ((d.loop_vertex, loop * (k - 1) + d.connectors) if k else (w, ()) for k in (i, j))
     return Element._from_raw(g, field, [(b_i + b_j, field.one())])
@@ -373,13 +361,18 @@ def sandwich_report(g, degree_bound, window, field=QQ):
     (b) every basis monomial's window is row- and column-finite;
     (c) matrix units E_jk for j, k <= N-2 are images of explicit socle
         elements built from the module basis paths.
+
+    Part (a) asks max(i, j) < N - deg(x) - 1 of every cell (i, j), and
+    e^(d-1) f is the cell (d, 0) at degree d, so a window N <= 2d + 1
+    cannot decide it: the report then lists e^(d-1) f and its star as
+    failures, rather than rejecting the window.
     """
     d = _canonical(g)
     monomials = basis_monomials_up_to(g, degree_bound)
     socle_failures, finiteness_failures = [], []
     for m in monomials:
         x = Element.from_monomial(m, field)
-        w = _rcfm_representation(x, d, window)
+        w = rcfm_representation(x, window)
         if not (w.flags["row_finite_on_window"] and w.flags["col_finite_on_window"]):
             finiteness_failures.append(format_monomial(m))
         if in_socle(x) and not w.flags["finitely_supported"]:
@@ -387,7 +380,7 @@ def sandwich_report(g, degree_bound, window, field=QQ):
     unit_failures = []
     one = field.one()
     for i, j in product(range(window - 1), repeat=2):
-        x = _socle_module_element(g, d, i, j, field)
+        x = socle_module_element(g, i, j, field)
         if _window_cells(x, d, window) != {(i, j): one}:
             unit_failures.append(f"E[{i}][{j}] != window({format_element(x)})")
     return {

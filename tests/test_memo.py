@@ -16,7 +16,7 @@ from leavitt import quotients
 from leavitt.graph import strongly_connected_components, vertex_on_a_cycle
 from leavitt.quotients import _socle_quotient
 
-from conftest import corpus_graphs, random_graph, seeded
+from conftest import corpus_graphs, logged, random_graph, seeded
 
 
 def _paths(block):
@@ -52,23 +52,6 @@ ANALYZERS = {
     L.matrix_decomposition: _decomposition,
     L.recognize_toeplitz: _toeplitz,
 }
-
-
-class StoreLog(dict):
-    """A graph memo that records every key stored in it."""
-
-    def __init__(self):
-        super().__init__()
-        self.stored = []
-
-    def __setitem__(self, key, value):
-        self.stored.append(key)
-        super().__setitem__(key, value)
-
-
-def logged(g):
-    g._memo = StoreLog()
-    return g._memo
 
 
 def fresh(g):

@@ -4,10 +4,14 @@ import pytest
 
 import leavitt as L
 from leavitt import Element, PreconditionError
+from leavitt.quotients import _quotient_image, _socle_quotient
 
 from conftest import (
     corpus_graphs,
+    loop_designated_toeplitz,
+    parent_quotient_image,
     random_element,
+    random_graph,
     random_nonzero_element,
     raw_monomials,
     seeded,
@@ -50,6 +54,54 @@ def test_quotient_morphism_requires_saturated(a2):
         L.quotient_morphism(Element.vertex(a2, "u"), {"w"})
 
 
+def test_quotient_preconditions_and_their_order(a2):
+    """{x2} in the line x1 -> x2 -> x3 is neither hereditary nor saturated,
+    and heredity is checked first; {w} in A2 is hereditary, not saturated."""
+    line = L.line_graph(3)
+    cases = [(line, {"x2"}, "H is not hereditary"), (a2, {"w"}, "H is not saturated")]
+    for g, H, message in cases:
+        x = Element.vertex(g, g.vertices[0])
+        for check in (L.quotient_morphism, L.in_graded_ideal):
+            with pytest.raises(PreconditionError, match=f"^{message}$"):
+                check(x, H)
+
+
+@pytest.mark.parametrize("field", [L.QQ, L.GF(7)], ids=["qq", "f7"])
+def test_quotient_image_matches_the_parent_rule(field):
+    """Reading each term's range gives what the former scan over both
+    sources and every edge gave: on random graphs with H the closure of a
+    random seed (H empty and H = E0 among them), socle quotients, the
+    Toeplitz graphs by F0, and images of restriction embeddings."""
+    rng = seeded("quotient-image-parent")
+    cases = []
+    for _ in range(300):
+        g = random_graph(rng, max_edges=7)
+        seed = [v for v in g.vertices if rng.random() < 0.3]
+        cases.append((g, L.hereditary_saturated_closure(g, seed).members))
+        cases.append((g, _socle_quotient(g)[0]))
+    families = [L.toeplitz_graph(), loop_designated_toeplitz()]
+    for n, F in ((1, L.line_graph(3)), (2, L.comb_graph(2)), (3, L.line_graph(4))):
+        families.append(L.build_toeplitz_family(n, F, F.vertices[:n]))
+    cases += [(g, L.recognize_toeplitz(g).subgraph.vertices) for g in families]
+    shapes, zeros, images = set(), 0, 0
+    for g, H in cases:
+        shapes.add("empty" if not H else "all" if len(H) == len(g.vertices) else "part")
+        target = L.quotient_graph(g, H)
+        pool = raw_monomials(g)
+        xs = [random_element(g, rng, pool, size=3, field=field) for _ in range(4)]
+        if H:
+            rg = L.restriction_graph(g, H, 2)
+            ys = raw_monomials(rg.graph, 2)
+            xs += [L.restriction_embedding(rg, random_element(rg.graph, rng, ys, field=field))]
+        for x in xs:
+            new, old = _quotient_image(x, target), parent_quotient_image(x, target)
+            assert new == old and list(new._flat.items()) == list(old._flat.items()), (g, H, x)
+            zeros += new.is_zero()
+            images += 1
+    assert shapes == {"empty", "all", "part"}
+    assert 0.2 * images < zeros < 0.8 * images
+
+
 def test_quotient_morphism_is_algebra_morphism():
     rng = seeded("quotient-morphism")
     cases = [
@@ -59,16 +111,15 @@ def test_quotient_morphism_is_algebra_morphism():
                        "edge a u w\nedge b w z1\nedge c w z2\n"), {"z1"}),
     ]
     for g, H in cases:
-        target = L.quotient_graph(g, H)
         pool = raw_monomials(g)
         for _ in range(200):
             x = random_element(g, rng, pool, size=3)
             y = random_element(g, rng, pool, size=3)
-            px = L.quotient_morphism(x, H, target)
-            py = L.quotient_morphism(y, H, target)
-            assert L.quotient_morphism(x * y, H, target) == px * py
-            assert L.quotient_morphism(x + y, H, target) == px + py
-            assert L.quotient_morphism(x.star(), H, target) == px.star()
+            px = L.quotient_morphism(x, H)
+            py = L.quotient_morphism(y, H)
+            assert L.quotient_morphism(x * y, H) == px * py
+            assert L.quotient_morphism(x + y, H) == px + py
+            assert L.quotient_morphism(x.star(), H) == px.star()
 
 
 def test_quotient_morphism_surjective(toeplitz):
@@ -89,7 +140,7 @@ def test_quotient_morphism_surjective(toeplitz):
                 )
             ],
         )
-        assert L.quotient_morphism(lift, H, target) == Element.from_monomial(m)
+        assert L.quotient_morphism(lift, H) == Element.from_monomial(m)
 
 
 # -- graded ideal membership ------------------------------------------------------
@@ -191,6 +242,17 @@ def test_restriction_embedding_satisfies_ck_and_injectivity(toeplitz):
         for m in L.basis_monomials_up_to(h, 2)
     ]
     assert len(images) == len(set(images))
+
+
+def test_restriction_check_can_fail():
+    """Kills the mutant that replaces restriction_embedding's assert with
+    pass: a path-vertex whose entry path ends outside H embeds as e e*,
+    which lies outside I(H), and the check says so."""
+    T = L.toeplitz_graph()
+    rg = L.restriction_graph(T, {"w"}, 3)
+    rg._path_for["path:f"] = L.Path(T, "v", ("e",))
+    with pytest.raises(AssertionError, match=r"^embedding image escaped I\(H\)$"):
+        L.restriction_embedding(rg, Element.vertex(rg.graph, "path:f"))
 
 
 def test_restriction_embedding_lands_in_ideal(toeplitz):

@@ -8,7 +8,9 @@ from leavitt import quotients, toeplitz
 from leavitt.toeplitz import bandwidth
 
 from conftest import (
+    logged,
     loop_designated_toeplitz,
+    parent_laurent_image,
     random_element,
     random_graph,
     raw_monomials,
@@ -144,16 +146,24 @@ def test_laurent_quotient_is_morphism():
 
 
 def test_laurent_quotient_matches_the_quotient_morphism():
+    """Keeping the terms whose range is v agrees with the quotient morphism
+    onto E/F0 and with the former test of both sources and every edge
+    against the loop, on T, the loop-designated T and family instances."""
     rng = seeded("laurent-direct")
-    graphs = [L.toeplitz_graph()]
-    for n, F in ((1, L.line_graph(3)), (2, L.comb_graph(2)), (3, L.line_graph(4))):
+    graphs = [L.toeplitz_graph(), loop_designated_toeplitz()]
+    a2 = L.Graph("A2", ["u", "w"], [("f", "u", "w")])
+    for n, F in ((1, L.line_graph(3)), (2, L.comb_graph(2)), (2, a2), (3, L.line_graph(4))):
         graphs.append(L.build_toeplitz_family(n, F, F.vertices[:n]))
+    zeros = 0
     for g in graphs:
-        pool = raw_monomials(g)
+        d, pool = L.recognize_toeplitz(g), raw_monomials(g)
         for field in (L.QQ, L.GF(7)):
             for _ in range(40):
                 x = random_element(g, rng, pool, field=field)
-                assert L.laurent_quotient(x) == reference_laurent_quotient(x), (g, x)
+                image = L.laurent_quotient(x)
+                assert image == reference_laurent_quotient(x) == parent_laurent_image(x, d), (g, x)
+                zeros += image.is_zero()
+    assert 0 < zeros < 80 * len(graphs)  # images of both kinds
 
 
 def test_middle_exactness_check_can_fail(monkeypatch):
@@ -176,15 +186,15 @@ def test_surjectivity_check_can_fail(monkeypatch):
     """Kills the mutant that sets surjectivity_missing to []: a Laurent image
     that gives every negative power a second term hits no negative power
     alone, while socle membership still matches its vanishing."""
-    laurent = toeplitz._laurent_image
+    laurent = toeplitz.laurent_quotient
 
-    def two_terms(x, d):
-        image = laurent(x, d)
+    def two_terms(x):
+        image = laurent(x)
         if any(k < 0 for k in image.coeffs):
             return image + LaurentPoly.monomial(0, x.field)
         return image
 
-    monkeypatch.setattr(toeplitz, "_laurent_image", two_terms)
+    monkeypatch.setattr(toeplitz, "laurent_quotient", two_terms)
     report = L.exact_sequence_report(L.toeplitz_graph(), 2)
     assert report["socle_kernel_mismatches"] == []
     assert report["surjectivity_missing"] == ["x^-2", "x^-1"]
@@ -377,22 +387,22 @@ def test_sandwich_report():
 
 @pytest.mark.parametrize("field", [L.QQ, L.GF(7)], ids=["qq", "f7"])
 def test_sandwich_report_lists_wrong_units_like_the_matrix_check(monkeypatch, field):
-    build = toeplitz._socle_module_element
+    build = toeplitz.socle_module_element
 
-    def wrong(g, d, i, j, field):
+    def wrong(g, i, j, field):
         """A unit shifted one column, twice a unit, or zero, on every
         third (i, j) each; the right unit elsewhere."""
-        x = build(g, d, i, j, field)
+        x = build(g, i, j, field)
         k = (i * 5 + j) % 9
         if k == 0:
-            return build(g, d, i, j + 1, field)
+            return build(g, i, j + 1, field)
         if k == 3:
             return x + x
         if k == 6:
             return x - x
         return x
 
-    monkeypatch.setattr(toeplitz, "_socle_module_element", wrong)
+    monkeypatch.setattr(toeplitz, "socle_module_element", wrong)
     for g in (L.toeplitz_graph(), loop_designated_toeplitz()):
         expected = reference_sandwich_units(g, 9, field, wrong)
         assert len(expected) == sum((i * 5 + j) % 9 in (0, 3, 6) for i in range(8) for j in range(8))
@@ -401,12 +411,30 @@ def test_sandwich_report_lists_wrong_units_like_the_matrix_check(monkeypatch, fi
         assert not report["pass"]
 
 
-def test_sandwich_report_recognizes_the_graph_once(monkeypatch):
-    calls = []
-    recognize = toeplitz.recognize_toeplitz
-    monkeypatch.setattr(toeplitz, "recognize_toeplitz", lambda g: calls.append(g) or recognize(g))
-    assert L.sandwich_report(L.toeplitz_graph(), 2, 6)["pass"]
-    assert len(calls) == 1
+def test_sandwich_report_recognizes_the_graph_once():
+    """Every map the reports call reads the memoised decomposition, so the
+    graph is recognized and stored once, and each later read is a hit."""
+    for report in (lambda g: L.sandwich_report(g, 2, 6), lambda g: L.exact_sequence_report(g, 2)):
+        g = L.toeplitz_graph()
+        memo = logged(g)
+        assert report(g)["pass"]
+        assert memo.stored.count(L.recognize_toeplitz) == 1
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_sandwich_report_needs_a_window_above_twice_the_degree(d):
+    """Part (a) asks max(i, j) < N - deg - 1, and e^(d-1) f is the cell
+    (d, 0) at degree d: a window of 2d + 2 passes, while at 2d + 1 exactly
+    e^(d-1) f and its star are listed, and nothing else fails."""
+    g = L.toeplitz_graph()
+    assert L.sandwich_report(g, d, 2 * d + 2)["pass"]
+    report = L.sandwich_report(g, d, 2 * d + 1)
+    word = "*".join(["e"] * (d - 1) + ["f"])
+    star = "*".join(["f'"] + ["e'"] * (d - 1))
+    assert report["socle_finite_support_failures"] == [word, star]
+    assert report["row_col_finiteness_failures"] == []
+    assert report["matrix_unit_failures"] == []
+    assert not report["pass"]
 
 
 def test_distinct_monomials_have_independent_windows():
