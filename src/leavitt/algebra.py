@@ -26,8 +26,9 @@ Elements are immutable and always kept in normal form; equality of elements
 is equality of their normal forms. An element stores its normal form as
 {key: coefficient}, a key being the flat tuple (real source, real edges,
 ghost source, ghost edges), so parsing, products, sums and printing build no
-Path or Monomial. Its ``terms``, the same form keyed by Monomial, is built
-on first read and kept.
+Path or Monomial. Its ``terms``, the same form keyed by Monomial, is a new
+dict built from the stored form on each read, so no caller can change the
+element through it.
 """
 
 from __future__ import annotations
@@ -189,19 +190,19 @@ class Element:
     (Monomial, coefficient) pairs, or of a dict of them, which ``_normal``
     vouches to be one already."""
 
-    __slots__ = ("graph", "field", "_flat", "_terms")
+    __slots__ = ("graph", "field", "_flat")
 
     def __init__(self, graph, field, raw_terms, _normal=False):
         terms = raw_terms.items() if isinstance(raw_terms, dict) else raw_terms
         raw = [(_key(m), c) for m, c in terms]
-        self.graph, self.field, self._terms = graph, field, None
+        self.graph, self.field = graph, field
         self._flat = dict(raw) if _normal else _normal_form(graph, raw)
 
     @classmethod
     def _of(cls, graph, field, flat):
         """The element whose stored normal form is ``flat``, taken as is."""
         x = object.__new__(cls)
-        x.graph, x.field, x._flat, x._terms = graph, field, flat, None
+        x.graph, x.field, x._flat = graph, field, flat
         return x
 
     @classmethod
@@ -211,10 +212,9 @@ class Element:
 
     @property
     def terms(self):
-        """{Monomial: coefficient}, built from the stored form on first read."""
-        if self._terms is None:
-            self._terms = {_monomial(self.graph, k): c for k, c in self._flat.items()}
-        return self._terms
+        """{Monomial: coefficient}, a new dict built from the stored form on
+        each read."""
+        return {_monomial(self.graph, k): c for k, c in self._flat.items()}
 
     # -- constructors --------------------------------------------------
 
@@ -397,11 +397,11 @@ def basis_monomials_up_to(g, d):
     for p in paths_up_to(g, d):
         by_range.setdefault(p.range, []).append(p)
     out = []
-    for _, group in sorted(by_range.items(), key=lambda kv: g.vertex_index(kv[0])):
+    for group in by_range.values():
         for p in group:
             for q in group:
                 if p.length + q.length <= d:
-                    m = Monomial(p, q)
+                    m = Monomial._trusted(p, q)
                     if m.is_basis():
                         out.append(m)
     out.sort(key=lambda m: (m.total_length, m.sort_key()))

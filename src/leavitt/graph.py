@@ -35,7 +35,7 @@ IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 class Graph:
     """Finite directed graph with declaration-ordered vertices and edges."""
 
-    __slots__ = ("name", "vertices", "edges", "_vindex", "_eindex", "_out", "_in", "_hash", "_memo")
+    __slots__ = ("name", "vertices", "edges", "_vindex", "_eindex", "_out", "_in", "_memo")
 
     def __init__(self, name, vertices, edges):
         self.name = name
@@ -63,7 +63,6 @@ class Graph:
             inc[e.dst].append(e)
         self._out = {v: tuple(es) for v, es in out.items()}
         self._in = {v: tuple(es) for v, es in inc.items()}
-        self._hash = hash((self.vertices, self.edges))
         self._memo = {}  # derived facts, filled by _graph_fact below
 
     # -- lookups -----------------------------------------------------------
@@ -123,7 +122,7 @@ class Graph:
         return other is self or (self.vertices == other.vertices and self.edges == other.edges)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.vertices, self.edges))
 
     def __repr__(self):
         return f"Graph({self.name!r}, {len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -299,7 +298,8 @@ class Cycle:
     """Closed path whose edge sources are pairwise distinct.
 
     ``Cycle(...)`` checks that; ``_trusted`` checks nothing and serves the
-    cycles the search in ``cycles`` closes.
+    cycles the search in ``cycles`` closes and the rotations ``canonical``
+    makes.
     """
 
     __slots__ = ("path",)
@@ -331,11 +331,10 @@ class Cycle:
 
     def canonical(self):
         """Rotate so the least source vertex (declaration order) comes first."""
-        g = self.graph
-        sources = [g.vertex_index(g.edge(e).src) for e in self.edges]
-        k = sources.index(min(sources))
-        edges = self.edges[k:] + self.edges[:k]
-        return Cycle(Path.from_edges(g, edges))
+        g, sources = self.graph, self.vertices()
+        start = min(sources, key=g._vindex.__getitem__)
+        k = sources.index(start)
+        return Cycle._trusted(Path._trusted(g, start, self.edges[k:] + self.edges[:k], start))
 
     def __eq__(self, other):
         if not isinstance(other, Cycle):

@@ -12,6 +12,7 @@ be wrong, while the renormalized kernel test is exact.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import islice
 
 from .algebra import Element, _range, is_in_path_algebra
@@ -207,17 +208,8 @@ def restriction_embedding(rg, y):
 # Right denominators
 
 
-class DenominatorWitness:
-    """Search transcript for an algebra-of-right-quotients denominator."""
-
-    __slots__ = ("r", "mu", "extensions", "p_times_r", "q_times_r")
-
-    def __init__(self, r, mu, extensions, p_times_r, q_times_r):
-        self.r = r
-        self.mu = mu
-        self.extensions = extensions
-        self.p_times_r = p_times_r
-        self.q_times_r = q_times_r
+# Search transcript for an algebra-of-right-quotients denominator.
+DenominatorWitness = namedtuple("DenominatorWitness", "r mu extensions p_times_r q_times_r")
 
 
 def _mu_candidates(p):
@@ -232,7 +224,7 @@ def _mu_candidates(p):
     g = p.graph
     bound = p.ghost_degree()
     ghosts = sorted(
-        {m.ghost for m in p.terms},
+        {Path._trusted(g, k[2], k[3], _range(g, k)) for k in p._flat},
         key=lambda q: (-q.length, q.sort_key()),
     )
     seen = set()
@@ -249,8 +241,8 @@ def _mu_candidates(p):
         for q in frontier:
             if q.length >= bound:
                 continue
-            for e in g.out_edges(q.range):
-                ext = q.append(e.name)
+            for e in g._out[q.range]:
+                ext = Path._trusted(g, q.source, q.edges + (e.name,), e.dst)
                 if ext not in seen:
                     seen.add(ext)
                     yield ext
@@ -288,9 +280,9 @@ def denominator_search(p, q):
     while not is_in_path_algebra(q_image):
         # q*mu not in KE forces r(mu) to emit (a sink would have killed
         # every surviving ghost), so the first out-edge always exists.
-        h = g.out_edges(current.range)[0]
+        h = g._out[current.range][0]
         extensions.append(h.name)
-        current = current.append(h.name)
+        current = Path._trusted(g, current.source, current.edges + (h.name,), h.dst)
         q_image = q * Element.from_path(current, p.field)
 
     r = Element.from_path(current, p.field)

@@ -74,14 +74,14 @@ class MatrixDecomposition:
     ``_starting`` each vertex to the edges of the paths leaving it.
     """
 
-    __slots__ = ("graph", "kind", "blocks", "_sizes", "_index", "_starting", "_shifts")
+    __slots__ = ("graph", "kind", "blocks", "_sizes", "_index", "_starting")
 
     def __init__(self, graph, kind, blocks):
         self.graph = graph
         self.kind = kind  # "vertices" | "sink_paths"
         self.blocks = tuple(MappingProxyType(dict(b)) for b in blocks)
         self._sizes = tuple(len(b["paths"]) for b in self.blocks)
-        self._index, self._starting, self._shifts = {}, {}, {}
+        self._index, self._starting = {}, {}
         for bi, block in enumerate(self.blocks):
             for j, p in enumerate(block["paths"]):
                 self._index[p.source, p.edges] = (bi, j)
@@ -100,17 +100,6 @@ class MatrixDecomposition:
         if at is None:
             raise PreconditionError(f"path {path!r} does not end at a decomposed sink")
         return at
-
-    def _shift(self, source, edges, at):
-        """The (block, index) of P t for each t in ``_starting[at]``, for the
-        path P from ``source`` along ``edges`` into ``at``. It is kept once
-        computed (two threads that race store equal lists)."""
-        key = (source, edges)
-        out = self._shifts.get(key)
-        if out is None:
-            index = self._index
-            out = self._shifts[key] = [index[source, edges + t] for t in self._starting[at]]
-        return out
 
     def describe(self):
         return [{"size": n, "index": list(b["labels"])} for n, b in zip(self.sizes, self.blocks)]
@@ -161,11 +150,12 @@ def to_matrix(x, decomposition):
         raise PreconditionError("element and decomposition disagree on the graph")
     sizes = d.sizes
     blocks = [{} for _ in sizes]
-    g, shift = x.graph, d._shift
+    g, index, starting = x.graph, d._index, d._starting
     for key, c in x._flat.items():
-        at = _range(g, key)
-        for (b, i), (_, j) in zip(shift(key[0], key[1], at), shift(key[2], key[3], at)):
-            add_entry(blocks[b].setdefault(i, {}), j, c)
+        source, p, ghost_source, q = key
+        for t in starting[_range(g, key)]:
+            b, i = index[source, p + t]
+            add_entry(blocks[b].setdefault(i, {}), index[ghost_source, q + t][1], c)
     return BlockMatrix(
         [Matrix.from_row_dicts(r, n, x.field, nrows=n) for r, n in zip(blocks, sizes)]
     )

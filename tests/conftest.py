@@ -1602,3 +1602,24 @@ def parent_laurent_image(x, d):
         if source == ghost_source == v and loop.issuperset(p + q):
             add_entry(coeffs, len(p) - len(q), c)
     return LaurentPoly(coeffs, x.field)
+
+
+def parent_basis_monomials_up_to(g, d):
+    """All basis monomials with l(p) + l(q) <= d, sorted by total length then
+    key: a verbatim copy of the enumeration that sorted its range groups and
+    re-checked each monomial's shared range."""
+    if d < 0:
+        raise PreconditionError("degree bound must be nonnegative")
+    by_range = {}
+    for p in L.paths_up_to(g, d):
+        by_range.setdefault(p.range, []).append(p)
+    out = []
+    for _, group in sorted(by_range.items(), key=lambda kv: g.vertex_index(kv[0])):
+        for p in group:
+            for q in group:
+                if p.length + q.length <= d:
+                    m = Monomial(p, q)
+                    if m.is_basis():
+                        out.append(m)
+    out.sort(key=lambda m: (m.total_length, m.sort_key()))
+    return out

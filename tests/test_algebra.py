@@ -11,6 +11,7 @@ from conftest import (
     corpus_graphs,
     element_key_terms,
     one_edge_normalize_terms,
+    parent_basis_monomials_up_to,
     path_count_dimension,
     random_element,
     random_graph,
@@ -376,6 +377,32 @@ def test_basis_monomials_examples(p1, a2):
     names = [L.format_monomial(m) for m in L.basis_monomials_up_to(a2, 2)]
     assert names == ["u", "w", "f", "f'"]
     assert len(L.full_basis(a2)) == 4
+
+
+def test_basis_monomials_match_the_parent_enumeration():
+    """The range groups come in first-path order and build trusted monomials;
+    the final sort by (total length, key) gives the parent's exact list."""
+    rng = seeded("basis-monomials-diff")
+    graphs = [random_graph(rng, max_vertices=5, max_edges=7) for _ in range(60)]
+    graphs.append(L.toeplitz_graph())
+    for n, F in ((1, L.line_graph(3)), (2, L.comb_graph(2)), (3, L.line_graph(4))):
+        graphs.append(L.build_toeplitz_family(n, F, F.vertices[:n]))
+    for g in graphs:
+        for d in range(5):
+            assert L.basis_monomials_up_to(g, d) == parent_basis_monomials_up_to(g, d), (g, d)
+
+
+def test_terms_is_a_copy_the_caller_cannot_corrupt(toeplitz):
+    """Clearing the dict ``terms`` returns leaves the element whole: its
+    terms, monomials, support and printed form still agree."""
+    x = E(toeplitz, "e*e' + f")
+    terms, printed = dict(x.terms), L.format_element(x)
+    x.terms.clear()
+    assert x.terms == terms and len(terms) == 2
+    assert x.monomials() == sorted(terms, key=Monomial.sort_key)
+    assert x.support_size() == 2
+    assert L.format_element(x) == printed
+    assert x.terms is not x.terms
 
 
 def test_dimension_matches_path_count_oracle():

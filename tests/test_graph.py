@@ -1,5 +1,9 @@
 """Graph DSL and analyzer tests, including the exhaustive-subset oracles."""
 
+import os
+import pickle
+import subprocess
+import sys
 from time import perf_counter
 
 import pytest
@@ -63,6 +67,28 @@ def test_parse_errors_carry_position():
 
 def test_dsl_round_trip(toeplitz):
     assert L.parse_graph(toeplitz.to_dsl()) == toeplitz
+
+
+def test_equal_graphs_hash_equal_and_share_a_dict_key(toeplitz):
+    """The hash is read off the vertices and edges on demand, so equal graphs
+    built apart hash equal: under another name, from the DSL text, and in
+    another process with another string-hash seed, brought over by pickle."""
+    dsl = toeplitz.to_dsl()
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    dump = "import pickle, sys, leavitt; sys.stdout.buffer.write(pickle.dumps(leavitt.parse_graph(sys.argv[1])))"
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", dump, dsl], env=env, capture_output=True, check=True)
+    others = [
+        L.Graph("renamed", toeplitz.vertices, toeplitz.edges),
+        L.parse_graph(dsl),
+        pickle.loads(done.stdout),
+    ]
+    facts = {toeplitz: "T"}
+    for g in others:
+        assert g == toeplitz and g is not toeplitz
+        assert hash(g) == hash(toeplitz) == hash((g.vertices, g.edges))
+        assert facts[g] == "T"
+    assert len({toeplitz, *others}) == 1
 
 
 # -- trees and connectivity ---------------------------------------------------

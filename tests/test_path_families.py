@@ -163,3 +163,28 @@ def test_mu_candidates_match_the_list_scan():
 def test_mu_candidate_counts_on_the_rose(k):
     p = L.parse_element(rose3(), "*".join(["e1'"] * k) + " + e2'")
     assert len(list(_mu_candidates(p))) == {5: 127, 6: 371}[k]
+
+
+def test_internal_paths_are_not_revalidated(monkeypatch, toeplitz):
+    """Paths the library derives from valid ones are built trusted: the
+    denominator search's candidates and extensions, and the rotation that
+    compares and hashes cycles, run ``Path.__init__`` not once."""
+    from leavitt import graph
+
+    calls = []
+    checked = graph.Path.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        checked(self, *args, **kwargs)
+
+    p, q = L.parse_element(toeplitz, "v"), L.parse_element(toeplitz, "e*e'*e' + f'")
+    K = Graph("K3", ["a", "b", "c"], [(f"{u}{w}", u, w) for u in "abc" for w in "abc"])
+    monkeypatch.setattr(graph.Path, "__init__", counted)
+    witness = L.denominator_search(p, q)
+    found, again = L.cycles(K), L.cycles(K)
+    assert found == again and {hash(c) for c in found} == {hash(c) for c in again}
+    assert calls == []
+    assert (L.format_element(witness.r), witness.extensions) == ("e*e", ("e", "e"))
+    assert witness == L.quotients.DenominatorWitness(*witness)
+    assert len(found) == 8

@@ -288,3 +288,24 @@ def test_round_trip_on_a_long_line_cuts_each_unit_once(monkeypatch):
     inv = L.from_matrix(L.to_matrix(x, d).group_inverse(), d, x.field)
     assert L.format_element(inv) == "1/3*x500 + x501"
     assert inv == E(g, "1/3*x500 + x501")
+
+
+def test_to_matrix_leaves_the_memoised_decomposition_unchanged():
+    """A decomposition is a memoised graph fact shared by every caller, so
+    to_matrix only reads it: 200 images of random matrix units on a line and
+    on a bifurcating DAG leave every attribute as it was before them."""
+    rng = seeded("to-matrix-read-only")
+    dag = L.parse_graph("graph D\nvertex u\nvertex v\nvertex w\nedge a u w\nedge b u v\nedge c v w\n")
+    for g in (L.line_graph(64), dag):
+        d = L.matrix_decomposition(g)
+        before = {name: repr(getattr(d, name)) for name in type(d).__slots__}
+        by_range = {}
+        for p in L.paths_up_to(g, len(g.vertices)):
+            by_range.setdefault(p.range, []).append(p)
+        groups = list(by_range.values())
+        for _ in range(200):
+            group = rng.choice(groups)
+            x = Element.from_monomial(Monomial(rng.choice(group), rng.choice(group)))
+            L.to_matrix(x, d)
+        assert {name: repr(getattr(d, name)) for name in type(d).__slots__} == before
+        assert d is L.matrix_decomposition(g)
