@@ -187,16 +187,15 @@ def normalize_terms(graph, terms, chooser=None):
 
 class Element:
     """Normal-form element of L_K(E) over an exact field: the normal form of
-    (Monomial, coefficient) pairs, or of a dict of them, which ``_normal``
-    vouches to be one already."""
+    (Monomial, coefficient) pairs, or of a dict of them; ``_of`` takes a
+    stored form as it is."""
 
     __slots__ = ("graph", "field", "_flat")
 
-    def __init__(self, graph, field, raw_terms, _normal=False):
+    def __init__(self, graph, field, raw_terms):
         terms = raw_terms.items() if isinstance(raw_terms, dict) else raw_terms
-        raw = [(_key(m), c) for m, c in terms]
         self.graph, self.field = graph, field
-        self._flat = dict(raw) if _normal else _normal_form(graph, raw)
+        self._flat = _normal_form(graph, [(_key(m), c) for m, c in terms])
 
     @classmethod
     def _of(cls, graph, field, flat):

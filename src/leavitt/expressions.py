@@ -26,23 +26,23 @@ import re
 from .algebra import Element, _key
 from .errors import ExpressionSyntaxError, UnknownIdentifier
 from .fields import QQ
+from .graph import IDENT
 
 # Each nesting level costs three stack frames (expr, term, factor), so this
 # bound keeps the deepest parse far below the interpreter's recursion limit
 # of 1000.
 MAX_NESTING = 100
 
-_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _BAD = re.compile(r"[^\s\dA-Za-z_\-+*/()']")
 _SPACE = re.compile(r"\s*")
 # integer, then '/' and maybe a denominator, then maybe '*'; the caller
 # tells the cases apart, so every error keeps its message
 _SCALAR = re.compile(r"\s*(\d+)\s*(?:(/)\s*(\d+)?\s*)?(\*)?")
 # a whole run of generators, then whether a '*' follows it
-_RUN = re.compile(rf"\s*({_IDENT}(?:\s*')*(?:\s*\*\s*{_IDENT}(?:\s*')*)*)\s*(\*)?")
-_GENERATOR = re.compile(rf"({_IDENT})((?:\s*')*)")
+_RUN = re.compile(rf"\s*({IDENT}(?:\s*')*(?:\s*\*\s*{IDENT}(?:\s*')*)*)\s*(\*)?")
+_GENERATOR = re.compile(rf"({IDENT})((?:\s*')*)")
 # the token an error message names: an int, a name or symbol, None at the end
-_TOKEN = re.compile(rf"\s*(?:(\d+)|({_IDENT}|\S))")
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({IDENT}|\S))")
 
 
 class _Parser:

@@ -14,7 +14,8 @@ from .errors import LeavittError, PreconditionError
 
 
 class PrimeFieldElement:
-    """Residue in F_p. Supports the same arithmetic surface as Fraction."""
+    """Residue in F_p: +, - and * with an element of the same field or an
+    int on either side, / by one; ``_residue`` coerces for every operator."""
 
     __slots__ = ("residue", "p")
 
@@ -22,20 +23,18 @@ class PrimeFieldElement:
         self.residue = residue % p
         self.p = p
 
-    def _coerce(self, other):
+    def _residue(self, other):
+        """The residue of an element of this field, an int as itself, or
+        None for any other operand; mixing two prime fields raises."""
         if isinstance(other, PrimeFieldElement):
             if other.p != self.p:
                 raise LeavittError(f"mixed prime fields F_{self.p} and F_{other.p}")
-            return other
-        if isinstance(other, int):
-            return PrimeFieldElement(other, self.p)
-        return NotImplemented
+            return other.residue
+        return other if isinstance(other, int) else None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.residue + other.residue, self.p)
+        r = self._residue(other)
+        return NotImplemented if r is None else PrimeFieldElement(self.residue + r, self.p)
 
     __radd__ = __add__
 
@@ -43,32 +42,26 @@ class PrimeFieldElement:
         return PrimeFieldElement(-self.residue, self.p)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.residue - other.residue, self.p)
+        r = self._residue(other)
+        return NotImplemented if r is None else PrimeFieldElement(self.residue - r, self.p)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        r = self._residue(other)
+        return NotImplemented if r is None else PrimeFieldElement(r - self.residue, self.p)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.residue * other.residue, self.p)
+        r = self._residue(other)
+        return NotImplemented if r is None else PrimeFieldElement(self.residue * r, self.p)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        r = self._residue(other)
+        if r is None:
             return NotImplemented
-        if other.residue == 0:
+        if not r % self.p:
             raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return self * PrimeFieldElement(pow(other.residue, -1, self.p), self.p)
+        return PrimeFieldElement(self.residue * pow(r, -1, self.p), self.p)
 
     def __eq__(self, other):
         if isinstance(other, int):

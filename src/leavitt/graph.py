@@ -29,7 +29,9 @@ from .errors import (
 
 Edge = namedtuple("Edge", ["name", "src", "dst"])
 
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+# The identifier syntax; expressions read graph identifiers with it too.
+IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+IDENT_RE = re.compile(IDENT + "$")
 
 
 class Graph:
@@ -353,32 +355,35 @@ class Cycle:
 Walk = namedtuple("Walk", "graph source items range")
 
 
+def _undirected_parents(g, u):
+    """Breadth-first search from u in the underlying undirected graph: each
+    vertex reached, in the order reached, mapped to the (previous vertex,
+    edge name, forward) step that reached it first; u maps to None."""
+    parents, queue = {u: None}, [u]
+    for x in queue:
+        for e in g._out[x]:
+            if e.dst not in parents:
+                parents[e.dst] = (x, e.name, True)
+                queue.append(e.dst)
+        for e in g._in[x]:
+            if e.src not in parents:
+                parents[e.src] = (x, e.name, False)
+                queue.append(e.src)
+    return parents
+
+
 def walk_between(g, u, w):
-    """Some undirected walk from u to w, or None if they are disconnected."""
+    """A shortest undirected walk from u to w, or None if they are
+    disconnected: the steps of ``_undirected_parents`` back from w."""
     g.vertex_index(u)
     g.vertex_index(w)
-    parents = {u: None}
-    frontier = [u]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for e in g.out_edges(x):
-                if e.dst not in parents:
-                    parents[e.dst] = (x, e.name, True)
-                    nxt.append(e.dst)
-            for e in g.in_edges(x):
-                if e.src not in parents:
-                    parents[e.src] = (x, e.name, False)
-                    nxt.append(e.src)
-        frontier = nxt
+    parents = _undirected_parents(g, u)
     if w not in parents:
         return None
-    items = []
-    at = w
-    while parents[at] is not None:
-        prev, name, forward = parents[at]
+    items, at = [], w
+    while parents[at]:
+        at, name, forward = parents[at]
         items.append((name, forward))
-        at = prev
     return Walk(g, u, tuple(reversed(items)), w)
 
 
@@ -647,44 +652,31 @@ def hereditary_saturated_closure(g, X):
 
 @_graph_fact
 def strongly_connected_components(g):
-    """The components as a tuple of frozensets, in discovery order of
-    Tarjan's algorithm, run iteratively."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    comps = []
+    """The components as a tuple of frozensets, by Kosaraju's algorithm: an
+    iterative depth-first search lists the vertices as it finishes them;
+    from the last finished back, each vertex not yet placed takes as its
+    component the unplaced vertices that reach it. So each component comes
+    before every component it reaches."""
+    finished, seen = [], set()
     for root in g.vertices:
-        if root in index:
+        if root in seen:
             continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
+        seen.add(root)
         work = [(root, iter(g._out[root]))]
         while work:
-            v, it = work[-1]
-            for e in it:
-                w = e.dst
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(g._out[w])))
+            for e in work[-1][1]:
+                if e.dst not in seen:
+                    seen.add(e.dst)
+                    work.append((e.dst, iter(g._out[e.dst])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
             else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    comp = set()
-                    while v not in comp:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.add(w)
-                    comps.append(frozenset(comp))
+                finished.append(work.pop()[0])
+    placed, comps = set(), []
+    for v in reversed(finished):
+        if v not in placed:
+            comp = _reach(g, (v,), backwards=True, keep=lambda w: w not in placed)
+            placed |= comp
+            comps.append(frozenset(comp))
     return tuple(comps)
 
 
@@ -709,7 +701,9 @@ def socle_is_essential(g):
 
 
 def connected_components(g):
-    """Partition into undirected components, each an induced subgraph.
+    """Partition into undirected components, each an induced subgraph; the
+    vertices ``_undirected_parents`` reaches from a vertex not yet labelled
+    make up its component.
 
     Components are ordered by their least vertex in declaration order, and
     carry vertices and edges in the parent graph's declaration order.
@@ -717,18 +711,9 @@ def connected_components(g):
     comp_of = {}
     parts = []  # (vertices, edges) of each component
     for v in g.vertices:
-        if v in comp_of:
-            continue
-        comp_of[v] = len(parts)
-        parts.append(([], []))
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for e in g._out[x] + g._in[x]:
-                for y in (e.src, e.dst):
-                    if y not in comp_of:
-                        comp_of[y] = comp_of[v]
-                        stack.append(y)
+        if v not in comp_of:
+            comp_of.update(dict.fromkeys(_undirected_parents(g, v), len(parts)))
+            parts.append(([], []))
     for v in g.vertices:
         parts[comp_of[v]][0].append(v)
     for e in g.edges:

@@ -7,6 +7,7 @@ import pytest
 
 import leavitt as L
 from leavitt import Element, Graph, LaurentPoly, Matrix, Monomial, Path, PreconditionError
+from leavitt.algebra import _key
 from leavitt.expressions import MAX_NESTING
 from leavitt.matrices import add_entry
 
@@ -792,10 +793,9 @@ def reference_product(x, y):
 def reference_element(g, field, normal):
     """Element built from a reference normal form through the public,
     validating Path and Monomial constructors."""
-    terms = {
-        Monomial(Path(g, rs, re), Path(g, gs, ge)): c for (rs, re, gs, ge), c in normal.items()
-    }
-    return Element(g, field, terms, _normal=True)
+    return Element._of(g, field, {
+        _key(Monomial(Path(g, rs, re), Path(g, gs, ge))): c for (rs, re, gs, ge), c in normal.items()
+    })
 
 
 def element_key_terms(x):
@@ -1623,3 +1623,76 @@ def parent_basis_monomials_up_to(g, d):
                         out.append(m)
     out.sort(key=lambda m: (m.total_length, m.sort_key()))
     return out
+
+
+def parent_strongly_connected_components(g):
+    """The components as a tuple of frozensets, in discovery order of
+    Tarjan's algorithm, run iteratively: a verbatim copy of the search that
+    Kosaraju's two passes over ``_reach`` replaced (without the memo)."""
+    index = {}
+    low = {}
+    on_stack = set()
+    stack = []
+    comps = []
+    for root in g.vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(g._out[root]))]
+        while work:
+            v, it = work[-1]
+            for e in it:
+                w = e.dst
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(g._out[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    comp = set()
+                    while v not in comp:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.add(w)
+                    comps.append(frozenset(comp))
+    return tuple(comps)
+
+
+def parent_connected_components(g):
+    """Partition into undirected components, each an induced subgraph: a
+    verbatim copy of the depth-first labelling that the shared undirected
+    search replaced.
+
+    Components are ordered by their least vertex in declaration order, and
+    carry vertices and edges in the parent graph's declaration order.
+    """
+    comp_of = {}
+    parts = []  # (vertices, edges) of each component
+    for v in g.vertices:
+        if v in comp_of:
+            continue
+        comp_of[v] = len(parts)
+        parts.append(([], []))
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            for e in g._out[x] + g._in[x]:
+                for y in (e.src, e.dst):
+                    if y not in comp_of:
+                        comp_of[y] = comp_of[v]
+                        stack.append(y)
+    for v in g.vertices:
+        parts[comp_of[v]][0].append(v)
+    for e in g.edges:
+        parts[comp_of[e.src]][1].append(e)
+    return tuple(Graph(f"{g.name}_c{i}", vs, es) for i, (vs, es) in enumerate(parts))

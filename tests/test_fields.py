@@ -1,11 +1,12 @@
-"""Scalar fields: which moduli make a prime field."""
+"""Scalar fields: which moduli make a prime field, and F_p arithmetic."""
 
 import time
+from fractions import Fraction
 
 import pytest
 
 import leavitt as L
-from leavitt.fields import field_from_name
+from leavitt.fields import PrimeFieldElement, field_from_name
 
 # Carmichael numbers, a semiprime of two primes near 10^9, and strong
 # pseudoprimes to every prime base up to 23 and up to 37 respectively.
@@ -52,3 +53,47 @@ def test_a_denominator_divisible_by_p_is_a_precondition_error():
     for den in (7, 14, -21):
         with pytest.raises(L.PreconditionError, match=f"denominator {den} is zero in F_7"):
             f7.from_fraction(1, den)
+
+
+def test_prime_field_operators_are_residue_arithmetic():
+    """Every F_7 operator, with an element or an int on either side, against
+    arithmetic on residues mod 7; and the errors of each operand kind."""
+    f7 = L.GF(7)
+
+    def residue(x):
+        assert type(x) is PrimeFieldElement and x.p == 7
+        return x.residue
+
+    ints = list(range(-9, 10)) + [True]
+    for a in map(f7.from_int, range(7)):
+        r = a.residue
+        assert residue(-a) == -r % 7
+        for b in map(f7.from_int, range(7)):
+            s = b.residue
+            assert residue(a + b) == (r + s) % 7
+            assert residue(a - b) == (r - s) % 7
+            assert residue(a * b) == r * s % 7
+            if s:
+                assert residue(a / b) == r * pow(s, -1, 7) % 7
+        for k in ints:
+            assert residue(a + k) == residue(k + a) == (r + k) % 7
+            assert residue(a - k) == (r - k) % 7
+            assert residue(k - a) == (k - r) % 7
+            assert residue(a * k) == residue(k * a) == r * k % 7
+            if k % 7:
+                assert residue(a / k) == r * pow(k, -1, 7) % 7
+        for zero in (0, 7, f7.zero()):
+            with pytest.raises(ZeroDivisionError):
+                a / zero
+        with pytest.raises(L.LeavittError, match="mixed prime fields"):
+            a + L.GF(11).one()
+        for op in (
+            lambda: a + 1.5,
+            lambda: 1.5 + a,
+            lambda: Fraction(1) + a,
+            lambda: a * Fraction(1),
+            lambda: 1 / a,
+            lambda: a - "x",
+        ):
+            with pytest.raises(TypeError):
+                op()

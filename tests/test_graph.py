@@ -10,7 +10,7 @@ import pytest
 
 import leavitt as L
 from leavitt import DuplicateIdentifier, GraphSyntaxError, PreconditionError, UnknownIdentifier
-from leavitt.graph import vertex_on_a_cycle
+from leavitt.graph import strongly_connected_components, vertex_on_a_cycle
 
 from conftest import (
     closure_oracle,
@@ -20,6 +20,9 @@ from conftest import (
     deep_graphs,
     hereditary_oracle,
     line_points_oracle,
+    parent_connected_components,
+    parent_strongly_connected_components,
+    reachability,
     semiprime_oracle,
     small_corpus_graphs,
     socle_essential_oracle,
@@ -326,6 +329,55 @@ def test_walks(a2):
     assert L.walk_between(a2, "u", "u").items == ()
     two = L.parse_graph("graph D\nvertex a\nvertex b\n")
     assert L.walk_between(two, "a", "b") is None
+
+
+def test_searches_match_the_parent_searches():
+    """Kosaraju's components, the undirected components and the walks
+    against verbatim copies of the parent's Tarjan search and component
+    labelling, and against the Floyd-Warshall and union-find oracles."""
+    rng = seeded("searches")
+    randoms = [random_graph(rng, max_vertices=8, max_edges=16) for _ in range(300)]
+    assert any(e.src == e.dst for g in randoms for e in g.edges)
+    assert any(len({(e.src, e.dst) for e in g.edges}) < len(g.edges) for g in randoms)
+    graphs = [(g, True) for g in randoms + corpus_graphs()] + [(g, False) for g in deep_graphs()]
+    for g, small in graphs:
+        comps = strongly_connected_components(g)
+        assert set(comps) == set(parent_strongly_connected_components(g))
+        assert sum(map(len, comps)) == len(g.vertices)
+        assert frozenset().union(*comps) == frozenset(g.vertices)
+        if small:
+            reach = reachability(g)
+            for c in comps:
+                for v in c:
+                    assert c == {w for w in g.vertices if reach[v][w] and reach[w][v]}
+        new, old = L.connected_components(g), parent_connected_components(g)
+        assert [(c.name, c.vertices, c.edges) for c in new] == [
+            (c.name, c.vertices, c.edges) for c in old
+        ]
+        block_of = {v: i for i, b in enumerate(components_oracle(g)) for v in b}
+        for _ in range(8):
+            u, w = rng.choice(g.vertices), rng.choice(g.vertices)
+            walk = L.walk_between(g, u, w)
+            if block_of[u] != block_of[w]:
+                assert walk is None
+                continue
+            assert (walk.graph, walk.source, walk.range) == (g, u, w)
+            at = u
+            for name, forward in walk.items:
+                e = g.edge(name)
+                assert (e.src if forward else e.dst) == at
+                at = e.dst if forward else e.src
+            assert at == w
+
+
+def test_strongly_connected_components_come_in_topological_order():
+    """Each component comes before every component it reaches, as the
+    docstring says of Kosaraju's order."""
+    rng = seeded("scc order")
+    for g in [random_graph(rng, max_vertices=8, max_edges=12) for _ in range(200)] + corpus_graphs():
+        comps, reach = strongly_connected_components(g), reachability(g)
+        for i, c in enumerate(comps):
+            assert not any(reach[v][w] for d in comps[:i] for v in c for w in d)
 
 
 def test_is_acyclic_no_bifurcation(toeplitz, a2, line3):

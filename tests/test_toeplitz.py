@@ -5,6 +5,7 @@ import pytest
 import leavitt as L
 from leavitt import Element, LaurentPoly, PreconditionError
 from leavitt import quotients, toeplitz
+from leavitt.algebra import _key
 from leavitt.toeplitz import bandwidth
 
 from conftest import (
@@ -173,7 +174,7 @@ def test_middle_exactness_check_can_fail(monkeypatch):
 
     def dropping(x, target):
         terms = list(image(x, target).terms.items())[1:]
-        return Element(target, x.field, terms, _normal=True)
+        return Element._of(target, x.field, {_key(m): c for m, c in terms})
 
     monkeypatch.setattr(quotients, "_quotient_image", dropping)
     monkeypatch.setattr(toeplitz, "_quotient_image", dropping, raising=False)
