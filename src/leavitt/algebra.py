@@ -150,15 +150,15 @@ def _reduce_once(g, key):
     return (source, p, ghost_source, q), siblings
 
 
-def _normal_form(g, pending, chooser=None):
+def _normal_form(g, pending):
     """The normal form {key: coefficient} of a raw list of (key, coefficient),
-    which it consumes. ``chooser(pending)`` picks the next term to rewrite; by
-    default the list is a stack, as short as a depth-first walk of the rewrite
-    tree. Any chooser yields the same result (the confluence tests check it)."""
+    which it consumes as a stack, so the list stays as short as a depth-first
+    walk of the rewrite tree. A list whose ``pop`` takes another term yields the
+    same result (the confluence tests pop at random)."""
     result = {}
     designated = _designated_edges(g)
     while pending:
-        key, c = pending.pop() if chooser is None else pending.pop(chooser(pending))
+        key, c = pending.pop()
         if not c:
             continue
         real, ghost = key[1], key[3]
@@ -176,13 +176,6 @@ def _normal_form(g, pending, chooser=None):
             else:
                 del result[k]
     return result
-
-
-def normalize_terms(graph, terms, chooser=None):
-    """Rewrite (Monomial, coefficient) terms to the canonical {Monomial:
-    coefficient} combination; ``chooser`` as in ``_normal_form``."""
-    flat = _normal_form(graph, [(_key(m), c) for m, c in terms], chooser)
-    return {_monomial(graph, k): c for k, c in flat.items()}
 
 
 class Element:
@@ -242,9 +235,8 @@ class Element:
         return cls._of(path.graph, field, {(path.source, path.edges, path.range, ()): field.one()})
 
     @classmethod
-    def from_monomial(cls, monomial, field=QQ, coeff=None):
-        c = field.one() if coeff is None else coeff
-        return cls._from_raw(monomial.graph, field, [(_key(monomial), c)])
+    def from_monomial(cls, monomial, field=QQ):
+        return cls._from_raw(monomial.graph, field, [(_key(monomial), field.one())])
 
     @classmethod
     def identity(cls, graph, field=QQ):

@@ -192,7 +192,9 @@ def parse_graph(text):
 
 def _check_ident(word, lineno, raw):
     if not IDENT_RE.match(word):
-        col = raw.index(word) + 1 if word in raw else 1
+        # a whole token before the comment: a substring could lie inside an earlier token
+        code = raw.split("#", 1)[0]
+        col = next(t.start() for t in re.finditer(r"\S+", code) if t.group() == word) + 1
         raise GraphSyntaxError(f"bad identifier {word!r}", lineno, col)
 
 
@@ -752,22 +754,22 @@ def analyzer_report(g):
 # analyzer outputs are stable under it and which carry a boundary artifact.
 
 
-def line_graph(n, name=None):
-    """Oriented line with n vertices: x1 -> x2 -> ... -> xn."""
+def line_graph(n):
+    """The graph line<n>: an oriented line x1 -> x2 -> ... -> xn."""
     if n < 1:
         raise PreconditionError("line_graph needs n >= 1")
     vertices = [f"x{i}" for i in range(1, n + 1)]
     edges = [(f"a{i}", f"x{i}", f"x{i + 1}") for i in range(1, n)]
-    return Graph(name or f"line{n}", vertices, edges)
+    return Graph(f"line{n}", vertices, edges)
 
 
-def single_loop_graph(name="R1"):
-    """One vertex with one loop."""
-    return Graph(name, ["v"], [("e", "v", "v")])
+def single_loop_graph():
+    """The graph R1: one vertex with one loop."""
+    return Graph("R1", ["v"], [("e", "v", "v")])
 
 
-def ladder_graph(columns, name=None):
-    """Truncation of the two-row ladder: u_i -> v_i (sinks) and u_i -> u_{i+1}.
+def ladder_graph(columns):
+    """The graph ladder<columns>, truncating the two-row ladder u_i -> v_i (sinks), u_i -> u_{i+1}.
 
     The infinite graph has line points exactly {v_i}. A finite truncation
     cannot reproduce that on the nose: it ends with a tail vertex
@@ -785,11 +787,11 @@ def ladder_graph(columns, name=None):
         edges.append((f"e{i}", f"u{i}", f"v{i}"))
         edges.append((f"f{i}", f"u{i}", f"u{i + 1}"))
     vertices.append(f"u{columns + 1}")
-    return Graph(name or f"ladder{columns}", vertices, edges)
+    return Graph(f"ladder{columns}", vertices, edges)
 
 
-def comb_graph(spokes, name=None):
-    """Truncation of the infinite comb: spokes p_i each firing into one sink.
+def comb_graph(spokes):
+    """The graph comb<spokes>, truncating the infinite comb: spokes p_i fire into one sink w.
 
     Connectivity, line points and the one-block matrix decomposition are
     stable under the truncation (only the number of spokes grows).
@@ -798,4 +800,4 @@ def comb_graph(spokes, name=None):
         raise PreconditionError("comb_graph needs at least one spoke")
     vertices = [f"p{i}" for i in range(1, spokes + 1)] + ["w"]
     edges = [(f"s{i}", f"p{i}", "w") for i in range(1, spokes + 1)]
-    return Graph(name or f"comb{spokes}", vertices, edges)
+    return Graph(f"comb{spokes}", vertices, edges)

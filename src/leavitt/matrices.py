@@ -26,7 +26,7 @@ class Matrix:
     """Immutable exact matrix, stored as ``nonzero_rows`` {row: {column: nonzero}}.
 
     A row without a nonzero has no entry, so ``Matrix.zero(n, n)`` is an
-    empty map. ``Matrix(rows, field, ncols)`` (dense rows) and
+    empty map. ``Matrix(rows, field)`` (dense rows) and
     ``from_row_dicts`` drop zeros and check indices; results are built by
     ``_trusted`` from rows already free of zeros. ``row_dicts`` and ``rows``
     are read-only dense views, built on each access, for printing and tests.
@@ -34,13 +34,13 @@ class Matrix:
 
     __slots__ = ("nonzero_rows", "nrows", "ncols", "field")
 
-    def __init__(self, rows, field=QQ, ncols=None):
+    def __init__(self, rows, field=QQ):
         rows = [tuple(r) for r in rows]
         if any(len(r) != len(rows[0]) for r in rows):
             raise PreconditionError("ragged matrix")
         self.nonzero_rows = _nonzero(enumerate(dict(enumerate(r)) for r in rows))
         self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else ncols or 0
+        self.ncols = len(rows[0]) if rows else 0
         self.field = field
 
     @classmethod

@@ -161,10 +161,9 @@ def _entry_paths(g, members, length):
 
 
 def restriction_graph(g, H, bound):
-    members = _as_members(g, H)
+    members = _require_hereditary(g, H)
     if not members:
         raise PreconditionError("restriction graph needs a nonempty H")
-    _require_hereditary(g, members)
     if bound < 1:
         raise PreconditionError("length bound must be at least 1")
     paths, complete = _entry_paths(g, members, bound)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import product as cartesian_product
 from types import MappingProxyType
 
-from .algebra import Element, Monomial, _range, full_basis, normalize_terms
+from .algebra import Element, Monomial, _range, full_basis
 from .errors import (
     NotFoundWithinBounds,
     NotGroupInvertible,
@@ -47,7 +47,7 @@ def reduced_expression(m):
     g = m.graph
     if not is_acyclic_no_bifurcation(g):
         raise PreconditionError("reduced expressions need an acyclic bifurcation-free graph")
-    (reduced,) = normalize_terms(g, [(m, 1)])
+    (reduced,) = Element.from_monomial(m).terms
     return reduced.real, reduced.ghost
 
 
@@ -120,7 +120,7 @@ def matrix_decomposition(g):
     kind = "vertices" if is_acyclic_no_bifurcation(g) else "sink_paths"
     blocks = []
     for sink in g.sinks():
-        paths = _paths_into(g, sink)
+        paths = [p for level in _paths_ending_in(g, (sink,)) for p in level]
         if kind == "vertices":
             # each vertex of the sink's component has one path to it
             paths.sort(key=lambda p: g._vindex[p.source])
@@ -131,12 +131,6 @@ def matrix_decomposition(g):
     if kind == "vertices":
         blocks.sort(key=lambda b: g._vindex[b["labels"][0]])
     return MatrixDecomposition(g, kind, blocks)
-
-
-def _paths_into(g, sink):
-    """The paths into the sink of a finite acyclic graph, in (length, edge
-    order)."""
-    return [p for level in _paths_ending_in(g, (sink,)) for p in level]
 
 
 def to_matrix(x, decomposition):
@@ -206,20 +200,20 @@ def verify_fg_witness(a, b, q, membership):
     return to_matrix(q, d) == to_matrix(a, d) * b_inv
 
 
-def find_fg_witness(q, membership, basis=None, coefficients=(-1, 0, 1)):
+def find_fg_witness(q, membership, basis=None):
     """Bounded exhaustive search for (a, b) with q = a b#.
 
     The existence proofs behind the quotient structure are not constructive,
     so the search space must be bounded: combinations of ``basis`` monomials
     (default: the path-algebra part of the full basis) with coefficients
-    drawn from ``coefficients``. Exhausting it raises NotFoundWithinBounds.
+    -1, 0 and 1. Exhausting it raises NotFoundWithinBounds.
     """
     d = matrix_decomposition(q.graph)
     field = q.field
     if basis is None:
         basis = [m for m in full_basis(q.graph) if m.is_pure_path]
     pool = []
-    for coeffs in cartesian_product(coefficients, repeat=len(basis)):
+    for coeffs in cartesian_product((-1, 0, 1), repeat=len(basis)):
         if not any(coeffs):
             continue
         raw = [(m, field.from_int(c)) for m, c in zip(basis, coeffs) if c]

@@ -47,8 +47,8 @@ class LaurentPoly:
         return cls({}, field)
 
     @classmethod
-    def monomial(cls, exponent, field=QQ, coeff=None):
-        return cls({exponent: coeff if coeff is not None else field.one()}, field)
+    def monomial(cls, exponent, field=QQ):
+        return cls({exponent: field.one()}, field)
 
     def is_zero(self):
         return not self.coeffs
@@ -101,10 +101,10 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
-def toeplitz_graph(name="T"):
-    """Loop e at v, edge f to the sink w (f last-declared: it is the
-    designated edge at v, so ee* survives normal forms and ff* rewrites)."""
-    return Graph(name, ["v", "w"], [("e", "v", "v"), ("f", "v", "w")])
+def toeplitz_graph():
+    """The graph T: loop e at v, edge f to the sink w (f last-declared: it is
+    the designated edge at v, so ee* survives normal forms and ff* rewrites)."""
+    return Graph("T", ["v", "w"], [("e", "v", "v"), ("f", "v", "w")])
 
 
 class ToeplitzDecomposition:

@@ -7,7 +7,7 @@ import pytest
 
 import leavitt as L
 from leavitt import Element, Graph, LaurentPoly, Matrix, Monomial, Path, PreconditionError
-from leavitt.algebra import _key
+from leavitt.algebra import _key, _monomial, _normal_form
 from leavitt.expressions import MAX_NESTING
 from leavitt.matrices import add_entry
 
@@ -133,6 +133,25 @@ def random_element(g, rng, pool=None, size=4, field=L.QQ):
     return Element(g, field, random_raw_terms(g, rng, pool, size, field))
 
 
+class RandomStack(list):
+    """A list whose ``pop()`` removes a random index: ``_normal_form``
+    consumes it in a random rewrite order instead of as a stack."""
+
+    def __init__(self, items, rng):
+        super().__init__(items)
+        self.rng = rng
+
+    def pop(self):
+        return super().pop(self.rng.randrange(len(self)))
+
+
+def random_order_normal_form(g, terms, rng):
+    """{Monomial: coefficient} of (Monomial, coefficient) terms, rewritten
+    through ``_normal_form`` in a random order."""
+    flat = _normal_form(g, RandomStack([(_key(m), c) for m, c in terms], rng))
+    return {_monomial(g, k): c for k, c in flat.items()}
+
+
 def random_nonzero_element(g, rng, pool=None, size=4, field=L.QQ):
     for _ in range(50):
         x = random_element(g, rng, pool, size, field)
@@ -223,7 +242,7 @@ def reference_laurent_quotient(x):
     F0 = L.recognize_toeplitz(x.graph).subgraph.vertices
     image = L.LaurentPoly.zero(x.field)
     for m, c in L.quotient_morphism(x, F0).terms.items():
-        image = image + L.LaurentPoly.monomial(m.degree, x.field, c)
+        image = image + L.LaurentPoly({m.degree: c}, x.field)
     return image
 
 

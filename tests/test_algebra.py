@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 import leavitt as L
 from leavitt import Element, GraphMismatch, Monomial, Path
-from leavitt.algebra import normalize_terms
 
 from conftest import (
     corpus_graphs,
@@ -15,6 +14,7 @@ from conftest import (
     path_count_dimension,
     random_element,
     random_graph,
+    random_order_normal_form,
     random_raw_terms,
     raw_monomials,
     reference_element,
@@ -206,11 +206,8 @@ def test_confluence_randomized_strategies():
         pool = raw_monomials(g)
         for _ in range(40):
             terms = random_raw_terms(g, rng, pool, size=5)
-            first = normalize_terms(g, terms)
-            shuffled = rng.sample(terms, len(terms))
-            second = normalize_terms(
-                g, shuffled, chooser=lambda pending: rng.randrange(len(pending))
-            )
+            first = Element(g, L.QQ, terms).terms
+            second = random_order_normal_form(g, rng.sample(terms, len(terms)), rng)
             assert first == second
             for m in first:
                 assert m.is_basis()
@@ -245,7 +242,9 @@ def test_single_exit_run_cut_matches_one_edge_rewriting():
         for field in (L.QQ, L.GF(7)):
             for _ in range(6):
                 terms = [(m, field.from_int(c)) for m, c in long_raw_terms(g, rng, max_len, 5)]
-                assert normalize_terms(g, terms) == one_edge_normalize_terms(terms), g.name
+                expected = one_edge_normalize_terms(terms)
+                assert Element(g, field, terms).terms == expected, g.name
+                assert random_order_normal_form(g, terms, rng) == expected, g.name
 
 
 def assert_paths_revalidate(x):

@@ -9,7 +9,6 @@ import pytest
 
 import leavitt as L
 from leavitt import Element, Graph, Monomial, Path
-from leavitt.algebra import normalize_terms
 from leavitt.fields import PrimeFieldElement
 
 from conftest import (
@@ -19,6 +18,7 @@ from conftest import (
     parent_format_element,
     parent_normalize_terms,
     random_graph,
+    random_order_normal_form,
     raw_monomials,
     reference_parse_element,
     seeded,
@@ -87,15 +87,15 @@ def test_element_arithmetic_matches_the_monomial_kernel(field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["qq", "f7"])
-def test_normalize_terms_with_a_chooser_matches_the_monomial_kernel(field):
+def test_normal_form_in_a_random_order_matches_the_monomial_kernel(field):
     rng = seeded(f"flat-chooser-{field!r}")
     for g in graphs(rng):
         pool = raw_monomials(g)
         for _ in range(8):
             raw = raw_terms(rng, pool, field, size=8)
             expected = parent_normalize_terms(g, raw)
-            assert normalize_terms(g, raw) == expected
-            chosen = normalize_terms(g, raw, chooser=lambda pending: rng.randrange(len(pending)))
+            assert Element(g, field, raw).terms == expected
+            chosen = random_order_normal_form(g, raw, rng)
             assert chosen == expected
             assert all(type(m) is Monomial for m in chosen)
 

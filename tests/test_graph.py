@@ -68,6 +68,34 @@ def test_parse_errors_carry_position():
         L.parse_graph("graph G\nvertex 1a\n")
 
 
+@pytest.mark.parametrize(
+    "source, word, line, column",
+    [
+        ("graph g\nvertex v\nvertex a\nedge a1 v 1\n", "1", 4, 11),
+        ("graph g\nvertex v\nvertex a\n\tedge\ta1\tv\t1\n", "1", 4, 12),
+        ("graph g\nvertex v\nvertex a\nedge a v x-#c\n", "x-", 4, 10),
+        ("graph g\nvertex v\nvertex a\nedge 1 v 1\n", "1", 4, 6),
+        ("graph g\nvertex v\nvertex a\nedge vv v v-  # v- again\n", "v-", 4, 11),
+        ("graph 1x\n", "1x", 1, 7),
+    ],
+    ids=["inside-an-earlier-token", "tabs", "touching-a-comment", "first-token",
+         "in-the-comment-too", "header"],
+)
+def test_bad_identifier_column_is_its_whole_token_before_the_comment(source, word, line, column):
+    with pytest.raises(GraphSyntaxError) as err:
+        L.parse_graph(source)
+    assert str(err.value) == f"line {line}, column {column}: bad identifier {word!r}"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_builders_name_their_graphs():
+    assert L.line_graph(3).name == "line3"
+    assert L.single_loop_graph().name == "R1"
+    assert L.ladder_graph(2).name == "ladder2"
+    assert L.comb_graph(2).name == "comb2"
+    assert L.toeplitz_graph().name == "T"
+
+
 def test_dsl_round_trip(toeplitz):
     assert L.parse_graph(toeplitz.to_dsl()) == toeplitz
 

@@ -13,7 +13,7 @@ import pytest
 import leavitt as L
 from leavitt import Element, Graph, Matrix, Monomial, Path, PreconditionError
 from leavitt import toeplitz
-from leavitt.semisimple import _paths_into
+from leavitt.graph import _paths_ending_in
 
 from conftest import (
     corpus_graphs,
@@ -187,16 +187,21 @@ def test_window_cells_match_the_shift_rule():
 
 def test_paths_into_lists_the_first_paths_in_length_then_edge_order():
     rng = seeded("paths-into")
-    checked = 0
+    checked = in_blocks = 0
     for g in [random_graph(rng, max_edges=7) for _ in range(300)] + corpus_graphs():
         if not L.is_acyclic(g):
             continue
+        d = L.matrix_decomposition(g)
+        blocks = {b["paths"][0].range: list(b["paths"]) for b in d.blocks}
         for w in g.sinks():
             every = [p for p in L.paths_up_to(g, len(g.vertices)) if p.range == w]
             every.sort(key=lambda p: (p.length, [g.edge_index(e) for e in p.edges]))
-            assert _paths_into(g, w) == every, (g, w)
+            assert [p for level in _paths_ending_in(g, (w,)) for p in level] == every, (g, w)
+            if d.kind == "sink_paths":
+                assert blocks[w] == every, (g, w)
+                in_blocks += 1
             checked += 1
-    assert checked > 100
+    assert checked > 100 and in_blocks > 30
 
 
 @pytest.mark.parametrize("window", [1, 2, 7])

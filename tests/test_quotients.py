@@ -3,7 +3,7 @@
 import pytest
 
 import leavitt as L
-from leavitt import Element, PreconditionError
+from leavitt import Element, PreconditionError, UnknownIdentifier
 from leavitt.quotients import _quotient_image, _socle_quotient
 
 from conftest import (
@@ -203,6 +203,18 @@ def test_restriction_graph_whole_vertex_set(toeplitz):
     assert rg.complete
     with pytest.raises(PreconditionError):
         L.restriction_graph(toeplitz, set(), 4)
+
+
+def test_restriction_graph_checks_members_then_emptiness_then_hereditary_then_bound(toeplitz):
+    with pytest.raises(UnknownIdentifier):
+        L.restriction_graph(toeplitz, {"z"}, 0)
+    for bound in (4, 0):
+        with pytest.raises(PreconditionError, match="needs a nonempty H"):
+            L.restriction_graph(toeplitz, set(), bound)
+    with pytest.raises(PreconditionError, match="H is not hereditary"):
+        L.restriction_graph(toeplitz, {"v"}, 0)
+    with pytest.raises(PreconditionError, match="length bound must be at least 1"):
+        L.restriction_graph(toeplitz, {"w"}, 0)
 
 
 def test_restriction_embedding_generator_images(a2):
