@@ -90,7 +90,7 @@ def _group_inverse(g, field, args):
 def _socle_member(g, field, args):
     x = parse_element(g, args.expr, field)
     H = _socle_quotient(g)[0]
-    return {"member": in_socle(x), "socle_generators": [v for v in g.vertices if v in H]}
+    return {"member": in_socle(x), "socle_generators": list(H)}
 
 
 def _quotient(g, field, args):

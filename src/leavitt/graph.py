@@ -105,7 +105,7 @@ class Graph:
         return self.out_degree(v) == 0
 
     def sinks(self):
-        return tuple(v for v in self.vertices if self.is_sink(v))
+        return tuple(v for v in self.vertices if not self._out[v])
 
     def designated_edge(self, v):
         """The last-declared edge out of v; None for sinks.
@@ -394,52 +394,62 @@ def walk_between(g, u, w):
 
 
 class VertexSet:
-    """Subset of E0 attached to a graph, iterated in declaration order."""
+    """Subset of E0, iterated in declaration order. It holds no graph, so a
+    graph's memo can keep it; names are looked up only if some is unknown."""
 
-    __slots__ = ("graph", "members")
+    __slots__ = ("_members", "_ordered")
 
-    def __init__(self, graph, members):
-        members = frozenset(members)
-        for v in members:
-            graph.vertex_index(v)
-        self.graph = graph
-        self.members = members
+    def __init__(self, graph, names):
+        names = _names(names)
+        self._members = frozenset(names)
+        self._ordered = tuple(filter(self._members.__contains__, graph.vertices))
+        if len(self._ordered) < len(self._members):
+            _as_members(graph, names)
+
+    @property
+    def members(self):
+        return self._members
 
     def ordered(self):
-        return tuple(v for v in self.graph.vertices if v in self.members)
+        return self._ordered
 
     def __contains__(self, v):
-        return v in self.members
+        return v in self._members
 
     def __iter__(self):
-        return iter(self.ordered())
+        return iter(self._ordered)
 
     def __len__(self):
-        return len(self.members)
+        return len(self._members)
 
     def __eq__(self, other):
         if isinstance(other, VertexSet):
-            return self.graph == other.graph and self.members == other.members
+            other = other._members
         if isinstance(other, (set, frozenset)):
-            return self.members == other
+            return self._members == other
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.members)
+        return hash(self._members)
 
     def __repr__(self):
-        return f"VertexSet({list(self.ordered())})"
+        return f"VertexSet({list(self._ordered)})"
+
+
+def _names(X):
+    """The names of a vertex set, in the caller's order. A string is refused:
+    it would be read as the set of its characters."""
+    if isinstance(X, str):
+        raise PreconditionError(f"a vertex set is a collection of names, not the string {X!r}")
+    return tuple(X)
 
 
 def _as_members(g, X):
-    if isinstance(X, VertexSet):
-        if X.graph != g:
-            raise GraphMismatch("vertex set belongs to a different graph")
-        return X.members
-    members = frozenset(X)
-    for v in members:
+    """The names of X as a frozenset, each checked against g in X's order."""
+    names = _names(X)
+    for v in names:
         g.vertex_index(v)
-    return members
+    return frozenset(names)
 
 
 # ---------------------------------------------------------------------------
@@ -450,13 +460,10 @@ def _graph_fact(compute):
     """Declare compute(g) a fact of g: computed on first use, then kept in
     g's memo under the decorated function itself.
 
-    Only immutable values are stored, so every caller can share them.
-    Vertex sets are stored as frozensets: a VertexSet refers back to its
-    graph, and that cycle would keep a dropped graph alive until the next
-    garbage collection. Two threads may both miss and both compute; each
-    stores an equal value with one atomic dict assignment, so the race is
-    benign and graphs stay safe to share. A compute that raises stores
-    nothing.
+    Only immutable values are stored, so every caller can share them. Two
+    threads may both miss and both compute; each stores an equal value with
+    one atomic dict assignment, so the race is benign and graphs stay safe
+    to share. A compute that raises stores nothing.
     """
     @wraps(compute)
     def fact(g):
@@ -505,8 +512,7 @@ def _paths_ending_in(g, targets, keep=None):
 
 def tree(g, v):
     """T(v): every vertex reachable from v by a directed path, v included."""
-    g.vertex_index(v)
-    return VertexSet(g, _reach(g, (v,)))
+    return tree_of_set(g, (v,))
 
 
 def tree_of_set(g, X):
@@ -515,17 +521,15 @@ def tree_of_set(g, X):
 
 def connects_to(g, u, w):
     """True iff there is a directed path from u to w (trivial path included)."""
-    return w in tree(g, u)
-
-
-def bifurcations(g):
-    """Vertices emitting at least two edges."""
-    return VertexSet(g, _bifurcations(g))
+    g.vertex_index(u)
+    g.vertex_index(w)
+    return w in _reach(g, (u,))
 
 
 @_graph_fact
-def _bifurcations(g):
-    return frozenset(v for v in g.vertices if g.out_degree(v) >= 2)
+def bifurcations(g):
+    """Vertices emitting at least two edges."""
+    return VertexSet(g, (v for v in g.vertices if len(g._out[v]) >= 2))
 
 
 @_graph_fact
@@ -575,7 +579,7 @@ def cycle_has_exit(g, cycle):
         raise PreconditionError("cycle belongs to a different graph")
     edge_set = set(cycle.edges)
     for v in cycle.vertices():
-        for e in g.out_edges(v):
+        for e in g._out[v]:
             if e.name not in edge_set:
                 return True
     return False
@@ -593,31 +597,26 @@ def vertex_on_a_cycle(g):
     return frozenset(on)
 
 
+@_graph_fact
 def line_points(g):
     """Vertices u whose tree T(u) has no bifurcations and meets no cycle:
     by backwards reachability, those reaching no bifurcation and no vertex
     on a cycle."""
-    return VertexSet(g, _line_points(g))
-
-
-@_graph_fact
-def _line_points(g):
     blocked = bifurcations(g).members | vertex_on_a_cycle(g)
-    return frozenset(set(g.vertices) - _reach(g, blocked, backwards=True))
+    return VertexSet(g, set(g.vertices) - _reach(g, blocked, backwards=True))
 
 
 def is_hereditary(g, X):
-    """v >= w and v in X imply w in X; equivalently, every edge with source
-    in X has its range in X."""
+    """v >= w and v in X imply w in X; equivalently, X is all it reaches."""
     members = _as_members(g, X)
-    return all(e.dst in members for e in g.edges if e.src in members)
+    return _reach(g, members) == members
 
 
 def is_saturated(g, X):
     """Every emitting vertex feeding only into X lies in X."""
     members = _as_members(g, X)
     for v in g.vertices:
-        es = g.out_edges(v)
+        es = g._out[v]
         if es and all(e.dst in members for e in es) and v not in members:
             return False
     return True

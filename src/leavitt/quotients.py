@@ -21,18 +21,18 @@ from .graph import (
     Graph,
     Path,
     hereditary_saturated_closure,
-    is_hereditary,
     is_saturated,
     line_points,
     _as_members,
     _graph_fact,
     _paths_ending_in,
+    _reach,
 )
 
 
 def _require_hereditary(g, H):
     members = _as_members(g, H)
-    if not is_hereditary(g, members):
+    if _reach(g, members) != members:
         raise PreconditionError("H is not hereditary")
     return members
 
@@ -88,8 +88,8 @@ def in_graded_ideal(x, H):
 @_graph_fact
 def _socle_quotient(g):
     """(H, E/H) for H the hereditary saturated closure of the line points,
-    as a frozenset, so that Soc(L_K(E)) = I(H)."""
-    H = hereditary_saturated_closure(g, line_points(g)).members
+    so that Soc(L_K(E)) = I(H)."""
+    H = hereditary_saturated_closure(g, line_points(g))
     return H, quotient_graph(g, H)
 
 
@@ -175,7 +175,7 @@ def restriction_graph(g, H, bound):
         for p in paths
     ]
     built = Graph(f"{g.name}_restrict", vertices, edges)
-    return RestrictionGraph(g, frozenset(members), built, tuple(paths), bound, complete)
+    return RestrictionGraph(g, members, built, tuple(paths), bound, complete)
 
 
 def restriction_embedding(rg, y):

@@ -9,7 +9,9 @@ import leavitt as L
 from leavitt import Element, Graph, LaurentPoly, Matrix, Monomial, Path, PreconditionError
 from leavitt.algebra import _key, _monomial, _normal_form
 from leavitt.expressions import MAX_NESTING
+from leavitt.graph import _reach, vertex_on_a_cycle
 from leavitt.matrices import add_entry
+from leavitt.quotients import _entry_paths
 
 TOEPLITZ_DSL = "graph T\nvertex v\nvertex w\nedge e v v\nedge f v w\n"
 A2_DSL = "graph A2\nvertex u\nvertex w\nedge f u w\n"
@@ -1715,3 +1717,214 @@ def parent_connected_components(g):
     for e in g.edges:
         parts[comp_of[e.src]][1].append(e)
     return tuple(Graph(f"{g.name}_c{i}", vs, es) for i, (vs, es) in enumerate(parts))
+
+
+# ---------------------------------------------------------------------------
+# The vertex sets as they were when a VertexSet held its graph: verbatim
+# copies (without the memo) of the wrapper, its member check, the analyzers
+# that returned one and the quotient constructions that checked H, kept as
+# the oracle for the graph-free VertexSet.
+
+
+class ParentVertexSet:
+    """Subset of E0 attached to a graph, iterated in declaration order."""
+
+    __slots__ = ("graph", "members")
+
+    def __init__(self, graph, members):
+        members = frozenset(members)
+        for v in members:
+            graph.vertex_index(v)
+        self.graph = graph
+        self.members = members
+
+    def ordered(self):
+        return tuple(v for v in self.graph.vertices if v in self.members)
+
+    def __contains__(self, v):
+        return v in self.members
+
+    def __iter__(self):
+        return iter(self.ordered())
+
+    def __len__(self):
+        return len(self.members)
+
+    def __eq__(self, other):
+        if isinstance(other, ParentVertexSet):
+            return self.graph == other.graph and self.members == other.members
+        if isinstance(other, (set, frozenset)):
+            return self.members == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.members)
+
+    def __repr__(self):
+        return f"VertexSet({list(self.ordered())})"
+
+
+def parent_as_members(g, X):
+    if isinstance(X, ParentVertexSet):
+        if X.graph != g:
+            raise L.GraphMismatch("vertex set belongs to a different graph")
+        return X.members
+    members = frozenset(X)
+    for v in members:
+        g.vertex_index(v)
+    return members
+
+
+def parent_tree(g, v):
+    """T(v): every vertex reachable from v by a directed path, v included."""
+    g.vertex_index(v)
+    return ParentVertexSet(g, _reach(g, (v,)))
+
+
+def parent_tree_of_set(g, X):
+    return ParentVertexSet(g, _reach(g, parent_as_members(g, X)))
+
+
+def parent_bifurcations(g):
+    """Vertices emitting at least two edges."""
+    return ParentVertexSet(g, frozenset(v for v in g.vertices if g.out_degree(v) >= 2))
+
+
+def parent_line_points(g):
+    """Vertices u whose tree T(u) has no bifurcations and meets no cycle:
+    by backwards reachability, those reaching no bifurcation and no vertex
+    on a cycle."""
+    blocked = parent_bifurcations(g).members | vertex_on_a_cycle(g)
+    return ParentVertexSet(g, frozenset(set(g.vertices) - _reach(g, blocked, backwards=True)))
+
+
+def parent_is_hereditary(g, X):
+    """v >= w and v in X imply w in X; equivalently, every edge with source
+    in X has its range in X."""
+    members = parent_as_members(g, X)
+    return all(e.dst in members for e in g.edges if e.src in members)
+
+
+def parent_hereditary_saturated_closure(g, X):
+    closure = _reach(g, parent_as_members(g, X))
+    missing = {}
+    ready = []
+    for v in g.vertices:
+        if v not in closure and g._out[v]:
+            missing[v] = sum(e.dst not in closure for e in g._out[v])
+            if not missing[v]:
+                ready.append(v)
+    closure.update(ready)
+    while ready:
+        for e in g._in[ready.pop()]:
+            u = e.src
+            if u not in closure:
+                missing[u] -= 1
+                if not missing[u]:
+                    closure.add(u)
+                    ready.append(u)
+    return ParentVertexSet(g, closure)
+
+
+def parent_require_hereditary(g, H):
+    members = parent_as_members(g, H)
+    if not parent_is_hereditary(g, members):
+        raise PreconditionError("H is not hereditary")
+    return members
+
+
+def parent_quotient_graph(g, H):
+    members = parent_require_hereditary(g, H)
+    if not members:
+        return g
+    vertices = [v for v in g.vertices if v not in members]
+    edges = [e for e in g.edges if e.dst not in members]
+    name = f"{g.name}_mod_" + "_".join(v for v in g.vertices if v in members)
+    return Graph(name, vertices, edges)
+
+
+def parent_restriction_graph(g, H, bound):
+    members = parent_require_hereditary(g, H)
+    if not members:
+        raise PreconditionError("restriction graph needs a nonempty H")
+    if bound < 1:
+        raise PreconditionError("length bound must be at least 1")
+    paths, complete = _entry_paths(g, members, bound)
+    h_order = [v for v in g.vertices if v in members]
+    vertices = h_order + [L.RestrictionGraph.vertex_for(p) for p in paths]
+    edges = [(e.name, e.src, e.dst) for e in g.edges if e.src in members]
+    edges += [
+        (L.RestrictionGraph.bar_edge_for(p), L.RestrictionGraph.vertex_for(p), p.range)
+        for p in paths
+    ]
+    built = Graph(f"{g.name}_restrict", vertices, edges)
+    return L.RestrictionGraph(g, frozenset(members), built, tuple(paths), bound, complete)
+
+
+# ---------------------------------------------------------------------------
+# Products on the canonical Toeplitz graph as infinite matrices, with no
+# rewrite kernel: on T every normal-form term is a cell or a diagonal run
+# of the action on the paths into the sink, b_0 = w, b_{k+1} = e^k f.
+
+
+def toeplitz_cells_and_runs(x):
+    """x on a canonical Toeplitz graph as ({(a, b): c}, {(s, m): c}). A term
+    ending at the sink is c E_(a,b), the cell b_b -> b_a, with a and b the
+    lengths of its real and ghost paths; a term e^a (e^b)* ending at the
+    loop vertex is c R_(a-b, b+1), the run b_k -> b_(k+a-b) for every
+    k >= b + 1. Only the lengths are read: on T a path into the sink is
+    b_k and a path into the loop vertex is a power of the loop."""
+    sink = L.recognize_toeplitz(x.graph).subgraph.vertices[0]
+    cells, runs = {}, {}
+    for m, c in x.terms.items():
+        a, b = m.real.length, m.ghost.length
+        if m.real.range == sink:
+            _add(cells, (a, b), c)
+        else:
+            _add(runs, (a - b, b + 1), c)
+    return cells, runs
+
+
+def compose_cells_and_runs(left, right):
+    """The product of two cell-and-run descriptions, term by term:
+    E_(a,b) E_(c,d) = [b = c] E_(a,d); R_(s,m) E_(c,d) = [c >= m] E_(c+s,d);
+    E_(a,b) R_(t,n) = [b - t >= n] E_(a,b-t);
+    R_(s,m) R_(t,n) = R_(s+t, max(n, m-t))."""
+    (lcells, lruns), (rcells, rruns) = left, right
+    cells, runs = {}, {}
+    for (a, b), x in lcells.items():
+        for (c, d), y in rcells.items():
+            if b == c:
+                _add(cells, (a, d), x * y)
+        for (t, n), y in rruns.items():
+            if b - t >= n:
+                _add(cells, (a, b - t), x * y)
+    for (s, m), x in lruns.items():
+        for (c, d), y in rcells.items():
+            if c >= m:
+                _add(cells, (c + s, d), x * y)
+        for (t, n), y in rruns.items():
+            _add(runs, (s + t, max(n, m - t)), x * y)
+    return cells, runs
+
+
+def toeplitz_column(description, k):
+    """Column k of the infinite matrix: {row: nonzero scalar}."""
+    cells, runs = description
+    column = {}
+    for (a, b), c in cells.items():
+        if b == k:
+            _add(column, a, c)
+    for (s, m), c in runs.items():
+        if k >= m:
+            _add(column, k + s, c)
+    return {i: c for i, c in column.items() if c}
+
+
+def toeplitz_run_ends(description):
+    """The value each diagonal s takes far to the right: the sum of its
+    runs, for the diagonals where that sum is not zero."""
+    ends = {}
+    for (s, _), c in description[1].items():
+        _add(ends, s, c)
+    return {s: c for s, c in ends.items() if c}

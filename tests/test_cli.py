@@ -266,6 +266,19 @@ def test_quotient_and_closure(capsys, tfile):
     assert json.loads(out)["result"]["closure"] == ["w"]
 
 
+def test_the_first_unknown_name_of_a_set_is_reported(capsys, tfile):
+    """--set is checked in its list order, so the report names the first
+    unknown vertex whatever the string-hash seed."""
+    for command in ("closure", "quotient", "restrict"):
+        for names, first in (("aa,bb,cc", "aa"), ("w,cc,bb", "cc")):
+            code, out, err = run_cli(capsys, command, tfile, "--set", names)
+            assert code == 2 and out == ""
+            assert json.loads(err)["error"] == {
+                "type": "UnknownIdentifier",
+                "message": f"unknown vertex '{first}' in graph 'T'",
+            }
+
+
 def test_quotient_of_unsaturated_hereditary_set(capsys, a2file):
     # the quotient graph exists; the morphism does not, and says so
     code, out, _ = run_cli(capsys, "quotient", a2file, "--set", "w")

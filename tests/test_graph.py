@@ -9,7 +9,13 @@ from time import perf_counter
 import pytest
 
 import leavitt as L
-from leavitt import DuplicateIdentifier, GraphSyntaxError, PreconditionError, UnknownIdentifier
+from leavitt import (
+    DuplicateIdentifier,
+    GraphSyntaxError,
+    LeavittError,
+    PreconditionError,
+    UnknownIdentifier,
+)
 from leavitt.graph import strongly_connected_components, vertex_on_a_cycle
 
 from conftest import (
@@ -20,8 +26,17 @@ from conftest import (
     deep_graphs,
     hereditary_oracle,
     line_points_oracle,
+    ParentVertexSet,
+    parent_bifurcations,
     parent_connected_components,
+    parent_hereditary_saturated_closure,
+    parent_is_hereditary,
+    parent_line_points,
+    parent_quotient_graph,
+    parent_restriction_graph,
     parent_strongly_connected_components,
+    parent_tree,
+    parent_tree_of_set,
     reachability,
     semiprime_oracle,
     small_corpus_graphs,
@@ -138,6 +153,16 @@ def test_connects_to(a2):
     assert not L.connects_to(a2, "w", "u")
     for v in a2.vertices:
         assert L.connects_to(a2, v, v)
+
+
+def test_connects_to_rejects_unknown_vertices_at_either_end(a2):
+    """An unknown target used to give False; it is reported as walk_between
+    reports it, and an unknown source as before."""
+    for u, w, unknown in (("u", "nowhere", "nowhere"), ("nowhere", "u", "nowhere"),
+                          ("x", "y", "x")):
+        for search in (L.connects_to, L.walk_between):
+            with pytest.raises(UnknownIdentifier, match=f"unknown vertex '{unknown}'"):
+                search(a2, u, w)
 
 
 def test_tree_is_least_hereditary_superset():
@@ -278,6 +303,146 @@ def test_closure_matches_fixpoint_on_random_graphs():
         for _ in range(3):
             X = frozenset(v for v in g.vertices if rng.random() < 0.3)
             assert L.hereditary_saturated_closure(g, X).members == reference_closure(g, X)
+
+
+def _outcome(f, *args):
+    try:
+        return ("value", f(*args))
+    except LeavittError as exc:
+        return ("error", type(exc), str(exc))
+
+
+def _same_vertex_set(new, old):
+    assert isinstance(new, L.VertexSet) and isinstance(old, ParentVertexSet)
+    assert new.ordered() == old.ordered()
+    assert isinstance(new.members, frozenset) and new.members == old.members
+    assert tuple(new) == tuple(old) and len(new) == len(old)
+    assert new == set(old.members) and new == old.members and not new == {"nowhere"}
+    assert hash(new) == hash(old) and repr(new) == repr(old)
+
+
+def _same_graph(new, old):
+    assert (new.name, new.vertices, new.edges) == (old.name, old.vertices, old.edges)
+
+
+def _same_restriction(new, old):
+    _same_graph(new.graph, old.graph)
+    assert (new.H, new.bound, new.complete) == (old.H, old.bound, old.complete)
+    assert [p.edges for p in new.entry_paths] == [p.edges for p in old.entry_paths]
+
+
+def _same_outcome(new, old, same):
+    if new[0] == "value" and old[0] == "value":
+        same(new[1], old[1])
+    else:
+        assert new == old
+
+
+def test_vertex_sets_match_the_parent_vertex_sets():
+    """The graph-free VertexSet and the functions that return or check one,
+    against verbatim copies of the ones whose VertexSet held its graph:
+    ordered tuples, members, iteration, len, equality with sets, and the
+    error types and messages for a set that is not hereditary and for a set
+    with one unknown name."""
+    rng = seeded("vertex-sets")
+    graphs = [random_graph(rng, max_vertices=8, max_edges=12) for _ in range(200)]
+    graphs += corpus_graphs() + deep_graphs()
+    kinds = set()
+    for g in graphs:
+        vertices = rng.sample(g.vertices, min(len(g.vertices), 6))
+        for v in vertices:
+            _same_vertex_set(L.tree(g, v), parent_tree(g, v))
+        _same_vertex_set(L.bifurcations(g), parent_bifurcations(g))
+        _same_vertex_set(L.line_points(g), parent_line_points(g))
+        seeds = [[], list(g.vertices)]
+        seeds += [[v for v in vertices if rng.random() < 0.4] for _ in range(3)]
+        for X in seeds:
+            new_sets = [X, L.tree_of_set(g, X), L.hereditary_saturated_closure(g, X)]
+            old_sets = [X, parent_tree_of_set(g, X), parent_hereditary_saturated_closure(g, X)]
+            _same_vertex_set(new_sets[1], old_sets[1])
+            _same_vertex_set(new_sets[2], old_sets[2])
+            _same_vertex_set(L.VertexSet(g, X), ParentVertexSet(g, X))
+            unknown = X[:1] + ["nowhere"] + X[1:]
+            new_sets.append(unknown)
+            old_sets.append(unknown)
+            for H, old_H in zip(new_sets, old_sets):
+                assert _outcome(L.is_hereditary, g, H) == _outcome(parent_is_hereditary, g, old_H)
+                new = _outcome(L.quotient_graph, g, H)
+                old = _outcome(parent_quotient_graph, g, old_H)
+                _same_outcome(new, old, _same_graph)
+                kinds.add(new[0] if new[0] == "value" else new[2])
+                new = _outcome(L.restriction_graph, g, H, 2)
+                old = _outcome(parent_restriction_graph, g, old_H, 2)
+                _same_outcome(new, old, _same_restriction)
+                kinds.add(new[0] if new[0] == "value" else new[2])
+            for f, parent in ((L.tree_of_set, parent_tree_of_set),
+                              (L.hereditary_saturated_closure, parent_hereditary_saturated_closure),
+                              (L.is_hereditary, parent_is_hereditary),
+                              (L.VertexSet, ParentVertexSet)):
+                assert _outcome(f, g, unknown) == _outcome(parent, g, unknown)
+                assert _outcome(f, g, unknown)[0] == "error"
+        assert _outcome(L.tree, g, "nowhere") == _outcome(parent_tree, g, "nowhere")
+    assert "value" in kinds and "H is not hereditary" in kinds
+    assert any(k.startswith("unknown vertex 'nowhere'") for k in kinds)
+
+
+def test_vertex_sets_are_checked_once_per_call(monkeypatch):
+    """Graph.vertex_index calls on line_graph(200) with H = {x100..x200}:
+    H is checked once by quotient_graph, and not at all by analyzer_report,
+    whose vertex sets are built from the graph's own vertices."""
+    calls = []
+    lookup = L.Graph.vertex_index
+    monkeypatch.setattr(L.Graph, "vertex_index", lambda g, v: calls.append(v) or lookup(g, v))
+
+    def count(query):
+        g, H = L.line_graph(200), {f"x{i}" for i in range(100, 201)}
+        calls.clear()
+        query(g, H)
+        return len(calls)
+
+    assert count(L.quotient_graph) == 101
+    assert count(lambda g, H: L.analyzer_report(g)) == 0
+    assert count(lambda g, H: L.restriction_graph(g, H, 6)) <= 402
+    assert count(L.hereditary_saturated_closure) == 101
+
+
+def test_unknown_names_are_reported_in_the_callers_order(toeplitz):
+    """Of several unknown names, the first one the caller gave is reported,
+    whatever the string-hash seed."""
+    g = L.ladder_graph(2)
+    for names in (["aa", "bb", "cc"], ["cc", "u1", "bb", "aa"], ("bb", "aa")):
+        first = next(v for v in names if not g.has_vertex(v))
+        for f in (L.hereditary_saturated_closure, L.tree_of_set, L.is_hereditary,
+                  L.is_saturated, L.quotient_graph, L.VertexSet,
+                  lambda g, X: L.restriction_graph(g, X, 2)):
+            with pytest.raises(UnknownIdentifier, match=f"unknown vertex '{first}'"):
+                f(g, names)
+            with pytest.raises(UnknownIdentifier, match=f"unknown vertex '{first}'"):
+                f(g, iter(names))
+
+
+def test_a_string_is_not_a_vertex_set(toeplitz):
+    """A string used to be read as the set of its characters."""
+    line = L.line_graph(12)
+    for g, text in ((toeplitz, "vw"), (toeplitz, "w"), (line, "x12")):
+        for f in (L.hereditary_saturated_closure, L.tree_of_set, L.is_hereditary,
+                  L.is_saturated, L.quotient_graph, L.VertexSet,
+                  lambda g, X: L.restriction_graph(g, X, 2)):
+            with pytest.raises(PreconditionError, match="not the string"):
+                f(g, text)
+    assert L.hereditary_saturated_closure(toeplitz, ["w"]) == {"w"}
+    assert L.quotient_graph(line, ["x12"]).vertices == line.vertices[:-1]
+
+
+def test_a_vertex_set_of_another_graph_is_checked_by_its_names(toeplitz, a2):
+    """A VertexSet holds no graph: one built on another graph is read as its
+    names, as a plain set is."""
+    w = L.tree(a2, "w")
+    assert L.hereditary_saturated_closure(toeplitz, w) == {"w"}
+    assert L.quotient_graph(toeplitz, w).vertices == ("v",)
+    with pytest.raises(UnknownIdentifier, match="unknown vertex 'u'"):
+        L.quotient_graph(toeplitz, L.tree(a2, "u"))
+    assert w == L.line_points(toeplitz) == {"w"} and hash(w) == hash(L.line_points(toeplitz))
 
 
 def test_closure_is_linear_on_long_lines():

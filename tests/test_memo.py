@@ -6,6 +6,7 @@ later answer.
 """
 
 import gc
+import pickle
 
 import pytest
 
@@ -45,9 +46,9 @@ def _toeplitz(g):
 ANALYZERS = {
     strongly_connected_components: strongly_connected_components,
     vertex_on_a_cycle: vertex_on_a_cycle,
-    graph_module._bifurcations: lambda g: L.bifurcations(g).ordered(),
+    L.bifurcations: lambda g: L.bifurcations(g).ordered(),
     graph_module._designated_edges: graph_module._designated_edges,
-    graph_module._line_points: lambda g: L.line_points(g).ordered(),
+    L.line_points: lambda g: L.line_points(g).ordered(),
     _socle_quotient: _socle,
     L.matrix_decomposition: _decomposition,
     L.recognize_toeplitz: _toeplitz,
@@ -98,6 +99,37 @@ def test_memoised_values_are_immutable():
         d.blocks[0]["paths"].append(None)
     assert L.matrix_decomposition(fork) is d
     assert d.describe() == _decomposition(fresh(fork))[1]
+
+
+def test_memoised_vertex_sets_cannot_be_changed():
+    """line_points and bifurcations are kept as they are returned, so their
+    public surface is read-only and later answers stay the same."""
+    g = L.ladder_graph(3)
+    report = L.analyzer_report(g)
+    for fact in (L.line_points, L.bifurcations):
+        vs = fact(g)
+        before = (vs.ordered(), vs.members)
+        with pytest.raises(AttributeError):
+            vs.members = frozenset({"u1"})
+        with pytest.raises(AttributeError):
+            vs.members.add("u1")
+        with pytest.raises(AttributeError):
+            vs.graph = g
+        assert fact(g) is vs and (vs.ordered(), vs.members) == before
+        assert fact(g) == fact(fresh(g))
+    assert L.analyzer_report(g) == report == L.analyzer_report(fresh(g))
+
+
+def test_a_graph_pickled_after_its_report_unpickles_with_the_same_report():
+    for g in (L.ladder_graph(4), L.toeplitz_graph(), L.line_graph(5)):
+        report = L.analyzer_report(g)
+        L.in_socle(Element.vertex(g, g.vertices[-1]))
+        copy = pickle.loads(pickle.dumps(g))
+        assert L.line_points in copy._memo and L.bifurcations in copy._memo
+        assert L.line_points(copy) == L.line_points(g)
+        assert L.line_points(copy).ordered() == L.line_points(g).ordered()
+        assert L.analyzer_report(copy) == report
+        assert _socle(copy) == _socle(g)
 
 
 def test_memo_keeps_no_cycle_through_the_graph():

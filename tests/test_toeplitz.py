@@ -9,6 +9,7 @@ from leavitt.algebra import _key
 from leavitt.toeplitz import bandwidth
 
 from conftest import (
+    compose_cells_and_runs,
     logged,
     loop_designated_toeplitz,
     parent_laurent_image,
@@ -18,7 +19,10 @@ from conftest import (
     reference_laurent_quotient,
     reference_sandwich_units,
     seeded,
+    toeplitz_cells_and_runs,
+    toeplitz_column,
     toeplitz_oracle,
+    toeplitz_run_ends,
 )
 
 
@@ -468,3 +472,47 @@ def test_a_wide_window_holds_its_entries_not_its_basis_paths():
     win = L.rcfm_representation(x, N)
     assert [(i, j, c) for i, row in enumerate(win.matrix.row_dicts) for j, c in row.items()] == [
         (N - 1, 0, one)]
+
+
+# -- the infinite-matrix oracle ----------------------------------------------------
+
+
+@pytest.mark.parametrize("field", [L.QQ, L.GF(7)], ids=["qq", "f7"])
+def test_products_on_T_follow_the_cell_and_run_rules(field):
+    """x * y against the composition of x's and y's cells and runs, which
+    involves no rewriting, on every column below deg x + deg y + 6: past
+    the last cell and the start of every run each column is the previous
+    one shifted down, so these columns decide the whole matrix. Both
+    declaration orders of T, so both choices of designated edge at v."""
+    rng = seeded(f"toeplitz-cells-{field.name}")
+    compared = 0
+    for g in (L.toeplitz_graph(), loop_designated_toeplitz()):
+        pool = L.basis_monomials_up_to(g, 4)
+        for _ in range(400):
+            x, y = (random_element(g, rng, pool, field=field) for _ in range(2))
+            expected = compose_cells_and_runs(toeplitz_cells_and_runs(x), toeplitz_cells_and_runs(y))
+            got = toeplitz_cells_and_runs(x * y)
+            for k in range(x.total_degree() + y.total_degree() + 6):
+                assert toeplitz_column(got, k) == toeplitz_column(expected, k), (g, x, y, k)
+            compared += 1
+    assert compared == 800
+
+
+@pytest.mark.parametrize("field", [L.QQ, L.GF(7)], ids=["qq", "f7"])
+def test_socle_and_laurent_image_are_read_off_the_runs(field):
+    """x lies in the socle exactly when the runs of each diagonal cancel,
+    so that x is a finite matrix, and its Laurent image maps each diagonal
+    s to the sum of its runs."""
+    rng = seeded(f"toeplitz-runs-{field.name}")
+    members = 0
+    for g in (L.toeplitz_graph(), loop_designated_toeplitz()):
+        pool = L.basis_monomials_up_to(g, 4)
+        for _ in range(120):
+            x = random_element(g, rng, pool, field=field)
+            if rng.random() < 0.3:  # x (1 - e e*) = x (w + f f*) lies in the socle
+                x = x - x * L.parse_element(g, "e*e'", field)
+            ends = toeplitz_run_ends(toeplitz_cells_and_runs(x))
+            assert L.in_socle(x) == (not ends), (g, x)
+            assert L.laurent_quotient(x).coeffs == ends, (g, x)
+            members += not ends
+    assert 20 < members < 200
