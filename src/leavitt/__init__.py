@@ -25,6 +25,7 @@ from .errors import (
     GraphMismatch,
     GraphSyntaxError,
     LeavittError,
+    LimitExceeded,
     NotFoundWithinBounds,
     NotGroupInvertible,
     NotSquareCancellable,

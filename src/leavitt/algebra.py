@@ -325,7 +325,14 @@ class Element:
                 elif q[:j] == r:  # q = r t: the product is p (s t)*
                     raw.append(((source, p, s_source, s + q[j:]), n * m))
         d, flat = d_left * d_right, _normal_form(self.graph, raw)
-        flat = {k: c for k, n in flat.items() if (c := self.field.from_fraction(n, d))}
+        # the integer sums become scalars in place; over F_p some vanish
+        from_fraction, vanished = self.field.from_fraction, []
+        for k, n in flat.items():
+            flat[k] = c = from_fraction(n, d)
+            if not c:
+                vanished.append(k)
+        for k in vanished:
+            del flat[k]
         return Element._of(self.graph, self.field, flat)
 
     def star(self):

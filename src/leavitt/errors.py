@@ -51,3 +51,7 @@ class NotSquareCancellable(LeavittError):
 
 class NotFoundWithinBounds(LeavittError):
     """Bounded exhaustive search exhausted without a witness."""
+
+
+class LimitExceeded(LeavittError):
+    """Input above a fixed size bound, refused before any work is done."""

@@ -203,18 +203,24 @@ def _spell(key):
 
 def format_element(x):
     """Basis-ordered canonical string; parse_element inverts it."""
-    if x.is_zero():
+    flat = x._flat
+    if not flat:
         return "0"
-    field = x.field
-    vindex, eindex = x.graph._vindex, x.graph._eindex.__getitem__
+    field, vindex, eindex = x.field, x.graph._vindex, x.graph._eindex.__getitem__
+    ranks = {}  # each distinct edge tuple's edge indices, built once per call
 
-    def basis_order(item):  # Monomial.sort_key, flattened
-        (s, p, t, q), _ = item
-        return vindex[s], tuple(map(eindex, p)), vindex[t], tuple(map(eindex, q))
+    def basis_order(key):  # Monomial.sort_key, flattened
+        s, p, t, q = key
+        rp, rq = ranks.get(p), ranks.get(q)
+        if rp is None:
+            rp = ranks[p] = tuple(map(eindex, p))
+        if rq is None:
+            rq = ranks[q] = tuple(map(eindex, q))
+        return vindex[s], rp, vindex[t], rq
 
     out = []
-    for k, c in sorted(x._flat.items(), key=basis_order):
-        text = field.format(c)  # a sign only over QQ
+    for k in sorted(flat, key=basis_order):
+        text = field.format(flat[k])  # a sign only over QQ
         mag = text.removeprefix("-")
         body = _spell(k) if mag == "1" else f"{mag}*{_spell(k)}"
         sign = ("- " if out else "-") if mag != text else ("+ " if out else "")

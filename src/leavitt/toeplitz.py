@@ -25,12 +25,15 @@ from collections import Counter
 from itertools import accumulate, product
 
 from .algebra import Element, _range, basis_monomials_up_to
-from .errors import PreconditionError
+from .errors import LimitExceeded, PreconditionError
 from .expressions import format_element, format_monomial
 from .fields import QQ
 from .graph import Graph, _graph_fact, is_acyclic, vertex_on_a_cycle
 from .matrices import Matrix, add_entry
 from .quotients import in_socle
+
+# a window holds up to N entries, and the sandwich report checks (N - 1)^2 units
+MAX_WINDOW, MAX_SANDWICH_WINDOW = 32_768, 128
 
 
 class LaurentPoly:
@@ -310,6 +313,8 @@ def _window_cells(x, d, window):
     runs are summed in order of their first column, as a step function."""
     if window < 1:
         raise PreconditionError("window size must be positive")
+    if window > MAX_WINDOW:
+        raise LimitExceeded(f"window {window} exceeds the bound {MAX_WINDOW}")
     g, sink = x.graph, d.subgraph.vertices[0]
     ranks, steps = [], {}
     for key, c in x._flat.items():
@@ -367,6 +372,8 @@ def sandwich_report(g, degree_bound, window, field=QQ):
     cannot decide it: the report then lists e^(d-1) f and its star as
     failures, rather than rejecting the window.
     """
+    if window > MAX_SANDWICH_WINDOW:
+        raise LimitExceeded(f"window {window} exceeds the sandwich bound {MAX_SANDWICH_WINDOW}")
     d = _canonical(g)
     monomials = basis_monomials_up_to(g, degree_bound)
     socle_failures, finiteness_failures = [], []

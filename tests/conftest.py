@@ -8,7 +8,7 @@ import pytest
 import leavitt as L
 from leavitt import Element, Graph, LaurentPoly, Matrix, Monomial, Path, PreconditionError
 from leavitt.algebra import _key, _monomial, _normal_form
-from leavitt.expressions import MAX_NESTING
+from leavitt.expressions import MAX_NESTING, _spell
 from leavitt.graph import _reach, vertex_on_a_cycle
 from leavitt.matrices import add_entry
 from leavitt.quotients import _entry_paths
@@ -1302,6 +1302,41 @@ def parent_format_element(x):
         sign = ("- " if out else "-") if negative else ("+ " if out else "")
         out.append(sign + body)
     return " ".join(out)
+
+
+def item_sorting_format_element(x):
+    """The printer as it was before it sorted keys: it sorts the (key,
+    coefficient) items and builds both edge-index tuples of every term."""
+    if x.is_zero():
+        return "0"
+    field = x.field
+    vindex, eindex = x.graph._vindex, x.graph._eindex.__getitem__
+
+    def basis_order(item):  # Monomial.sort_key, flattened
+        (s, p, t, q), _ = item
+        return vindex[s], tuple(map(eindex, p)), vindex[t], tuple(map(eindex, q))
+
+    out = []
+    for k, c in sorted(x._flat.items(), key=basis_order):
+        text = field.format(c)  # a sign only over QQ
+        mag = text.removeprefix("-")
+        body = _spell(k) if mag == "1" else f"{mag}*{_spell(k)}"
+        sign = ("- " if out else "-") if mag != text else ("+ " if out else "")
+        out.append(sign + body)
+    return " ".join(out)
+
+
+def rose(n):
+    """One vertex v with n loops e1..en: L_K of it is the Leavitt algebra L(1, n)."""
+    return Graph(f"rose{n}", ["v"], [(f"e{i}", "v", "v") for i in range(1, n + 1)])
+
+
+def rose_power_product(n, k, field=L.QQ):
+    """x * x.star() for x = (e1 + ... + en)^k on rose(n): on rose(4) it has
+    1, 13, 205, 3,277 and 52,429 terms for k = 0..4."""
+    s = "(" + " + ".join(f"e{i}" for i in range(1, n + 1)) + ")"
+    x = L.parse_element(rose(n), "*".join([s] * k) or "v", field)
+    return x * x.star()
 
 
 # ---------------------------------------------------------------------------

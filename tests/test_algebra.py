@@ -417,3 +417,30 @@ def test_degree_bookkeeping(toeplitz):
     assert x.ghost_degree() == 1
     assert x.total_degree() == 3
     assert Element.zero(toeplitz).total_degree() == 0
+
+
+def test_prime_field_products_drop_the_sums_that_vanish():
+    """Over F_p a product's integer coefficient sum can be a nonzero
+    multiple of p. Its key must go: no stored coefficient is zero, and the
+    product equals its term-by-term products summed through ``+``. The
+    integer sums are read off the product of the residues over QQ."""
+    rng = seeded("prime-field-cancellation")
+    for p in (2, 3, 7):
+        field, vanished = L.GF(p), 0
+        for _ in range(100):
+            g = random_graph(rng, max_vertices=2, max_edges=5)  # small, so sums collide
+            x, y = (random_element(g, rng, size=8, field=field) for _ in "xy")
+            residues = [
+                Element._of(g, L.QQ, {k: L.QQ.from_int(c.residue) for k, c in e._flat.items()})
+                for e in (x, y)
+            ]
+            sums = (residues[0] * residues[1])._flat.values()
+            vanished += sum(1 for n in sums if n % p == 0)
+            z = x * y
+            assert all(z._flat.values()), (g, x, y)
+            termwise = Element.zero(g, field)
+            for k, c in x._flat.items():
+                for k2, c2 in y._flat.items():
+                    termwise = termwise + Element._of(g, field, {k: c}) * Element._of(g, field, {k2: c2})
+            assert z == termwise, (g, x, y)
+        assert vanished > 10, (p, vanished)

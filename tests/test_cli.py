@@ -1,6 +1,7 @@
 """CLI: golden outputs, determinism, exit codes, structured errors."""
 
 import json
+from time import perf_counter
 
 import pytest
 
@@ -386,3 +387,15 @@ def test_pretty_output(capsys, tfile):
     assert code == 0
     assert out.splitlines()[0] == "command: analyze"
     assert "semiprime_path_algebra: False" in out
+
+
+def test_a_huge_toeplitz_window_is_refused_at_once(capsys, tfile):
+    """A window past the sandwich bound exits 2 before any unit is checked;
+    it used to exit 1 with a MemoryError."""
+    start = perf_counter()
+    code, out, err = run_cli(
+        capsys, "toeplitz-check", tfile, "--degree", "1", "--window", "99999999999999999999"
+    )
+    assert perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "LimitExceeded"

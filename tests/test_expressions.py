@@ -6,7 +6,15 @@ import leavitt as L
 from leavitt import Element, ExpressionSyntaxError, Graph, Monomial, Path, UnknownIdentifier
 from leavitt.expressions import MAX_NESTING
 
-from conftest import corpus_graphs, random_element, random_graph, reference_parse_element, seeded
+from conftest import (
+    corpus_graphs,
+    item_sorting_format_element,
+    random_element,
+    random_graph,
+    reference_parse_element,
+    rose_power_product,
+    seeded,
+)
 
 
 def test_scalars_and_signs(toeplitz):
@@ -225,3 +233,41 @@ def test_long_word_parses_to_one_monomial():
     expected = Monomial(Path(g, "v", real), Path(g, "v", ghosts[3999::-1]))
     assert expected.is_basis()
     assert L.parse_element(g, text).terms == {expected: 1}
+
+
+# -- the printer against the item-sorting printer it replaced ------------------
+
+
+def test_printer_matches_the_item_sorting_printer_on_random_graphs():
+    """Random elements and their products print as the printer that sorted
+    (key, coefficient) items did, over QQ and F_7."""
+    rng = seeded("key-sorting-printer")
+    for field in (L.QQ, L.GF(7)):
+        for _ in range(60):
+            g = random_graph(rng)
+            x, y = (random_element(g, rng, size=6, field=field) for _ in "xy")
+            for z in (x, y, x * y, x * y.star(), x.star() * y):
+                assert L.format_element(z) == item_sorting_format_element(z)
+
+
+@pytest.mark.parametrize("field", [L.QQ, L.GF(7)], ids=["qq", "f7"])
+def test_printer_matches_the_item_sorting_printer_on_the_rose_cube(field):
+    z = rose_power_product(4, 3, field)
+    assert z.support_size() == 3277
+    assert L.format_element(z) == item_sorting_format_element(z)
+
+
+def test_printer_orders_edges_by_declaration_not_by_name():
+    """Edges declared e10, e2, e1: index order is e10 < e2 < e1, while a
+    sort by names would put e1 first, and e10 before e2."""
+    g = Graph("G", ["v"], [("e10", "v", "v"), ("e2", "v", "v"), ("e1", "v", "v")])
+    s = L.parse_element(g, "e10 + 2*e2 - e1")
+    for z in (s, s * s, s * s.star(), s.star() * s * s):
+        assert L.format_element(z) == item_sorting_format_element(z)
+    assert L.format_element(s) == "e10 + 2*e2 - e1"
+    assert L.format_element(s * s) == (
+        "e10*e10 + 2*e10*e2 - e10*e1 + 2*e2*e10 + 4*e2*e2 - 2*e2*e1 - e1*e10 - 2*e1*e2 + e1*e1"
+    )
+    assert L.format_element(s * s.star()) == (
+        "v + 2*e10*e2' - e10*e1' + 2*e2*e10' + 3*e2*e2' - 2*e2*e1' - e1*e10' - 2*e1*e2'"
+    )

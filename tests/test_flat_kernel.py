@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import leavitt as L
-from leavitt import Element, Graph, Monomial, Path
+from leavitt import Element, Monomial, Path
 from leavitt.fields import PrimeFieldElement
 
 from conftest import (
@@ -21,16 +21,13 @@ from conftest import (
     random_order_normal_form,
     raw_monomials,
     reference_parse_element,
+    rose,
     seeded,
 )
 
 FIELDS = [L.QQ, L.GF(7)]
 # pairwise coprime denominators, so products need common denominators
 SCALARS = [(1, 2), (-1, 3), (1, 5), (3, 7), (5, 6), (-2, 1), (1, 1), (4, 1)]
-
-
-def rose(n):
-    return Graph(f"rose{n}", ["v"], [(f"e{i}", "v", "v") for i in range(1, n + 1)])
 
 
 def graphs(rng):

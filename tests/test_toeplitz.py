@@ -6,7 +6,7 @@ import leavitt as L
 from leavitt import Element, LaurentPoly, PreconditionError
 from leavitt import quotients, toeplitz
 from leavitt.algebra import _key
-from leavitt.toeplitz import bandwidth
+from leavitt.toeplitz import MAX_SANDWICH_WINDOW, MAX_WINDOW, bandwidth
 
 from conftest import (
     compose_cells_and_runs,
@@ -472,6 +472,22 @@ def test_a_wide_window_holds_its_entries_not_its_basis_paths():
     win = L.rcfm_representation(x, N)
     assert [(i, j, c) for i, row in enumerate(win.matrix.row_dicts) for j, c in row.items()] == [
         (N - 1, 0, one)]
+
+
+def test_windows_past_their_bounds_are_refused():
+    """A window holds up to N entries and the sandwich report checks
+    (N - 1)^2 units, so each has its own bound, and past it the call raises
+    LimitExceeded before any work; a window at the bound still answers."""
+    g = L.toeplitz_graph()
+    v = Element.vertex(g, "v")
+    assert L.rcfm_representation(v, MAX_WINDOW).size == MAX_WINDOW
+    for window in (MAX_WINDOW + 1, 10**20):
+        with pytest.raises(L.LimitExceeded, match=rf"^window {window} exceeds the bound"):
+            L.rcfm_representation(v, window)
+    assert L.sandwich_report(g, 1, MAX_SANDWICH_WINDOW)["pass"] is True
+    with pytest.raises(L.LimitExceeded, match="sandwich bound"):
+        L.sandwich_report(g, 1, MAX_SANDWICH_WINDOW + 1)
+    assert issubclass(L.LimitExceeded, L.LeavittError)
 
 
 # -- the infinite-matrix oracle ----------------------------------------------------
