@@ -16,11 +16,11 @@ to obtain canonical normal forms:
 
 where f is the DESIGNATED edge of its source (the last one in declaration
 order). A monomial is a basis monomial iff it is not of the left-hand shape.
-Each application shortens the only possibly-reducible descendant by two,
-so rewriting terminates; distinct monomials rewrite independently, so the
-normal form does not depend on the rewrite order (the test suite checks
-this with randomized strategies). When f is the only edge out of s(f) the
-sum is empty, so a run of such common last edges is stripped in one step.
+The siblings (p e)(q e)* are basis monomials and p q* is shorter by two, so
+rewriting terminates; each term expands in one loop over the designated last
+edges its parts share. Distinct monomials rewrite independently, so the
+normal form does not depend on the order the terms are taken in (the test
+suite checks this with randomized strategies).
 
 Elements are immutable and always kept in normal form; equality of elements
 is equality of their normal forms. An element stores its normal form as
@@ -129,46 +129,35 @@ def _monomial(g, key):
     return Monomial._trusted(real, ghost)
 
 
-def _reduce_once(g, key):
-    """One application of the rewrite rule to a non-basis key: (shorter,
-    siblings). The shorter descendant keeps the coefficient and may need
-    further rewriting; the siblings negate it and end in a non-designated
-    edge, so they are basis keys. An edge that is the only one out of its
-    source has no siblings, so a run of such common last edges is one cut."""
-    source, real, ghost_source, ghost = key
-    edges, eindex, out = g.edges, g._eindex, g._out
-    f = edges[eindex[real[-1]]]
-    exits, k = out[f.src], 1
-    if len(exits) == 1:
-        n = min(len(real), len(ghost))
-        while k < n and real[-1 - k] == ghost[-1 - k]:
-            if len(out[edges[eindex[real[-1 - k]]].src]) != 1:
-                break
-            k += 1
-    p, q = real[:-k], ghost[:-k]
-    siblings = [(source, p + (e.name,), ghost_source, q + (e.name,)) for e in exits if e != f]
-    return (source, p, ghost_source, q), siblings
-
-
 def _normal_form(g, pending):
-    """The normal form {key: coefficient} of a raw list of (key, coefficient),
-    which it consumes as a stack, so the list stays as short as a depth-first
-    walk of the rewrite tree. A list whose ``pop`` takes another term yields the
+    """The normal form {key: coefficient} of a raw list of (key, coefficient).
+
+    It pops each term c p q* once and pushes nothing back. While p and q end
+    in the same designated edge, the edge is cut, and each of its siblings e
+    (``graph._designated_edges``) adds -c (p e)(q e)*, a basis key, for what
+    is left of p and q; c then goes to what remains. A run of edges without
+    siblings is one slice. A list whose ``pop`` takes another term yields the
     same result (the confluence tests pop at random)."""
     result = {}
     designated = _designated_edges(g)
     while pending:
-        key, c = pending.pop()
+        key, c = term = pending.pop()
         if not c:
             continue
-        real, ghost = key[1], key[3]
+        source, real, ghost_source, ghost = key
         if real and ghost and real[-1] == ghost[-1] and real[-1] in designated:
-            shorter, siblings = _reduce_once(g, key)
-            pending.append((shorter, c))
-            basis, c = reversed(siblings), -c  # in the order a stack would pop them
+            i, j, basis, neg = len(real), len(ghost), [], -c
+            while i and j and real[i - 1] == ghost[j - 1] and real[i - 1] in designated:
+                i, j = i - 1, j - 1
+                siblings = designated[real[i]]
+                if siblings:
+                    p, q = real[:i], ghost[:j]
+                    for e in reversed(siblings):  # last declared first, as the tests pin
+                        basis.append(((source, p + (e,), ghost_source, q + (e,)), neg))
+            basis.append(((source, real[:i], ghost_source, ghost[:j]), c))
         else:
-            basis = (key,)
-        for k in basis:
+            basis = (term,)
+        for k, c in basis:
             acc = result.get(k)
             acc = c if acc is None else acc + c
             if acc:

@@ -460,7 +460,7 @@ def _graph_fact(compute):
     """Declare compute(g) a fact of g: computed on first use, then kept in
     g's memo under the decorated function itself.
 
-    Only immutable values are stored, so every caller can share them. Two
+    No caller mutates a stored value, so every caller can share it. Two
     threads may both miss and both compute; each stores an equal value with
     one atomic dict assignment, so the race is benign and graphs stay safe
     to share. A compute that raises stores nothing.
@@ -534,8 +534,10 @@ def bifurcations(g):
 
 @_graph_fact
 def _designated_edges(g):
-    """The names of the designated edges, one per vertex that is not a sink."""
-    return frozenset(es[-1].name for es in g._out.values() if es)
+    """The rewrite rule's table: the name of each designated edge, one per
+    vertex that is not a sink, mapped to the names of its siblings (the other
+    edges out of its source, in declaration order)."""
+    return {es[-1].name: tuple(e.name for e in es[:-1]) for es in g._out.values() if es}
 
 
 def cycles(g):

@@ -16,7 +16,7 @@ from collections import namedtuple
 from itertools import islice
 
 from .algebra import Element, _range, is_in_path_algebra
-from .errors import PreconditionError
+from .errors import LimitExceeded, PreconditionError
 from .graph import (
     Graph,
     Path,
@@ -28,6 +28,9 @@ from .graph import (
     _paths_ending_in,
     _reach,
 )
+
+
+MAX_ENTRY_EDGES = 1 << 21  # edges in all the entry paths of one restriction graph
 
 
 def _require_hereditary(g, H):
@@ -45,7 +48,11 @@ def quotient_graph(g, H):
     additionally needs H saturated. With H empty the graph itself is
     returned.
     """
-    members = _require_hereditary(g, H)
+    return _quotient_of(g, _require_hereditary(g, H))
+
+
+def _quotient_of(g, members):
+    """E/H for the members of an H already known to be hereditary."""
     if not members:
         return g
     vertices = [v for v in g.vertices if v not in members]
@@ -90,7 +97,7 @@ def _socle_quotient(g):
     """(H, E/H) for H the hereditary saturated closure of the line points,
     so that Soc(L_K(E)) = I(H)."""
     H = hereditary_saturated_closure(g, line_points(g))
-    return H, quotient_graph(g, H)
+    return H, _quotient_of(g, H.members)
 
 
 def in_socle(x):
@@ -135,7 +142,7 @@ class RestrictionGraph:
         # fresh vertex name -> entry path, for the embedding
         self._path_for = {self.vertex_for(p): p for p in entry_paths}
         # E/closure(H), whose kernel is I(H) = I(closure(H)), for the embedding's check
-        self._quotient = quotient_graph(source, hereditary_saturated_closure(source, H))
+        self._quotient = _quotient_of(source, hereditary_saturated_closure(source, H).members)
 
     @staticmethod
     def vertex_for(path):
@@ -151,11 +158,17 @@ class RestrictionGraph:
 
 def _entry_paths(g, members, length):
     """Qualifying paths of length <= bound (s outside H, interior outside, r
-    inside), grown backwards from H, and whether none has length bound+1."""
+    inside), grown backwards from H, and whether none has length bound+1.
+    They are refused past MAX_ENTRY_EDGES edges in all, before that many lengths."""
     h_order = [v for v in g.vertices if v in members]
     levels = _paths_ending_in(g, h_order, keep=lambda w: w not in members)
     next(levels)  # the trivial paths
-    out = [p for level in islice(levels, length) for p in level]
+    out, edges = [], 0
+    for n, level in enumerate(islice(levels, min(length, MAX_ENTRY_EDGES)), 1):
+        edges += n * len(level)
+        if edges > MAX_ENTRY_EDGES:
+            raise LimitExceeded(f"entry paths of length <= {length} exceed {MAX_ENTRY_EDGES} edges")
+        out += level
     out.sort(key=lambda p: (p.length, p.sort_key()))
     return out, next(levels, None) is None
 

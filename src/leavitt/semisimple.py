@@ -87,6 +87,10 @@ class MatrixDecomposition:
                 self._index[p.source, p.edges] = (bi, j)
                 self._starting.setdefault(p.source, []).append(p.edges)
 
+    def __reduce__(self):
+        """Rebuilt from plain blocks: a read-only mapping does not pickle."""
+        return MatrixDecomposition, (self.graph, self.kind, [dict(b) for b in self.blocks])
+
     @property
     def sizes(self):
         return self._sizes

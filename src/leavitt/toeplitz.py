@@ -32,8 +32,9 @@ from .graph import Graph, _graph_fact, is_acyclic, vertex_on_a_cycle
 from .matrices import Matrix, add_entry
 from .quotients import in_socle
 
-# a window holds up to N entries, and the sandwich report checks (N - 1)^2 units
-MAX_WINDOW, MAX_SANDWICH_WINDOW = 32_768, 128
+# a window holds up to N entries, and the sandwich report checks (N - 1)^2
+# units; its part (a) needs N > 2d + 1, so no allowed window decides d > 63
+MAX_WINDOW, MAX_SANDWICH_WINDOW, MAX_DEGREE = 32_768, 128, 63
 
 
 class LaurentPoly:
@@ -220,6 +221,8 @@ def exact_sequence_report(g, degree_bound, field=QQ):
     """
     if recognize_toeplitz(g) is None:
         raise PreconditionError("graph does not match the Toeplitz pattern")
+    if degree_bound > MAX_DEGREE:
+        raise LimitExceeded(f"degree {degree_bound} exceeds the bound {MAX_DEGREE}")
     monomials = basis_monomials_up_to(g, degree_bound)
     mismatches = []
     hit_exponents = set()
@@ -374,6 +377,8 @@ def sandwich_report(g, degree_bound, window, field=QQ):
     """
     if window > MAX_SANDWICH_WINDOW:
         raise LimitExceeded(f"window {window} exceeds the sandwich bound {MAX_SANDWICH_WINDOW}")
+    if degree_bound > MAX_DEGREE:
+        raise LimitExceeded(f"degree {degree_bound} exceeds the bound {MAX_DEGREE}")
     d = _canonical(g)
     monomials = basis_monomials_up_to(g, degree_bound)
     socle_failures, finiteness_failures = [], []

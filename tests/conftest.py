@@ -137,7 +137,10 @@ def random_element(g, rng, pool=None, size=4, field=L.QQ):
 
 class RandomStack(list):
     """A list whose ``pop()`` removes a random index: ``_normal_form``
-    consumes it in a random rewrite order instead of as a stack."""
+    takes whole terms off it in a random order instead of as a stack. Each
+    term's rewrite steps run in one loop, so the orders that interleave the
+    steps of different terms are covered by ``reference_normalize_terms``
+    (which pops the front) and ``one_edge_normalize_terms``."""
 
     def __init__(self, items, rng):
         super().__init__(items)
@@ -1324,6 +1327,62 @@ def item_sorting_format_element(x):
         sign = ("- " if out else "-") if mag != text else ("+ " if out else "")
         out.append(sign + body)
     return " ".join(out)
+
+
+# ---------------------------------------------------------------------------
+# The flat kernel as it was before each term was expanded in one loop: one
+# rewrite step per pop, the shorter descendant pushed back onto the stack.
+# Kept verbatim (renamed) as the reference the one-loop kernel is diffed
+# against, in value and in insertion order.
+
+
+def stack_reduce_once(g, key):
+    """One application of the rewrite rule to a non-basis key: (shorter,
+    siblings). The shorter descendant keeps the coefficient and may need
+    further rewriting; the siblings negate it and end in a non-designated
+    edge, so they are basis keys. An edge that is the only one out of its
+    source has no siblings, so a run of such common last edges is one cut."""
+    source, real, ghost_source, ghost = key
+    edges, eindex, out = g.edges, g._eindex, g._out
+    f = edges[eindex[real[-1]]]
+    exits, k = out[f.src], 1
+    if len(exits) == 1:
+        n = min(len(real), len(ghost))
+        while k < n and real[-1 - k] == ghost[-1 - k]:
+            if len(out[edges[eindex[real[-1 - k]]].src]) != 1:
+                break
+            k += 1
+    p, q = real[:-k], ghost[:-k]
+    siblings = [(source, p + (e.name,), ghost_source, q + (e.name,)) for e in exits if e != f]
+    return (source, p, ghost_source, q), siblings
+
+
+def stack_normal_form(g, pending):
+    """The normal form {key: coefficient} of a raw list of (key, coefficient),
+    which it consumes as a stack, so the list stays as short as a depth-first
+    walk of the rewrite tree. A list whose ``pop`` takes another term yields the
+    same result (the confluence tests pop at random)."""
+    result = {}
+    designated = L.graph._designated_edges(g)
+    while pending:
+        key, c = pending.pop()
+        if not c:
+            continue
+        real, ghost = key[1], key[3]
+        if real and ghost and real[-1] == ghost[-1] and real[-1] in designated:
+            shorter, siblings = stack_reduce_once(g, key)
+            pending.append((shorter, c))
+            basis, c = reversed(siblings), -c  # in the order a stack would pop them
+        else:
+            basis = (key,)
+        for k in basis:
+            acc = result.get(k)
+            acc = c if acc is None else acc + c
+            if acc:
+                result[k] = acc
+            else:
+                del result[k]
+    return result
 
 
 def rose(n):

@@ -399,3 +399,22 @@ def test_a_huge_toeplitz_window_is_refused_at_once(capsys, tfile):
     assert perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "LimitExceeded"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("toeplitz-check", "--degree", "100000", "--window", "12"),
+        ("restrict", "--set", "w", "--truncate", "100000"),
+        ("restrict", "--set", "w", "--truncate", "99999999999999999999"),
+    ],
+    ids=["degree", "truncate", "truncate-past-maxsize"],
+)
+def test_a_huge_degree_or_truncation_is_refused_at_once(capsys, tfile, argv):
+    """Each exits 2 before its enumeration grows. Each used to exit 1: with a
+    MemoryError, or with a ValueError from islice past sys.maxsize."""
+    start = perf_counter()
+    code, out, err = run_cli(capsys, argv[0], tfile, *argv[1:])
+    assert perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "LimitExceeded"

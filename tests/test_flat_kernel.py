@@ -8,13 +8,15 @@ from fractions import Fraction
 import pytest
 
 import leavitt as L
-from leavitt import Element, Monomial, Path
+from leavitt import Element, Graph, Monomial, Path, algebra
+from leavitt.algebra import _key, _normal_form
 from leavitt.fields import PrimeFieldElement
 
 from conftest import (
     ParentElement,
     ParentParser,
     corpus_graphs,
+    loop_designated_toeplitz,
     parent_format_element,
     parent_normalize_terms,
     random_graph,
@@ -22,7 +24,9 @@ from conftest import (
     raw_monomials,
     reference_parse_element,
     rose,
+    rose_power_product,
     seeded,
+    stack_normal_form,
 )
 
 FIELDS = [L.QQ, L.GF(7)]
@@ -181,3 +185,75 @@ def test_prime_field_coefficients_stay_residues(toeplitz):
         assert not z.is_zero()
         for c in coefficients(z):
             assert type(c) is PrimeFieldElement and c.p == 7
+
+
+# -- the one-loop kernel against the stack kernel it replaced ---------------------
+
+
+def kernel_graphs(rng):
+    """(graph, longest raw path): random graphs, T in both declaration orders,
+    a long line, a comb, a ladder, rose(4), and a broom whose line of
+    single-exit edges starts at a vertex with a sibling edge."""
+    broom = Graph(
+        "broom",
+        ["y"] + [f"x{i}" for i in range(1, 9)],
+        [("b", "x1", "y")] + [(f"a{i}", f"x{i}", f"x{i + 1}") for i in range(1, 8)],
+    )
+    fixed = [
+        (L.toeplitz_graph(), 4), (loop_designated_toeplitz(), 4), (L.line_graph(30), 12),
+        (L.comb_graph(5), 4), (L.ladder_graph(4), 6), (rose(4), 4), (broom, 10),
+    ]
+    return [(random_graph(rng), 3) for _ in range(30)] + fixed
+
+
+def assert_same_as_the_stack_kernel(g, raw):
+    """The same normal form of raw, with the same coefficient types, in the
+    same insertion order."""
+    got, expected = _normal_form(g, list(raw)), stack_normal_form(g, list(raw))
+    assert [(k, type(c), c) for k, c in got.items()] == [
+        (k, type(c), c) for k, c in expected.items()
+    ], g.name
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["qq", "f7"])
+def test_normal_form_matches_the_stack_kernel_in_value_and_order(field):
+    rng = seeded(f"one-loop-raw-{field!r}")
+    options = scalars(field) + [field.zero()]
+    for g, max_len in kernel_graphs(rng):
+        pool = [_key(m) for m in raw_monomials(g, max_len)]
+        for _ in range(20):
+            size = rng.randint(1, 12)
+            assert_same_as_the_stack_kernel(g, [(rng.choice(pool), rng.choice(options)) for _ in range(size)])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["qq", "f7"])
+def test_products_normalise_as_the_stack_kernel_did(monkeypatch, field):
+    """Every raw list the kernel is handed while elements are built and
+    multiplied (integer sums over common denominators for products): random
+    elements, rose(4) powers, and the full paths of a long line and their
+    stars."""
+    raws = []
+
+    def recording(g, pending):
+        raws.append((g, list(pending)))
+        return _normal_form(g, pending)
+
+    monkeypatch.setattr(algebra, "_normal_form", recording)
+    rng = seeded(f"one-loop-products-{field!r}")
+    for g, max_len in kernel_graphs(rng):
+        pool = raw_monomials(g, max_len)
+        for _ in range(6):
+            x, y = (Element(g, field, raw_terms(rng, pool, field)) for _ in "xy")
+            x * y, x * y.star(), y.star() * x
+    for k in (1, 2, 3):
+        rose_power_product(4, k, field)
+    g = L.line_graph(64)
+    x = Element(g, field, [
+        (Monomial(Path(g, f"x{i}", tuple(f"a{j}" for j in range(i, 64))), Path.trivial(g, "x64")), c)
+        for i, c in zip(range(1, 64, 7), scalars(field) * 2)
+    ])
+    x * x.star(), x.star() * x
+    monkeypatch.undo()
+    assert len(raws) > 1000
+    for g, raw in raws:
+        assert_same_as_the_stack_kernel(g, raw)

@@ -17,7 +17,7 @@ from leavitt import quotients
 from leavitt.graph import strongly_connected_components, vertex_on_a_cycle
 from leavitt.quotients import _socle_quotient
 
-from conftest import corpus_graphs, logged, random_graph, seeded
+from conftest import corpus_graphs, logged, random_acyclic_graph, random_graph, seeded
 
 
 def _paths(block):
@@ -132,6 +132,32 @@ def test_a_graph_pickled_after_its_report_unpickles_with_the_same_report():
         assert _socle(copy) == _socle(g)
 
 
+def test_a_graph_pickled_after_its_decomposition_or_toeplitz_reports_keeps_them():
+    """Every memoised fact pickles: the matrix decomposition, whose blocks
+    stay read-only mappings, the rewrite rule's table of designated edges,
+    and the facts behind both Toeplitz reports."""
+    rng = seeded("pickle-decomposition")
+    a2 = L.parse_graph("graph A2\nvertex u\nvertex w\nedge f u w")
+    acyclic = [a2, L.line_graph(5), L.comb_graph(3), L.ladder_graph(2)]
+    acyclic += [random_acyclic_graph(rng) for _ in range(10)]
+    for g in acyclic:
+        d = L.matrix_decomposition(g)
+        x = Element.identity(g) * Element.identity(g)
+        copy = pickle.loads(pickle.dumps(g))
+        assert L.matrix_decomposition in copy._memo and graph_module._designated_edges in copy._memo
+        d_copy = L.matrix_decomposition(copy)
+        assert d_copy.graph is copy and (d_copy.kind, d_copy.describe()) == (d.kind, d.describe())
+        assert [_paths(b) for b in d_copy.blocks] == [_paths(b) for b in d.blocks]
+        with pytest.raises(TypeError):
+            d_copy.blocks[0]["size"] = 0
+        assert graph_module._designated_edges(copy) == graph_module._designated_edges(g)
+        assert L.to_matrix(Element.identity(copy), d_copy) == L.to_matrix(x, d)
+    g = L.toeplitz_graph()
+    reports = L.exact_sequence_report(g, 3), L.sandwich_report(g, 2, 6)
+    copy = pickle.loads(pickle.dumps(g))
+    assert (L.exact_sequence_report(copy, 3), L.sandwich_report(copy, 2, 6)) == reports
+
+
 def test_memo_keeps_no_cycle_through_the_graph():
     """Outside the matrix decomposition, whose paths refer to their graph,
     nothing in the memo refers back to it: a dropped graph is freed at
@@ -192,15 +218,15 @@ def test_every_fact_is_computed_once():
 
 def test_reports_build_the_socle_quotient_once(monkeypatch):
     closures, quotient_graphs = [], []
-    closure, quotient_graph = quotients.hereditary_saturated_closure, quotients.quotient_graph
+    closure, quotient_of = quotients.hereditary_saturated_closure, quotients._quotient_of
 
-    def counted_quotient_graph(g, H):
+    def counted_quotient_of(g, members):
         quotient_graphs.append(g)
-        return quotient_graph(g, H)
+        return quotient_of(g, members)
 
     monkeypatch.setattr(quotients, "hereditary_saturated_closure",
                         lambda g, X: closures.append(g) or closure(g, X))
-    monkeypatch.setattr(quotients, "quotient_graph", counted_quotient_graph)
+    monkeypatch.setattr(quotients, "_quotient_of", counted_quotient_of)
     g = L.toeplitz_graph()
     assert L.exact_sequence_report(g, 4)["pass"]
     # one socle quotient for in_socle; the Laurent side builds no graph

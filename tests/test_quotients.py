@@ -4,7 +4,7 @@ import pytest
 
 import leavitt as L
 from leavitt import Element, PreconditionError, UnknownIdentifier
-from leavitt.quotients import _quotient_image, _socle_quotient
+from leavitt.quotients import MAX_ENTRY_EDGES, _quotient_image, _socle_quotient
 
 from conftest import (
     corpus_graphs,
@@ -187,6 +187,19 @@ def test_restriction_graph_toeplitz(toeplitz):
         ("bar:e.e.f", "path:e.e.f", "w"),
     ]
     assert not rg.complete
+
+
+def test_restriction_graphs_past_the_edge_bound_are_refused(toeplitz):
+    """On T the entry paths into {w} are e^(k-1) f, k = 1..n, with n(n+1)/2
+    edges in all: n = 2047 is the longest truncation within MAX_ENTRY_EDGES,
+    and the next one raises LimitExceeded."""
+    assert 2047 * 2048 // 2 <= MAX_ENTRY_EDGES < 2048 * 2049 // 2
+    rg = L.restriction_graph(toeplitz, {"w"}, 2047)
+    assert len(rg.entry_paths) == 2047 and not rg.complete
+    assert sum(p.length for p in rg.entry_paths) == 2047 * 2048 // 2
+    for bound in (2048, 10**20):
+        with pytest.raises(L.LimitExceeded, match=f"exceed {MAX_ENTRY_EDGES} edges"):
+            L.restriction_graph(toeplitz, {"w"}, bound)
 
 
 def test_restriction_graph_a2(a2):

@@ -6,7 +6,7 @@ import leavitt as L
 from leavitt import Element, LaurentPoly, PreconditionError
 from leavitt import quotients, toeplitz
 from leavitt.algebra import _key
-from leavitt.toeplitz import MAX_SANDWICH_WINDOW, MAX_WINDOW, bandwidth
+from leavitt.toeplitz import MAX_DEGREE, MAX_SANDWICH_WINDOW, MAX_WINDOW, bandwidth
 
 from conftest import (
     compose_cells_and_runs,
@@ -488,6 +488,20 @@ def test_windows_past_their_bounds_are_refused():
     with pytest.raises(L.LimitExceeded, match="sandwich bound"):
         L.sandwich_report(g, 1, MAX_SANDWICH_WINDOW + 1)
     assert issubclass(L.LimitExceeded, L.LeavittError)
+
+
+def test_degrees_past_the_bound_are_refused():
+    """Part (a) of the sandwich report needs a window N > 2d + 1, and N is at
+    most MAX_SANDWICH_WINDOW, so both reports answer at degree MAX_DEGREE and
+    raise LimitExceeded one step past it, before enumerating any monomial."""
+    g = L.toeplitz_graph()
+    assert 2 * MAX_DEGREE + 1 < MAX_SANDWICH_WINDOW <= 2 * (MAX_DEGREE + 1) + 1
+    assert L.exact_sequence_report(g, MAX_DEGREE)["pass"] is True
+    assert L.sandwich_report(g, MAX_DEGREE, MAX_SANDWICH_WINDOW)["pass"] is True
+    for degree in (MAX_DEGREE + 1, 10**20):
+        for report in (L.exact_sequence_report, lambda g, d: L.sandwich_report(g, d, 12)):
+            with pytest.raises(L.LimitExceeded, match=rf"^degree {degree} exceeds the bound {MAX_DEGREE}$"):
+                report(g, degree)
 
 
 # -- the infinite-matrix oracle ----------------------------------------------------
