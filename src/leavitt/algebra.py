@@ -176,8 +176,13 @@ class Element:
 
     def __init__(self, graph, field, raw_terms):
         terms = raw_terms.items() if isinstance(raw_terms, dict) else raw_terms
+        raw = []
+        for m, c in terms:
+            if m.graph != graph:
+                raise GraphMismatch("monomial over a different graph than the element")
+            raw.append((_key(m), c))
         self.graph, self.field = graph, field
-        self._flat = _normal_form(graph, [(_key(m), c) for m, c in terms])
+        self._flat = _normal_form(graph, raw)
 
     @classmethod
     def _of(cls, graph, field, flat):

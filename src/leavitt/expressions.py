@@ -126,14 +126,14 @@ class _Parser:
         g = self.graph
         vindex, eindex, edges = g._vindex, g._eindex, g.edges
         real, ghost = [], []
-        source = None  # s(p), set by the first generator; at = s(q), rng = r(p)
+        source = None  # s(p), set by the first generator; at = s(q)
         ok = True
         for name, primes in _GENERATOR.findall(self.text, start, end):
             if name not in eindex:
                 if name not in vindex:
                     raise UnknownIdentifier(f"unknown identifier {name!r} in graph {g.name!r}")
                 if source is None:
-                    source = rng = at = name
+                    source = at = name
                 ok = ok and at == name  # p q* v = p q* iff s(q) = v
                 continue
             if not ok:
@@ -141,7 +141,7 @@ class _Parser:
             _, src, dst = edges[eindex[name]]
             if primes and primes.count("'") % 2:  # p q* e* = p (e q)* iff r(e) = s(q)
                 if source is None:
-                    source = rng = at = dst
+                    source = at = dst
                 ok, at = at == dst, src
                 ghost.append(name)
             elif ghost:  # q = f t: q* e = t* f* e = delta(f, e) t*
@@ -150,7 +150,7 @@ class _Parser:
                 if source is None:
                     source = at = src
                 ok = at == src
-                rng = at = dst
+                at = dst
                 real.append(name)
         return ok and (source, tuple(real), at, tuple(reversed(ghost)))
 

@@ -21,7 +21,6 @@ from .graph import (
     Graph,
     Path,
     hereditary_saturated_closure,
-    is_saturated,
     line_points,
     _as_members,
     _graph_fact,
@@ -70,8 +69,9 @@ def quotient_morphism(x, H):
     differ from those of E, so the image is rewritten in the target before
     being returned.
     """
-    target = quotient_graph(x.graph, H)
-    if not is_saturated(x.graph, H):
+    g, target = x.graph, quotient_graph(x.graph, H)
+    # a vertex outside H is a sink of E/H iff all of its edges end in H
+    if any(g._out[v] for v in target.sinks()):
         raise PreconditionError("H is not saturated")
     return _quotient_image(x, target)
 

@@ -25,14 +25,23 @@ from types import MappingProxyType
 
 from .algebra import Element, Monomial, _range, full_basis
 from .errors import (
+    LimitExceeded,
     NotFoundWithinBounds,
     NotGroupInvertible,
     NotSquareCancellable,
     PreconditionError,
 )
 from .fields import QQ
-from .graph import _graph_fact, _paths_ending_in, is_acyclic, is_acyclic_no_bifurcation
+from .graph import (
+    _graph_fact,
+    _paths_ending_in,
+    is_acyclic,
+    is_acyclic_no_bifurcation,
+    strongly_connected_components,
+)
 from .matrices import BlockMatrix, Matrix, add_entry
+
+MAX_SINK_EDGES = 1 << 25  # edges in all the sink paths of one decomposition
 
 
 def reduced_expression(m):
@@ -117,10 +126,14 @@ def matrix_decomposition(g):
     indexed by their sources, the component vertices (declaration order,
     blocks by first vertex); general acyclic graphs by the paths, sorted
     by length then edge order. Both index the same matrix units p q*, so
-    to_matrix/from_matrix below serve either case.
+    to_matrix/from_matrix below serve either case. Sink paths of more than
+    MAX_SINK_EDGES edges in all are refused before any of them is built.
     """
     if not is_acyclic(g):
         raise PreconditionError("matrix decomposition needs an acyclic graph")
+    edges = _sink_path_totals(g)[1]
+    if edges > MAX_SINK_EDGES:
+        raise LimitExceeded(f"sink paths of {edges} edges in all exceed the bound {MAX_SINK_EDGES}")
     kind = "vertices" if is_acyclic_no_bifurcation(g) else "sink_paths"
     blocks = []
     for sink in g.sinks():
@@ -135,6 +148,17 @@ def matrix_decomposition(g):
     if kind == "vertices":
         blocks.sort(key=lambda b: g._vindex[b["labels"][0]])
     return MatrixDecomposition(g, kind, blocks)
+
+
+def _sink_path_totals(g):
+    """(paths, edges) of all the paths into the sinks of an acyclic g, counted
+    per vertex in one pass, each vertex after the vertices it reaches."""
+    paths, edges = {}, {}
+    for (v,) in reversed(strongly_connected_components(g)):
+        out = g._out[v]
+        paths[v] = sum(paths[e.dst] for e in out) if out else 1
+        edges[v] = sum(paths[e.dst] + edges[e.dst] for e in out)
+    return sum(paths.values()), sum(edges.values())
 
 
 def to_matrix(x, decomposition):

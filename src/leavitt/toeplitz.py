@@ -294,26 +294,25 @@ def rcfm_representation(x, window):
     monomial whose support misses the window entirely is rejected, since
     such a window could not represent the element at all.
     """
-    cells = _window_cells(x, _canonical(x.graph), window)
-    rows = {}
-    for (i, j), c in cells.items():
-        rows.setdefault(i, {})[j] = c
+    rows = _window_rows(x, _canonical(x.graph), window)
     validity = max(window - x.total_degree(), 0)
     terms = max(x.support_size(), 1)
+    columns = Counter(j for row in rows.values() for j in row)
     flags = {
         # nothing at or past the exact region's margin; shifts reach the border
-        "finitely_supported": all(max(ij) < validity - 1 for ij in cells),
+        "finitely_supported": all(max(i, *row) < validity - 1 for i, row in rows.items()),
         "row_finite_on_window": max(map(len, rows.values()), default=0) <= terms,
-        "col_finite_on_window": max(Counter(j for _, j in cells).values(), default=0) <= terms,
+        "col_finite_on_window": max(columns.values(), default=0) <= terms,
     }
-    return MatrixWindow(Matrix.from_row_dicts(rows, window, x.field, nrows=window), validity, flags)
+    return MatrixWindow(Matrix._trusted(rows, window, window, x.field), validity, flags)
 
 
-def _window_cells(x, d, window):
-    """The nonzero entries {(row, column): scalar} of the N x N window of x.
-    A cell (a, b) is the run over column b alone and may lie on a longer one
-    (f f* is a normal form when the loop is designated), so each diagonal's
-    runs are summed in order of their first column, as a step function."""
+def _window_rows(x, d, window):
+    """The nonzero entries of the N x N window of x, as the rows {row: {column:
+    scalar}} a ``Matrix`` stores. A cell (a, b) is the run over column b alone
+    and may lie on a longer one (f f* is a normal form when the loop is
+    designated), so each diagonal's runs are summed in order of their first
+    column, as a step function."""
     if window < 1:
         raise PreconditionError("window size must be positive")
     if window > MAX_WINDOW:
@@ -334,15 +333,16 @@ def _window_cells(x, d, window):
         raise PreconditionError(
             f"window {window} too small: support at {min(outside)} falls outside"
         )
-    cells = {}
+    rows = {}
     for shift, step in steps.items():
         end = min(window, window - shift)  # columns k with k, k + shift < N
         starts = sorted(step)
         sums = accumulate(step[k] for k in starts)
         for start, stop, total in zip(starts, starts[1:] + [end], sums):
             if total:
-                cells.update(((k + shift, k), total) for k in range(start, min(stop, end)))
-    return cells
+                for k in range(start, min(stop, end)):
+                    rows.setdefault(k + shift, {})[k] = total
+    return rows
 
 
 def bandwidth(window):
@@ -393,7 +393,7 @@ def sandwich_report(g, degree_bound, window, field=QQ):
     one = field.one()
     for i, j in product(range(window - 1), repeat=2):
         x = socle_module_element(g, i, j, field)
-        if _window_cells(x, d, window) != {(i, j): one}:
+        if _window_rows(x, d, window) != {i: {j: one}}:
             unit_failures.append(f"E[{i}][{j}] != window({format_element(x)})")
     return {
         "window": window,

@@ -107,6 +107,17 @@ def deep_graphs(n=1100):
     return [Graph(f"cycle{n}", vertices, ring), Graph(f"looped{n}", vertices, looped)]
 
 
+def diamond_chain(k):
+    """k diamonds d(i-1) -> a(i), b(i) -> d(i) in a row: 2^(k+2) - 3 paths
+    into the one sink dk."""
+    vertices, edges = [f"d{i}" for i in range(k + 1)], []
+    for i in range(1, k + 1):
+        vertices += [f"a{i}", f"b{i}"]
+        for top, mid in (("p", "a"), ("q", "b")):
+            edges += [(f"{top}{i}", f"d{i - 1}", f"{mid}{i}"), (f"{top}{i}x", f"{mid}{i}", f"d{i}")]
+    return Graph(f"diamonds{k}", vertices, edges)
+
+
 def raw_monomials(g, max_len=3):
     """Spanning-set monomials (not necessarily basis) up to the length bound."""
     by_range = {}

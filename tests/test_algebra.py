@@ -109,6 +109,15 @@ def test_graph_and_field_mismatch(toeplitz, a2):
         E(toeplitz, "v") * Element.vertex(a2, "u")
     with pytest.raises(GraphMismatch):
         E(toeplitz, "v") + E(toeplitz, "v", L.GF(3))
+    # a monomial of another graph used to build silently, and printing the
+    # element then raised KeyError
+    line = L.line_graph(3)
+    m = next(m for m in L.full_basis(line) if m.real.edges)
+    for terms in ([(m, L.QQ.one())], {m: L.QQ.one()}):
+        with pytest.raises(GraphMismatch, match="^monomial over a different graph"):
+            Element(toeplitz, L.QQ, terms)
+    same = L.Graph("copy", line.vertices, [(e.name, e.src, e.dst) for e in line.edges])
+    assert L.format_element(Element(same, L.QQ, [(m, L.QQ.one())])) == L.format_monomial(m)
 
 
 # -- involution -----------------------------------------------------------------

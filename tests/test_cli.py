@@ -9,7 +9,7 @@ from leavitt import line_graph
 from leavitt.cli import COMMANDS, main
 from leavitt.expressions import MAX_NESTING
 
-from conftest import A2_DSL, TOEPLITZ_DSL, deep_graphs
+from conftest import A2_DSL, TOEPLITZ_DSL, deep_graphs, diamond_chain
 
 
 @pytest.fixture
@@ -387,6 +387,8 @@ def test_pretty_output(capsys, tfile):
     assert code == 0
     assert out.splitlines()[0] == "command: analyze"
     assert "semiprime_path_algebra: False" in out
+    code, out, _ = run_cli(capsys, "socle-member", tfile, "w", "--only", "member", "--pretty")
+    assert code == 0 and out == "True\n"
 
 
 def test_a_huge_toeplitz_window_is_refused_at_once(capsys, tfile):
@@ -418,3 +420,19 @@ def test_a_huge_degree_or_truncation_is_refused_at_once(capsys, tfile, argv):
     assert perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "LimitExceeded"
+
+
+def test_a_decomposition_of_too_many_sink_paths_is_refused_at_once(capsys, tmp_path):
+    """18 diamonds in a row have 1,048,573 sink paths of 35,127,306 edges in
+    all; counting them first exits 2, where listing them could exhaust memory
+    and exit 1."""
+    path = tmp_path / "diamonds18.graph"
+    path.write_text(diamond_chain(18).to_dsl())
+    start = perf_counter()
+    code, out, err = run_cli(capsys, "decompose", str(path))
+    assert perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "LimitExceeded",
+        "message": "sink paths of 35127306 edges in all exceed the bound 33554432",
+    }

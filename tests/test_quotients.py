@@ -66,6 +66,33 @@ def test_quotient_preconditions_and_their_order(a2):
                 check(x, H)
 
 
+def test_quotient_morphism_reads_saturation_off_the_quotient_graph(monkeypatch):
+    """A hereditary H is refused as not saturated exactly when is_saturated
+    says so, on random graphs with H the tree of a random seed. The
+    quotient_morphism looks each name of H up once: 100 Graph.vertex_index
+    calls on ladder_graph(100) with H = {v1..v100}, where checking
+    saturation with is_saturated made 200."""
+    rng = seeded("quotient-saturation")
+    refused = 0
+    for _ in range(300):
+        g = random_graph(rng, max_edges=7)
+        H = L.tree_of_set(g, [v for v in g.vertices if rng.random() < 0.3]).members
+        x = Element.vertex(g, g.vertices[0])
+        if L.is_saturated(g, H):
+            L.quotient_morphism(x, H)
+        else:
+            with pytest.raises(PreconditionError, match="^H is not saturated$"):
+                L.quotient_morphism(x, H)
+            refused += 1
+    assert 30 < refused < 270
+    g, H = L.ladder_graph(100), {f"v{i}" for i in range(1, 101)}
+    x = Element.vertex(g, "u1")
+    calls, lookup = [], L.Graph.vertex_index
+    monkeypatch.setattr(L.Graph, "vertex_index", lambda g, v: calls.append(v) or lookup(g, v))
+    assert L.format_element(L.quotient_morphism(x, H)) == "u1"
+    assert len(calls) == 100
+
+
 @pytest.mark.parametrize("field", [L.QQ, L.GF(7)], ids=["qq", "f7"])
 def test_quotient_image_matches_the_parent_rule(field):
     """Reading each term's range gives what the former scan over both

@@ -1,0 +1,166 @@
+"""Refusals of bad input: each raises its LeavittError with its message, and
+the CLI exits 2 with that error where a command reaches it."""
+
+import json
+
+import pytest
+
+import leavitt as L
+from leavitt.cli import main
+
+from conftest import A2_DSL, TOEPLITZ_DSL
+
+
+def _graph(vertices, edges):
+    return lambda: L.Graph("G", vertices, edges)
+
+
+def _dsl(text, kind, message):
+    """A refusal of a graph file: by the parser, and by the CLI on that file."""
+    return lambda: L.parse_graph(text), kind, message, (text, ["analyze", "{file}"])
+
+
+def _two_graphs():
+    """(x over T, y over A2)."""
+    return L.Element.vertex(L.toeplitz_graph(), "v"), L.Element.vertex(L.parse_graph(A2_DSL), "u")
+
+
+def _foreign_embedding():
+    rg = L.restriction_graph(L.toeplitz_graph(), {"w"}, 2)
+    return L.restriction_embedding(rg, _two_graphs()[0])
+
+
+def _rose_cycle():
+    rose = L.Graph("rose", ["v"], [("e", "v", "v")])
+    return L.Cycle(L.Path(rose, "v", ["e", "e"]))
+
+
+def _dense(rows):
+    return L.Matrix.from_int_rows(rows)
+
+
+A2 = L.parse_graph(A2_DSL)
+NOT_TOEPLITZ = "graph does not match the Toeplitz pattern"
+
+# (call, error type, message, None or (graph file text, CLI arguments with
+# "{file}" for that file)); each row reaches a refusal no other test reaches
+CASES = {
+    "graph-duplicate-vertex": (
+        _graph(["v", "v"], []), L.DuplicateIdentifier, "vertex 'v' declared twice", None
+    ),
+    "graph-edge-named-as-vertex": (
+        _graph(["v"], [("v", "v", "v")]), L.DuplicateIdentifier, "identifier 'v' declared twice",
+        None,
+    ),
+    "graph-undeclared-source": (
+        _graph(["v"], [("e", "u", "v")]), L.UnknownIdentifier,
+        "edge 'e': undeclared source 'u'", None,
+    ),
+    "graph-undeclared-range": (
+        _graph(["v"], [("e", "v", "u")]), L.UnknownIdentifier,
+        "edge 'e': undeclared range 'u'", None,
+    ),
+    "dsl-vertex-arity": _dsl(
+        "graph G\nvertex a b\n", L.GraphSyntaxError, "line 2, column 1: expected 'vertex <id>'"
+    ),
+    "dsl-duplicate-edge": _dsl(
+        "graph G\nvertex a\nedge e a a\nedge e a a\n", L.DuplicateIdentifier,
+        "line 4: identifier 'e' declared twice",
+    ),
+    "dsl-second-header": _dsl(
+        "graph G\ngraph H\n", L.GraphSyntaxError, "line 2, column 1: duplicate 'graph' header"
+    ),
+    "dsl-unknown-keyword": _dsl(
+        "graph G\nnode a\n", L.GraphSyntaxError, "line 2, column 1: unknown keyword 'node'"
+    ),
+    "dsl-empty-source": _dsl(
+        "# nothing\n", L.GraphSyntaxError,
+        "line 1, column 1: empty graph source: missing 'graph <name>' header",
+    ),
+    "path-from-no-edges": (
+        lambda: L.Path.from_edges(A2, []), L.PreconditionError,
+        "from_edges needs at least one edge; use Path.trivial", None,
+    ),
+    "cycle-revisits-a-source": (
+        _rose_cycle, L.PreconditionError, "closed path revisits a source: not a cycle", None
+    ),
+    "cycle-has-exit-of-a-path": (
+        lambda: L.cycle_has_exit(A2, L.Path.from_edges(A2, ["f"])), L.PreconditionError,
+        "cycle_has_exit expects a Cycle", None,
+    ),
+    "line-graph-of-none": (
+        lambda: L.line_graph(0), L.PreconditionError, "line_graph needs n >= 1", None
+    ),
+    "ladder-graph-of-none": (
+        lambda: L.ladder_graph(0), L.PreconditionError,
+        "ladder_graph needs at least one column", None,
+    ),
+    "comb-graph-of-none": (
+        lambda: L.comb_graph(0), L.PreconditionError, "comb_graph needs at least one spoke", None
+    ),
+    "ragged-matrix": (
+        lambda: L.Matrix([[1, 2], [3]]), L.PreconditionError, "ragged matrix", None
+    ),
+    "matrix-product-shapes": (
+        lambda: _dense([[1, 2, 3]]) * _dense([[1, 2, 3]]), L.PreconditionError,
+        "shape mismatch: (1, 3) * (1, 3)", None,
+    ),
+    "matrix-sum-shapes": (
+        lambda: _dense([[1, 2, 3]]) + _dense([[1], [2], [3]]), L.PreconditionError,
+        "shape mismatch: (1, 3) vs (3, 1)", None,
+    ),
+    "block-sum-structure": (
+        lambda: L.BlockMatrix([_dense([[1]])]) + L.BlockMatrix([_dense([[1, 0], [0, 1]])]),
+        L.PreconditionError, "block structure mismatch", None,
+    ),
+    "field-tag-prime-not-a-number": (
+        lambda: L.field_from_name("fp:x"), L.PreconditionError, "bad field tag 'fp:x'",
+        (TOEPLITZ_DSL, ["nf", "--field", "fp:x", "{file}", "v"]),
+    ),
+    "field-tag-unknown": (
+        lambda: L.field_from_name("r"), L.PreconditionError,
+        "bad field tag 'r' (expected 'q' or 'fp:<p>')",
+        (TOEPLITZ_DSL, ["nf", "--field", "r", "{file}", "v"]),
+    ),
+    "element-plus-an-int": (
+        lambda: _two_graphs()[0] + 1, L.GraphMismatch, "cannot combine Element with int", None
+    ),
+    "negative-degree-bound": (
+        lambda: L.basis_monomials_up_to(A2, -1), L.PreconditionError,
+        "degree bound must be nonnegative", None,
+    ),
+    "full-basis-of-a-cycle": (
+        lambda: L.full_basis(L.toeplitz_graph()), L.PreconditionError,
+        "full_basis requires an acyclic graph", None,
+    ),
+    "embedding-of-another-graph": (
+        _foreign_embedding, L.PreconditionError, "element is not over this restriction graph",
+        None,
+    ),
+    "denominator-over-two-graphs": (
+        lambda: L.denominator_search(*_two_graphs()), L.PreconditionError,
+        "p and q must live over one graph and field", None,
+    ),
+    "laurent-quotient-off-pattern": (
+        lambda: L.laurent_quotient(_two_graphs()[1]), L.PreconditionError, NOT_TOEPLITZ, None
+    ),
+    "exact-sequence-off-pattern": (
+        lambda: L.exact_sequence_report(A2, 2), L.PreconditionError, NOT_TOEPLITZ, None
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_each_refusal_has_its_type_and_message(case, capsys, tmp_path):
+    call, kind, message, cli = CASES[case]
+    with pytest.raises(kind) as raised:
+        call()
+    assert str(raised.value) == message
+    if cli is not None:
+        text, argv = cli
+        path = tmp_path / "input.graph"
+        path.write_text(text)
+        code = main([str(path) if a == "{file}" else a for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert json.loads(captured.err) == {"error": {"type": kind.__name__, "message": message}}

@@ -7,9 +7,12 @@ import pytest
 import leavitt as L
 from leavitt import Element, Monomial, NotFoundWithinBounds, NotSquareCancellable, Path, PreconditionError
 from leavitt.algebra import _normal_form
+from leavitt.graph import _paths_ending_in
+from leavitt.semisimple import MAX_SINK_EDGES, _sink_path_totals
 
 from conftest import (
     corpus_graphs,
+    diamond_chain,
     path_count_dimension,
     random_element,
     random_graph,
@@ -132,6 +135,30 @@ def test_decomposition_rejects_cycles(toeplitz, r1):
             L.matrix_decomposition(g)
         with pytest.raises(PreconditionError):
             L.is_square_cancellable(Element.vertex(g, g.vertices[0]))
+
+
+def test_sink_path_totals_match_the_enumeration():
+    rng = seeded("sink-path-totals")
+    graphs = [random_graph(rng, max_edges=7) for _ in range(300)] + corpus_graphs()
+    graphs += [diamond_chain(k) for k in range(5)] + [L.line_graph(40), L.comb_graph(6)]
+    checked = 0
+    for g in filter(L.is_acyclic, graphs):
+        paths = [p for level in _paths_ending_in(g, g.sinks()) for p in level]
+        assert _sink_path_totals(g) == (len(paths), sum(p.length for p in paths)), g
+        checked += 1
+    assert checked > 100
+
+
+def test_decomposition_refuses_too_many_sink_edges():
+    """The bound admits line_graph(8192), README's largest decomposition
+    (33,550,336 edges), and refuses one more vertex; 17 diamonds in a row
+    hold 16,515,082 edges, and 18 hold 35,127,306."""
+    assert _sink_path_totals(L.line_graph(8192))[1] <= MAX_SINK_EDGES
+    assert _sink_path_totals(diamond_chain(17)) == (524285, 16515082)
+    for g in (L.line_graph(8193), diamond_chain(18)):
+        with pytest.raises(L.LimitExceeded, match=f"exceed the bound {MAX_SINK_EDGES}$"):
+            L.matrix_decomposition(g)
+    assert L.matrix_decomposition(diamond_chain(3)).sizes == (2 ** 5 - 3,)
 
 
 def test_ladder_restriction_decomposition():

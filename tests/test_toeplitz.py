@@ -18,6 +18,7 @@ from conftest import (
     raw_monomials,
     reference_laurent_quotient,
     reference_sandwich_units,
+    reference_window_rows,
     seeded,
     toeplitz_cells_and_runs,
     toeplitz_column,
@@ -310,11 +311,15 @@ def test_window_bandedness_and_flags():
 
 
 def _with_extra_cell(monkeypatch, cell):
-    """Every window gains the entry 1 at cell."""
-    cells = toeplitz._window_cells
-    monkeypatch.setattr(
-        toeplitz, "_window_cells", lambda x, d, window: {**cells(x, d, window), cell: L.QQ.one()}
-    )
+    """Every window gains the entry 1 at cell (row, column)."""
+    rows_of, (i, j) = toeplitz._window_rows, cell
+
+    def rows_with_cell(x, d, window):
+        rows = rows_of(x, d, window)
+        rows.setdefault(i, {})[j] = L.QQ.one()
+        return rows
+
+    monkeypatch.setattr(toeplitz, "_window_rows", rows_with_cell)
 
 
 def test_row_finiteness_flag_can_fail(monkeypatch):
@@ -351,6 +356,23 @@ def test_socle_support_check_can_fail(monkeypatch):
     assert report["socle_finite_support_failures"] == ["v"]
     assert report["row_col_finiteness_failures"] == []
     assert report["matrix_unit_failures"] == []
+    assert not report["pass"]
+
+
+def test_finiteness_check_can_fail(monkeypatch):
+    """Kills the mutant that switches off part (b) of sandwich_report: with
+    the entry (0, 1) added to every window, a basis monomial, one term, fails
+    exactly when its window has another entry in row 0 or in column 1."""
+    _with_extra_cell(monkeypatch, (0, 1))
+    g = L.toeplitz_graph()
+    report = L.sandwich_report(g, 2, 6)
+    expected = []
+    for m in L.basis_monomials_up_to(g, 2):
+        rows = reference_window_rows(Element.from_monomial(m), 6)
+        entries = {(i, j) for i, row in enumerate(rows) for j, c in row.items() if c}
+        if any(i == 0 or j == 1 for i, j in entries - {(0, 1)}):
+            expected.append(L.format_monomial(m))
+    assert expected and report["row_col_finiteness_failures"] == expected
     assert not report["pass"]
 
 
