@@ -35,9 +35,11 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .errors import GraphMismatch, PreconditionError
+from .errors import GraphMismatch, LimitExceeded, PreconditionError
 from .fields import QQ
 from .graph import Path, _designated_edges, _paths_ending_in, is_acyclic
+
+MAX_BASIS_PAIRS = 1 << 20  # candidate pairs of paths of one basis enumeration
 
 
 class Monomial:
@@ -382,22 +384,49 @@ def paths_up_to(g, length):
 
 
 def basis_monomials_up_to(g, d):
-    """All basis monomials with l(p) + l(q) <= d, sorted by total length then key."""
+    """All basis monomials with l(p) + l(q) <= d, by total length then key.
+    Off the backward levels, paths of lengths a and b <= d - a into one vertex pair.
+    More than MAX_BASIS_PAIRS such pairs are refused before any is built."""
     if d < 0:
         raise PreconditionError("degree bound must be nonnegative")
-    by_range = {}
-    for p in paths_up_to(g, d):
-        by_range.setdefault(p.range, []).append(p)
-    out = []
-    for group in by_range.values():
-        for p in group:
-            for q in group:
-                if p.length + q.length <= d:
-                    m = Monomial._trusted(p, q)
-                    if m.is_basis():
-                        out.append(m)
+    if _basis_pair_count(g, d) > MAX_BASIS_PAIRS:
+        raise LimitExceeded(f"path pairs of total length <= {d} exceed the bound {MAX_BASIS_PAIRS}")
+    by_range, out = {}, []
+    for a, level in enumerate(islice(_paths_ending_in(g, g.vertices), d + 1)):
+        for p in level:
+            by_range.setdefault(p.range, {}).setdefault(a, []).append(p)
+    for lengths in by_range.values():
+        for a, ps in lengths.items():
+            for b, qs in lengths.items():  # lengths ascend
+                if a + b > d:
+                    break
+                out += [m for p in ps for q in qs if (m := Monomial._trusted(p, q)).is_basis()]
     out.sort(key=lambda m: (m.total_length, m.sort_key()))
     return out
+
+
+def _basis_pair_count(g, d):
+    """The pairs (p, q) with r(p) = r(q) and l(p) + l(q) <= d, counted before
+    any path is built, and only until they pass MAX_BASIS_PAIRS. Each length k
+    counts the paths into each vertex forwards along the edges; sums[v][j]
+    counts those of length <= j. A path of length k pairs both ways round with
+    those of length <= min(k, d - k) into its range, less the pairs of two
+    paths of length k counted twice."""
+    level = dict.fromkeys(g.vertices, 1)
+    sums = {v: [1] for v in level}
+    pairs, k = len(level), 0
+    while level and k < d and pairs <= MAX_BASIS_PAIRS:
+        k, counts = k + 1, {}
+        for u, n in level.items():
+            for e in g._out[u]:
+                counts[e.dst] = counts.get(e.dst, 0) + n
+        for v, n in counts.items():
+            s = sums[v]
+            s += [s[-1]] * (k - len(s))  # lengths with no path into v
+            s.append(s[-1] + n)
+            pairs += n * (2 * s[min(k, d - k)] - (n if 2 * k <= d else 0))
+        level = counts
+    return pairs
 
 
 def full_basis(g):

@@ -395,16 +395,13 @@ def walk_between(g, u, w):
 
 class VertexSet:
     """Subset of E0, iterated in declaration order. It holds no graph, so a
-    graph's memo can keep it; names are looked up only if some is unknown."""
+    graph's memo can keep it."""
 
     __slots__ = ("_members", "_ordered")
 
     def __init__(self, graph, names):
-        names = _names(names)
-        self._members = frozenset(names)
+        self._members = _as_members(graph, names)
         self._ordered = tuple(filter(self._members.__contains__, graph.vertices))
-        if len(self._ordered) < len(self._members):
-            _as_members(graph, names)
 
     @property
     def members(self):
@@ -445,11 +442,15 @@ def _names(X):
 
 
 def _as_members(g, X):
-    """The names of X as a frozenset, each checked against g in X's order."""
+    """The names of X as a frozenset, checked against g by one subset test.
+    Only when that fails are they looked up in X's order, so the first
+    unknown name is the one reported."""
     names = _names(X)
-    for v in names:
-        g.vertex_index(v)
-    return frozenset(names)
+    members = frozenset(names)
+    if not g._vindex.keys() >= members:
+        for v in names:
+            g.vertex_index(v)
+    return members
 
 
 # ---------------------------------------------------------------------------

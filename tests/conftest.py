@@ -7,9 +7,10 @@ import pytest
 
 import leavitt as L
 from leavitt import Element, Graph, LaurentPoly, Matrix, Monomial, Path, PreconditionError
+from leavitt import graph as graph_module, quotients as quotients_module
 from leavitt.algebra import _key, _monomial, _normal_form
 from leavitt.expressions import MAX_NESTING, _spell
-from leavitt.graph import _reach, vertex_on_a_cycle
+from leavitt.graph import _as_members, _reach, vertex_on_a_cycle
 from leavitt.matrices import add_entry
 from leavitt.quotients import _entry_paths
 
@@ -105,6 +106,24 @@ def deep_graphs(n=1100):
     ring = [(f"a{i}", f"x{i}", f"x{i % n + 1}") for i in range(1, n + 1)]
     looped = ring[:-1] + [("l", f"x{n}", f"x{n}")]
     return [Graph(f"cycle{n}", vertices, ring), Graph(f"looped{n}", vertices, looped)]
+
+
+def count_vertex_checks(monkeypatch):
+    """(lookups, checks), filled as the code runs: the names that
+    Graph.vertex_index looks up, and the size of each vertex set that
+    ``graph._as_members`` checks, patched where graph and quotients call it."""
+    lookups, checks = [], []
+    lookup = L.Graph.vertex_index
+    monkeypatch.setattr(L.Graph, "vertex_index", lambda g, v: lookups.append(v) or lookup(g, v))
+
+    def counted(g, X):
+        members = _as_members(g, X)
+        checks.append(len(members))
+        return members
+
+    for module in (graph_module, quotients_module):
+        monkeypatch.setattr(module, "_as_members", counted)
+    return lookups, checks
 
 
 def diamond_chain(k):

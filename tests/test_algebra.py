@@ -1,13 +1,17 @@
 """Element engine: relations, normal forms, confluence, grading, bases."""
 
+from time import perf_counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import leavitt as L
 from leavitt import Element, GraphMismatch, Monomial, Path
+from leavitt.algebra import MAX_BASIS_PAIRS, _basis_pair_count
 
 from conftest import (
     corpus_graphs,
+    diamond_chain,
     element_key_terms,
     one_edge_normalize_terms,
     parent_basis_monomials_up_to,
@@ -21,6 +25,7 @@ from conftest import (
     reference_monomial,
     reference_normalize_terms,
     reference_product,
+    rose,
     seeded,
 )
 
@@ -398,6 +403,52 @@ def test_basis_monomials_match_the_parent_enumeration():
     for g in graphs:
         for d in range(5):
             assert L.basis_monomials_up_to(g, d) == parent_basis_monomials_up_to(g, d), (g, d)
+
+
+def test_basis_monomials_of_the_roses_match_the_closed_form():
+    """rose(k) has (s + 1) k^s pairs of paths of total length s. The pairs not
+    in the basis end in the designated loop on both sides, so they are the
+    pairs of total length s - 2, each extended by it: (s - 1) k^(s - 2)."""
+    for k in range(1, 5):
+        for d in range(7):
+            pairs = sum((s + 1) * k**s for s in range(d + 1))
+            cut = sum((s - 1) * k ** (s - 2) for s in range(2, d + 1))
+            assert len(L.basis_monomials_up_to(rose(k), d)) == pairs - cut, (k, d)
+
+
+def test_basis_monomials_cost_follows_the_output():
+    """Only paths whose lengths fit are paired: 76,545 monomials of rose(3) at
+    d = 8 in well under the time that pairing all 9,841 paths two by two took."""
+    start = perf_counter()
+    assert len(L.basis_monomials_up_to(rose(3), 8)) == 76545
+    assert perf_counter() - start < 5.0
+
+
+def test_basis_pair_count_counts_the_candidate_pairs():
+    """The count is the number of pairs of paths into one vertex whose lengths
+    fit, as the listed paths give it; the fixed counts place the bound."""
+    rng = seeded("basis-pair-count")
+    graphs = [random_graph(rng, max_vertices=5, max_edges=7) for _ in range(60)]
+    for g in graphs + [L.toeplitz_graph(), rose(2), diamond_chain(2)]:
+        for d in range(6):
+            by_range = {}
+            for p in L.paths_up_to(g, d):
+                lengths = by_range.setdefault(p.range, {})
+                lengths[p.length] = lengths.get(p.length, 0) + 1
+            scan = sum(
+                m * n
+                for lengths in by_range.values()
+                for a, m in lengths.items()
+                for b, n in lengths.items()
+                if a + b <= d
+            )
+            assert _basis_pair_count(g, d) == scan, (g, d)
+    assert _basis_pair_count(L.toeplitz_graph(), 63) == 4160
+    assert _basis_pair_count(rose(3), 8) == 83653
+    diamonds6 = L.build_toeplitz_family(1, diamond_chain(6), ["d0"])
+    assert _basis_pair_count(diamonds6, 24) == 439322 <= MAX_BASIS_PAIRS
+    diamonds8 = L.build_toeplitz_family(1, diamond_chain(8), ["d0"])
+    assert _basis_pair_count(diamonds8, 24) > MAX_BASIS_PAIRS
 
 
 def test_terms_is_a_copy_the_caller_cannot_corrupt(toeplitz):

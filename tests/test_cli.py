@@ -5,7 +5,7 @@ from time import perf_counter
 
 import pytest
 
-from leavitt import line_graph
+from leavitt import build_toeplitz_family, line_graph
 from leavitt.cli import COMMANDS, main
 from leavitt.expressions import MAX_NESTING
 
@@ -420,6 +420,24 @@ def test_a_huge_degree_or_truncation_is_refused_at_once(capsys, tfile, argv):
     assert perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "LimitExceeded"
+
+
+def test_a_basis_of_too_many_path_pairs_is_refused_at_once(capsys, tmp_path):
+    """E(1, F), F eight diamonds in a row, has 21,454,204 pairs of paths of
+    total length <= 40 into one vertex; counting them first exits 2, where
+    listing them could exhaust memory and exit 1. Degree 4 still passes."""
+    path = tmp_path / "E1d8.graph"
+    path.write_text(build_toeplitz_family(1, diamond_chain(8), ["d0"]).to_dsl())
+    start = perf_counter()
+    code, out, err = run_cli(capsys, "toeplitz-check", str(path), "--degree", "40", "--window", "12")
+    assert perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "LimitExceeded",
+        "message": "path pairs of total length <= 40 exceed the bound 1048576",
+    }
+    code, out, _ = run_cli(capsys, "toeplitz-check", str(path), "--degree", "4", "--window", "12")
+    assert code == 0 and json.loads(out)["result"]["recognized"]
 
 
 def test_a_decomposition_of_too_many_sink_paths_is_refused_at_once(capsys, tmp_path):

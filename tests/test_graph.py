@@ -22,6 +22,7 @@ from conftest import (
     closure_oracle,
     components_oracle,
     corpus_graphs,
+    count_vertex_checks,
     cycles_oracle,
     deep_graphs,
     hereditary_oracle,
@@ -387,25 +388,26 @@ def test_vertex_sets_match_the_parent_vertex_sets():
 
 
 def test_vertex_sets_are_checked_once_per_call(monkeypatch):
-    """Graph.vertex_index calls on line_graph(200) with H = {x100..x200}:
-    H is checked once by quotient_graph, and not at all by analyzer_report,
-    whose vertex sets are built from the graph's own vertices. restriction_graph
-    checks H and its closure once each, and builds E/closure(H) from the
-    closure's members without checking them again."""
-    calls = []
-    lookup = L.Graph.vertex_index
-    monkeypatch.setattr(L.Graph, "vertex_index", lambda g, v: calls.append(v) or lookup(g, v))
+    """On line_graph(200) with H = {x100..x200}, a valid set is checked by one
+    subset test and no Graph.vertex_index call. quotient_graph checks H once;
+    the closure and the tree check H, then the set they return. restriction_graph
+    checks H, H again inside the closure it reduces by, and that closure.
+    analyzer_report builds its sets from the graph's own vertices."""
+    lookups, checks = count_vertex_checks(monkeypatch)
 
     def count(query):
         g, H = L.line_graph(200), {f"x{i}" for i in range(100, 201)}
-        calls.clear()
+        lookups.clear()
+        checks.clear()
         query(g, H)
-        return len(calls)
+        return len(lookups), checks[:]
 
-    assert count(L.quotient_graph) == 101
-    assert count(lambda g, H: L.analyzer_report(g)) == 0
-    assert count(lambda g, H: L.restriction_graph(g, H, 6)) <= 202
-    assert count(L.hereditary_saturated_closure) == 101
+    assert count(L.quotient_graph) == (0, [101])
+    assert count(L.hereditary_saturated_closure) == (0, [101, 200])
+    assert count(L.tree_of_set) == (0, [101, 101])
+    assert count(L.is_hereditary) == count(L.is_saturated) == (0, [101])
+    assert count(lambda g, H: L.restriction_graph(g, H, 6)) == (0, [101, 101, 200])
+    assert count(lambda g, H: L.analyzer_report(g))[0] == 0
 
 
 def test_unknown_names_are_reported_in_the_callers_order(toeplitz):

@@ -8,6 +8,7 @@ from leavitt.quotients import MAX_ENTRY_EDGES, _quotient_image, _socle_quotient
 
 from conftest import (
     corpus_graphs,
+    count_vertex_checks,
     loop_designated_toeplitz,
     parent_quotient_image,
     random_element,
@@ -69,9 +70,9 @@ def test_quotient_preconditions_and_their_order(a2):
 def test_quotient_morphism_reads_saturation_off_the_quotient_graph(monkeypatch):
     """A hereditary H is refused as not saturated exactly when is_saturated
     says so, on random graphs with H the tree of a random seed. The
-    quotient_morphism looks each name of H up once: 100 Graph.vertex_index
-    calls on ladder_graph(100) with H = {v1..v100}, where checking
-    saturation with is_saturated made 200."""
+    quotient_morphism checks H once, by one subset test: on ladder_graph(100)
+    with H = {v1..v100} it makes no Graph.vertex_index call, where checking
+    saturation with is_saturated made a second pass over H."""
     rng = seeded("quotient-saturation")
     refused = 0
     for _ in range(300):
@@ -87,10 +88,9 @@ def test_quotient_morphism_reads_saturation_off_the_quotient_graph(monkeypatch):
     assert 30 < refused < 270
     g, H = L.ladder_graph(100), {f"v{i}" for i in range(1, 101)}
     x = Element.vertex(g, "u1")
-    calls, lookup = [], L.Graph.vertex_index
-    monkeypatch.setattr(L.Graph, "vertex_index", lambda g, v: calls.append(v) or lookup(g, v))
+    lookups, checks = count_vertex_checks(monkeypatch)
     assert L.format_element(L.quotient_morphism(x, H)) == "u1"
-    assert len(calls) == 100
+    assert (lookups, checks) == ([], [100])
 
 
 @pytest.mark.parametrize("field", [L.QQ, L.GF(7)], ids=["qq", "f7"])

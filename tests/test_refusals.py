@@ -133,6 +133,14 @@ CASES = {
         lambda: L.full_basis(L.toeplitz_graph()), L.PreconditionError,
         "full_basis requires an acyclic graph", None,
     ),
+    "basis-pairs-past-the-bound": (
+        lambda: L.basis_monomials_up_to(L.toeplitz_graph(), 10**6), L.LimitExceeded,
+        "path pairs of total length <= 1000000 exceed the bound 1048576", None,
+    ),
+    "full-basis-pairs-past-the-bound": (
+        lambda: L.full_basis(L.line_graph(2000)), L.LimitExceeded,
+        "path pairs of total length <= 3998 exceed the bound 1048576", None,
+    ),
     "embedding-of-another-graph": (
         _foreign_embedding, L.PreconditionError, "element is not over this restriction graph",
         None,
