@@ -626,15 +626,20 @@ def is_saturated(g, X):
 
 
 def hereditary_saturated_closure(g, X):
-    """Least hereditary saturated superset, in time linear in the graph.
+    """Least hereditary saturated superset, in time linear in the graph."""
+    return _closure_of(g, _as_members(g, X))
 
-    Start from the tree of X, which is hereditary. Saturation adds an
+
+def _closure_of(g, members):
+    """The closure of members already checked against g.
+
+    Start from their tree, which is hereditary. Saturation adds an
     emitting vertex once all of its edges land in the set, so each vertex
     outside counts its edges that do not yet; a vertex joining decrements
     the counts of the sources of its incoming edges, and a count reaching
     0 adds that source. Adding such vertices keeps the set hereditary.
     """
-    closure = _reach(g, _as_members(g, X))
+    closure = _reach(g, members)
     missing = {}
     ready = []
     for v in g.vertices:

@@ -23,6 +23,7 @@ from .graph import (
     hereditary_saturated_closure,
     line_points,
     _as_members,
+    _closure_of,
     _graph_fact,
     _paths_ending_in,
     _reach,
@@ -142,7 +143,7 @@ class RestrictionGraph:
         # fresh vertex name -> entry path, for the embedding
         self._path_for = {self.vertex_for(p): p for p in entry_paths}
         # E/closure(H), whose kernel is I(H) = I(closure(H)), for the embedding's check
-        self._quotient = _quotient_of(source, hereditary_saturated_closure(source, H).members)
+        self._quotient = _quotient_of(source, _closure_of(source, H).members)
 
     @staticmethod
     def vertex_for(path):

@@ -4,13 +4,16 @@ import pytest
 
 import leavitt as L
 from leavitt import Element, ExpressionSyntaxError, Graph, Monomial, Path, UnknownIdentifier
+from leavitt import expressions
 from leavitt.expressions import MAX_NESTING
 
 from conftest import (
     corpus_graphs,
     item_sorting_format_element,
+    one_pass_scan_parse_element,
     random_element,
     random_graph,
+    raw_monomials,
     reference_parse_element,
     rose_power_product,
     seeded,
@@ -139,19 +142,48 @@ def _mutate(text, rng):
     return text[:i] + text[i + 1:]
 
 
+def _flat_outcome(parse, g, text, field):
+    """The normal form as its stored (key, coefficient) items, in dict order,
+    or the error type and message."""
+    try:
+        x = parse(g, text, field)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return list(x._flat.items())
+
+
+def _assert_parsers_agree(g, text, field):
+    """The normal form of the per-atom reference parser, and the stored items,
+    in order, of the one-pass scan the token-list parser replaced."""
+    assert _outcome(L.parse_element, g, text, field) == _outcome(
+        reference_parse_element, g, text, field
+    ), (g.to_dsl(), text, field)
+    assert _flat_outcome(L.parse_element, g, text, field) == _flat_outcome(
+        one_pass_scan_parse_element, g, text, field
+    ), (g.to_dsl(), text, field)
+
+
+_FIELDS = [L.QQ, L.GF(7), L.GF(2)]
+
+
 def test_word_fold_matches_reference_parser():
+    """Random expressions, each also with one character inserted or deleted,
+    and printed random elements, over QQ, F_7 and F_2."""
     rng = seeded("word-fold")
-    fields = [L.QQ, L.GF(7)]
     for _ in range(60):
         g = random_graph(rng)
-        for _ in range(25):
+        pool = raw_monomials(g, max_len=2)
+        texts = []
+        for _ in range(12):
             text = _random_expression(g, rng)
-            if rng.random() < 0.15:
-                text = _mutate(text, rng)
-            field = rng.choice(fields)
-            assert _outcome(L.parse_element, g, text, field) == _outcome(
-                reference_parse_element, g, text, field
-            ), (g.to_dsl(), text, field)
+            texts += [text, _mutate(text, rng)]
+        texts += [L.format_element(random_element(g, rng, pool)) for _ in range(4)]
+        for text in texts:
+            for field in _FIELDS:
+                _assert_parsers_agree(g, text, field)
+
+
+_NEST = "(" * MAX_NESTING + "e" + ")'" * MAX_NESTING
 
 
 @pytest.mark.parametrize(
@@ -183,13 +215,53 @@ def test_word_fold_matches_reference_parser():
         "e*",
         "v+",
         "   ",
+        "(e*f')''",
+        "\u0663 / \u0663*e",
+        "v\u00a0+ e",  # no-break space
+        "\tv\t",
+        "0/5",
+        "0/5 + e",
+        "2/0*e",
+        "2/*e",
+        "2/e",
+        "2 e",
+        "2/3/4*e",
+        "e*(",
+        "e*3*f",
+        "--e",
+        "+e",
+        "'e",
+        "(f*e)'*e*zz",
+        "e*(v)*f*zz",
+        "e (v)",
+        "v ** w",
+        "12ab",
+        "e\u0663",
+        pytest.param(_NEST, id="nested-to-the-bound"),
+        pytest.param("(" + _NEST + ")", id="nested-past-the-bound"),
+        pytest.param(_NEST[:-2] + "*f", id="nested-to-the-bound-unclosed"),
     ],
 )
 def test_word_fold_matches_reference_on_edge_cases(toeplitz, text):
-    for field in (L.QQ, L.GF(7)):
-        assert _outcome(L.parse_element, toeplitz, text, field) == _outcome(
-            reference_parse_element, toeplitz, text, field
-        )
+    for field in _FIELDS:
+        _assert_parsers_agree(toeplitz, text, field)
+
+
+def test_each_expression_is_tokenised_once(monkeypatch):
+    """One findall per expression, however many terms, generators or
+    parentheses it holds."""
+    texts = []
+    tokens = expressions._tokens
+    monkeypatch.setattr(expressions, "_tokens", lambda text: texts.append(text) or tokens(text))
+    g = Graph("rose2", ["v"], [("e1", "v", "v"), ("e2", "v", "v")])
+    rng = seeded("tokenised-once")
+    word = "*".join(rng.choice(("e1", "e2", "e1'", "e2'")) for _ in range(4000))
+    total = " + ".join(f"{k % 9 + 1}*e{k % 2 + 1}*e{k % 3 % 2 + 1}'" for k in range(1000))
+    nest = "(" * 50 + "e1 + 2*e2" + ")'" * 50
+    for text in (word, total, nest):
+        texts.clear()
+        L.parse_element(g, text)
+        assert texts == [text]
 
 
 def test_error_messages_of_the_one_pass_scan(toeplitz):
