@@ -37,7 +37,7 @@ from itertools import islice
 
 from .errors import GraphMismatch, LimitExceeded, PreconditionError
 from .fields import QQ
-from .graph import Path, _designated_edges, _paths_ending_in, is_acyclic
+from .graph import Path, _designated_edges, _path_counts, _paths_ending_in, is_acyclic
 
 MAX_BASIS_PAIRS = 1 << 20  # candidate pairs of paths of one basis enumeration
 
@@ -78,10 +78,6 @@ class Monomial:
     @property
     def total_length(self):
         return self.real.length + self.ghost.length
-
-    @property
-    def is_vertex(self):
-        return self.real.is_trivial and self.ghost.is_trivial
 
     @property
     def is_pure_path(self):
@@ -407,25 +403,20 @@ def basis_monomials_up_to(g, d):
 
 def _basis_pair_count(g, d):
     """The pairs (p, q) with r(p) = r(q) and l(p) + l(q) <= d, counted before
-    any path is built, and only until they pass MAX_BASIS_PAIRS. Each length k
-    counts the paths into each vertex forwards along the edges; sums[v][j]
+    any path is built, and only until they pass MAX_BASIS_PAIRS. The counts
+    are those of the paths of each length k into each vertex; sums[v][j + 1]
     counts those of length <= j. A path of length k pairs both ways round with
     those of length <= min(k, d - k) into its range, less the pairs of two
     paths of length k counted twice."""
-    level = dict.fromkeys(g.vertices, 1)
-    sums = {v: [1] for v in level}
-    pairs, k = len(level), 0
-    while level and k < d and pairs <= MAX_BASIS_PAIRS:
-        k, counts = k + 1, {}
-        for u, n in level.items():
-            for e in g._out[u]:
-                counts[e.dst] = counts.get(e.dst, 0) + n
-        for v, n in counts.items():
+    sums, pairs = {v: [0] for v in g.vertices}, 0
+    for k, level in zip(range(d + 1), _path_counts(g, g.vertices)):
+        for v, n in level.items():
             s = sums[v]
-            s += [s[-1]] * (k - len(s))  # lengths with no path into v
+            s += [s[-1]] * (k + 1 - len(s))  # lengths with no path into v
             s.append(s[-1] + n)
-            pairs += n * (2 * s[min(k, d - k)] - (n if 2 * k <= d else 0))
-        level = counts
+            pairs += n * (2 * s[min(k, d - k) + 1] - (n if 2 * k <= d else 0))
+        if pairs > MAX_BASIS_PAIRS:
+            break
     return pairs
 
 

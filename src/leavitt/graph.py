@@ -84,12 +84,6 @@ class Graph:
     def edge(self, name):
         return self.edges[self.edge_index(name)]
 
-    def has_vertex(self, v):
-        return v in self._vindex
-
-    def has_edge(self, name):
-        return name in self._eindex
-
     def out_edges(self, v):
         self.vertex_index(v)
         return self._out[v]
@@ -101,20 +95,8 @@ class Graph:
     def out_degree(self, v):
         return len(self.out_edges(v))
 
-    def is_sink(self, v):
-        return self.out_degree(v) == 0
-
     def sinks(self):
         return tuple(v for v in self.vertices if not self._out[v])
-
-    def designated_edge(self, v):
-        """The last-declared edge out of v; None for sinks.
-
-        This is the edge consumed by the normal-form rewrite rule, so the
-        whole canonical-basis machinery depends on declaration order.
-        """
-        es = self.out_edges(v)
-        return es[-1] if es else None
 
     # -- equality is structural; the name is metadata ----------------------
 
@@ -269,12 +251,6 @@ class Path:
             self.source == other.source
             and other.edges[: len(self.edges)] == self.edges
         )
-
-    def strip_prefix(self, prefix):
-        """The tail t with self == prefix . t."""
-        if not prefix.is_prefix_of(self):
-            raise PreconditionError("not a prefix")
-        return Path._trusted(self.graph, prefix.range, self.edges[len(prefix.edges):], self.range)
 
     def sort_key(self):
         g = self.graph
@@ -491,6 +467,25 @@ def _reach(g, sources, backwards=False, keep=None):
                 reached.add(w)
                 stack.append(w)
     return reached
+
+
+def _path_counts(g, sources, backwards=False, keep=None):
+    """The multiplicity twin of _reach: one dict {vertex: number of paths} per
+    length 0, 1, ..., stopping at the first empty length. Forwards a length
+    counts the paths from the sources that end at each vertex; backwards, the
+    paths from each vertex into the sources. With keep, the paths step only
+    onto the vertices w for which keep(w) holds."""
+    adjacent, end = (g._in, 1) if backwards else (g._out, 2)  # Edge = (name, src, dst)
+    level = dict.fromkeys(sources, 1)
+    while level:
+        yield level
+        counts = {}
+        for v, n in level.items():
+            for e in adjacent[v]:
+                w = e[end]
+                if keep is None or keep(w):
+                    counts[w] = counts.get(w, 0) + n
+        level = counts
 
 
 def _paths_ending_in(g, targets, keep=None):

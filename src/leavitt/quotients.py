@@ -25,6 +25,7 @@ from .graph import (
     _as_members,
     _closure_of,
     _graph_fact,
+    _path_counts,
     _paths_ending_in,
     _reach,
 )
@@ -160,18 +161,22 @@ class RestrictionGraph:
 def _entry_paths(g, members, length):
     """Qualifying paths of length <= bound (s outside H, interior outside, r
     inside), grown backwards from H, and whether none has length bound+1.
-    They are refused past MAX_ENTRY_EDGES edges in all, before that many lengths."""
+    They are counted first, and refused past MAX_ENTRY_EDGES edges in all
+    before any is built."""
     h_order = [v for v in g.vertices if v in members]
-    levels = _paths_ending_in(g, h_order, keep=lambda w: w not in members)
-    next(levels)  # the trivial paths
-    out, edges = [], 0
-    for n, level in enumerate(islice(levels, min(length, MAX_ENTRY_EDGES)), 1):
-        edges += n * len(level)
+    outside = lambda w: w not in members
+    counts = _path_counts(g, h_order, backwards=True, keep=outside)
+    next(counts)  # the trivial paths
+    edges = 0
+    for n, level in zip(range(1, length + 1), counts):
+        edges += n * sum(level.values())
         if edges > MAX_ENTRY_EDGES:
             raise LimitExceeded(f"entry paths of length <= {length} exceed {MAX_ENTRY_EDGES} edges")
-        out += level
+    complete = next(counts, None) is None
+    levels = _paths_ending_in(g, h_order, keep=outside)
+    out = [p for level in islice(levels, 1, min(length, MAX_ENTRY_EDGES) + 1) for p in level]
     out.sort(key=lambda p: (p.length, p.sort_key()))
-    return out, next(levels, None) is None
+    return out, complete
 
 
 def restriction_graph(g, H, bound):

@@ -34,10 +34,10 @@ from .errors import (
 from .fields import QQ
 from .graph import (
     _graph_fact,
+    _path_counts,
     _paths_ending_in,
     is_acyclic,
     is_acyclic_no_bifurcation,
-    strongly_connected_components,
 )
 from .matrices import BlockMatrix, Matrix, add_entry
 
@@ -131,7 +131,8 @@ def matrix_decomposition(g):
     """
     if not is_acyclic(g):
         raise PreconditionError("matrix decomposition needs an acyclic graph")
-    edges = _sink_path_totals(g)[1]
+    counts = _path_counts(g, g.sinks(), backwards=True)
+    edges = sum(k * sum(level.values()) for k, level in enumerate(counts))
     if edges > MAX_SINK_EDGES:
         raise LimitExceeded(f"sink paths of {edges} edges in all exceed the bound {MAX_SINK_EDGES}")
     kind = "vertices" if is_acyclic_no_bifurcation(g) else "sink_paths"
@@ -148,17 +149,6 @@ def matrix_decomposition(g):
     if kind == "vertices":
         blocks.sort(key=lambda b: g._vindex[b["labels"][0]])
     return MatrixDecomposition(g, kind, blocks)
-
-
-def _sink_path_totals(g):
-    """(paths, edges) of all the paths into the sinks of an acyclic g, counted
-    per vertex in one pass, each vertex after the vertices it reaches."""
-    paths, edges = {}, {}
-    for (v,) in reversed(strongly_connected_components(g)):
-        out = g._out[v]
-        paths[v] = sum(paths[e.dst] for e in out) if out else 1
-        edges[v] = sum(paths[e.dst] + edges[e.dst] for e in out)
-    return sum(paths.values()), sum(edges.values())
 
 
 def to_matrix(x, decomposition):

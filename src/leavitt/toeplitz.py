@@ -76,10 +76,6 @@ class LaurentPoly:
                 add_entry(out, n + m, c * d)
         return LaurentPoly(out, self.field)
 
-    def substitute_inverse(self):
-        """x -> x^-1, the image of the involution."""
-        return LaurentPoly({-n: c for n, c in self.coeffs.items()}, self.field)
-
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -343,12 +339,6 @@ def _window_rows(x, d, window):
                 for k in range(start, min(stop, end)):
                     rows.setdefault(k + shift, {})[k] = total
     return rows
-
-
-def bandwidth(window):
-    """Largest |i - j| over nonzero entries; 0 for the zero window."""
-    rows = window.matrix.nonzero_rows.items()
-    return max((abs(i - j) for i, row in rows for j in row), default=0)
 
 
 def socle_module_element(g, i, j, field=QQ):

@@ -745,9 +745,7 @@ def reference_is_basis(pair):
     real, ghost = pair
     if not real.edges or not ghost.edges or real.edges[-1] != ghost.edges[-1]:
         return True
-    g = real.graph
-    last = g.edge(real.edges[-1])
-    return last != g.designated_edge(last.src)
+    return real.edges[-1] not in L.graph._designated_edges(real.graph)
 
 
 def reference_reduce_once(pair, coeff):
@@ -1117,9 +1115,9 @@ class _ReferenceParser:
     def atom(self):
         kind, value = self.take()
         if kind == "ident":
-            if self.graph.has_vertex(value):
+            if value in self.graph._vindex:
                 return self.element.vertex(self.graph, value, self.field)
-            if self.graph.has_edge(value):
+            if value in self.graph._eindex:
                 return self.element.edge(self.graph, value, self.field)
             raise L.UnknownIdentifier(
                 f"unknown identifier {value!r} in graph {self.graph.name!r}"
@@ -1473,7 +1471,7 @@ class ParentParser(_ReferenceParser):
 
 
 def parent_format_monomial(m):
-    if m.is_vertex:
+    if not m.total_length:
         return m.real.source
     parts = list(m.real.edges)
     parts += [name + "'" for name in reversed(m.ghost.edges)]
@@ -1579,6 +1577,45 @@ def stack_normal_form(g, pending):
 def rose(n):
     """One vertex v with n loops e1..en: L_K of it is the Leavitt algebra L(1, n)."""
     return Graph(f"rose{n}", ["v"], [(f"e{i}", "v", "v") for i in range(1, n + 1)])
+
+
+def rose_feeding_sink(n):
+    """u with n loops e1..en and one edge f: u -> w: n^(k-1) paths of length k into w."""
+    loops = [(f"e{i}", "u", "u") for i in range(1, n + 1)]
+    return Graph(f"rose{n}_to_w", ["u", "w"], loops + [("f", "u", "w")])
+
+
+def adjacency_path_counts(g, sources, backwards=False, keep=None, up_to=6):
+    """An oracle for ``graph._path_counts`` that walks no path: level k is read
+    off the k-th power of the adjacency matrix A over exact integers, A[u][v]
+    the number of edges u -> v. Forwards it holds sum over s in sources of
+    A^k[s][v] at v; backwards, sum over t in sources of A^k[v][t]. A vertex
+    w without keep(w) has its column (forwards) or its row (backwards) of A
+    zeroed. The levels end at the first empty one, or after length up_to."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    rows = [[0] * len(index) for _ in index]
+    for e in g.edges:
+        rows[index[e.src]][index[e.dst]] += 1
+    for w in g.vertices:
+        if keep is not None and not keep(w):
+            if backwards:
+                rows[index[w]] = [0] * len(index)
+            else:
+                for row in rows:
+                    row[index[w]] = 0
+    A, power, levels = Matrix.from_int_rows(rows), Matrix.identity(len(index)), []
+    ends = [index[s] for s in set(sources)]
+    for _ in range(up_to + 1):
+        level = {}
+        for v, i in index.items():
+            n = sum(power[i, t] if backwards else power[t, i] for t in ends)
+            if n:
+                level[v] = n
+        if not level:
+            break
+        levels.append(level)
+        power = power * A
+    return levels
 
 
 def rose_power_product(n, k, field=L.QQ):

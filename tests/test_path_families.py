@@ -1,17 +1,23 @@
 """Every path family grows backwards from its targets through one shared
-enumerator, ``graph._paths_ending_in``. Each family is diffed against a
-copy, in conftest, of the construction it replaced: on random graphs,
-cyclic and acyclic with shuffled declarations, and on the corpus."""
+enumerator, ``graph._paths_ending_in``, and every bound on a family reads
+its twin, the count ``graph._path_counts``. Each family is diffed against a
+copy, in conftest, of the construction it replaced, and the count against
+powers of the adjacency matrix: on random graphs, cyclic and acyclic with
+shuffled declarations, and on the corpus."""
+
+from itertools import islice
 
 import pytest
 
 import leavitt as L
 from leavitt import Element, Graph, PreconditionError
-from leavitt.graph import _paths_ending_in
+from leavitt.graph import _path_counts, _paths_ending_in
 from leavitt.quotients import _entry_paths, _mu_candidates
 
 from conftest import (
+    adjacency_path_counts,
     corpus_graphs,
+    diamond_chain,
     random_acyclic_graph,
     random_element,
     random_graph,
@@ -24,6 +30,7 @@ from conftest import (
     reference_reduced_expression,
     reference_reduced_monomial_basis,
     reference_restriction_embedding,
+    rose,
     seeded,
     shuffled,
 )
@@ -65,6 +72,21 @@ def test_levels_are_in_edge_order_and_pass_only_kept_sources():
             for p in level:
                 assert p.length == length and p.range in targets
                 assert all(g.edge(e).src in kept for e in p.edges)
+
+
+def test_path_counts_match_the_adjacency_powers():
+    """Forwards and backwards, with and without keep, up to length 6."""
+    rng = seeded("path-counts")
+    graphs = sample_graphs(rng, 60) + [rose(n) for n in range(1, 5)]
+    graphs += [diamond_chain(k) for k in range(5)] + [L.toeplitz_graph()]
+    for g in graphs:
+        for backwards in (False, True):
+            sources = [v for v in g.vertices if rng.random() < 0.5] or [rng.choice(g.vertices)]
+            kept = {v for v in g.vertices if rng.random() < 0.7}
+            for keep in (None, kept.__contains__):
+                got = list(islice(_path_counts(g, sources, backwards, keep), 7))
+                want = adjacency_path_counts(g, sources, backwards, keep, up_to=6)
+                assert got == want, (g, sources, backwards, keep and kept)
 
 
 def test_paths_up_to_matches_the_forward_enumeration():

@@ -1,5 +1,7 @@
 """Quotient morphisms, ideal membership, restriction graphs, denominators."""
 
+import tracemalloc
+
 import pytest
 
 import leavitt as L
@@ -15,6 +17,7 @@ from conftest import (
     random_graph,
     random_nonzero_element,
     raw_monomials,
+    rose_feeding_sink,
     seeded,
 )
 
@@ -227,6 +230,21 @@ def test_restriction_graphs_past_the_edge_bound_are_refused(toeplitz):
     for bound in (2048, 10**20):
         with pytest.raises(L.LimitExceeded, match=f"exceed {MAX_ENTRY_EDGES} edges"):
             L.restriction_graph(toeplitz, {"w"}, bound)
+
+
+def test_completeness_is_counted_not_built():
+    """64 loops feeding w: 1 + 64 + 64^2 = 4,161 entry paths of length <= 3.
+    Whether one of length 4 exists is read off the count, so none of the
+    262,144 of them is built; building them peaked at 40.7 MB."""
+    g = rose_feeding_sink(64)
+    tracemalloc.start()
+    try:
+        rg = L.restriction_graph(g, {"w"}, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rg.entry_paths) == 4161 and not rg.complete
+    assert peak < 8 * 2**20, peak
 
 
 def test_restriction_graph_a2(a2):

@@ -1,14 +1,16 @@
 """Refusals of bad input: each raises its LeavittError with its message, and
-the CLI exits 2 with that error where a command reaches it."""
+the CLI exits 2 with that error where a command reaches it, both within a
+second: a bound refuses before it builds what it bounds."""
 
 import json
+from time import perf_counter
 
 import pytest
 
 import leavitt as L
 from leavitt.cli import main
 
-from conftest import A2_DSL, TOEPLITZ_DSL
+from conftest import A2_DSL, TOEPLITZ_DSL, rose_feeding_sink
 
 
 def _graph(vertices, edges):
@@ -37,6 +39,16 @@ def _rose_cycle():
 
 def _dense(rows):
     return L.Matrix.from_int_rows(rows)
+
+
+def _rose_restriction(n):
+    """Entry paths into w, n loops feeding it, refused by their count alone."""
+    g = rose_feeding_sink(n)
+    return (
+        lambda: L.restriction_graph(g, {"w"}, 12), L.LimitExceeded,
+        "entry paths of length <= 12 exceed 2097152 edges",
+        (g.to_dsl(), ["restrict", "{file}", "--set", "w", "--truncate", "12"]),
+    )
 
 
 A2 = L.parse_graph(A2_DSL)
@@ -141,6 +153,8 @@ CASES = {
         lambda: L.full_basis(L.line_graph(2000)), L.LimitExceeded,
         "path pairs of total length <= 3998 exceed the bound 1048576", None,
     ),
+    "entry-paths-of-a-rose-of-8": _rose_restriction(8),
+    "entry-paths-of-a-rose-of-64": _rose_restriction(64),
     "embedding-of-another-graph": (
         _foreign_embedding, L.PreconditionError, "element is not over this restriction graph",
         None,
@@ -161,14 +175,18 @@ CASES = {
 @pytest.mark.parametrize("case", CASES)
 def test_each_refusal_has_its_type_and_message(case, capsys, tmp_path):
     call, kind, message, cli = CASES[case]
+    start = perf_counter()
     with pytest.raises(kind) as raised:
         call()
     assert str(raised.value) == message
+    assert perf_counter() - start < 1.0
     if cli is not None:
         text, argv = cli
         path = tmp_path / "input.graph"
         path.write_text(text)
+        start = perf_counter()
         code = main([str(path) if a == "{file}" else a for a in argv])
+        assert perf_counter() - start < 1.0
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert json.loads(captured.err) == {"error": {"type": kind.__name__, "message": message}}

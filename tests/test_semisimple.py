@@ -7,8 +7,8 @@ import pytest
 import leavitt as L
 from leavitt import Element, Monomial, NotFoundWithinBounds, NotSquareCancellable, Path, PreconditionError
 from leavitt.algebra import _normal_form
-from leavitt.graph import _paths_ending_in
-from leavitt.semisimple import MAX_SINK_EDGES, _sink_path_totals
+from leavitt.graph import _path_counts, _paths_ending_in
+from leavitt.semisimple import MAX_SINK_EDGES
 
 from conftest import (
     corpus_graphs,
@@ -120,7 +120,7 @@ def test_decomposition_paths_revalidate_and_are_indexed(line3):
         for bi, block in enumerate(d.blocks):
             for j, p in enumerate(block["paths"]):
                 again = Path(g, p.source, p.edges)
-                assert again == p and again.range == p.range and g.is_sink(p.range)
+                assert again == p and again.range == p.range and p.range in g.sinks()
                 assert d.position_of(again) == (bi, j)
     with pytest.raises(PreconditionError, match="does not end at a decomposed sink"):
         L.matrix_decomposition(line3).position_of(Path.trivial(line3, "x1"))
@@ -137,6 +137,13 @@ def test_decomposition_rejects_cycles(toeplitz, r1):
             L.is_square_cancellable(Element.vertex(g, g.vertices[0]))
 
 
+def sink_path_totals(g):
+    """(paths, edges) of all the paths into the sinks, as matrix_decomposition
+    reads them off the backward counts: the sums of |level k| and k |level k|."""
+    sizes = [sum(level.values()) for level in _path_counts(g, g.sinks(), backwards=True)]
+    return sum(sizes), sum(k * n for k, n in enumerate(sizes))
+
+
 def test_sink_path_totals_match_the_enumeration():
     rng = seeded("sink-path-totals")
     graphs = [random_graph(rng, max_edges=7) for _ in range(300)] + corpus_graphs()
@@ -144,7 +151,7 @@ def test_sink_path_totals_match_the_enumeration():
     checked = 0
     for g in filter(L.is_acyclic, graphs):
         paths = [p for level in _paths_ending_in(g, g.sinks()) for p in level]
-        assert _sink_path_totals(g) == (len(paths), sum(p.length for p in paths)), g
+        assert sink_path_totals(g) == (len(paths), sum(p.length for p in paths)), g
         checked += 1
     assert checked > 100
 
@@ -153,11 +160,15 @@ def test_decomposition_refuses_too_many_sink_edges():
     """The bound admits line_graph(8192), README's largest decomposition
     (33,550,336 edges), and refuses one more vertex; 17 diamonds in a row
     hold 16,515,082 edges, and 18 hold 35,127,306."""
-    assert _sink_path_totals(L.line_graph(8192))[1] <= MAX_SINK_EDGES
-    assert _sink_path_totals(diamond_chain(17)) == (524285, 16515082)
-    for g in (L.line_graph(8193), diamond_chain(18)):
-        with pytest.raises(L.LimitExceeded, match=f"exceed the bound {MAX_SINK_EDGES}$"):
+    assert sink_path_totals(L.line_graph(8192)) == (8192, 33550336)
+    assert 33550336 <= MAX_SINK_EDGES
+    assert sink_path_totals(diamond_chain(17)) == (524285, 16515082)
+    for g, edges in ((L.line_graph(8193), 33558528), (diamond_chain(18), 35127306)):
+        with pytest.raises(L.LimitExceeded) as refused:
             L.matrix_decomposition(g)
+        assert str(refused.value) == (
+            f"sink paths of {edges} edges in all exceed the bound {MAX_SINK_EDGES}"
+        )
     assert L.matrix_decomposition(diamond_chain(3)).sizes == (2 ** 5 - 3,)
 
 
