@@ -74,6 +74,7 @@ from .quotients import (
     restriction_embedding,
     restriction_graph,
     right_denominator,
+    socle_quotient,
 )
 from .semisimple import (
     MatrixDecomposition,

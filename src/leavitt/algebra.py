@@ -33,8 +33,6 @@ element through it.
 
 from __future__ import annotations
 
-from itertools import islice
-
 from .errors import GraphMismatch, LimitExceeded, PreconditionError
 from .fields import QQ
 from .graph import Path, _designated_edges, _path_counts, _paths_ending_in, is_acyclic
@@ -373,8 +371,8 @@ def is_in_path_algebra(x):
 
 def paths_up_to(g, length):
     """All paths of length <= bound, deterministic order (by sort key)."""
-    levels = islice(_paths_ending_in(g, g.vertices), max(length, 0) + 1)
-    out = [p for level in levels for p in level]
+    levels = zip(range(max(length, 0) + 1), _paths_ending_in(g, g.vertices))
+    out = [p for _, level in levels for p in level]
     out.sort(key=Path.sort_key)
     return out
 
@@ -388,7 +386,7 @@ def basis_monomials_up_to(g, d):
     if _basis_pair_count(g, d) > MAX_BASIS_PAIRS:
         raise LimitExceeded(f"path pairs of total length <= {d} exceed the bound {MAX_BASIS_PAIRS}")
     by_range, out = {}, []
-    for a, level in enumerate(islice(_paths_ending_in(g, g.vertices), d + 1)):
+    for a, level in zip(range(d + 1), _paths_ending_in(g, g.vertices)):
         for p in level:
             by_range.setdefault(p.range, {}).setdefault(a, []).append(p)
     for lengths in by_range.values():

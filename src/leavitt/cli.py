@@ -24,13 +24,12 @@ from .graph import (
     parse_graph,
 )
 from .quotients import (
-    _quotient_image,
-    _socle_quotient,
     denominator_search,
     in_socle,
     quotient_graph,
     restriction_embedding,
     restriction_graph,
+    socle_quotient,
 )
 from .semisimple import element_group_inverse, matrix_decomposition
 from .toeplitz import exact_sequence_report, recognize_toeplitz, sandwich_report
@@ -89,7 +88,7 @@ def _group_inverse(g, field, args):
 
 def _socle_member(g, field, args):
     x = parse_element(g, args.expr, field)
-    H = _socle_quotient(g)[0]
+    H = socle_quotient(g)[0]
     return {"member": in_socle(x), "socle_generators": list(H)}
 
 
@@ -99,7 +98,10 @@ def _quotient(g, field, args):
     saturated = is_saturated(g, H)
     images = None
     if saturated:  # the morphism only exists for saturated H
-        images = _generator_images(g, field, lambda x: _quotient_image(x, target))
+        # a generator survives pi iff it is one of E/H, where it is its own normal form
+        kept = {*target.vertices, *(e.name for e in target.edges)}
+        names = [*g.vertices, *(e.name for e in g.edges)]
+        images = {x: x if x in kept else "0" for x in names}
     return {"graph": _graph_payload(target), "saturated": saturated, "generator_images": images}
 
 

@@ -92,9 +92,6 @@ class Graph:
         self.vertex_index(v)
         return self._in[v]
 
-    def out_degree(self, v):
-        return len(self.out_edges(v))
-
     def sinks(self):
         return tuple(v for v in self.vertices if not self._out[v])
 
@@ -245,12 +242,6 @@ class Path:
 
     def append(self, edge_name):
         return self.concat(Path(self.graph, self.graph.edge(edge_name).src, (edge_name,)))
-
-    def is_prefix_of(self, other):
-        return (
-            self.source == other.source
-            and other.edges[: len(self.edges)] == self.edges
-        )
 
     def sort_key(self):
         g = self.graph
@@ -612,7 +603,11 @@ def is_hereditary(g, X):
 
 def is_saturated(g, X):
     """Every emitting vertex feeding only into X lies in X."""
-    members = _as_members(g, X)
+    return _saturated(g, _as_members(g, X))
+
+
+def _saturated(g, members):
+    """is_saturated for members already checked against g."""
     for v in g.vertices:
         es = g._out[v]
         if es and all(e.dst in members for e in es) and v not in members:

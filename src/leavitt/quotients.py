@@ -13,7 +13,6 @@ be wrong, while the renormalized kernel test is exact.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import islice
 
 from .algebra import Element, _range, is_in_path_algebra
 from .errors import LimitExceeded, PreconditionError
@@ -28,6 +27,7 @@ from .graph import (
     _path_counts,
     _paths_ending_in,
     _reach,
+    _saturated,
 )
 
 
@@ -67,15 +67,16 @@ def quotient_morphism(x, H):
 
     H must be saturated as well as hereditary, otherwise killing H breaks
     relation (4) at a vertex feeding only into H and the generator map is
-    no algebra morphism at all. The designated edges of E/H generally
-    differ from those of E, so the image is rewritten in the target before
-    being returned.
+    no algebra morphism at all. Both are checked, by the rules of
+    is_hereditary and is_saturated, before E/H is built. The designated
+    edges of E/H generally differ from those of E, so the image is
+    rewritten in the target before being returned.
     """
-    g, target = x.graph, quotient_graph(x.graph, H)
-    # a vertex outside H is a sink of E/H iff all of its edges end in H
-    if any(g._out[v] for v in target.sinks()):
+    g = x.graph
+    members = _require_hereditary(g, H)
+    if not _saturated(g, members):
         raise PreconditionError("H is not saturated")
-    return _quotient_image(x, target)
+    return _quotient_image(x, _quotient_of(g, members))
 
 
 def _quotient_image(x, target):
@@ -95,9 +96,9 @@ def in_graded_ideal(x, H):
 
 
 @_graph_fact
-def _socle_quotient(g):
+def socle_quotient(g):
     """(H, E/H) for H the hereditary saturated closure of the line points,
-    so that Soc(L_K(E)) = I(H)."""
+    so that Soc(L_K(E)) = I(H): H generates the socle."""
     H = hereditary_saturated_closure(g, line_points(g))
     return H, _quotient_of(g, H.members)
 
@@ -106,7 +107,7 @@ def in_socle(x):
     """Membership in Soc(L_K(E)) = I(closure of the line points). The
     closure is hereditary and saturated by construction, so the image is
     taken without checking it again."""
-    return _quotient_image(x, _socle_quotient(x.graph)[1]).is_zero()
+    return _quotient_image(x, socle_quotient(x.graph)[1]).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +175,8 @@ def _entry_paths(g, members, length):
             raise LimitExceeded(f"entry paths of length <= {length} exceed {MAX_ENTRY_EDGES} edges")
     complete = next(counts, None) is None
     levels = _paths_ending_in(g, h_order, keep=outside)
-    out = [p for level in islice(levels, 1, min(length, MAX_ENTRY_EDGES) + 1) for p in level]
+    next(levels)  # the trivial paths
+    out = [p for _, level in zip(range(length), levels) for p in level]
     out.sort(key=lambda p: (p.length, p.sort_key()))
     return out, complete
 

@@ -265,9 +265,6 @@ class MatrixWindow:
     def size(self):
         return self.matrix.nrows
 
-    def entries(self):
-        return self.matrix.rows
-
     def __repr__(self):
         return f"MatrixWindow({self.size}, validity={self.validity_bound})"
 

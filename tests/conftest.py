@@ -293,7 +293,7 @@ def line_points_oracle(g):
     result = set()
     for u in g.vertices:
         reachable = [w for w in g.vertices if reach[u][w]]
-        if all(g.out_degree(w) <= 1 and not loops[w][w] for w in reachable):
+        if all(len(g.out_edges(w)) <= 1 and not loops[w][w] for w in reachable):
             result.add(u)
     return result
 
@@ -2109,7 +2109,7 @@ def parent_tree_of_set(g, X):
 
 def parent_bifurcations(g):
     """Vertices emitting at least two edges."""
-    return ParentVertexSet(g, frozenset(v for v in g.vertices if g.out_degree(v) >= 2))
+    return ParentVertexSet(g, frozenset(v for v in g.vertices if len(g.out_edges(v)) >= 2))
 
 
 def parent_line_points(g):

@@ -300,7 +300,7 @@ def test_path_and_monomial_boundary_checks(toeplitz, a2):
     g = toeplitz  # e: v -> v, f: v -> w
     f = Path.from_edges(g, ["f"])
     assert f.range == "w" and Path.trivial(g, "v").append("e").append("f").range == "w"
-    assert Path.trivial(g, "v").concat(f) == f and f.is_prefix_of(f)
+    assert Path.trivial(g, "v").concat(f) == f and f.edges[:1] == ("f",)
     with pytest.raises(L.PreconditionError):
         f.append("e")
     with pytest.raises(L.PreconditionError):
@@ -313,7 +313,7 @@ def test_path_and_monomial_boundary_checks(toeplitz, a2):
         Path(g, "w", ["e"])
     with pytest.raises(L.UnknownIdentifier):
         Path(g, "nope")
-    assert not Path.trivial(g, "v").is_prefix_of(Path.trivial(g, "w"))
+    assert Path.trivial(g, "v") != Path.trivial(g, "w")
     with pytest.raises(L.PreconditionError):
         Monomial(f, Path.trivial(g, "v"))
     with pytest.raises(GraphMismatch):

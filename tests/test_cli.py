@@ -1,15 +1,18 @@
 """CLI: golden outputs, determinism, exit codes, structured errors."""
 
+import ast
 import json
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 
-from leavitt import build_toeplitz_family, line_graph
+import leavitt as L
+from leavitt import Element, build_toeplitz_family, cli, line_graph
 from leavitt.cli import COMMANDS, main
 from leavitt.expressions import MAX_NESTING
 
-from conftest import A2_DSL, TOEPLITZ_DSL, deep_graphs, diamond_chain
+from conftest import A2_DSL, TOEPLITZ_DSL, deep_graphs, diamond_chain, random_graph, seeded
 
 
 @pytest.fixture
@@ -288,6 +291,55 @@ def test_quotient_of_unsaturated_hereditary_set(capsys, a2file):
     assert result["graph"]["vertices"] == ["u"] and result["graph"]["edges"] == []
     assert result["saturated"] is False
     assert result["generator_images"] is None
+
+
+@pytest.mark.parametrize("field", ["q", "fp:7"])
+def test_quotient_images_are_those_of_the_morphism(capsys, tmp_path, field):
+    """quotient reads each generator image off E/H; on random graphs with H
+    the closure of a random seed, each is the formatted quotient_morphism
+    of its generator. For H the tree of the seed, when it is not saturated,
+    the images are null."""
+    rng = seeded(f"cli-quotient-images-{field}")
+    K = L.field_from_name(field)
+    path = tmp_path / "g.graph"
+    mapped = unsaturated = 0
+    for _ in range(150):
+        g = random_graph(rng, max_edges=7)
+        path.write_text(g.to_dsl())
+        seed = [v for v in g.vertices if rng.random() < 0.3]
+        for H in (L.hereditary_saturated_closure(g, seed), L.tree_of_set(g, seed)):
+            code, out, _ = run_cli(capsys, "quotient", str(path), "--field", field,
+                                   "--set", ",".join(H.ordered()))
+            assert code == 0
+            images = json.loads(out)["result"]["generator_images"]
+            if not L.is_saturated(g, H):
+                assert images is None
+                unsaturated += 1
+                continue
+            generators = [Element.vertex(g, v, K) for v in g.vertices]
+            generators += [Element.edge(g, e.name, K) for e in g.edges]
+            want = [L.format_element(L.quotient_morphism(x, H)) for x in generators]
+            assert list(images.values()) == want, (g, H)
+            mapped += 1
+    assert mapped > 150 and unsaturated > 10
+
+
+def test_the_cli_imports_only_public_names():
+    """Every name cli.py imports from the package is one that leavitt
+    exports, and none is private (__version__ aside)."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "leavitt")
+        for alias in node.names
+    ]
+    assert "quotient_graph" in names
+    for name in names:
+        if name != "__version__":
+            assert not name.startswith("_"), name
+            assert getattr(L, name, None) is getattr(cli, name), name
 
 
 def test_restrict(capsys, a2file):

@@ -15,7 +15,6 @@ from leavitt import Element, Graph, PreconditionError
 from leavitt import graph as graph_module
 from leavitt import quotients
 from leavitt.graph import strongly_connected_components, vertex_on_a_cycle
-from leavitt.quotients import _socle_quotient
 
 from conftest import corpus_graphs, logged, random_acyclic_graph, random_graph, seeded
 
@@ -33,7 +32,7 @@ def _decomposition(g):
 
 
 def _socle(g):
-    H, target = _socle_quotient(g)
+    H, target = L.socle_quotient(g)
     return (H, target.name, target.vertices, target.edges)
 
 
@@ -49,7 +48,7 @@ ANALYZERS = {
     L.bifurcations: lambda g: L.bifurcations(g).ordered(),
     graph_module._designated_edges: graph_module._designated_edges,
     L.line_points: lambda g: L.line_points(g).ordered(),
-    _socle_quotient: _socle,
+    L.socle_quotient: _socle,
     L.matrix_decomposition: _decomposition,
     L.recognize_toeplitz: _toeplitz,
 }

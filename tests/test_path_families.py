@@ -96,6 +96,16 @@ def test_paths_up_to_matches_the_forward_enumeration():
             assert L.paths_up_to(g, length) == reference_paths_up_to(g, length), (g, length)
 
 
+def test_a_bound_past_sys_maxsize_cuts_no_level():
+    """Each family is cut at its bound by counting levels, so a bound past
+    sys.maxsize on a finite family gives the whole family, where slicing
+    the levels raised a ValueError."""
+    g = L.line_graph(3)
+    assert L.basis_monomials_up_to(g, 10**20) == L.full_basis(g)
+    assert L.paths_up_to(g, 10**20) == L.paths_up_to(g, 2)
+    assert _entry_paths(g, {"x3"}, 10**20) == _entry_paths(g, {"x3"}, 2)
+
+
 def test_entry_paths_match_the_forward_enumeration():
     rng = seeded("entry-paths-diff")
     complete = incomplete = 0

@@ -6,7 +6,8 @@ import pytest
 
 import leavitt as L
 from leavitt import Element, PreconditionError, UnknownIdentifier
-from leavitt.quotients import MAX_ENTRY_EDGES, _quotient_image, _socle_quotient
+from leavitt import quotients
+from leavitt.quotients import MAX_ENTRY_EDGES, _quotient_image
 
 from conftest import (
     corpus_graphs,
@@ -70,23 +71,30 @@ def test_quotient_preconditions_and_their_order(a2):
                 check(x, H)
 
 
-def test_quotient_morphism_reads_saturation_off_the_quotient_graph(monkeypatch):
+def test_quotient_morphism_checks_saturation_by_the_is_saturated_rule(monkeypatch):
     """A hereditary H is refused as not saturated exactly when is_saturated
-    says so, on random graphs with H the tree of a random seed. The
-    quotient_morphism checks H once, by one subset test: on ladder_graph(100)
-    with H = {v1..v100} it makes no Graph.vertex_index call, where checking
-    saturation with is_saturated made a second pass over H."""
+    says so, on random graphs with H the tree of a random seed, and a
+    refused H gets no E/H built. quotient_morphism checks H once, by one
+    subset test, and hands the checked members to the rule is_saturated
+    runs: on ladder_graph(100) with H = {v1..v100} it makes no
+    Graph.vertex_index call and checks the 100 names once."""
+    built = []
+    quotient_of = quotients._quotient_of
+    monkeypatch.setattr(quotients, "_quotient_of", lambda g, m: built.append(m) or quotient_of(g, m))
     rng = seeded("quotient-saturation")
     refused = 0
     for _ in range(300):
         g = random_graph(rng, max_edges=7)
         H = L.tree_of_set(g, [v for v in g.vertices if rng.random() < 0.3]).members
         x = Element.vertex(g, g.vertices[0])
+        built.clear()
         if L.is_saturated(g, H):
             L.quotient_morphism(x, H)
+            assert built == [H]
         else:
             with pytest.raises(PreconditionError, match="^H is not saturated$"):
                 L.quotient_morphism(x, H)
+            assert built == []
             refused += 1
     assert 30 < refused < 270
     g, H = L.ladder_graph(100), {f"v{i}" for i in range(1, 101)}
@@ -108,7 +116,7 @@ def test_quotient_image_matches_the_parent_rule(field):
         g = random_graph(rng, max_edges=7)
         seed = [v for v in g.vertices if rng.random() < 0.3]
         cases.append((g, L.hereditary_saturated_closure(g, seed).members))
-        cases.append((g, _socle_quotient(g)[0]))
+        cases.append((g, L.socle_quotient(g)[0]))
     families = [L.toeplitz_graph(), loop_designated_toeplitz()]
     for n, F in ((1, L.line_graph(3)), (2, L.comb_graph(2)), (3, L.line_graph(4))):
         families.append(L.build_toeplitz_family(n, F, F.vertices[:n]))

@@ -260,16 +260,16 @@ def test_family_structure_at_desk_scale(a2, line3):
 def test_window_examples():
     g = L.toeplitz_graph()
     w = L.rcfm_representation(Element.vertex(g, "w"), 4)
-    assert [[int(bool(a)) for a in row] for row in w.entries()] == [
+    assert [[int(bool(a)) for a in row] for row in w.matrix.rows] == [
         [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     v = L.rcfm_representation(Element.vertex(g, "v"), 4)
-    assert [[int(bool(a)) for a in row] for row in v.entries()] == [
+    assert [[int(bool(a)) for a in row] for row in v.matrix.rows] == [
         [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     e = L.rcfm_representation(E(g, "e"), 4)
-    assert [[int(bool(a)) for a in row] for row in e.entries()] == [
+    assert [[int(bool(a)) for a in row] for row in e.matrix.rows] == [
         [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
     f = L.rcfm_representation(E(g, "f"), 4)
-    assert f.matrix[1, 0] == 1 and sum(1 for r in f.entries() for a in r if a) == 1
+    assert f.matrix[1, 0] == 1 and sum(1 for r in f.matrix.rows for a in r if a) == 1
 
 
 def test_window_generator_relations():
@@ -392,7 +392,7 @@ def test_socle_module_elements_hit_matrix_units():
     assert L.format_element(x) == "e' - e*e'*e'"
     win = L.rcfm_representation(x, 6)
     assert win.matrix[1, 2] == L.QQ.one()
-    assert sum(1 for r in win.entries() for a in r if a) == 1
+    assert sum(1 for r in win.matrix.rows for a in r if a) == 1
     assert L.in_socle(x)
 
 
