@@ -360,41 +360,33 @@ def walk_between(g, u, w):
 # Vertex sets
 
 
-class VertexSet:
-    """Subset of E0, iterated in declaration order. It holds no graph, so a
-    graph's memo can keep it."""
+class VertexSet(frozenset):
+    """Subset of E0: the frozenset of its members, iterated in declaration
+    order. It holds no graph, so a graph's memo can keep it."""
 
-    __slots__ = ("_members", "_ordered")
+    __slots__ = ("_ordered",)
 
-    def __init__(self, graph, names):
-        self._members = _as_members(graph, names)
-        self._ordered = tuple(filter(self._members.__contains__, graph.vertices))
+    def __new__(cls, graph, names):
+        members = _as_members(graph, names)
+        vs = super().__new__(cls, members)
+        vs._ordered = tuple(filter(members.__contains__, graph.vertices))
+        return vs
 
     @property
     def members(self):
-        return self._members
+        """The set itself; callers such as the benchmark read ``H.members``."""
+        return self
 
     def ordered(self):
         return self._ordered
 
-    def __contains__(self, v):
-        return v in self._members
-
     def __iter__(self):
         return iter(self._ordered)
 
-    def __len__(self):
-        return len(self._members)
-
-    def __eq__(self, other):
-        if isinstance(other, VertexSet):
-            other = other._members
-        if isinstance(other, (set, frozenset)):
-            return self._members == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._members)
+    def __reduce__(self):
+        # frozenset's would call VertexSet(members), which lacks the graph;
+        # this builds the set from the order and then sets the slot
+        return frozenset.__new__, (VertexSet, self._ordered), (None, {"_ordered": self._ordered})
 
     def __repr__(self):
         return f"VertexSet({list(self._ordered)})"
@@ -591,13 +583,17 @@ def line_points(g):
     """Vertices u whose tree T(u) has no bifurcations and meets no cycle:
     by backwards reachability, those reaching no bifurcation and no vertex
     on a cycle."""
-    blocked = bifurcations(g).members | vertex_on_a_cycle(g)
+    blocked = bifurcations(g) | vertex_on_a_cycle(g)
     return VertexSet(g, set(g.vertices) - _reach(g, blocked, backwards=True))
 
 
 def is_hereditary(g, X):
     """v >= w and v in X imply w in X; equivalently, X is all it reaches."""
-    members = _as_members(g, X)
+    return _hereditary(g, _as_members(g, X))
+
+
+def _hereditary(g, members):
+    """is_hereditary for members already checked against g."""
     return _reach(g, members) == members
 
 
@@ -696,7 +692,7 @@ def is_path_algebra_semiprime(g):
 def socle_is_essential(g):
     """True iff every vertex connects to a line point: backwards
     reachability from the line points covers every vertex."""
-    return len(_reach(g, line_points(g).members, backwards=True)) == len(g.vertices)
+    return len(_reach(g, line_points(g), backwards=True)) == len(g.vertices)
 
 
 def connected_components(g):
@@ -725,7 +721,7 @@ def is_acyclic(g):
 
 
 def is_acyclic_no_bifurcation(g):
-    return is_acyclic(g) and not bifurcations(g).members
+    return is_acyclic(g) and not bifurcations(g)
 
 
 def analyzer_report(g):

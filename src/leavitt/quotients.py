@@ -24,9 +24,9 @@ from .graph import (
     _as_members,
     _closure_of,
     _graph_fact,
+    _hereditary,
     _path_counts,
     _paths_ending_in,
-    _reach,
     _saturated,
 )
 
@@ -36,7 +36,7 @@ MAX_ENTRY_EDGES = 1 << 21  # edges in all the entry paths of one restriction gra
 
 def _require_hereditary(g, H):
     members = _as_members(g, H)
-    if _reach(g, members) != members:
+    if not _hereditary(g, members):
         raise PreconditionError("H is not hereditary")
     return members
 
@@ -100,7 +100,7 @@ def socle_quotient(g):
     """(H, E/H) for H the hereditary saturated closure of the line points,
     so that Soc(L_K(E)) = I(H): H generates the socle."""
     H = hereditary_saturated_closure(g, line_points(g))
-    return H, _quotient_of(g, H.members)
+    return H, _quotient_of(g, H)
 
 
 def in_socle(x):
@@ -145,7 +145,7 @@ class RestrictionGraph:
         # fresh vertex name -> entry path, for the embedding
         self._path_for = {self.vertex_for(p): p for p in entry_paths}
         # E/closure(H), whose kernel is I(H) = I(closure(H)), for the embedding's check
-        self._quotient = _quotient_of(source, _closure_of(source, H).members)
+        self._quotient = _quotient_of(source, _closure_of(source, H))
 
     @staticmethod
     def vertex_for(path):

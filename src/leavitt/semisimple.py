@@ -25,6 +25,7 @@ from types import MappingProxyType
 
 from .algebra import Element, Monomial, _range, full_basis
 from .errors import (
+    GraphMismatch,
     LimitExceeded,
     NotFoundWithinBounds,
     NotGroupInvertible,
@@ -173,12 +174,15 @@ def to_matrix(x, decomposition):
     )
 
 
-def from_matrix(bm, decomposition, field=QQ):
-    """Inverse of to_matrix: entry (j,k) of block i pulls back to p_j p_k*."""
+def from_matrix(bm, decomposition, field=None):
+    """Inverse of to_matrix: entry (j,k) of block i pulls back to p_j p_k*.
+    The element lies over the blocks' field; a field given must be theirs,
+    and with no blocks it is QQ unless given."""
     if [m.shape for m in bm.blocks] != [(n, n) for n in decomposition.sizes]:
         raise PreconditionError("block sizes disagree with the decomposition")
-    if bm.blocks:
-        field = bm.blocks[0].field
+    found = bm.blocks[0].field if bm.blocks else field or QQ
+    if field not in (None, found):
+        raise GraphMismatch(f"blocks over {found!r}, but the field given is {field!r}")
     raw = []
     for block, mat in zip(decomposition.blocks, bm.blocks):
         paths, rows = block["paths"], mat.nonzero_rows
@@ -186,7 +190,7 @@ def from_matrix(bm, decomposition, field=QQ):
             row, p = rows[j], paths[j]
             for k in sorted(row):
                 raw.append(((p.source, p.edges, paths[k].source, paths[k].edges), row[k]))
-    return Element._from_raw(decomposition.graph, field, raw)
+    return Element._from_raw(decomposition.graph, found, raw)
 
 
 def element_group_inverse(x):

@@ -21,7 +21,7 @@ products agree with the window of the product.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import accumulate, product
 
 from .algebra import Element, _range, basis_monomials_up_to
@@ -33,8 +33,10 @@ from .matrices import Matrix, add_entry
 from .quotients import in_socle
 
 # a window holds up to N entries, and the sandwich report checks (N - 1)^2
-# units; its part (a) needs N > 2d + 1, so no allowed window decides d > 63
-MAX_WINDOW, MAX_SANDWICH_WINDOW, MAX_DEGREE = 32_768, 128, 63
+# units; its part (a) needs N > 2d + 1, so no allowed window decides a
+# degree past (N - 2) // 2 = 63
+MAX_WINDOW, MAX_SANDWICH_WINDOW = 32_768, 128
+MAX_DEGREE = (MAX_SANDWICH_WINDOW - 2) // 2
 
 
 class LaurentPoly:
@@ -107,16 +109,12 @@ def toeplitz_graph():
     return Graph("T", ["v", "w"], [("e", "v", "v"), ("f", "v", "w")])
 
 
-class ToeplitzDecomposition:
-    """Loop vertex, loop edge, connecting edges, and the subgraph F."""
+class ToeplitzDecomposition(
+    namedtuple("ToeplitzDecomposition", ["loop_vertex", "loop_edge", "connectors", "subgraph"])
+):
+    """Loop vertex, loop edge, connecting edges (a tuple), and the subgraph F."""
 
-    __slots__ = ("loop_vertex", "loop_edge", "connectors", "subgraph")
-
-    def __init__(self, loop_vertex, loop_edge, connectors, subgraph):
-        self.loop_vertex = loop_vertex
-        self.loop_edge = loop_edge
-        self.connectors = tuple(connectors)
-        self.subgraph = subgraph
+    __slots__ = ()
 
     @property
     def is_canonical(self):
@@ -189,7 +187,7 @@ def recognize_toeplitz(g):
     f_vertices = [u for u in g.vertices if u != v]
     f_edges = [e for e in g.edges if e.src != v]
     subgraph = Graph(f"{g.name}_F", f_vertices, [(e.name, e.src, e.dst) for e in f_edges])
-    return ToeplitzDecomposition(v, loop_edge, connectors, subgraph)
+    return ToeplitzDecomposition(v, loop_edge, tuple(connectors), subgraph)
 
 
 def laurent_quotient(x):
@@ -246,7 +244,7 @@ def exact_sequence_report(g, degree_bound, field=QQ):
 # Row-and-column-finite matrix picture
 
 
-class MatrixWindow:
+class MatrixWindow(namedtuple("MatrixWindow", ["matrix", "validity_bound", "flags"])):
     """N x N window onto the action on the module basis b0, b1, ...
 
     Windows of single elements are exact restrictions of the infinite
@@ -254,12 +252,7 @@ class MatrixWindow:
     i, j below the recorded validity bound.
     """
 
-    __slots__ = ("matrix", "validity_bound", "flags")
-
-    def __init__(self, matrix, validity_bound, flags):
-        self.matrix = matrix
-        self.validity_bound = validity_bound
-        self.flags = dict(flags)
+    __slots__ = ()
 
     @property
     def size(self):

@@ -152,8 +152,7 @@ def raw_monomials(g, max_len=3):
     return out
 
 
-def random_raw_terms(g, rng, pool=None, size=4, field=L.QQ):
-    pool = pool if pool is not None else raw_monomials(g)
+def random_raw_terms(g, rng, pool, size=4, field=L.QQ):
     terms = []
     for _ in range(rng.randint(1, size)):
         m = rng.choice(pool)
@@ -162,7 +161,7 @@ def random_raw_terms(g, rng, pool=None, size=4, field=L.QQ):
     return terms
 
 
-def random_element(g, rng, pool=None, size=4, field=L.QQ):
+def random_element(g, rng, pool, size=4, field=L.QQ):
     return Element(g, field, random_raw_terms(g, rng, pool, size, field))
 
 
@@ -188,7 +187,7 @@ def random_order_normal_form(g, terms, rng):
     return {_monomial(g, k): c for k, c in flat.items()}
 
 
-def random_nonzero_element(g, rng, pool=None, size=4, field=L.QQ):
+def random_nonzero_element(g, rng, pool, size=4, field=L.QQ):
     for _ in range(50):
         x = random_element(g, rng, pool, size, field)
         if not x.is_zero():

@@ -150,8 +150,9 @@ def test_involution_antimultiplicative_random():
 def test_involution_flips_grading():
     rng = seeded("grading-star")
     g = L.parse_graph("graph T\nvertex v\nvertex w\nedge e v v\nedge f v w\n")
+    pool = raw_monomials(g)
     for _ in range(25):
-        x = random_element(g, rng)
+        x = random_element(g, rng, pool)
         comps = L.homogeneous_components(x)
         star_comps = L.homogeneous_components(x.star())
         assert set(star_comps) == {-n for n in comps}
@@ -488,7 +489,8 @@ def test_prime_field_products_drop_the_sums_that_vanish():
         field, vanished = L.GF(p), 0
         for _ in range(100):
             g = random_graph(rng, max_vertices=2, max_edges=5)  # small, so sums collide
-            x, y = (random_element(g, rng, size=8, field=field) for _ in "xy")
+            pool = raw_monomials(g)
+            x, y = (random_element(g, rng, pool, size=8, field=field) for _ in "xy")
             residues = [
                 Element._of(g, L.QQ, {k: L.QQ.from_int(c.residue) for k, c in e._flat.items()})
                 for e in (x, y)

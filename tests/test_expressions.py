@@ -47,8 +47,9 @@ def test_primes_and_parentheses(toeplitz):
 def test_print_parse_round_trip_random():
     rng = seeded("roundtrip")
     for g in corpus_graphs():
+        pool = raw_monomials(g)
         for _ in range(25):
-            x = random_element(g, rng)
+            x = random_element(g, rng, pool)
             assert L.parse_element(g, L.format_element(x)) == x
 
 
@@ -317,7 +318,8 @@ def test_printer_matches_the_item_sorting_printer_on_random_graphs():
     for field in (L.QQ, L.GF(7)):
         for _ in range(60):
             g = random_graph(rng)
-            x, y = (random_element(g, rng, size=6, field=field) for _ in "xy")
+            pool = raw_monomials(g)
+            x, y = (random_element(g, rng, pool, size=6, field=field) for _ in "xy")
             for z in (x, y, x * y, x * y.star(), x.star() * y):
                 assert L.format_element(z) == item_sorting_format_element(z)
 

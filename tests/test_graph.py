@@ -1,5 +1,6 @@
 """Graph DSL and analyzer tests, including the exhaustive-subset oracles."""
 
+import copy
 import os
 import pickle
 import subprocess
@@ -447,6 +448,43 @@ def test_a_vertex_set_of_another_graph_is_checked_by_its_names(toeplitz, a2):
     with pytest.raises(UnknownIdentifier, match="unknown vertex 'u'"):
         L.quotient_graph(toeplitz, L.tree(a2, "u"))
     assert w == L.line_points(toeplitz) == {"w"} and hash(w) == hash(L.line_points(toeplitz))
+
+
+def test_a_vertex_set_is_the_frozenset_of_its_members(toeplitz):
+    """Set algebra reads a VertexSet as it is, and the set is its own
+    members. Iteration, ordered() and repr keep the declaration order."""
+    g = L.ladder_graph(3)
+    for vs in (L.line_points(g), L.bifurcations(g), L.tree_of_set(g, []),
+               L.VertexSet(g, reversed(g.vertices))):
+        assert isinstance(vs, frozenset) and vs.members is vs
+        assert set(vs) == vs == frozenset(vs.ordered())
+        assert tuple(vs) == vs.ordered() == tuple(v for v in g.vertices if v in vs)
+        assert repr(vs) == f"VertexSet({list(vs.ordered())})"
+    line, forks, tree = L.line_points(toeplitz), L.bifurcations(toeplitz), L.tree(toeplitz, "v")
+    assert (line, forks) == ({"w"}, {"v"})
+    assert line | forks == tree and tree & line == {"w"} and tree - line == forks
+    assert not L.bifurcations(L.line_graph(3)) and not line & forks
+    for name in ("__contains__", "__len__", "__eq__", "__hash__"):
+        assert name not in vars(L.VertexSet)
+
+
+def test_a_vertex_set_keeps_its_order_when_pickled_under_another_hash_seed():
+    """A frozenset iterates in hash order, which moves with the string-hash
+    seed, and unpickles by calling its class on its members. A VertexSet
+    pickled in another process, or copied, keeps its declaration order."""
+    g = L.line_graph(12)
+    line = L.line_points(g)
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    dump = ("import pickle, sys, leavitt; "
+            "sys.stdout.buffer.write(pickle.dumps(leavitt.line_points(leavitt.line_graph(12))))")
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", dump], env=env, capture_output=True, check=True)
+    copies = [pickle.loads(done.stdout), copy.copy(line), copy.deepcopy(line)]
+    copies += [pickle.loads(pickle.dumps(line, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is L.VertexSet and other == line and hash(other) == hash(line)
+        assert other.ordered() == tuple(other) == line.ordered() == g.vertices
+        assert repr(other) == repr(line)
 
 
 def test_closure_is_linear_on_long_lines():

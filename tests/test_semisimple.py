@@ -218,6 +218,26 @@ def test_from_matrix_refuses_blocks_that_are_not_square(a2):
             L.from_matrix(L.BlockMatrix([m]), d)
 
 
+def test_from_matrix_keeps_the_field_of_its_blocks(a2):
+    """The field given must be the blocks' field; it was overwritten by it,
+    so a matrix over QQ pulled back over F_7 came back over QQ."""
+    d = L.matrix_decomposition(a2)
+    for field in (L.QQ, L.GF(7)):
+        x = L.parse_element(a2, "2*u + f", field)
+        assert L.from_matrix(L.to_matrix(x, d), d) == x
+        assert L.from_matrix(L.to_matrix(x, d), d, field) == x
+    x = L.parse_element(a2, "2*u + f")
+    with pytest.raises(L.GraphMismatch, match=r"^blocks over QQ, but the field given is GF\(7\)$"):
+        L.from_matrix(L.to_matrix(x, d), d, L.GF(7))
+    y = L.parse_element(a2, "u", L.GF(7))
+    with pytest.raises(L.GraphMismatch, match=r"^blocks over GF\(7\), but the field given is QQ$"):
+        L.from_matrix(L.to_matrix(y, d), d, L.QQ)
+    # with no blocks there is no field to disagree with
+    empty = L.matrix_decomposition(L.Graph("empty", [], []))
+    assert L.from_matrix(L.BlockMatrix([]), empty).field == L.QQ
+    assert L.from_matrix(L.BlockMatrix([]), empty, L.GF(7)).field == L.GF(7)
+
+
 def test_to_matrix_isomorphism_random():
     rng = seeded("iso")
     for g in corpus_graphs():

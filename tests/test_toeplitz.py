@@ -128,6 +128,24 @@ def test_recognize_canonical():
     assert d.subgraph.vertices == ("w",) and not d.subgraph.edges
 
 
+def test_the_decomposition_and_the_window_are_named_tuples():
+    """Both records are namedtuples with no slots of their own; the window
+    keeps its size, flags and repr."""
+    g = L.toeplitz_graph()
+    loop_vertex, loop_edge, connectors, subgraph = L.recognize_toeplitz(g)
+    assert (loop_vertex, loop_edge, connectors) == ("v", "e", ("f",))
+    assert subgraph.vertices == ("w",) and L.recognize_toeplitz(g).is_canonical
+    w = L.rcfm_representation(E(g, "f"), 3)
+    assert w._fields == ("matrix", "validity_bound", "flags") and w.validity_bound == 2
+    assert w.size == 3 and w.matrix.nonzero_rows == {1: {0: L.QQ.one()}}
+    assert repr(w) == "MatrixWindow(3, validity=2)"
+    assert w.flags == {
+        "finitely_supported": False, "row_finite_on_window": True, "col_finite_on_window": True
+    }
+    for record in (toeplitz.ToeplitzDecomposition, toeplitz.MatrixWindow):
+        assert issubclass(record, tuple) and record.__slots__ == ()
+
+
 # -- Laurent quotient ------------------------------------------------------------------
 
 
