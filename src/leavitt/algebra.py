@@ -38,6 +38,7 @@ from .fields import QQ
 from .graph import Path, _designated_edges, _path_counts, _paths_ending_in, is_acyclic
 
 MAX_BASIS_PAIRS = 1 << 20  # candidate pairs of paths of one basis enumeration
+MAX_PRODUCT_PAIRS = 1 << 20  # pairs of terms one product multiplies before it rewrites
 
 
 class Monomial:
@@ -296,10 +297,14 @@ class Element:
         """(p q*)(r s*) is nonzero only when one of q, r is a prefix of the
         other; relation (3) cancels the overlap. The right factor's terms are
         indexed by s(r), and coefficients multiply and rewrite as integers
-        over the factors' common denominators (``field.scaled``)."""
+        over the factors' common denominators (``field.scaled``). More than
+        MAX_PRODUCT_PAIRS pairs of terms are refused before any is multiplied."""
         if isinstance(other, int):
             return self.scale(self.field.from_int(other))
         self._check_compatible(other)
+        pairs = len(self._flat) * len(other._flat)
+        if pairs > MAX_PRODUCT_PAIRS:
+            raise LimitExceeded(f"{pairs} pairs of terms exceed the bound {MAX_PRODUCT_PAIRS}")
         left, d_left = self.field.scaled(self._flat.values())
         right, d_right = self.field.scaled(other._flat.values())
         by_source = {}

@@ -194,7 +194,7 @@ class Path:
     def __init__(self, graph, source, edges=()):
         self.graph = graph
         self.source = source
-        self.edges = tuple(edges)
+        self.edges = _names(edges, "a path's edge sequence")
         graph.vertex_index(source)
         at = source
         for name in self.edges:
@@ -218,7 +218,7 @@ class Path:
 
     @classmethod
     def from_edges(cls, graph, edge_names):
-        names = list(edge_names)
+        names = _names(edge_names, "a path's edge sequence")
         if not names:
             raise PreconditionError("from_edges needs at least one edge; use Path.trivial")
         return cls(graph, graph.edge(names[0]).src, names)
@@ -392,11 +392,12 @@ class VertexSet(frozenset):
         return f"VertexSet({list(self._ordered)})"
 
 
-def _names(X):
-    """The names of a vertex set, in the caller's order. A string is refused:
-    it would be read as the set of its characters."""
+def _names(X, what="a vertex set"):
+    """The names in X (a vertex set, or a path's edges), in the caller's
+    order. A string is refused: it would be read as the names of its
+    characters."""
     if isinstance(X, str):
-        raise PreconditionError(f"a vertex set is a collection of names, not the string {X!r}")
+        raise PreconditionError(f"{what} is a collection of names, not the string {X!r}")
     return tuple(X)
 
 

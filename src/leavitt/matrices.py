@@ -248,13 +248,15 @@ class Matrix:
         return Matrix._trusted(out, self.nrows, self.ncols, self.field)
 
     def is_group_invertible(self):
-        _, corner = self._corner()
-        C, R = corner.rank_factorization()
-        return R.nrows == corner.nrows or (R * C).rank() == R.nrows
+        try:
+            self.group_inverse()
+        except NotGroupInvertible:
+            return False
+        return True
 
 
 def add_entry(row, j, c):
-    """row[j] += c in a sparse map; a sum that cancels is left for the constructor to drop."""
+    """row[j] += c in a sparse map; a sum that cancels is left for the caller to drop."""
     row[j] = row[j] + c if j in row else c
 
 

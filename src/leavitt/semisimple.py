@@ -40,9 +40,10 @@ from .graph import (
     is_acyclic,
     is_acyclic_no_bifurcation,
 )
-from .matrices import BlockMatrix, Matrix, add_entry
+from .matrices import BlockMatrix, Matrix, _nonzero, add_entry
 
 MAX_SINK_EDGES = 1 << 25  # edges in all the sink paths of one decomposition
+MAX_WITNESS_POOL = 3**7 - 1  # candidate elements of one find_fg_witness search
 
 
 def reduced_expression(m):
@@ -157,7 +158,8 @@ def to_matrix(x, decomposition):
 
     p q* sends each sink path q t to p t and every other one to 0; p and q
     end at one vertex, so their shifts run over the same paths t. A row is
-    made only when an entry lands in it, and sums that cancel are dropped."""
+    made only when an entry lands in it, and sums that cancel are dropped;
+    every index is the decomposition's own, so the rows are wrapped unchecked."""
     d = decomposition
     if x.graph != d.graph:
         raise PreconditionError("element and decomposition disagree on the graph")
@@ -169,9 +171,8 @@ def to_matrix(x, decomposition):
         for t in starting[_range(g, key)]:
             b, i = index[source, p + t]
             add_entry(blocks[b].setdefault(i, {}), index[ghost_source, q + t][1], c)
-    return BlockMatrix(
-        [Matrix.from_row_dicts(r, n, x.field, nrows=n) for r, n in zip(blocks, sizes)]
-    )
+    rows = (_nonzero(r.items()) for r in blocks)
+    return BlockMatrix(Matrix._trusted(r, n, n, x.field) for r, n in zip(rows, sizes))
 
 
 def from_matrix(bm, decomposition, field=None):
@@ -227,19 +228,27 @@ def find_fg_witness(q, membership, basis=None):
 
     The existence proofs behind the quotient structure are not constructive,
     so the search space must be bounded: combinations of ``basis`` monomials
-    (default: the path-algebra part of the full basis) with coefficients
-    -1, 0 and 1. Exhausting it raises NotFoundWithinBounds.
+    (default: the path-algebra part of the full basis, every path of the
+    graph) with coefficients -1, 0 and 1. The 3^|basis| - 1 candidates are
+    counted first and refused past MAX_WITNESS_POOL; only the members are
+    kept. Exhausting them raises NotFoundWithinBounds.
     """
-    d = matrix_decomposition(q.graph)
-    field = q.field
+    g, field = q.graph, q.field
+    d = matrix_decomposition(g)
     if basis is None:
-        basis = [m for m in full_basis(q.graph) if m.is_pure_path]
-    pool = []
-    for coeffs in cartesian_product((-1, 0, 1), repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        raw = [(m, field.from_int(c)) for m, c in zip(basis, coeffs) if c]
-        pool.append(Element(q.graph, field, raw))
+        n = sum(sum(level.values()) for level in _path_counts(g, g.vertices))
+    else:
+        n = len(basis)
+    # 3^k - 1 > k, so capping n changes no answer and a large n builds no 3^n
+    if 3 ** min(n, MAX_WITNESS_POOL) - 1 > MAX_WITNESS_POOL:
+        raise LimitExceeded(f"3^{n} - 1 candidate elements exceed the bound {MAX_WITNESS_POOL}")
+    if basis is None:
+        basis = [m for m in full_basis(g) if m.is_pure_path]
+    pool = (
+        Element(g, field, [(m, field.from_int(c)) for m, c in zip(basis, coeffs) if c])
+        for coeffs in cartesian_product((-1, 0, 1), repeat=n)
+        if any(coeffs)
+    )
     members = [(x, to_matrix(x, d)) for x in pool if membership(x)]
     qm = to_matrix(q, d)
     for b, bm in members:
@@ -251,5 +260,5 @@ def find_fg_witness(q, membership, basis=None):
             if qm == am * b_inv:
                 return a, b
     raise NotFoundWithinBounds(
-        f"no Fountain-Gould witness within {len(pool)} candidate elements"
+        f"no Fountain-Gould witness within {3**n - 1} candidate elements"
     )

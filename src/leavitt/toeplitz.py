@@ -254,12 +254,8 @@ class MatrixWindow(namedtuple("MatrixWindow", ["matrix", "validity_bound", "flag
 
     __slots__ = ()
 
-    @property
-    def size(self):
-        return self.matrix.nrows
-
     def __repr__(self):
-        return f"MatrixWindow({self.size}, validity={self.validity_bound})"
+        return f"MatrixWindow({self.matrix.nrows}, validity={self.validity_bound})"
 
 
 def _canonical(g):

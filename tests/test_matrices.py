@@ -328,6 +328,30 @@ def test_support_corner_group_inverse_matches_whole_matrix(field):
     assert inverted > 100 and refused > 30
 
 
+@pytest.mark.parametrize("field", [L.QQ, L.GF(7)], ids=repr)
+def test_is_group_invertible_is_whether_group_inverse_succeeds(field, monkeypatch):
+    """One decision for "m# exists": is_group_invertible answers whether
+    group_inverse returns, and calls it once, over the random square
+    matrices of every support kind and of the dense reference test."""
+    calls = []
+    group_inverse = Matrix.group_inverse
+    monkeypatch.setattr(Matrix, "group_inverse", lambda m: calls.append(m) or group_inverse(m))
+    rng = seeded(f"one-decision:{field!r}")
+    samples = [support_sample(rng, kind, rng.randint(1, 9), field)
+               for kind in SUPPORT_KINDS for _ in range(12)]
+    samples += [Matrix(sample_rows(rng, kind, rng.randint(2, 9), density, field), field)
+                for kind in ("full", "deficient", "nilpotent") for density in (0.2, 1.0)
+                for _ in range(6)]
+    answers = Counter()
+    for m in samples:
+        succeeds = isinstance(_group_inverse_outcome(group_inverse, m), Matrix)
+        calls.clear()
+        answer = m.is_group_invertible()
+        assert answer == succeeds and len(calls) == 1 and calls[0] is m, m
+        answers[answer] += 1
+    assert answers[True] > 30 and answers[False] > 30
+
+
 def test_support_corner_reaches_indices_outside_the_nonzero_rows():
     # The idempotent m = E_11 + E_12 has nonzeros in row 1 only, but in
     # columns 1 and 2: its group inverse, m itself, needs both.

@@ -113,6 +113,73 @@ def test_decomposition_index_matches_the_former_path_module():
     assert kinds == {"vertices", "sink_paths"} and compared > 700
 
 
+DIAMOND = "graph D\nvertex u\nvertex v\nvertex w\nedge a u w\nedge b u v\nedge c v w\n"
+
+
+def _stores_no_zero(bm):
+    """No block of bm holds an empty row or a zero entry."""
+    return all(r and all(r.values()) for m in bm.blocks for r in m.nonzero_rows.values())
+
+
+def _cancelling_pair(g, rng, field):
+    """c p q* - c (p e)(q e)* for a random p q* whose range v emits several
+    edges and e one of them that is not designated: both normal forms, and
+    their entries at (p e t, q e t) cancel. Returns the element and p e, q e."""
+    ranges = [v for v in g.vertices if len(g.out_edges(v)) > 1]
+    if not ranges:
+        return None
+    v = rng.choice(ranges)
+    into = [p for p in L.paths_up_to(g, len(g.vertices)) if p.range == v]
+    p, q = rng.choice(into), rng.choice(into)
+    e = rng.choice(g.out_edges(v)[:-1]).name
+    pe, qe = p.append(e), q.append(e)
+    c = field.from_int(rng.choice([1, 2, -3]))
+    return Element(g, field, [(Monomial(p, q), c), (Monomial(pe, qe), -c)]), pe, qe
+
+
+def test_to_matrix_drops_the_entries_that_cancel(monkeypatch):
+    """to_matrix wraps the rows it builds: sums that cancel on an entry are
+    dropped with the rows they empty, as the reference action drops them,
+    and no block goes through the validating Matrix.from_row_dicts."""
+    built = []
+    from_row_dicts = Matrix.from_row_dicts.__func__
+
+    def counted(x, d):
+        monkeypatch.setattr(Matrix, "from_row_dicts", classmethod(
+            lambda cls, *args, **kw: built.append(args) or from_row_dicts(cls, *args, **kw)))
+        try:
+            return L.to_matrix(x, d)
+        finally:
+            monkeypatch.setattr(Matrix, "from_row_dicts", classmethod(from_row_dicts))
+
+    rng = seeded("to-matrix-cancels")
+    diamond = L.parse_graph(DIAMOND)
+    dd = L.matrix_decomposition(diamond)
+    b, i = dd.position_of(Path(diamond, "u", ("a",)))
+    cancelled = 0
+    for field in FIELDS:
+        x = L.parse_element(diamond, "u - a*a'", field)
+        assert len(x.terms) == 2
+        got = counted(x, dd)
+        assert got == reference_to_matrix(x, dd) and _stores_no_zero(got)
+        assert i not in got.blocks[b].nonzero_rows  # the (a, a) entry cancels
+        assert got.blocks[b].nonzero_rows  # b.c still acts
+        for g in [random_acyclic_graph(rng) for _ in range(150)]:
+            d = L.matrix_decomposition(g)
+            pair = _cancelling_pair(g, rng, field)
+            if pair is None:
+                continue
+            x, pe, qe = pair
+            got = counted(x, d)
+            assert got == reference_to_matrix(x, d), (g, x)
+            assert _stores_no_zero(got), (g, x)
+            t = d._starting[pe.range][0]  # a path from r(e) into a sink
+            (b, i), (_, j) = d._index[pe.source, pe.edges + t], d._index[qe.source, qe.edges + t]
+            assert j not in got.blocks[b].nonzero_rows.get(i, {}), (g, x)
+            cancelled += 1
+    assert built == [] and cancelled > 100
+
+
 def test_window_matches_the_shift_rule():
     rng = seeded("path-module-window")
     outside = compared = 0

@@ -51,6 +51,18 @@ def _rose_restriction(n):
     )
 
 
+def _rose_product():
+    """(S)*(S) on 64 loops feeding w, S the 4,096 words e_i*e_j: 4,096^2
+    pairs of terms, refused before the product builds any of them."""
+    g = rose_feeding_sink(64)
+    s = " + ".join(f"e{i}*e{j}" for i in range(1, 65) for j in range(1, 65))
+    text = f"({s})*({s})"
+    return (
+        lambda: L.parse_element(g, text), L.LimitExceeded,
+        "16777216 pairs of terms exceed the bound 1048576", (g.to_dsl(), ["nf", "{file}", text]),
+    )
+
+
 A2 = L.parse_graph(A2_DSL)
 NOT_TOEPLITZ = "graph does not match the Toeplitz pattern"
 
@@ -92,6 +104,14 @@ CASES = {
     "path-from-no-edges": (
         lambda: L.Path.from_edges(A2, []), L.PreconditionError,
         "from_edges needs at least one edge; use Path.trivial", None,
+    ),
+    "path-edges-of-a-string": (
+        lambda: L.Path(L.toeplitz_graph(), "v", "ef"), L.PreconditionError,
+        "a path's edge sequence is a collection of names, not the string 'ef'", None,
+    ),
+    "path-from-edges-of-a-string": (
+        lambda: L.Path.from_edges(L.line_graph(3), "a1"), L.PreconditionError,
+        "a path's edge sequence is a collection of names, not the string 'a1'", None,
     ),
     "cycle-revisits-a-source": (
         _rose_cycle, L.PreconditionError, "closed path revisits a source: not a cycle", None
@@ -152,6 +172,11 @@ CASES = {
     "full-basis-pairs-past-the-bound": (
         lambda: L.full_basis(L.line_graph(2000)), L.LimitExceeded,
         "path pairs of total length <= 3998 exceed the bound 1048576", None,
+    ),
+    "product-pairs-past-the-bound": _rose_product(),
+    "witness-pool-past-the-bound": (
+        lambda: L.find_fg_witness(L.Element.vertex(L.line_graph(4), "x1"), L.is_in_path_algebra),
+        L.LimitExceeded, "3^10 - 1 candidate elements exceed the bound 2186", None,
     ),
     "entry-paths-of-a-rose-of-8": _rose_restriction(8),
     "entry-paths-of-a-rose-of-64": _rose_restriction(64),

@@ -1,6 +1,7 @@
 """Reduced monomials, matrix decompositions, and Fountain-Gould witnesses."""
 
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -323,6 +324,62 @@ def test_fg_witness_search_succeeds_inside_full_algebra(a2):
     a, b = L.find_fg_witness(q, membership=lambda _: True, basis=basis)
     d = L.matrix_decomposition(a2)
     assert L.to_matrix(q, d) == L.to_matrix(a, d) * L.to_matrix(b, d).group_inverse()
+
+
+def parent_find_fg_witness(q, membership, basis=None):
+    """The search as it was before its pool was counted: every candidate
+    built first, then filtered. Verbatim but for its name."""
+    d = L.matrix_decomposition(q.graph)
+    field = q.field
+    if basis is None:
+        basis = [m for m in L.full_basis(q.graph) if m.is_pure_path]
+    pool = []
+    for coeffs in product((-1, 0, 1), repeat=len(basis)):
+        if not any(coeffs):
+            continue
+        raw = [(m, field.from_int(c)) for m, c in zip(basis, coeffs) if c]
+        pool.append(Element(q.graph, field, raw))
+    members = [(x, L.to_matrix(x, d)) for x in pool if membership(x)]
+    qm = L.to_matrix(q, d)
+    for b, bm in members:
+        try:
+            b_inv = bm.group_inverse()
+        except L.NotGroupInvertible:
+            continue
+        for a, am in members:
+            if qm == am * b_inv:
+                return a, b
+    raise NotFoundWithinBounds(
+        f"no Fountain-Gould witness within {len(pool)} candidate elements"
+    )
+
+
+def _witness_outcome(search, *args):
+    try:
+        return search(*args)
+    except L.LeavittError as exc:
+        return (type(exc), str(exc))
+
+
+def test_counted_witness_pool_finds_what_the_built_pool_found(a2, line3):
+    """The pool is counted, not built, and only its members are kept: the
+    first witness found and the message of an exhausted search, with its
+    count, are those of the search that built every candidate first."""
+    paths = [m for m in L.full_basis(line3) if m.is_pure_path]
+    cases = [
+        (E(a2, text), membership, basis)
+        for text in ("f'", "f", "u", "2*u + w", "f*f' - w", "0")
+        for membership in (L.is_in_path_algebra, lambda _: True)
+        for basis in (None, L.full_basis(a2))
+    ]
+    cases += [(E(line3, text), L.is_in_path_algebra, paths[:4]) for text in ("x1", "a1", "a1'")]
+    found = exhausted = 0
+    for q, membership, basis in cases:
+        got = _witness_outcome(L.find_fg_witness, q, membership, basis)
+        assert got == _witness_outcome(parent_find_fg_witness, q, membership, basis), q
+        found += isinstance(got[0], Element)
+        exhausted += got[0] is NotFoundWithinBounds
+    assert found > 10 and exhausted > 3
 
 
 def test_round_trip_on_a_long_line_cuts_each_unit_once():

@@ -137,7 +137,7 @@ def test_the_decomposition_and_the_window_are_named_tuples():
     assert subgraph.vertices == ("w",) and L.recognize_toeplitz(g).is_canonical
     w = L.rcfm_representation(E(g, "f"), 3)
     assert w._fields == ("matrix", "validity_bound", "flags") and w.validity_bound == 2
-    assert w.size == 3 and w.matrix.nonzero_rows == {1: {0: L.QQ.one()}}
+    assert w.matrix.nrows == 3 and w.matrix.nonzero_rows == {1: {0: L.QQ.one()}}
     assert repr(w) == "MatrixWindow(3, validity=2)"
     assert w.flags == {
         "finitely_supported": False, "row_finite_on_window": True, "col_finite_on_window": True
@@ -529,7 +529,7 @@ def test_windows_past_their_bounds_are_refused():
     LimitExceeded before any work; a window at the bound still answers."""
     g = L.toeplitz_graph()
     v = Element.vertex(g, "v")
-    assert L.rcfm_representation(v, MAX_WINDOW).size == MAX_WINDOW
+    assert L.rcfm_representation(v, MAX_WINDOW).matrix.nrows == MAX_WINDOW
     for window in (MAX_WINDOW + 1, 10**20):
         with pytest.raises(L.LimitExceeded, match=rf"^window {window} exceeds the bound"):
             L.rcfm_representation(v, window)
