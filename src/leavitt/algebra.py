@@ -218,10 +218,6 @@ class Element:
         return cls._of(graph, field, {(e.src, (name,), e.dst, ()): field.one()})
 
     @classmethod
-    def ghost_edge(cls, graph, name, field=QQ):
-        return cls.edge(graph, name, field).star()
-
-    @classmethod
     def from_path(cls, path, field=QQ):
         return cls._of(path.graph, field, {(path.source, path.edges, path.range, ()): field.one()})
 
@@ -288,19 +284,12 @@ class Element:
             return Element.zero(self.graph, self.field)
         return Element._of(self.graph, self.field, {k: c * scalar for k, c in self._flat.items()})
 
-    def __rmul__(self, scalar):
-        if isinstance(scalar, Element):
-            return NotImplemented
-        return self.scale(self.field.from_int(scalar) if isinstance(scalar, int) else scalar)
-
     def __mul__(self, other):
         """(p q*)(r s*) is nonzero only when one of q, r is a prefix of the
         other; relation (3) cancels the overlap. The right factor's terms are
         indexed by s(r), and coefficients multiply and rewrite as integers
         over the factors' common denominators (``field.scaled``). More than
         MAX_PRODUCT_PAIRS pairs of terms are refused before any is multiplied."""
-        if isinstance(other, int):
-            return self.scale(self.field.from_int(other))
         self._check_compatible(other)
         pairs = len(self._flat) * len(other._flat)
         if pairs > MAX_PRODUCT_PAIRS:

@@ -159,31 +159,42 @@ def _closure(g, field, args):
 
 _HS_SET = _arg("--set", required=True, help="comma-separated hereditary saturated vertices")
 
-# subcommand -> (help, its own arguments, handler(graph, field, args) -> result)
+# subcommand -> (help, its own arguments, handler(graph, field, args) -> result,
+# the keys of that result)
 COMMANDS = {
-    "analyze": ("full structural report", (), lambda g, field, args: analyzer_report(g)),
-    "nf": ("normal form of an expression", (_arg("expr"),), _nf),
-    "mul": ("product of two expressions", (_arg("x"), _arg("y")), _mul),
-    "eq": ("equality of two expressions", (_arg("x"), _arg("y")), _eq),
-    "decompose": ("matrix decomposition of an acyclic graph", (), _decompose),
-    "group-inverse": ("group inverse of an element", (_arg("expr"),), _group_inverse),
-    "socle-member": ("socle membership of an element", (_arg("expr"),), _socle_member),
-    "quotient": ("quotient graph and generator images", (_HS_SET,), _quotient),
+    "analyze": ("full structural report", (), lambda g, field, args: analyzer_report(g),
+                ("semiprime_path_algebra", "line_points", "socle_essential", "cycles",
+                 "bifurcations", "components")),
+    "nf": ("normal form of an expression", (_arg("expr"),), _nf, ("input", "normal_form")),
+    "mul": ("product of two expressions", (_arg("x"), _arg("y")), _mul, ("product",)),
+    "eq": ("equality of two expressions", (_arg("x"), _arg("y")), _eq, ("equal",)),
+    "decompose": ("matrix decomposition of an acyclic graph", (), _decompose,
+                  ("kind", "components")),
+    "group-inverse": ("group inverse of an element", (_arg("expr"),), _group_inverse,
+                      ("inverse",)),
+    "socle-member": ("socle membership of an element", (_arg("expr"),), _socle_member,
+                     ("member", "socle_generators")),
+    "quotient": ("quotient graph and generator images", (_HS_SET,), _quotient,
+                 ("graph", "saturated", "generator_images")),
     "restrict": (
         "restriction graph for a hereditary saturated set",
         (_HS_SET, _arg("--truncate", type=int, default=6, help="entry-path length bound")),
         _restrict,
+        ("graph", "complete", "truncation_bound", "embedding_images"),
     ),
-    "denominator": ("right denominator witness for (p, q)", (_arg("p"), _arg("q")), _denominator),
+    "denominator": ("right denominator witness for (p, q)", (_arg("p"), _arg("q")), _denominator,
+                    ("r", "mu", "extensions", "p_times_r", "q_times_r")),
     "toeplitz-check": (
         "Toeplitz recognition and verification reports",
         (_arg("--degree", type=int, default=4), _arg("--window", type=int, default=12)),
         _toeplitz_check,
+        ("recognized", "decomposition", "exact_sequence", "sandwich"),
     ),
     "closure": (
         "hereditary saturated closure of a vertex set",
         (_arg("--set", required=True, help="comma-separated vertices"),),
         _closure,
+        ("set", "closure", "hereditary", "saturated"),
     ),
 }
 
@@ -194,7 +205,7 @@ def build_parser():
         description="Symbolic computation for path algebras and Leavitt path algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, arguments, _) in COMMANDS.items():
+    for name, (help_text, arguments, _, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("graphfile", help="graph DSL file")
         p.add_argument("--field", default="q", help="coefficient field: q or fp:<p>")
@@ -214,8 +225,20 @@ def run(args):
         raise GraphSyntaxError(f"not UTF-8: invalid byte at offset {exc.start}") from None
     g = parse_graph(text)
     field = field_from_name(args.field)
-    result = COMMANDS[args.command][2](g, field, args)
+    _, _, handler, keys = COMMANDS[args.command]
+    _check_only(args, keys)  # before the handler: a key it never returns costs nothing
+    result = handler(g, field, args)
+    _check_only(args, result)  # toeplitz-check on an unrecognised graph has one key
     return {"command": args.command, "graph": g.name, "version": __version__, "result": result}
+
+
+class _NoResultKey(Exception):
+    """--only names a key that the result lacks: reported as a KeyError, exit 2."""
+
+
+def _check_only(args, keys):
+    if args.only and args.only not in keys:
+        raise _NoResultKey(f"no result key {args.only!r}")
 
 
 def _render_pretty(value, indent=0):
@@ -250,6 +273,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report = run(args)
+    except _NoResultKey as exc:
+        return _fail("KeyError", str(exc))
     except LeavittError as exc:
         return _fail(type(exc).__name__, str(exc))
     except OSError as exc:
@@ -257,11 +282,7 @@ def main(argv=None):
     except Exception as exc:  # pragma: no cover - defensive
         return _fail("InternalError", f"{type(exc).__name__}: {exc}", 1)
 
-    output = report
-    if args.only:
-        if args.only not in report["result"]:
-            return _fail("KeyError", f"no result key {args.only!r}")
-        output = report["result"][args.only]
+    output = report["result"][args.only] if args.only else report
 
     if args.pretty:
         print("\n".join(_render_pretty(output)))

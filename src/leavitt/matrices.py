@@ -51,12 +51,11 @@ class Matrix:
         return m
 
     @classmethod
-    def from_row_dicts(cls, rows, ncols, field=QQ, nrows=None):
-        """The matrix with these {column: scalar} rows, zeros dropped: one dict
-        per row, or with ``nrows`` a map {row: dict} of some of the rows."""
-        nrows, rows = (len(rows), enumerate(rows)) if nrows is None else (nrows, rows.items())
-        out = _nonzero(rows)
-        if any(not 0 <= i < nrows or min(r) < 0 or max(r) >= ncols for i, r in out.items()):
+    def from_row_dicts(cls, rows, ncols, field=QQ):
+        """The matrix with these {column: scalar} rows, one dict per row, zeros dropped."""
+        out = _nonzero(enumerate(rows))
+        nrows = len(rows)
+        if any(min(r) < 0 or max(r) >= ncols for r in out.values()):
             raise PreconditionError(f"a nonzero entry lies outside the {nrows} x {ncols} matrix")
         return cls._trusted(out, nrows, ncols, field)
 
@@ -285,26 +284,11 @@ class BlockMatrix:
         self._match(other)
         return BlockMatrix(a + b for a, b in zip(self.blocks, other.blocks))
 
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        return BlockMatrix(-b for b in self.blocks)
-
     def __mul__(self, other):
         if not isinstance(other, BlockMatrix):
             return NotImplemented
         self._match(other)
         return BlockMatrix(a * b for a, b in zip(self.blocks, other.blocks))
-
-    def scale(self, scalar):
-        return BlockMatrix(b.scale(scalar) for b in self.blocks)
-
-    def transpose(self):
-        return BlockMatrix(b.transpose() for b in self.blocks)
-
-    def is_zero(self):
-        return all(b.is_zero() for b in self.blocks)
 
     def rank(self):
         return sum(b.rank() for b in self.blocks)
@@ -325,9 +309,6 @@ class BlockMatrix:
         if not isinstance(other, BlockMatrix):
             return NotImplemented
         return self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash(self.blocks)
 
     def __repr__(self):
         return f"BlockMatrix(sizes={list(self.sizes)})"

@@ -21,7 +21,6 @@ matrix images are reproducible.
 from __future__ import annotations
 
 from itertools import product as cartesian_product
-from types import MappingProxyType
 
 from .algebra import Element, Monomial, _range, full_basis
 from .errors import (
@@ -70,44 +69,32 @@ def reduced_monomial_basis(g):
     return [
         Monomial._trusted(*reduced_expression(Monomial._trusted(p, q)))
         for block in matrix_decomposition(g).blocks
-        for p in block["paths"]
-        for q in block["paths"]
+        for p in block
+        for q in block
     ]
 
 
 class MatrixDecomposition:
     """Block structure of L_K(E) for finite acyclic E.
 
-    Each block holds its size, its index labels, and the paths realizing
-    the index: entry (j, k) is the class of paths[j] paths[k]*. Blocks are
-    read-only mappings, since one decomposition serves every caller.
+    Each block is the tuple of paths realizing its index: entry (j, k) is
+    the class of block[j] block[k]*, and ``sizes`` holds the block lengths.
     ``_index`` maps each path (source, edges) to its (block, index), and
     ``_starting`` each vertex to the edges of the paths leaving it.
     """
 
-    __slots__ = ("graph", "kind", "blocks", "_sizes", "_index", "_starting")
+    __slots__ = ("graph", "kind", "blocks", "sizes", "_index", "_starting")
 
     def __init__(self, graph, kind, blocks):
         self.graph = graph
         self.kind = kind  # "vertices" | "sink_paths"
-        self.blocks = tuple(MappingProxyType(dict(b)) for b in blocks)
-        self._sizes = tuple(len(b["paths"]) for b in self.blocks)
+        self.blocks = tuple(map(tuple, blocks))
+        self.sizes = tuple(map(len, self.blocks))
         self._index, self._starting = {}, {}
         for bi, block in enumerate(self.blocks):
-            for j, p in enumerate(block["paths"]):
+            for j, p in enumerate(block):
                 self._index[p.source, p.edges] = (bi, j)
                 self._starting.setdefault(p.source, []).append(p.edges)
-
-    def __reduce__(self):
-        """Rebuilt from plain blocks: a read-only mapping does not pickle."""
-        return MatrixDecomposition, (self.graph, self.kind, [dict(b) for b in self.blocks])
-
-    @property
-    def sizes(self):
-        return self._sizes
-
-    def block_sizes(self):
-        return list(self.sizes)
 
     def position_of(self, path):
         """(block number, index) of a sink-ended path."""
@@ -117,7 +104,14 @@ class MatrixDecomposition:
         return at
 
     def describe(self):
-        return [{"size": n, "index": list(b["labels"])} for n, b in zip(self.sizes, self.blocks)]
+        """Each block's size and labels: a path's source for kind "vertices",
+        otherwise its edges joined by dots, the sink for the trivial path."""
+        by_source = self.kind == "vertices"
+        return [
+            {"size": len(b), "index": [p.source if by_source else ".".join(p.edges) or p.source
+                                       for p in b]}
+            for b in self.blocks
+        ]
 
 
 @_graph_fact
@@ -144,12 +138,9 @@ def matrix_decomposition(g):
         if kind == "vertices":
             # each vertex of the sink's component has one path to it
             paths.sort(key=lambda p: g._vindex[p.source])
-            labels = [p.source for p in paths]
-        else:
-            labels = [".".join(p.edges) or sink for p in paths]
-        blocks.append({"labels": tuple(labels), "paths": tuple(paths)})
+        blocks.append(paths)
     if kind == "vertices":
-        blocks.sort(key=lambda b: g._vindex[b["labels"][0]])
+        blocks.sort(key=lambda b: g._vindex[b[0].source])
     return MatrixDecomposition(g, kind, blocks)
 
 
@@ -186,7 +177,7 @@ def from_matrix(bm, decomposition, field=None):
         raise GraphMismatch(f"blocks over {found!r}, but the field given is {field!r}")
     raw = []
     for block, mat in zip(decomposition.blocks, bm.blocks):
-        paths, rows = block["paths"], mat.nonzero_rows
+        paths, rows = block, mat.nonzero_rows
         for j in sorted(rows):  # rows and columns in order, so the raw terms keep their order
             row, p = rows[j], paths[j]
             for k in sorted(row):

@@ -83,9 +83,6 @@ class LaurentPoly:
             return NotImplemented
         return self.field == other.field and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
     def __str__(self):
         if not self.coeffs:
             return "0"

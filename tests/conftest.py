@@ -927,7 +927,7 @@ def reference_position_of(decomposition, path):
     position = {
         p: (bi, j)
         for bi, block in enumerate(decomposition.blocks)
-        for j, p in enumerate(block["paths"])
+        for j, p in enumerate(block)
     }
     try:
         return position[path]
@@ -1009,6 +1009,36 @@ def reference_window_rows(x, window):
             f"window {window} too small: support at {min(outside)} falls outside"
         )
     return rows
+
+
+# ---------------------------------------------------------------------------
+# The faithful sink-path action, a product oracle on every graph with
+# essential socle. There every vertex connects to a line point, so to a sink,
+# and L_K(E) acts faithfully on the span of the paths into the sinks: p q*
+# sends q t to p t and every other such path to 0. No path into a sink is a
+# proper prefix of q, since a sink emits no edge, so nothing else survives.
+
+
+def sink_paths_up_to(g, length):
+    """Every path (source, edges) into a sink with at most ``length`` edges,
+    grown backwards from the sinks one edge at a time."""
+    emitting = {e.src for e in g.edges}
+    level, out = [(w, ()) for w in g.vertices if w not in emitting], []
+    for _ in range(length + 1):
+        out += level
+        level = [(e.src, (e.name, *edges)) for v, edges in level for e in g.edges if e.dst == v]
+    return out
+
+
+def sink_path_action(x, vector):
+    """x applied to a vector {(source, edges): coefficient} of paths into the sinks."""
+    out = {}
+    for m, c in x.terms.items():
+        q, k = m.ghost, m.ghost.length
+        for (source, edges), a in vector.items():
+            if source == q.source and edges[:k] == q.edges:
+                _add(out, (m.real.source, m.real.edges + edges[k:]), c * a)
+    return {t: c for t, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -1895,11 +1925,14 @@ class PathModule:
                 j = ghost.get(k)
                 if j is not None:
                     add_entry(blocks[block[k]].setdefault(i, {}), j, c)
-        return [Matrix.from_row_dicts(r, n, x.field, nrows=n) for r, n in zip(blocks, self.sizes)]
+        return [
+            Matrix.from_row_dicts([r.get(i, {}) for i in range(n)], n, x.field)
+            for r, n in zip(blocks, self.sizes)
+        ]
 
 
 def parent_path_module(decomposition):
-    return PathModule(p for b in decomposition.blocks for p in b["paths"])
+    return PathModule(p for b in decomposition.blocks for p in b)
 
 
 def parent_position_of(module, decomposition, path):

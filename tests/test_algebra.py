@@ -27,6 +27,8 @@ from conftest import (
     reference_product,
     rose,
     seeded,
+    sink_path_action,
+    sink_paths_up_to,
 )
 
 
@@ -40,14 +42,14 @@ def E(g, text, field=L.QQ):
 def ck_relations_hold(g, field=L.QQ):
     for e in g.edges:
         edge = Element.edge(g, e.name, field)
-        ghost = Element.ghost_edge(g, e.name, field)
+        ghost = Element.edge(g, e.name, field).star()
         src = Element.vertex(g, e.src, field)
         rng = Element.vertex(g, e.dst, field)
         assert src * edge == edge == edge * rng                       # (1)
         assert rng * ghost == ghost == ghost * src                    # (2)
         for e2 in g.edges:                                            # (3)
             expected = rng if e2.name == e.name else Element.zero(g, field)
-            assert Element.ghost_edge(g, e.name, field) * Element.edge(g, e2.name, field) == expected
+            assert ghost * Element.edge(g, e2.name, field) == expected
     for v in g.vertices:                                              # (4)
         es = g.out_edges(v)
         if es:
@@ -403,6 +405,41 @@ def test_basis_monomials_match_the_parent_enumeration():
     for g in graphs:
         for d in range(5):
             assert L.basis_monomials_up_to(g, d) == parent_basis_monomials_up_to(g, d), (g, d)
+
+
+def test_elements_and_monomials_repr_their_normal_form_and_their_parts(toeplitz):
+    assert repr(E(toeplitz, "f*f' + 2*e'")) == "<Element v + 2*e' - e*e'>"
+    m = Monomial(Path(toeplitz, "v", ["e", "f"]), Path(toeplitz, "v", ["f"]))
+    assert repr(m) == "Monomial(Path(e.f), Path(f))"
+
+
+def test_products_agree_with_the_faithful_sink_path_action():
+    """x (y t) = (x y) t for every path t into a sink with |t| + real_degree(y)
+    <= 8, so that y t has no path longer than 8: the action of L_K(E) on the
+    paths into the sinks is faithful when the socle is essential. Over E(n, F)
+    and random graphs with essential socle, over QQ and F_7."""
+    rng = seeded("sink-path-action")
+    graphs = [L.toeplitz_graph(), L.build_toeplitz_family(1, diamond_chain(1), ["d0"])]
+    for n, F in ((1, L.line_graph(3)), (2, L.comb_graph(2)), (3, L.line_graph(4))):
+        graphs.append(L.build_toeplitz_family(n, F, F.vertices[:n]))
+    while len(graphs) < 40:
+        g = random_graph(rng, max_vertices=5, max_edges=8)
+        if L.socle_is_essential(g) and not L.is_acyclic(g):
+            graphs.append(g)
+    columns = moved = 0
+    for g in graphs:
+        pool = raw_monomials(g, 3)
+        for field in (L.QQ, L.GF(7)):
+            for _ in range(4):
+                x, y = (random_element(g, rng, pool, field=field) for _ in range(2))
+                xy = x * y
+                for t in sink_paths_up_to(g, 8 - y.real_degree()):
+                    column = {t: field.one()}
+                    got = sink_path_action(xy, column)
+                    assert got == sink_path_action(x, sink_path_action(y, column)), (g, x, y, t)
+                    columns += 1
+                    moved += bool(got)
+    assert columns > 20000 and moved > 2000, (columns, moved)
 
 
 def test_basis_monomials_of_the_roses_match_the_closed_form():

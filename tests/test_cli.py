@@ -213,6 +213,54 @@ def test_every_command_golden(capsys, tmp_path):
             assert json.loads(err)["error"]["type"] == "NotGroupInvertible"
 
 
+def test_only_with_a_key_the_command_never_returns_runs_no_handler(capsys, tmp_path, tfile,
+                                                                    monkeypatch):
+    def handler(g, field, args):
+        raise AssertionError("the handler ran")
+
+    help_text, arguments, _, keys = COMMANDS["analyze"]
+    monkeypatch.setitem(COMMANDS, "analyze", (help_text, arguments, handler, keys))
+    code, out, err = run_cli(capsys, "analyze", tfile, "--only", "nope")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {"type": "KeyError", "message": "no result key 'nope'"}}
+    # the graph and the field are read first, so their errors are still the ones reported
+    code, _, err = run_cli(capsys, "analyze", str(tmp_path / "missing.graph"), "--only", "nope")
+    assert code == 2 and json.loads(err)["error"]["type"] == "IOError"
+    code, _, err = run_cli(capsys, "analyze", tfile, "--field", "fp:4", "--only", "nope")
+    assert code == 2 and json.loads(err)["error"]["type"] != "KeyError"
+    # a listed key that this result lacks is refused after the handler, as before
+    a2 = tmp_path / "A2.graph"
+    a2.write_text(A2_DSL)
+    code, out, err = run_cli(capsys, "toeplitz-check", str(a2), "--only", "sandwich")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"type": "KeyError", "message": "no result key 'sandwich'"}
+
+
+def test_each_command_lists_the_keys_its_handler_returns(capsys, tmp_path, monkeypatch):
+    """Over the golden calls, every result has exactly its command's listed
+    keys, but toeplitz-check on a graph it does not recognise, which has one."""
+    results = []
+    for name, (help_text, arguments, handler, keys) in list(COMMANDS.items()):
+        def recorded(g, field, args, handler=handler, name=name):
+            result = handler(g, field, args)
+            results.append((name, result))
+            return result
+
+        monkeypatch.setitem(COMMANDS, name, (help_text, arguments, recorded, keys))
+    dsl = {"T": TOEPLITZ_DSL, "A2": A2_DSL, "T2": T2_DSL}
+    for (command, graph, *rest), _, _ in GOLDEN:
+        path = tmp_path / f"{graph}.graph"
+        path.write_text(dsl[graph])
+        run_cli(capsys, command, str(path), *rest)
+    assert len(results) == sum(code == 0 for _, code, _ in GOLDEN)
+    for name, result in results:
+        keys = COMMANDS[name][3]
+        if name == "toeplitz-check" and not result["recognized"]:
+            assert list(result) == ["recognized"]
+        else:
+            assert tuple(result) == keys, name
+
+
 def test_byte_identical_across_runs(capsys, tfile):
     commands = [
         ("analyze", tfile),

@@ -55,6 +55,15 @@ def test_a_denominator_divisible_by_p_is_a_precondition_error():
             f7.from_fraction(1, den)
 
 
+def test_prime_field_elements_equal_their_residues_and_equal_fields_hash_alike():
+    x = PrimeFieldElement(3, 7)
+    assert x == 10 and x == 3 and x != 4
+    assert repr(x) == "PrimeFieldElement(3, 7)" and str(x) == "3"
+    for a, b in ((L.GF(7), L.GF(7)), (L.QQ, type(L.QQ)())):
+        assert a == b and a is not b and hash(a) == hash(b)
+    assert L.GF(7) != L.GF(5) and L.GF(7) != L.QQ
+
+
 def test_prime_field_operators_are_residue_arithmetic():
     """Every F_7 operator, with an element or an int on either side, against
     arithmetic on residues mod 7; and the errors of each operand kind."""

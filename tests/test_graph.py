@@ -270,6 +270,15 @@ def test_cycle_has_exit_rejects_foreign_cycle(toeplitz, r1):
         L.Cycle(L.Path.from_edges(toeplitz, ["f"]))
 
 
+def test_a_valid_closed_path_is_a_cycle_equal_to_its_listed_rotation():
+    g = L.parse_graph("graph R\nvertex a\nvertex b\nvertex c\nedge x a b\nedge y b c\nedge z c a\n")
+    c = L.Cycle(L.Path(g, "b", ["y", "z", "x"]))
+    (listed,) = L.cycles(g)
+    assert c.edges == ("y", "z", "x") and listed.edges == ("x", "y", "z")
+    assert c == listed and hash(c) == hash(listed)
+    assert repr(c) == "Cycle(y.z.x)"
+
+
 # -- hereditary / saturated / closure -----------------------------------------
 
 

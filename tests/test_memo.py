@@ -20,7 +20,7 @@ from conftest import corpus_graphs, logged, random_acyclic_graph, random_graph, 
 
 
 def _paths(block):
-    return [(p.source, p.edges, p.range) for p in block["paths"]]
+    return [(p.source, p.edges, p.range) for p in block]
 
 
 def _decomposition(g):
@@ -92,10 +92,12 @@ def test_memoised_values_are_immutable():
 
     fork = L.parse_graph("graph F\nvertex u\nvertex a\nvertex b\nedge x u a\nedge y u b\n")
     d = L.matrix_decomposition(fork)
+    assert type(d.blocks) is tuple and all(type(b) is tuple for b in d.blocks)
+    assert all(isinstance(p, L.Path) for b in d.blocks for p in b)
     with pytest.raises(TypeError):
-        d.blocks[0]["paths"] = ()
+        d.blocks[0][0] = None
     with pytest.raises(AttributeError):
-        d.blocks[0]["paths"].append(None)
+        d.blocks[0].append(None)
     assert L.matrix_decomposition(fork) is d
     assert d.describe() == _decomposition(fresh(fork))[1]
 
@@ -133,7 +135,7 @@ def test_a_graph_pickled_after_its_report_unpickles_with_the_same_report():
 
 def test_a_graph_pickled_after_its_decomposition_or_toeplitz_reports_keeps_them():
     """Every memoised fact pickles: the matrix decomposition, whose blocks
-    stay read-only mappings, the rewrite rule's table of designated edges,
+    stay tuples of paths, the rewrite rule's table of designated edges,
     and the facts behind both Toeplitz reports."""
     rng = seeded("pickle-decomposition")
     a2 = L.parse_graph("graph A2\nvertex u\nvertex w\nedge f u w")
@@ -148,7 +150,7 @@ def test_a_graph_pickled_after_its_decomposition_or_toeplitz_reports_keeps_them(
         assert d_copy.graph is copy and (d_copy.kind, d_copy.describe()) == (d.kind, d.describe())
         assert [_paths(b) for b in d_copy.blocks] == [_paths(b) for b in d.blocks]
         with pytest.raises(TypeError):
-            d_copy.blocks[0]["size"] = 0
+            d_copy.blocks[0][0] = None
         assert graph_module._designated_edges(copy) == graph_module._designated_edges(g)
         assert L.to_matrix(Element.identity(copy), d_copy) == L.to_matrix(x, d)
     g = L.toeplitz_graph()

@@ -129,7 +129,7 @@ def test_decomposition_matches_the_two_branch_construction():
         d = L.matrix_decomposition(g)
         kind, blocks = reference_matrix_decomposition(g)
         assert d.kind == kind, g
-        assert [(b["labels"], b["paths"]) for b in d.blocks] == blocks, g
+        assert [(tuple(c["index"]), b) for c, b in zip(d.describe(), d.blocks)] == blocks, g
         expected = _outcome(reference_reduced_monomial_basis, g)
         assert _outcome(L.reduced_monomial_basis, g) == expected, g
         several += kind == "vertices" and len(blocks) > 1

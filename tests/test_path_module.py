@@ -60,7 +60,7 @@ def test_to_matrix_matches_the_sink_expansion():
                 x = random_element(g, rng, pool, field=field)
                 assert L.to_matrix(x, d) == reference_to_matrix(x, d), (g, x)
         for block in d.blocks:
-            for p in block["paths"]:
+            for p in block:
                 assert d.position_of(p) == reference_position_of(d, p)
         # a graph with the same names and one more edge shares no path
         loop = ("extra", g.vertices[0], g.vertices[0])
@@ -97,7 +97,7 @@ def test_decomposition_index_matches_the_former_path_module():
                     assert L.from_matrix(got, d, field) == x
                 compared += 1
         for block in d.blocks:
-            for p in block["paths"]:
+            for p in block:
                 for _ in range(2):
                     at = d.position_of(p)
                     assert at == parent_position_of(module, d, p) == reference_position_of(d, p)
@@ -259,7 +259,7 @@ def test_paths_into_lists_the_first_paths_in_length_then_edge_order():
         if not L.is_acyclic(g):
             continue
         d = L.matrix_decomposition(g)
-        blocks = {b["paths"][0].range: list(b["paths"]) for b in d.blocks}
+        blocks = {b[0].range: list(b) for b in d.blocks}
         for w in g.sinks():
             every = [p for p in L.paths_up_to(g, len(g.vertices)) if p.range == w]
             every.sort(key=lambda p: (p.length, [g.edge_index(e) for e in p.edges]))

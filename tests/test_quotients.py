@@ -71,6 +71,11 @@ def test_quotient_preconditions_and_their_order(a2):
                 check(x, H)
 
 
+def test_restriction_graph_repr_names_its_graph_and_completeness(toeplitz):
+    rg = L.restriction_graph(toeplitz, ["w"], 3)
+    assert repr(rg) == "RestrictionGraph('T_restrict', complete=False)"
+
+
 def test_quotient_morphism_checks_saturation_by_the_is_saturated_rule(monkeypatch):
     """A hereditary H is refused as not saturated exactly when is_saturated
     says so, on random graphs with H the tree of a random seed, and a

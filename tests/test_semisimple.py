@@ -93,13 +93,13 @@ def test_reduced_monomials_coincide_with_normal_forms_when_bifurcation_free():
 def test_decomposition_examples(a2, line3):
     d = L.matrix_decomposition(a2)
     assert d.kind == "vertices"
-    assert d.block_sizes() == [2]
+    assert d.sizes == (2,)
     assert d.describe() == [{"size": 2, "index": ["u", "w"]}]
-    assert L.matrix_decomposition(line3).block_sizes() == [3]
+    assert L.matrix_decomposition(line3).sizes == (3,)
     two = L.parse_graph(
         "graph Two\nvertex u1\nvertex w1\nvertex u2\nvertex w2\nedge f1 u1 w1\nedge f2 u2 w2\n"
     )
-    assert L.matrix_decomposition(two).block_sizes() == [2, 2]
+    assert L.matrix_decomposition(two).sizes == (2, 2)
 
 
 def test_decomposition_with_bifurcations_indexes_sink_paths():
@@ -108,7 +108,7 @@ def test_decomposition_with_bifurcations_indexes_sink_paths():
     )
     d = L.matrix_decomposition(g)
     assert d.kind == "sink_paths"
-    assert d.block_sizes() == [4]  # s, p, q, r.q
+    assert d.sizes == (4,)  # s, p, q, r.q
     assert d.describe()[0]["index"] == ["s", "p", "q", "r.q"]
     assert len(L.full_basis(g)) == 16 == path_count_dimension(g)
 
@@ -119,7 +119,7 @@ def test_decomposition_paths_revalidate_and_are_indexed(line3):
     for g in (g for g in graphs if L.is_acyclic(g)):
         d = L.matrix_decomposition(g)
         for bi, block in enumerate(d.blocks):
-            for j, p in enumerate(block["paths"]):
+            for j, p in enumerate(block):
                 again = Path(g, p.source, p.edges)
                 assert again == p and again.range == p.range and p.range in g.sinks()
                 assert d.position_of(again) == (bi, j)
@@ -177,7 +177,7 @@ def test_ladder_restriction_decomposition():
     lad = L.ladder_graph(5)
     rg = L.restriction_graph(lad, [f"v{i}" for i in range(1, 6)], 10)
     assert rg.complete
-    assert L.matrix_decomposition(rg.graph).block_sizes() == [2, 3, 4, 5, 6]
+    assert L.matrix_decomposition(rg.graph).sizes == (2, 3, 4, 5, 6)
 
 
 # -- the isomorphism -----------------------------------------------------------------

@@ -158,6 +158,12 @@ def test_laurent_quotient_examples():
     assert L.laurent_quotient(E(g, "v")) == LaurentPoly.monomial(0)
 
 
+def test_laurent_polynomials_print_their_terms_and_zero_as_0():
+    assert str(LaurentPoly.zero()) == "0" and repr(LaurentPoly.zero()) == "LaurentPoly(0)"
+    p = LaurentPoly({-1: L.QQ.from_int(2), 2: L.QQ.one()})
+    assert repr(p) == "LaurentPoly(2*x^-1 + x^2)"
+
+
 def test_laurent_quotient_is_morphism():
     rng = seeded("laurent")
     g = L.toeplitz_graph()
