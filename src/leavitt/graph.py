@@ -23,6 +23,7 @@ from .errors import (
     DuplicateIdentifier,
     GraphMismatch,
     GraphSyntaxError,
+    LimitExceeded,
     PreconditionError,
     UnknownIdentifier,
 )
@@ -33,6 +34,8 @@ Edge = namedtuple("Edge", ["name", "src", "dst"])
 IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 IDENT_RE = re.compile(IDENT + "$")
 
+MAX_CYCLES = 1 << 17  # cycles one listing holds before it is refused
+
 
 class Graph:
     """Finite directed graph with declaration-ordered vertices and edges."""
@@ -41,8 +44,8 @@ class Graph:
 
     def __init__(self, name, vertices, edges):
         self.name = name
-        self.vertices = tuple(vertices)
-        self.edges = tuple(Edge(*e) for e in edges)
+        self.vertices = _names(vertices, "a graph's vertex list")
+        self.edges = tuple(map(_edge, edges))
         self._vindex = {}
         for v in self.vertices:
             if v in self._vindex:
@@ -401,6 +404,17 @@ def _names(X, what="a vertex set"):
     return tuple(X)
 
 
+def _edge(e):
+    """e as an Edge, which it may be already (an edge of another graph),
+    else read as a collection of three names (name, source, range)."""
+    if isinstance(e, Edge):
+        return e
+    names = _names(e, "an edge")
+    if len(names) != 3:
+        raise PreconditionError(f"an edge is three names (name, source, range), not {names!r}")
+    return Edge._make(names)
+
+
 def _as_members(g, X):
     """The names of X as a frozenset, checked against g by one subset test.
     Only when that fails are they looked up in X's order, so the first
@@ -525,10 +539,13 @@ def cycles(g):
 
     A representative starts at its least vertex s in declaration order (its
     canonical rotation). An iterative depth-first search from s closes a
-    cycle on each edge back to s; as in Johnson (1975), it enters only the
-    vertices declared after s that reach s through such vertices. The
-    representatives are sorted by edge indices. Their number can grow
-    exponentially, so no other analyzer enumerates them.
+    cycle on each edge back to s. It takes Johnson's (1975) start order,
+    entering only vertices declared after s that reach s through such
+    vertices, but keeps no blocked set, so it claims no bound on the time
+    between two cycles. Their number can grow exponentially: the listing is
+    refused when it would close cycle MAX_CYCLES + 1, before sorting, which
+    bounds memory and output, not time. The representatives are sorted by
+    edge indices; no other analyzer enumerates them.
     """
     index = g._vindex
     found = []
@@ -541,16 +558,18 @@ def cycles(g):
         while stack:
             for e in stack[-1][2]:
                 if e.dst == start:
+                    if len(found) == MAX_CYCLES:
+                        raise LimitExceeded(f"cycles exceed the bound {MAX_CYCLES}")
                     edges = tuple(frame[1] for frame in stack[1:]) + (e.name,)
-                    found.append(Cycle._trusted(Path._trusted(g, start, edges, start)))
+                    found.append((start, edges))  # a refused listing builds no Cycle
                 elif e.dst in free:
                     free.remove(e.dst)
                     stack.append((e.dst, e.name, iter(g._out[e.dst])))
                     break
             else:
                 free.add(stack.pop()[0])
-    found.sort(key=lambda c: tuple(map(g._eindex.__getitem__, c.edges)))
-    return tuple(found)
+    found.sort(key=lambda c: tuple(map(g._eindex.__getitem__, c[1])))
+    return tuple(Cycle._trusted(Path._trusted(g, s, es, s)) for s, es in found)
 
 
 def cycle_has_exit(g, cycle):

@@ -5,7 +5,7 @@ so every operation, construction included, costs per nonzero entry, not
 per row or cell: the images used here (a block per sink of an acyclic
 graph, windows onto the Toeplitz action) hold a few nonzeros in few rows.
 
-Everything is elimination-based and exact: rank, rank factorization
+Everything is elimination-based and exact: rref, rank factorization
 m = C R (C of full column rank, R of full row rank), and the group inverse
 m# = C (RC)^-2 R, which exists precisely when RC is invertible, i.e. when
 rank(m^2) = rank(m).
@@ -25,11 +25,12 @@ from .fields import QQ
 class Matrix:
     """Immutable exact matrix, stored as ``nonzero_rows`` {row: {column: nonzero}}.
 
-    A row without a nonzero has no entry, so ``Matrix.zero(n, n)`` is an
-    empty map. ``Matrix(rows, field)`` (dense rows) and
-    ``from_row_dicts`` drop zeros and check indices; results are built by
-    ``_trusted`` from rows already free of zeros. ``row_dicts`` and ``rows``
-    are read-only dense views, built on each access, for printing and tests.
+    A row without a nonzero has no entry, so the zero matrix is an empty
+    map. ``Matrix(rows, field)`` (dense rows) and ``from_row_dicts`` (one
+    {column: scalar} dict per row, the sparse input) drop zeros and check
+    indices; results are built by ``_trusted`` from rows already free of
+    zeros. ``rows`` is a read-only dense view, built on each access. A
+    matrix is not hashable: its rows are dicts.
     """
 
     __slots__ = ("nonzero_rows", "nrows", "ncols", "field")
@@ -60,40 +61,14 @@ class Matrix:
         return cls._trusted(out, nrows, ncols, field)
 
     @classmethod
-    def zero(cls, nrows, ncols, field=QQ):
-        return cls._trusted({}, nrows, ncols, field)
-
-    @classmethod
     def identity(cls, n, field=QQ):
         return cls._trusted({i: {i: field.one()} for i in range(n)}, n, n, field)
 
-    @classmethod
-    def from_int_rows(cls, rows, field=QQ):
-        return cls([[field.from_int(x) for x in r] for r in rows], field)
-
-    @property
-    def row_dicts(self):
-        return tuple(dict(self.nonzero_rows.get(i, ())) for i in range(self.nrows))
-
     @property
     def rows(self):
-        z = self.field.zero()
-        return tuple(tuple(r.get(j, z) for j in range(self.ncols)) for r in self.row_dicts)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        if not 0 <= i < self.nrows:
-            raise IndexError("matrix row index out of range")
-        if not 0 <= j < self.ncols:
-            raise IndexError("matrix column index out of range")
-        return self.nonzero_rows.get(i, {}).get(j, self.field.zero())
-
-    def transpose(self):
-        cols = {}
-        for i, r in self.nonzero_rows.items():
-            for j, a in r.items():
-                cols.setdefault(j, {})[i] = a
-        return Matrix._trusted(cols, self.ncols, self.nrows, self.field)
+        z, cols = self.field.zero(), range(self.ncols)
+        rows = (self.nonzero_rows.get(i, {}) for i in range(self.nrows))
+        return tuple(tuple(r.get(j, z) for j in cols) for r in rows)
 
     def __add__(self, other):
         self._match(other)
@@ -103,16 +78,6 @@ class Matrix:
             for j, b in rb.items():
                 add_entry(row, j, b)
         return Matrix._trusted(_nonzero(out.items()), self.nrows, self.ncols, self.field)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        return self.scale(-self.field.one())
-
-    def scale(self, scalar):
-        rows = {i: {j: a * scalar for j, a in r.items()} for i, r in self.nonzero_rows.items()}
-        return Matrix._trusted(rows if scalar else {}, self.nrows, self.ncols, self.field)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -132,9 +97,6 @@ class Matrix:
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def is_zero(self):
-        return not self.nonzero_rows
-
     def _match(self, other):
         if self.shape != other.shape:
             raise PreconditionError(f"shape mismatch: {self.shape} vs {other.shape}")
@@ -144,10 +106,6 @@ class Matrix:
             return NotImplemented
         same = self.shape == other.shape and self.field == other.field
         return same and self.nonzero_rows == other.nonzero_rows
-
-    def __hash__(self):
-        rows = self.nonzero_rows.items()
-        return hash((self.shape, frozenset((i, frozenset(r.items())) for i, r in rows)))
 
     def __repr__(self):
         rows = sorted(self.nonzero_rows.items())
@@ -159,13 +117,17 @@ class Matrix:
     def rref(self):
         """(reduced row echelon form, pivot column list).
 
-        Gauss-Jordan over the nonzeros; ``where[j]`` is the set of rows with
-        a nonzero in column j. A column with none never gains one, since a
-        row operation writes only into the pivot row's columns. The pivot
-        of a column is the first row at or after ``lead`` that holds it.
+        Gauss-Jordan over the nonzeros; ``where[j]``, read off the rows in
+        one pass, is the set of rows with a nonzero in column j. A column
+        with none never gains one, since a row operation writes only into
+        the pivot row's columns. The pivot of a column is the first row at
+        or after ``lead`` that holds it.
         """
         rows = {i: dict(r) for i, r in self.nonzero_rows.items()}
-        where = {j: set(col) for j, col in self.transpose().nonzero_rows.items()}
+        where = {}
+        for i, r in rows.items():
+            for j in r:
+                where.setdefault(j, set()).add(i)
         pivots = []
         lead = 0
         for col in sorted(where):
@@ -194,9 +156,6 @@ class Matrix:
                 break
         rows = {i: r for i, r in rows.items() if r}  # swaps and cancellations empty some
         return Matrix._trusted(rows, self.nrows, self.ncols, self.field), pivots
-
-    def rank(self):
-        return len(self.rref()[1])
 
     def rank_factorization(self):
         """C (nrows x r) and R (r x ncols) with self == C R; C's zero rows are self's."""
@@ -289,9 +248,6 @@ class BlockMatrix:
             return NotImplemented
         self._match(other)
         return BlockMatrix(a * b for a, b in zip(self.blocks, other.blocks))
-
-    def rank(self):
-        return sum(b.rank() for b in self.blocks)
 
     def group_inverse(self):
         out = []

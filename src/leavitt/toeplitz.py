@@ -28,7 +28,7 @@ from .algebra import Element, _range, basis_monomials_up_to
 from .errors import LimitExceeded, PreconditionError
 from .expressions import format_element, format_monomial
 from .fields import QQ
-from .graph import Graph, _graph_fact, is_acyclic, vertex_on_a_cycle
+from .graph import Graph, _graph_fact, _names, is_acyclic, vertex_on_a_cycle
 from .matrices import Matrix, add_entry
 from .quotients import in_socle
 
@@ -146,7 +146,7 @@ def build_toeplitz_family(n, F, attach, name=None):
         raise PreconditionError("the family needs at least one connecting edge")
     if not is_acyclic(F):
         raise PreconditionError("F must be acyclic")
-    attach = list(attach)
+    attach = _names(attach, "the attachment list")
     if len(attach) != n:
         raise PreconditionError(f"need exactly {n} attachment vertices, got {len(attach)}")
     for a in attach:

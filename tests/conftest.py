@@ -678,7 +678,7 @@ def whole_matrix_group_inverse(m):
 
 def whole_matrix_is_group_invertible(m):
     C, R = m.rank_factorization()
-    return (R * C).rank() == R.nrows
+    return len((R * C).rref()[1]) == R.nrows
 
 
 # ---------------------------------------------------------------------------
@@ -1632,12 +1632,13 @@ def adjacency_path_counts(g, sources, backwards=False, keep=None, up_to=6):
             else:
                 for row in rows:
                     row[index[w]] = 0
-    A, power, levels = Matrix.from_int_rows(rows), Matrix.identity(len(index)), []
+    A = Matrix([[L.QQ.from_int(x) for x in r] for r in rows])
+    power, levels = Matrix.identity(len(index)), []
     ends = [index[s] for s in set(sources)]
     for _ in range(up_to + 1):
-        level = {}
+        level, dense = {}, power.rows
         for v, i in index.items():
-            n = sum(power[i, t] if backwards else power[t, i] for t in ends)
+            n = sum(dense[i][t] if backwards else dense[t][i] for t in ends)
             if n:
                 level[v] = n
         if not level:

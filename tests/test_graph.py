@@ -17,6 +17,7 @@ from leavitt import (
     PreconditionError,
     UnknownIdentifier,
 )
+from leavitt import graph as graph_module
 from leavitt.graph import strongly_connected_components, vertex_on_a_cycle
 
 from conftest import (
@@ -40,6 +41,7 @@ from conftest import (
     parent_tree,
     parent_tree_of_set,
     reachability,
+    rose,
     semiprime_oracle,
     small_corpus_graphs,
     socle_essential_oracle,
@@ -244,6 +246,13 @@ def test_cycles_canonical_rotation_and_multiplicity():
     cs = L.cycles(g)
     # the 2-cycle rotates to start at b (declared first); the loop is separate
     assert sorted(tuple(c.canonical().edges) for c in cs) == [("e1", "e2"), ("l",)]
+
+
+def test_a_listing_of_the_bound_is_answered_and_one_more_cycle_refused(monkeypatch):
+    monkeypatch.setattr(graph_module, "MAX_CYCLES", 3)
+    assert [c.edges for c in L.cycles(rose(3))] == [("e1",), ("e2",), ("e3",)]
+    with pytest.raises(L.LimitExceeded, match="^cycles exceed the bound 3$"):
+        L.cycles(rose(4))
 
 
 def test_cycle_facts_match_oracles_on_random_graphs():

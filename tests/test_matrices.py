@@ -21,7 +21,20 @@ from conftest import (
 
 
 def M(rows):
-    return Matrix.from_int_rows(rows)
+    return Matrix([[L.QQ.from_int(x) for x in r] for r in rows])
+
+
+def rank(m):
+    return len(m.rref()[1])
+
+
+def zero(n, field=L.QQ):
+    return Matrix.from_row_dicts([{}] * n, n, field)
+
+
+def row_dicts(m):
+    """Each row of m as a {column: nonzero} dict, empty rows included."""
+    return [dict(m.nonzero_rows.get(i, {})) for i in range(m.nrows)]
 
 
 def random_int_matrix(rng, n, lo=-4, hi=4):
@@ -31,7 +44,7 @@ def random_int_matrix(rng, n, lo=-4, hi=4):
 def random_invertible(rng, n):
     while True:
         m = random_int_matrix(rng, n)
-        if m.rank() == n:
+        if rank(m) == n:
             return m
 
 
@@ -47,9 +60,9 @@ def diagonal(entries):
 
 def test_rref_rank():
     m = M([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    assert m.rank() == 2
-    assert M([[0, 0], [0, 0]]).rank() == 0
-    assert Matrix.identity(3).rank() == 3
+    assert rank(m) == 2
+    assert rank(M([[0, 0], [0, 0]])) == 0
+    assert rank(Matrix.identity(3)) == 3
 
 
 def test_rank_factorization_reconstructs():
@@ -59,8 +72,8 @@ def test_rank_factorization_reconstructs():
         m = random_int_matrix(rng, n)
         C, R = m.rank_factorization()
         assert C * R == m
-        assert C.ncols == R.nrows == m.rank()
-        assert C.rank() == R.rank() == m.rank()
+        assert C.ncols == R.nrows == rank(m)
+        assert rank(C) == rank(R) == rank(m)
 
 
 def test_inverse():
@@ -91,10 +104,10 @@ def test_group_inverse_axioms_random():
     for _ in range(60):
         n = rng.randint(1, 3)
         P = random_invertible(rng, n)
-        rank = rng.randint(0, n)
-        d = diagonal([rng.choice([1, 2, 3, -1, Fraction(1, 2)]) for _ in range(rank)] + [0] * (n - rank))
+        r = rng.randint(0, n)
+        d = diagonal([rng.choice([1, 2, 3, -1, Fraction(1, 2)]) for _ in range(r)] + [0] * (n - r))
         m = P * d * P.inverse()
-        assert m.rank() == (m * m).rank()
+        assert rank(m) == rank(m * m)
         b = m.group_inverse()
         assert group_axioms_hold(m, b)
 
@@ -117,7 +130,7 @@ def test_rank_dropping_detected():
         P = random_invertible(rng, 3)
         jordan = M([[0, 1, 0], [0, 0, 0], [0, 0, rng.choice([0, 1, 2])]])
         m = P * jordan * P.inverse()
-        assert (m * m).rank() < m.rank()
+        assert rank(m * m) < rank(m)
         assert not m.is_group_invertible()
         with pytest.raises(L.NotGroupInvertible):
             m.group_inverse()
@@ -128,7 +141,7 @@ def test_block_matrix_ops():
     b = BlockMatrix([M([[0, 0], [0, 1]]), Matrix.identity(3)])
     assert (a + b).blocks[0] == Matrix.identity(2)
     assert (a * b).blocks[1] == Matrix.identity(3)
-    assert a.rank() == 4
+    assert sum(map(rank, a.blocks)) == 4
     gi = a.group_inverse()
     assert gi.blocks[0] == a.blocks[0]
     bad = BlockMatrix([M([[0, 1], [0, 0]]), Matrix.identity(3)])
@@ -206,8 +219,8 @@ def test_kernel_matches_dense_reference(field):
                 reduced, pivots = m.rref()
                 ref_reduced, ref_pivots = dense_rref(rows, n, field)
                 assert (as_lists(reduced), pivots) == (ref_reduced, ref_pivots)
-                assert m.rank() == len(ref_pivots)
-                assert (kind == "full") == (m.rank() == n)
+                assert rank(m) == len(ref_pivots)
+                assert (kind == "full") == (rank(m) == n)
                 C, R = m.rank_factorization()
                 ref_C, ref_R = dense_rank_factorization(rows, n, field)
                 assert (as_lists(C), as_lists(R)) == (ref_C, ref_R)
@@ -228,10 +241,10 @@ def test_kernel_matches_dense_reference(field):
                     assert as_lists(m.group_inverse()) == ref_inv
 
                 same = Matrix.from_row_dicts(
-                    [dict(reversed(r.items())) for r in m.row_dicts], n, field
+                    [dict(reversed(r.items())) for r in row_dicts(m)], n, field
                 )
-                assert same == m and hash(same) == hash(m)
-                assert m + Matrix.zero(n, n, field) == m and (m - m).is_zero()
+                assert same == m
+                assert m + zero(n, field) == m
                 bumped = [list(r) for r in rows]
                 bumped[0][0] = bumped[0][0] + field.one()
                 assert Matrix(bumped, field) != m
@@ -251,7 +264,7 @@ def test_rank_and_inverse_match_sympy():
                 rows = sample_rows(rng, kind, n, density, L.QQ)
                 m = Matrix(rows)
                 s = to_sympy(rows)
-                assert m.rank() == s.rank()
+                assert rank(m) == s.rank()
                 if kind == "full":
                     assert to_sympy(m.inverse().rows) == s.inv()
 
@@ -284,7 +297,7 @@ def support_sample(rng, kind, n, field):
                 if rng.random() < 0.5:
                     rows[i][j] = scalar()
         if kind == "few_cols":
-            rows = [dict(r) for r in Matrix.from_row_dicts(rows, n, field).transpose().row_dicts]
+            rows = [{i: r[j] for i, r in enumerate(rows) if j in r} for j in range(n)]
     elif kind == "block":
         at = rng.sample(range(n), rng.randint(1, n))
         for i in at:
@@ -357,13 +370,14 @@ def test_support_corner_reaches_indices_outside_the_nonzero_rows():
     # columns 1 and 2: its group inverse, m itself, needs both.
     m = M([[0, 0, 0], [0, 1, 1], [0, 0, 0]])
     assert m.group_inverse() == whole_matrix_group_inverse(m) == m
-    assert m.transpose().group_inverse() == m.transpose()
+    transposed = M([[0, 0, 0], [0, 1, 0], [0, 1, 0]])
+    assert transposed.group_inverse() == whole_matrix_group_inverse(transposed) == transposed
     tall = M([[0, 0, 0], [2, 0, 0], [0, 0, 0]])
     with pytest.raises(L.NotGroupInvertible, match=r"rank\(m\^2\) < rank\(m\)"):
         tall.group_inverse()
     with pytest.raises(L.NotGroupInvertible, match="block 1 has no group inverse"):
         BlockMatrix([Matrix.identity(1), tall]).group_inverse()
-    assert Matrix.zero(4, 4).group_inverse() == Matrix.zero(4, 4)
+    assert zero(4).group_inverse() == zero(4)
 
 
 # -- the nonzero-row storage against the all-rows reference ----------------------
@@ -404,16 +418,12 @@ def test_nonzero_rows_match_the_all_rows_reference(field):
         "group_inverse": lambda m: m.group_inverse(),
         "support corner": lambda m: m._corner(),
         "is_group_invertible": lambda m: m.is_group_invertible(),
-        "transpose": lambda m: m.transpose(),
-        "neg": lambda m: -m,
-        "scale": lambda m: m.scale(m.field.from_int(3)),
-        "scale by zero": lambda m: m.scale(m.field.zero()),
     }
     samples = [([], 0, 0)]  # 0 x 0
     for kind in SUPPORT_KINDS:  # square: zero (empty corner), nilpotent, full rank, ...
         for _ in range(12):
             n = rng.randint(1, 9)
-            samples.append((list(support_sample(rng, kind, n, field).row_dicts), n, n))
+            samples.append((row_dicts(support_sample(rng, kind, n, field)), n, n))
     for _ in range(60):  # rectangular, with zero rows and stored zeros
         r, c = rng.randint(1, 8), rng.randint(0, 8)
         samples.append((sparse_sample(rng, r, c, field), r, c))
@@ -421,8 +431,8 @@ def test_nonzero_rows_match_the_all_rows_reference(field):
     for rows, nrows, ncols in samples:
         new = Matrix.from_row_dicts(rows, ncols, field)
         ref = ReferenceMatrix.from_row_dicts(rows, ncols, field)
-        assert (new.shape, new.rows, new.row_dicts) == (ref.shape, ref.rows, ref.row_dicts)
-        assert new.is_zero() == ref.is_zero() and new.rank() == ref.rank()
+        assert (new.shape, new.rows, row_dicts(new)) == (ref.shape, ref.rows, list(ref.row_dicts))
+        assert (not new.nonzero_rows) == ref.is_zero() and rank(new) == ref.rank()
         for name, op in ops.items():
             got = _outcome(op, new)
             assert got == _outcome(op, ref), (name, rows, ncols)
@@ -438,8 +448,6 @@ def test_nonzero_rows_match_the_all_rows_reference(field):
             b_ref = ReferenceMatrix.from_row_dicts(b_rows, ncols, field)
             assert _outcome(lambda a, b: a + b, new, b_new) == _outcome(lambda a, b: a + b, ref, b_ref)
             assert (new == b_new) == (ref == b_ref)
-            if new == b_new:
-                assert hash(new) == hash(b_new)
     # inverses and group inverses both found and refused, over every shape
     assert worked["inverse"] > 20 and worked["group_inverse"] > 50
     assert len(samples) - worked["group_inverse"] > 50
@@ -455,14 +463,12 @@ def test_from_row_dicts_rejects_entries_outside_the_shape():
     assert Matrix.from_row_dicts([{}, {0: 3}], 2) == M([[0, 0], [3, 0]])
 
 
-def test_getitem_checks_the_row_index_like_the_column_index():
-    m = M([[1, 2], [3, 4]])
-    assert [m[i, j] for i in range(2) for j in range(2)] == [1, 2, 3, 4]
-    assert Matrix.zero(2, 2)[1, 1] == 0
-    for i, j, what in ((-1, 0, "row"), (5, 0, "row"), (2, 0, "row"), (0, -1, "column"),
-                       (0, 2, "column")):
-        with pytest.raises(IndexError, match=f"matrix {what} index out of range"):
-            m[i, j]
+def test_a_matrix_is_not_hashable():
+    # its rows are dicts, and == compares them
+    with pytest.raises(TypeError):
+        hash(M([[1, 2], [3, 4]]))
+    with pytest.raises(TypeError):
+        hash(zero(2))
 
 
 def test_group_inverse_of_a_huge_sparse_matrix_costs_per_nonzero():
@@ -482,7 +488,7 @@ def test_group_inverse_of_a_huge_sparse_matrix_costs_per_nonzero():
     # compared by their stored rows: a failing == would print the dense views
     assert b.shape == (n, n) and (m * b * m).nonzero_rows == m.nonzero_rows
     assert (m * b).nonzero_rows == (b * m).nonzero_rows
-    assert Matrix.zero(n, n).nonzero_rows == {}
+    assert zero(n).nonzero_rows == {}
     assert took < 0.25, took
 
 
@@ -490,7 +496,7 @@ def test_repr_prints_the_shape_and_the_nonzero_rows_only():
     import time
 
     start = time.perf_counter()
-    text = repr(Matrix.zero(2000, 2000))
+    text = repr(zero(2000))
     took = time.perf_counter() - start
     assert text == "Matrix[2000x2000]"
     assert took < 0.1, took

@@ -38,7 +38,7 @@ def _rose_cycle():
 
 
 def _dense(rows):
-    return L.Matrix.from_int_rows(rows)
+    return L.Matrix([[L.QQ.from_int(x) for x in r] for r in rows])
 
 
 def _rose_restriction(n):
@@ -63,6 +63,19 @@ def _rose_product():
     )
 
 
+def _complete_digraph_cycles(n):
+    """K_n with loops, an edge from each vertex to each: K_10 has 1,112,083
+    cycles, and the listing is refused once it would hold one more than the
+    bound, by the analyzer and by the CLI's full report."""
+    vs = [f"v{i}" for i in range(n)]
+    edges = [(f"e{i}_{j}", a, b) for i, a in enumerate(vs) for j, b in enumerate(vs)]
+    g = L.Graph(f"K{n}", vs, edges)
+    return (
+        lambda: L.cycles(g), L.LimitExceeded, "cycles exceed the bound 131072",
+        (g.to_dsl(), ["analyze", "{file}"]),
+    )
+
+
 A2 = L.parse_graph(A2_DSL)
 NOT_TOEPLITZ = "graph does not match the Toeplitz pattern"
 
@@ -84,6 +97,19 @@ CASES = {
         _graph(["v"], [("e", "v", "u")]), L.UnknownIdentifier,
         "edge 'e': undeclared range 'u'", None,
     ),
+    "graph-vertices-of-a-string": (
+        _graph("vw", []), L.PreconditionError,
+        "a graph's vertex list is a collection of names, not the string 'vw'", None,
+    ),
+    "graph-edge-of-a-string": (
+        _graph(["v"], ["eve"]), L.PreconditionError,
+        "an edge is a collection of names, not the string 'eve'", None,
+    ),
+    "graph-edge-of-two-names": (
+        _graph(["v"], [("e", "v")]), L.PreconditionError,
+        "an edge is three names (name, source, range), not ('e', 'v')", None,
+    ),
+    "cycles-of-k10": _complete_digraph_cycles(10),
     "dsl-vertex-arity": _dsl(
         "graph G\nvertex a b\n", L.GraphSyntaxError, "line 2, column 1: expected 'vertex <id>'"
     ),
@@ -190,6 +216,10 @@ CASES = {
     ),
     "laurent-quotient-off-pattern": (
         lambda: L.laurent_quotient(_two_graphs()[1]), L.PreconditionError, NOT_TOEPLITZ, None
+    ),
+    "toeplitz-family-attached-by-a-string": (
+        lambda: L.build_toeplitz_family(1, L.line_graph(2), "x1"), L.PreconditionError,
+        "the attachment list is a collection of names, not the string 'x1'", None,
     ),
     "exact-sequence-off-pattern": (
         lambda: L.exact_sequence_report(A2, 2), L.PreconditionError, NOT_TOEPLITZ, None
