@@ -112,6 +112,10 @@ class Graph:
         return f"Graph({self.name!r}, {len(self.vertices)} vertices, {len(self.edges)} edges)"
 
     def to_dsl(self):
+        """The text parse_graph reads back; a name that is no identifier is refused."""
+        for name in (self.name, *self.vertices, *(e.name for e in self.edges)):
+            if not (isinstance(name, str) and IDENT_RE.fullmatch(name)):
+                raise PreconditionError(f"name {name!r} is no DSL identifier")
         lines = [f"graph {self.name}"]
         lines += [f"vertex {v}" for v in self.vertices]
         lines += [f"edge {e.name} {e.src} {e.dst}" for e in self.edges]

@@ -1,13 +1,12 @@
 """The algebraic Toeplitz algebra and its verification reports.
 
-The canonical graph is a loop e at v plus an edge f from v to a sink w.
-The generalized family E(n, F) replaces the sink by an acyclic graph F in
-which every vertex connects to a line point, and the single edge by n
-connecting edges out of the loop vertex. Quotienting by F0 collapses the
-algebra onto Laurent polynomials (loop -> x): a term survives iff its range
-is the loop vertex, and the kernel is the socle. Every map reads the graph's
-decomposition from the memoised ``recognize_toeplitz``, so the reports call
-the public maps.
+The canonical graph is a loop e at v plus an edge f from v to a sink w. The
+generalized family E(n, F) replaces the sink by an acyclic graph F in which every
+vertex connects to a line point, and the single edge by n connecting edges out of
+the loop vertex. Quotienting by F0 collapses the algebra onto Laurent polynomials
+(loop -> x): a term survives iff its range is the loop vertex, and the kernel is
+the socle. Every map reads the graph's decomposition from the memoised
+``recognize_toeplitz``; a report reads it and the socle quotient once.
 
 The faithful matrix picture acts on the cyclic left module generated by
 the sink: its basis is the paths into w, b0 = w, b_{k+1} = e^k f, and p q*
@@ -22,7 +21,7 @@ products agree with the window of the product.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import accumulate, product
+from itertools import pairwise, product
 
 from .algebra import Element, _range, basis_monomials_up_to
 from .errors import LimitExceeded, PreconditionError
@@ -30,7 +29,7 @@ from .expressions import format_element, format_monomial
 from .fields import QQ
 from .graph import Graph, _graph_fact, _names, is_acyclic, vertex_on_a_cycle
 from .matrices import Matrix, add_entry
-from .quotients import in_socle
+from .quotients import _quotient_image, socle_quotient
 
 # a window holds up to N entries, and the sandwich report checks (N - 1)^2
 # units; its part (a) needs N > 2d + 1, so no allowed window decides a
@@ -115,13 +114,8 @@ class ToeplitzDecomposition(
 
     @property
     def is_canonical(self):
-        """One connector into a single vertex with no edges: the canonical
-        graph, the only one with the row-and-column-finite matrix picture."""
-        return (
-            len(self.connectors) == 1
-            and len(self.subgraph.vertices) == 1
-            and not self.subgraph.edges
-        )
+        """One connector into a lone vertex: the canonical graph, the only one with a window."""
+        return len(self.connectors) == len(self.subgraph.vertices) == 1 and not self.subgraph.edges
 
     def describe(self):
         return {
@@ -151,12 +145,9 @@ def build_toeplitz_family(n, F, attach, name=None):
         raise PreconditionError(f"need exactly {n} attachment vertices, got {len(attach)}")
     for a in attach:
         F.vertex_index(a)
-    connector_names = ["f"] if n == 1 else [f"f{i}" for i in range(1, n + 1)]
-    vertices = ["v"] + list(F.vertices)
-    edges = [("e", "v", "v")]
-    edges += [(cname, "v", a) for cname, a in zip(connector_names, attach)]
-    edges += [(e.name, e.src, e.dst) for e in F.edges]
-    return Graph(name or f"T_{n}_{F.name}", vertices, edges)
+    connectors = ["f"] if n == 1 else [f"f{i}" for i in range(1, n + 1)]
+    edges = [("e", "v", "v"), *((c, "v", a) for c, a in zip(connectors, attach)), *F.edges]
+    return Graph(name or f"T_{n}_{F.name}", ["v", *F.vertices], edges)
 
 
 @_graph_fact
@@ -181,21 +172,24 @@ def recognize_toeplitz(g):
     connectors = [e.name for e in g.out_edges(v) if e.name != loop_edge]
     if not connectors:
         return None
-    f_vertices = [u for u in g.vertices if u != v]
     f_edges = [e for e in g.edges if e.src != v]
-    subgraph = Graph(f"{g.name}_F", f_vertices, [(e.name, e.src, e.dst) for e in f_edges])
+    subgraph = Graph(f"{g.name}_F", [u for u in g.vertices if u != v], f_edges)
     return ToeplitzDecomposition(v, loop_edge, tuple(connectors), subgraph)
 
 
 def laurent_quotient(x):
     """Image under L_K(E) -> L_K(E/F0) ~ K[x, x^-1], loop -> x. F0 is
     hereditary, since only the loop enters v, and saturated, since v emits
-    the loop, so the quotient morphism exists for every recognized graph.
-    A term survives iff its range is v; only the loop enters v, so it is
-    c e^a (e^b)* and maps to c x^(a - b)."""
+    the loop, so the quotient morphism exists for every recognized graph."""
     d = recognize_toeplitz(x.graph)
     if d is None:
         raise PreconditionError("graph does not match the Toeplitz pattern")
+    return _laurent_image(x, d)
+
+
+def _laurent_image(x, d):
+    """A term survives iff its range is v; only the loop enters v, so it is
+    c e^a (e^b)* and maps to c x^(a - b)."""
     g, v, coeffs = x.graph, d.loop_vertex, {}
     for key, c in x._flat.items():
         if _range(g, key) == v:
@@ -210,24 +204,21 @@ def exact_sequence_report(g, degree_bound, field=QQ):
     coincide with vanishing of the Laurent image (exactness in the middle),
     and every Laurent monomial x^{+-k}, k <= d, must be hit (surjectivity).
     """
-    if recognize_toeplitz(g) is None:
+    d = recognize_toeplitz(g)
+    if d is None:
         raise PreconditionError("graph does not match the Toeplitz pattern")
     if degree_bound > MAX_DEGREE:
         raise LimitExceeded(f"degree {degree_bound} exceeds the bound {MAX_DEGREE}")
-    monomials = basis_monomials_up_to(g, degree_bound)
-    mismatches = []
-    hit_exponents = set()
+    monomials, socle = basis_monomials_up_to(g, degree_bound), socle_quotient(g)[1]
+    mismatches, hit_exponents = [], set()
     for m in monomials:
         x = Element.from_monomial(m, field)
-        in_ideal = in_socle(x)
-        image = laurent_quotient(x)
-        if in_ideal != image.is_zero():
+        image = _laurent_image(x, d)
+        if _quotient_image(x, socle).is_zero() != image.is_zero():
             mismatches.append(format_monomial(m))
-        if not image.is_zero() and len(image.coeffs) == 1:
-            (exponent,) = image.coeffs
-            hit_exponents.add(exponent)
-    wanted = {k for k in range(-degree_bound, degree_bound + 1)}
-    missing = sorted(wanted - hit_exponents)
+        if len(image.coeffs) == 1:
+            hit_exponents.update(image.coeffs)
+    missing = sorted(set(range(-degree_bound, degree_bound + 1)) - hit_exponents)
     return {
         "degree": degree_bound,
         "monomials_checked": len(monomials),
@@ -273,9 +264,13 @@ def rcfm_representation(x, window):
     monomial whose support misses the window entirely is rejected, since
     such a window could not represent the element at all.
     """
-    rows = _window_rows(x, _canonical(x.graph), window)
-    validity = max(window - x.total_degree(), 0)
-    terms = max(x.support_size(), 1)
+    return _matrix_window(x, _canonical(x.graph), window)
+
+
+def _matrix_window(x, d, window):
+    """rcfm_representation of x, for d the canonical graph's decomposition."""
+    rows = _window_rows(x, d, window)
+    validity, terms = max(window - x.total_degree(), 0), max(x.support_size(), 1)
     columns = Counter(j for row in rows.values() for j in row)
     flags = {
         # nothing at or past the exact region's margin; shifts reach the border
@@ -288,51 +283,51 @@ def rcfm_representation(x, window):
 
 def _window_rows(x, d, window):
     """The nonzero entries of the N x N window of x, as the rows {row: {column:
-    scalar}} a ``Matrix`` stores. A cell (a, b) is the run over column b alone
-    and may lie on a longer one (f f* is a normal form when the loop is
-    designated), so each diagonal's runs are summed in order of their first
-    column, as a step function."""
+    scalar}} a ``Matrix`` stores, in one pass over the terms. Each diagonal is a step
+    function: a run steps in at column b + 1, a cell (a, b) is the run over column b
+    alone, and so may lie on a longer one (f f* when e is designated)."""
     if window < 1:
         raise PreconditionError("window size must be positive")
     if window > MAX_WINDOW:
         raise LimitExceeded(f"window {window} exceeds the bound {MAX_WINDOW}")
-    g, sink = x.graph, d.subgraph.vertices[0]
-    ranks, steps = [], {}
+    g, sink, steps, least = x.graph, d.subgraph.vertices[0], {}, None
     for key, c in x._flat.items():
         a, b = len(key[1]), len(key[3])
         step = steps.setdefault(a - b, {})
         if _range(g, key) == sink:
-            ranks.append((a, b))
-            add_entry(step, b, c)
+            if max(a, b) >= window:  # the least outside is named, whatever the term order
+                least = min(least, (a, b)) if least else (a, b)
+            step[b] = step[b] + c if b in step else c
             c = -c  # the cell's run stops after column b
-        add_entry(step, b + 1, c)
-    # the least (a, b) outside the window is named, whatever the term order
-    outside = [ab for ab in ranks if max(ab) >= window]
-    if outside:
-        raise PreconditionError(
-            f"window {window} too small: support at {min(outside)} falls outside"
-        )
+        b += 1
+        step[b] = step[b] + c if b in step else c
+    if least:
+        raise PreconditionError(f"window {window} too small: support at {least} falls outside")
     rows = {}
     for shift, step in steps.items():
-        end = min(window, window - shift)  # columns k with k, k + shift < N
-        starts = sorted(step)
-        sums = accumulate(step[k] for k in starts)
-        for start, stop, total in zip(starts, starts[1:] + [end], sums):
+        end, total = min(window, window - shift), None  # columns k with k, k + shift < N
+        for start, stop in pairwise((*sorted(step), end)):
+            total = step[start] if total is None else total + step[start]
             if total:
                 for k in range(start, min(stop, end)):
                     rows.setdefault(k + shift, {})[k] = total
     return rows
 
 
+def _units(g, d, field, one, rows, columns):
+    """(i, j, (b_i)(b_j)*) with coefficient one, in normal form, for i in rows, j in columns."""
+    v, w, loop, f = d.loop_vertex, d.subgraph.vertices[0], (d.loop_edge,), d.connectors
+    basis = {k: (v, loop * (k - 1) + f) if k else (w, ()) for k in {*rows, *columns}}
+    for i, j in product(rows, columns):
+        yield i, j, Element._from_raw(g, field, [(basis[i] + basis[j], one)])
+
+
 def socle_module_element(g, i, j, field=QQ):
-    """The element mapping to the matrix unit E_ij: (b_i)(b_j)*, where b_k
-    is the sink for k = 0 and e^(k-1) f else."""
+    """The element mapping to the matrix unit E_ij: (b_i)(b_j)*."""
     d = _canonical(g)
     if min(i, j) < 0:
         raise PreconditionError("matrix unit indices must be nonnegative")
-    w, loop = d.subgraph.vertices[0], (d.loop_edge,)
-    b_i, b_j = ((d.loop_vertex, loop * (k - 1) + d.connectors) if k else (w, ()) for k in (i, j))
-    return Element._from_raw(g, field, [(b_i + b_j, field.one())])
+    return next(_units(g, d, field, field.one(), (i,), (j,)))[2]
 
 
 def sandwich_report(g, degree_bound, window, field=QQ):
@@ -347,25 +342,26 @@ def sandwich_report(g, degree_bound, window, field=QQ):
     e^(d-1) f is the cell (d, 0) at degree d, so a window N <= 2d + 1
     cannot decide it: the report then lists e^(d-1) f and its star as
     failures, rather than rejecting the window.
+
+    Cost: (N - 1)^2 units, each one kernel normal form of one term plus one
+    window of at most two terms; the basis and the socle are read once.
     """
     if window > MAX_SANDWICH_WINDOW:
         raise LimitExceeded(f"window {window} exceeds the sandwich bound {MAX_SANDWICH_WINDOW}")
     if degree_bound > MAX_DEGREE:
         raise LimitExceeded(f"degree {degree_bound} exceeds the bound {MAX_DEGREE}")
     d = _canonical(g)
-    monomials = basis_monomials_up_to(g, degree_bound)
-    socle_failures, finiteness_failures = [], []
+    monomials, socle = basis_monomials_up_to(g, degree_bound), socle_quotient(g)[1]
+    socle_failures, finiteness_failures, unit_failures = [], [], []
     for m in monomials:
         x = Element.from_monomial(m, field)
-        w = rcfm_representation(x, window)
+        w = _matrix_window(x, d, window)
         if not (w.flags["row_finite_on_window"] and w.flags["col_finite_on_window"]):
             finiteness_failures.append(format_monomial(m))
-        if in_socle(x) and not w.flags["finitely_supported"]:
+        if _quotient_image(x, socle).is_zero() and not w.flags["finitely_supported"]:
             socle_failures.append(format_monomial(m))
-    unit_failures = []
-    one = field.one()
-    for i, j in product(range(window - 1), repeat=2):
-        x = socle_module_element(g, i, j, field)
+    one, n = field.one(), range(window - 1)  # one object: a unit's entry compares by identity
+    for i, j, x in _units(g, d, field, one, n, n):
         if _window_rows(x, d, window) != {i: {j: one}}:
             unit_failures.append(f"E[{i}][{j}] != window({format_element(x)})")
     return {

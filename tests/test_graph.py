@@ -119,6 +119,15 @@ def test_dsl_round_trip(toeplitz):
     assert L.parse_graph(toeplitz.to_dsl()) == toeplitz
 
 
+def test_dsl_round_trips_random_graphs():
+    """parse_graph reads to_dsl's text back as the same graph, name included."""
+    rng = seeded("dsl-round-trip")
+    for _ in range(300):
+        g = random_graph(rng)
+        back = L.parse_graph(g.to_dsl())
+        assert back == g and back.name == g.name and back.to_dsl() == g.to_dsl(), g
+
+
 def test_equal_graphs_hash_equal_and_share_a_dict_key(toeplitz):
     """The hash is read off the vertices and edges on demand, so equal graphs
     built apart hash equal: under another name, from the DSL text, and in

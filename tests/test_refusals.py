@@ -224,6 +224,19 @@ CASES = {
     "exact-sequence-off-pattern": (
         lambda: L.exact_sequence_report(A2, 2), L.PreconditionError, NOT_TOEPLITZ, None
     ),
+    # Graph() takes any names, but the DSL reads identifiers only
+    "dsl-of-vertices-that-are-no-identifiers": (
+        lambda: L.Graph("G", [1, "x y"], [("e", 1, "x y")]).to_dsl(), L.PreconditionError,
+        "name 1 is no DSL identifier", None,
+    ),
+    "dsl-of-a-graph-name-that-is-no-identifier": (
+        lambda: L.Graph("G name", ["v"], []).to_dsl(), L.PreconditionError,
+        "name 'G name' is no DSL identifier", None,
+    ),
+    "dsl-of-a-restriction-graph": (
+        lambda: L.restriction_graph(L.toeplitz_graph(), {"w"}, 2).graph.to_dsl(),
+        L.PreconditionError, "name 'path:f' is no DSL identifier", None,
+    ),
 }
 
 

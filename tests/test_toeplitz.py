@@ -1,5 +1,7 @@
 """Toeplitz algebra: recognition, exact sequence, matrix window picture."""
 
+from itertools import product
+
 import pytest
 
 import leavitt as L
@@ -14,6 +16,8 @@ from conftest import (
     logged,
     loop_designated_toeplitz,
     parent_laurent_image,
+    parent_sandwich_report,
+    parent_window_rows,
     random_element,
     random_graph,
     raw_monomials,
@@ -219,16 +223,17 @@ def test_middle_exactness_check_can_fail(monkeypatch):
 def test_surjectivity_check_can_fail(monkeypatch):
     """Kills the mutant that sets surjectivity_missing to []: a Laurent image
     that gives every negative power a second term hits no negative power
-    alone, while socle membership still matches its vanishing."""
-    laurent = toeplitz.laurent_quotient
+    alone, while socle membership still matches its vanishing. The report
+    reads the decomposition once and maps each monomial with _laurent_image."""
+    laurent = toeplitz._laurent_image
 
-    def two_terms(x):
-        image = laurent(x)
+    def two_terms(x, d):
+        image = laurent(x, d)
         if any(k < 0 for k in image.coeffs):
             return image + LaurentPoly.monomial(0, x.field)
         return image
 
-    monkeypatch.setattr(toeplitz, "laurent_quotient", two_terms)
+    monkeypatch.setattr(toeplitz, "_laurent_image", two_terms)
     report = L.exact_sequence_report(L.toeplitz_graph(), 2)
     assert report["socle_kernel_mismatches"] == []
     assert report["surjectivity_missing"] == ["x^-2", "x^-1"]
@@ -379,12 +384,16 @@ def test_column_finiteness_flag_can_fail(monkeypatch):
 
 def test_socle_support_check_can_fail(monkeypatch):
     """Kills the mutant that switches off part (a) of sandwich_report: once
-    in_socle claims v, whose window is the whole diagonal, v is a socle
-    monomial without finite support, and the report names it alone."""
-    in_socle = toeplitz.in_socle
-    monkeypatch.setattr(
-        toeplitz, "in_socle", lambda x: x == Element.vertex(x.graph, "v") or in_socle(x)
-    )
+    the socle image of v is zero, v, whose window is the whole diagonal, is
+    a socle monomial without finite support, and the report names it alone.
+    The report reads the socle quotient once and takes each image with
+    _quotient_image."""
+    image = toeplitz._quotient_image
+
+    def v_in_socle(x, target):
+        return x - x if x == Element.vertex(x.graph, "v") else image(x, target)
+
+    monkeypatch.setattr(toeplitz, "_quotient_image", v_in_socle)
     report = L.sandwich_report(L.toeplitz_graph(), 2, 6)
     assert report["socle_finite_support_failures"] == ["v"]
     assert report["row_col_finiteness_failures"] == []
@@ -447,24 +456,23 @@ def test_sandwich_report():
 
 @pytest.mark.parametrize("field", [L.QQ, L.GF(7)], ids=["qq", "f7"])
 def test_sandwich_report_lists_wrong_units_like_the_matrix_check(monkeypatch, field):
-    build = toeplitz.socle_module_element
+    """The report and socle_module_element read the units off one builder,
+    _units; with it patched, the report lists exactly the units the full
+    reference window of socle_module_element's elements shows as wrong."""
+    units = toeplitz._units
 
-    def wrong(g, i, j, field):
+    def wrong(g, d, field, one, rows, columns):
         """A unit shifted one column, twice a unit, or zero, on every
         third (i, j) each; the right unit elsewhere."""
-        x = build(g, i, j, field)
-        k = (i * 5 + j) % 9
-        if k == 0:
-            return build(g, i, j + 1, field)
-        if k == 3:
-            return x + x
-        if k == 6:
-            return x - x
-        return x
+        for i, j, x in units(g, d, field, one, rows, columns):
+            k = (i * 5 + j) % 9
+            if k == 0:
+                ((_, _, x),) = units(g, d, field, one, (i,), (j + 1,))
+            yield i, j, x + x if k == 3 else x - x if k == 6 else x
 
-    monkeypatch.setattr(toeplitz, "socle_module_element", wrong)
+    monkeypatch.setattr(toeplitz, "_units", wrong)
     for g in (L.toeplitz_graph(), loop_designated_toeplitz()):
-        expected = reference_sandwich_units(g, 9, field, wrong)
+        expected = reference_sandwich_units(g, 9, field, L.socle_module_element)
         assert len(expected) == sum((i * 5 + j) % 9 in (0, 3, 6) for i in range(8) for j in range(8))
         report = L.sandwich_report(g, 2, 9, field)
         assert report["matrix_unit_failures"] == expected
@@ -600,3 +608,66 @@ def test_socle_and_laurent_image_are_read_off_the_runs(field):
             assert L.laurent_quotient(x).coeffs == ends, (g, x)
             members += not ends
     assert 20 < members < 200
+
+
+# -- the one-pass window and the unit check against the parent construction --------
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except PreconditionError as exc:
+        return (type(exc), str(exc))
+
+
+def _on_one_diagonal(g, rng, field, by_diagonal):
+    """Two to five basis monomials on one diagonal a - b, cells and runs
+    alike, half the time with coefficients that sum to zero, so that the
+    diagonal's step function returns to zero past its last start."""
+    terms = by_diagonal[rng.choice(sorted(by_diagonal))]
+    picks = rng.sample(terms, min(len(terms), rng.randint(2, 5)))
+    coeffs = [rng.choice([1, -1, 2, 3]) for _ in picks]
+    if rng.random() < 0.5:
+        coeffs[-1] = -sum(coeffs[:-1])
+    return Element(g, field, [(m, field.from_int(c)) for m, c in zip(picks, coeffs)])
+
+
+@pytest.mark.parametrize("field", [L.QQ, L.GF(7)], ids=["qq", "f7"])
+def test_window_rows_match_the_parent_construction(field):
+    """The one-pass window gives the rows of the accumulate-per-diagonal one,
+    and refuses a window too small with the same message, naming the least
+    (a, b) outside."""
+    rng = seeded(f"one-pass-window:{field!r}")
+    outside = compared = mixed = 0
+    for g in (L.toeplitz_graph(), loop_designated_toeplitz()):
+        d, pool, by_diagonal = L.recognize_toeplitz(g), L.basis_monomials_up_to(g, 6), {}
+        for m in L.basis_monomials_up_to(g, 8):
+            by_diagonal.setdefault(m.real.length - m.ghost.length, []).append(m)
+        for window in range(1, 17):
+            for _ in range(12):
+                x = _on_one_diagonal(g, rng, field, by_diagonal)
+                x = x + random_element(g, rng, pool, size=2, field=field)
+                expected = _outcome(parent_window_rows, x, d, window)
+                assert _outcome(toeplitz._window_rows, x, d, window) == expected, (window, x)
+                if isinstance(expected, tuple):
+                    assert expected[1].startswith(f"window {window} too small: support at (")
+                    outside += 1
+                else:
+                    compared += 1
+                kinds = {(m.real.length - m.ghost.length, m.real.range) for m in x.terms}
+                mixed += any((s, "w") in kinds and (s, "v") in kinds for s, _ in kinds)
+    assert outside > 100 and compared > 200 and mixed > 250
+
+
+@pytest.mark.parametrize("field", [L.QQ, L.GF(7)], ids=["qq", "f7"])
+def test_sandwich_report_matches_the_parent_construction(field):
+    """Windows 1..16 and degrees 0..4: the report, or the refusal of a window
+    too small for a basis monomial, is the parent's, unit failures included."""
+    refused = listed = 0
+    for g in (L.toeplitz_graph(), loop_designated_toeplitz()):
+        for window, degree in product(range(1, 17), range(5)):
+            expected = _outcome(parent_sandwich_report, g, degree, window, field)
+            assert _outcome(L.sandwich_report, g, degree, window, field) == expected
+            refused += isinstance(expected, tuple)
+            listed += not isinstance(expected, tuple) and not expected["pass"]
+    assert refused > 15 and listed > 25

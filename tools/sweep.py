@@ -1,0 +1,157 @@
+"""Doubling sweeps of leavitt: a parent tree against a change tree.
+
+Each point of a sweep is one timed call in a fresh ``python3`` process that
+imports ``leavitt`` from one side's ``src/``. The child first makes one call
+at the sweep's smallest size on a graph of its own, to warm the imports, then
+times the measured call with ``time.perf_counter`` and reads the growth of
+``ru_maxrss`` over it. In every round both sides run each point, and the side
+that runs first alternates from round to round. Every round is kept; ``best``
+is the least value over the rounds, and ``per_doubling`` the ratio of the
+best values of neighbouring sizes (about 2 for a linear cost, 4 for a
+quadratic one, whatever the machine).
+
+The output is one JSON object on stdout, in the ``sweeps`` format of
+BENCH_12.json: ``command``, ``inputs``, then one entry per sweep with a
+``parent`` and a ``change`` side. The exit status is 1 when a call failed,
+or when the two sides' outputs differ at some point.
+
+    python3 tools/sweep.py --parent PARENT_TREE --change . [--rounds 3] [--sizes K]
+
+``--sizes K`` runs only the K smallest sizes of each sweep. The script
+needs only the standard library.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import resource
+import subprocess
+import sys
+from collections import namedtuple
+from time import perf_counter
+
+# unit: the unit of a value; per(n): the number of items one call's time is
+# divided by; make(L, n): the call to time, with leavitt imported as L
+Sweep = namedtuple("Sweep", ["input", "sizes", "unit", "per", "make"])
+
+
+def _sandwich(degree):
+    def make(L, n):
+        g = L.toeplitz_graph()
+        return lambda: L.sandwich_report(g, degree, n)
+
+    return make
+
+
+SWEEPS = {
+    "sandwich": Sweep(
+        "sandwich_report(toeplitz_graph(), 4, N), one call",
+        (16, 32, 64, 128), "s", lambda n: 1, _sandwich(4),
+    ),
+    "sandwich_unit": Sweep(
+        "sandwich_report(toeplitz_graph(), 0, N) over its (N - 1)^2 matrix units: at "
+        "degree 0 parts (a) and (b) check the two vertices alone, so this is the "
+        "cost of one unit of part (c)",
+        (16, 32, 64, 128), "us", lambda n: (n - 1) ** 2, _sandwich(0),
+    ),
+}
+SCALE = {"s": 1.0, "us": 1e6}
+
+
+def child(tree, name, n):
+    """Time one call of sweep ``name`` at size n against tree/src; print one
+    JSON line: value, rss growth in MB, and a digest of the output."""
+    sys.path.insert(0, os.path.join(tree, "src"))
+    import leavitt as L
+
+    sweep = SWEEPS[name]
+    sweep.make(L, sweep.sizes[0])()
+    call = sweep.make(L, n)
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    start = perf_counter()
+    result = call()
+    seconds = perf_counter() - start
+    grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss
+    text = json.dumps(result, sort_keys=True, default=str)
+    print(json.dumps({
+        "value": seconds * SCALE[sweep.unit] / sweep.per(n),
+        "rss_delta_mb": grown / 1024,  # ru_maxrss is in KiB on Linux
+        "digest": hashlib.sha256(text.encode()).hexdigest()[:16],
+    }))
+
+
+def run_point(tree, name, n):
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--child", tree, name, str(n)],
+        capture_output=True, text=True,
+    )
+    if proc.returncode:
+        return {"error": proc.stderr.strip().splitlines()[-1:]}
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def side_summary(unit, sizes, runs):
+    """The BENCH_12 form of one side: best and every round per size."""
+    ok = all("error" not in r for rs in runs.values() for r in rs)
+    rounds = {f"N{n}": [r.get("value") for r in runs[n]] for n in sizes}
+    best = {key: min(v for v in values if v is not None) if ok else None
+            for key, values in rounds.items()}
+    values = [best[f"N{n}"] for n in sizes]
+    return {
+        f"best_{unit}": best,
+        "per_doubling": [b / a for a, b in zip(values, values[1:])] if ok else None,
+        "rss_delta_mb_max": {f"N{n}": max(r.get("rss_delta_mb", 0) for r in runs[n]) for n in sizes},
+        "all_ok": ok,
+        f"rounds_{unit}": rounds,
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="tree of the parent commit (has src/)")
+    parser.add_argument("--change", required=True, help="tree of the change (has src/)")
+    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--sizes", type=int, help="run only the K smallest sizes of each sweep")
+    args = parser.parse_args(argv)
+    trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    out = {
+        "command": (
+            "python3 tools/sweep.py: one fresh process per point and side (python3 with the "
+            "side's src/ on sys.path), after one call at the smallest size to warm imports; "
+            "time.perf_counter around the call, rss_delta_mb = growth of ru_maxrss over the "
+            f"call; {args.rounds} rounds alternating which side runs first; 'best' is the "
+            "least value over the rounds"
+        ),
+        "inputs": {name: sweep.input for name, sweep in SWEEPS.items()},
+    }
+    failed = False
+    for name, sweep in SWEEPS.items():
+        sizes = sweep.sizes[: args.sizes] if args.sizes else sweep.sizes
+        runs = {side: {n: [] for n in sizes} for side in trees}
+        for r in range(args.rounds):
+            order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
+            for n in sizes:
+                for side in order:
+                    runs[side][n].append(run_point(trees[side], name, n))
+        entry = {side: side_summary(sweep.unit, sizes, runs[side]) for side in trees}
+        ok = entry["parent"]["all_ok"] and entry["change"]["all_ok"]
+        entry["results_equal_across_sides"] = ok and all(
+            len({r["digest"] for side in trees for r in runs[side][n]}) == 1 for n in sizes
+        )
+        if ok:
+            p, c = entry["parent"][f"best_{sweep.unit}"], entry["change"][f"best_{sweep.unit}"]
+            entry["ratio_parent_over_change"] = {k: p[k] / c[k] for k in p}
+        failed |= not entry["results_equal_across_sides"]
+        out[name] = entry
+    print(json.dumps(out, indent=1))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:
+        child(sys.argv[2], sys.argv[3], int(sys.argv[4]))
+    else:
+        sys.exit(main())
