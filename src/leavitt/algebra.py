@@ -24,17 +24,21 @@ suite checks this with randomized strategies).
 
 Elements are immutable and always kept in normal form; equality of elements
 is equality of their normal forms. An element stores its normal form as
-{key: coefficient}, a key being the flat tuple (real source, real edges,
-ghost source, ghost edges), so parsing, products, sums and printing build no
-Path or Monomial. Its ``terms``, the same form keyed by Monomial, is a new
-dict built from the stored form on each read, so no caller can change the
-element through it.
+{key: integer} over one denominator ``_den``, in its field's canonical
+encoding (``fields``), a key being the flat tuple (real source, real edges,
+ghost source, ghost edges). So parsing, products, sums and printing build no
+Path, no Monomial and no scalar, and the kernel adds ints. A ``Fraction`` or
+``PrimeFieldElement`` is built only where a caller reads a coefficient:
+``terms`` (a new dict on each read, keyed by Monomial), ``coefficient``, and
+the matrix, window and Laurent images.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .errors import GraphMismatch, LimitExceeded, PreconditionError
-from .fields import QQ
+from .fields import QQ, common_denominator
 from .graph import Path, _designated_edges, _path_counts, _paths_ending_in, is_acyclic
 
 MAX_BASIS_PAIRS = 1 << 20  # candidate pairs of paths of one basis enumeration
@@ -126,19 +130,19 @@ def _monomial(g, key):
     return Monomial._trusted(real, ghost)
 
 
-def _normal_form(g, pending):
-    """The normal form {key: coefficient} of a raw list of (key, coefficient).
+def _normal_form(g, terms, modulus=0):
+    """The normal form {key: coefficient} of an iterable of (key, coefficient).
 
-    It pops each term c p q* once and pushes nothing back. While p and q end
-    in the same designated edge, the edge is cut, and each of its siblings e
+    It takes each term c p q* once. While p and q end in the same designated
+    edge, the edge is cut, and each of its siblings e
     (``graph._designated_edges``) adds -c (p e)(q e)*, a basis key, for what
     is left of p and q; c then goes to what remains. A run of edges without
-    siblings is one slice. A list whose ``pop`` takes another term yields the
-    same result (the confluence tests pop at random)."""
+    siblings is one slice. A sum is dropped when it is 0 or a multiple of the
+    prime modulus given. Another order of the terms gives the same result."""
     result = {}
     designated = _designated_edges(g)
-    while pending:
-        key, c = term = pending.pop()
+    for term in terms:
+        key, c = term
         if not c:
             continue
         source, real, ghost_source, ghost = key
@@ -156,48 +160,48 @@ def _normal_form(g, pending):
             basis = (term,)
         for k, c in basis:
             acc = result.get(k)
-            acc = c if acc is None else acc + c
-            if acc:
-                result[k] = acc
-            else:
-                del result[k]
+            if acc is not None:
+                c += acc
+                if not (c % modulus if modulus else c):
+                    del result[k]
+                    continue
+            result[k] = c
     return result
 
 
 class Element:
     """Normal-form element of L_K(E) over an exact field: the normal form of
-    (Monomial, coefficient) pairs, or of a dict of them; ``_of`` takes a
-    stored form as it is."""
+    (Monomial, coefficient) pairs, or of a dict of them, each coefficient an int,
+    a Fraction or a scalar of the field; ``_of`` takes a stored form as it is."""
 
-    __slots__ = ("graph", "field", "_flat")
+    __slots__ = ("graph", "field", "_flat", "_den")
 
     def __init__(self, graph, field, raw_terms):
         terms = raw_terms.items() if isinstance(raw_terms, dict) else raw_terms
-        raw = []
-        for m, c in terms:
-            if m.graph != graph:
-                raise GraphMismatch("monomial over a different graph than the element")
-            raw.append((_key(m), c))
-        self.graph, self.field = graph, field
-        self._flat = _normal_form(graph, raw)
+        raw, den = field.encode_terms(terms)
+        if any(m.graph != graph for m, _ in raw):
+            raise GraphMismatch("monomial over a different graph than the element")
+        x = Element._from_raw(graph, field, [(_key(m), n) for m, n in raw], den)
+        self.graph, self.field, self._flat, self._den = graph, field, x._flat, x._den
 
     @classmethod
-    def _of(cls, graph, field, flat):
-        """The element whose stored normal form is ``flat``, taken as is."""
+    def _of(cls, graph, field, flat, den=1):
+        """The element whose stored, canonical normal form is ``flat`` over ``den``."""
         x = object.__new__(cls)
-        x.graph, x.field, x._flat = graph, field, flat
+        x.graph, x.field, x._flat, x._den = graph, field, flat, den
         return x
 
     @classmethod
-    def _from_raw(cls, graph, field, raw):
-        """The normal form of a raw list of (key, coefficient)."""
-        return cls._of(graph, field, _normal_form(graph, raw))
+    def _from_raw(cls, graph, field, raw, den=1):
+        """The normal form of a raw list of (key, integer) over den, taken last first."""
+        flat = _normal_form(graph, reversed(raw), field.characteristic)
+        return cls._of(graph, field, *field.canonical(flat, den))
 
     @property
     def terms(self):
-        """{Monomial: coefficient}, a new dict built from the stored form on
-        each read."""
-        return {_monomial(self.graph, k): c for k, c in self._flat.items()}
+        """{Monomial: coefficient}, a new dict on each read."""
+        g, scalar, den = self.graph, self.field.scalar, self._den
+        return {_monomial(g, k): scalar(n, den) for k, n in self._flat.items()}
 
     # -- constructors --------------------------------------------------
 
@@ -210,26 +214,25 @@ class Element:
     @classmethod
     def vertex(cls, graph, v, field=QQ):
         graph.vertex_index(v)
-        return cls._of(graph, field, {(v, (), v, ()): field.one()})
+        return cls._of(graph, field, {(v, (), v, ()): 1})
 
     @classmethod
     def edge(cls, graph, name, field=QQ):
         e = graph.edge(name)
-        return cls._of(graph, field, {(e.src, (name,), e.dst, ()): field.one()})
+        return cls._of(graph, field, {(e.src, (name,), e.dst, ()): 1})
 
     @classmethod
     def from_path(cls, path, field=QQ):
-        return cls._of(path.graph, field, {(path.source, path.edges, path.range, ()): field.one()})
+        return cls._of(path.graph, field, {(path.source, path.edges, path.range, ()): 1})
 
     @classmethod
     def from_monomial(cls, monomial, field=QQ):
-        return cls._from_raw(monomial.graph, field, [(_key(monomial), field.one())])
+        return cls._from_raw(monomial.graph, field, [(_key(monomial), 1)])
 
     @classmethod
     def identity(cls, graph, field=QQ):
         """Sum of all vertex idempotents (the unit when E0 is finite)."""
-        one = field.one()
-        return cls._of(graph, field, {(v, (), v, ()): one for v in graph.vertices})
+        return cls._of(graph, field, {(v, (), v, ()): 1 for v in graph.vertices})
 
     # -- structure -------------------------------------------------------
 
@@ -240,8 +243,8 @@ class Element:
         return sorted(self.terms, key=Monomial.sort_key)
 
     def coefficient(self, monomial):
-        zero = self.field.zero()
-        return self._flat.get(_key(monomial), zero) if monomial.graph == self.graph else zero
+        n = self._flat.get(_key(monomial)) if monomial.graph == self.graph else None
+        return self.field.zero() if n is None else self.field.scalar(n, self._den)
 
     def support_size(self):
         return len(self._flat)
@@ -269,69 +272,51 @@ class Element:
 
     def __add__(self, other):
         self._check_compatible(other)
-        # the stack pops self's terms first, in order, then other's
-        raw = [*reversed(other._flat.items()), *reversed(self._flat.items())]
-        return Element._from_raw(self.graph, self.field, raw)
+        # the kernel takes self's terms first, in order, then other's
+        parts = [(list(reversed(x._flat.items())), x._den) for x in (other, self)]
+        return Element._from_raw(self.graph, self.field, *common_denominator(parts))
 
     def __neg__(self):
-        return Element._of(self.graph, self.field, {k: -c for k, c in self._flat.items()})
+        flat = {k: -n for k, n in self._flat.items()}
+        return Element._of(self.graph, self.field, *self.field.canonical(flat, self._den))
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, scalar):
-        if not scalar:
-            return Element.zero(self.graph, self.field)
-        return Element._of(self.graph, self.field, {k: c * scalar for k, c in self._flat.items()})
+        """x times an int, a Fraction or a scalar of x's field."""
+        n, d = self.field.coerce(scalar)
+        flat = {k: c * n for k, c in self._flat.items()} if n else {}
+        return Element._of(self.graph, self.field, *self.field.canonical(flat, self._den * d))
 
     def __mul__(self, other):
         """(p q*)(r s*) is nonzero only when one of q, r is a prefix of the
         other; relation (3) cancels the overlap. The right factor's terms are
-        indexed by s(r), and coefficients multiply and rewrite as integers
-        over the factors' common denominators (``field.scaled``). More than
+        indexed by s(r); numerators multiply over the product of the dens, and
+        the kernel takes the pairs as they are made, with no list of them,
+        then its integer sums are put in canonical form. More than
         MAX_PRODUCT_PAIRS pairs of terms are refused before any is multiplied."""
         self._check_compatible(other)
         pairs = len(self._flat) * len(other._flat)
         if pairs > MAX_PRODUCT_PAIRS:
             raise LimitExceeded(f"{pairs} pairs of terms exceed the bound {MAX_PRODUCT_PAIRS}")
-        left, d_left = self.field.scaled(self._flat.values())
-        right, d_right = self.field.scaled(other._flat.values())
-        by_source = {}
-        for (source, real, ghost_source, ghost), n in zip(other._flat, right):
+        by_source = {}  # each source's terms, last first
+        for (source, real, ghost_source, ghost), n in reversed(other._flat.items()):
             by_source.setdefault(source, []).append((real, len(real), ghost_source, ghost, n))
-        raw = []
-        for (source, p, ghost_source, q), n in zip(self._flat, left):
-            k = len(q)
-            for r, j, s_source, s, m in by_source.get(ghost_source, ()):
-                if k <= j:
-                    if r[:k] == q:  # r = q t: the product is (p t) s*
-                        raw.append(((source, p + r[k:], s_source, s), n * m))
-                elif q[:j] == r:  # q = r t: the product is p (s t)*
-                    raw.append(((source, p, s_source, s + q[j:]), n * m))
-        d, flat = d_left * d_right, _normal_form(self.graph, raw)
-        # the integer sums become scalars in place; over F_p some vanish
-        from_fraction, vanished = self.field.from_fraction, []
-        for k, n in flat.items():
-            flat[k] = c = from_fraction(n, d)
-            if not c:
-                vanished.append(k)
-        for k in vanished:
-            del flat[k]
-        return Element._of(self.graph, self.field, flat)
+        flat = _normal_form(self.graph, _pair_products(self._flat, by_source))
+        den = self._den * other._den
+        return Element._of(self.graph, self.field, *self.field.canonical(flat, den))
 
     def star(self):
         """The involution p q* -> q p*, extended linearly."""
         flat = {(gs, ge, rs, re): c for (rs, re, gs, ge), c in self._flat.items()}
-        return Element._of(self.graph, self.field, flat)
+        return Element._of(self.graph, self.field, flat, self._den)
 
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        return (
-            self.graph == other.graph
-            and self.field == other.field
-            and self._flat == other._flat
-        )
+        same = self.graph == other.graph and self.field == other.field
+        return same and self._den == other._den and self._flat == other._flat
 
     __hash__ = None
 
@@ -339,6 +324,18 @@ class Element:
         from .expressions import format_element
 
         return f"<Element {format_element(self)}>"
+
+
+def _pair_products(left, by_source):
+    """The nonzero products (p q*)(r s*) of the factors' terms, last first."""
+    for (source, p, ghost_source, q), n in reversed(left.items()):
+        k = len(q)
+        for r, j, s_source, s, m in by_source.get(ghost_source, ()):
+            if k <= j:
+                if r[:k] == q:  # r = q t: the product is (p t) s*
+                    yield (source, p + r[k:], s_source, s), n * m
+            elif q[:j] == r:  # q = r t: the product is p (s t)*
+                yield (source, p, s_source, s + q[j:]), n * m
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +347,8 @@ def homogeneous_components(x):
     parts = {}
     for k, c in x._flat.items():
         parts.setdefault(len(k[1]) - len(k[3]), {})[k] = c
-    return {n: Element._of(x.graph, x.field, flat) for n, flat in sorted(parts.items())}
+    return {n: Element._of(x.graph, x.field, *x.field.canonical(flat, x._den))
+            for n, flat in sorted(parts.items())}
 
 
 def is_in_path_algebra(x):
@@ -379,18 +377,19 @@ def basis_monomials_up_to(g, d):
         raise PreconditionError("degree bound must be nonnegative")
     if _basis_pair_count(g, d) > MAX_BASIS_PAIRS:
         raise LimitExceeded(f"path pairs of total length <= {d} exceed the bound {MAX_BASIS_PAIRS}")
-    by_range, out = {}, []
+    by_range, out = {}, []  # each path with its sort key, made once per path
     for a, level in zip(range(d + 1), _paths_ending_in(g, g.vertices)):
         for p in level:
-            by_range.setdefault(p.range, {}).setdefault(a, []).append(p)
+            by_range.setdefault(p.range, {}).setdefault(a, []).append((p, p.sort_key()))
     for lengths in by_range.values():
         for a, ps in lengths.items():
             for b, qs in lengths.items():  # lengths ascend
                 if a + b > d:
                     break
-                out += [m for p in ps for q in qs if (m := Monomial._trusted(p, q)).is_basis()]
-    out.sort(key=lambda m: (m.total_length, m.sort_key()))
-    return out
+                out += [((a + b, kp, kq), m) for p, kp in ps for q, kq in qs
+                        if (m := Monomial._trusted(p, q)).is_basis()]
+    out.sort(key=itemgetter(0))  # (m.total_length, m.sort_key()), flattened
+    return [m for _, m in out]
 
 
 def _basis_pair_count(g, d):

@@ -13,8 +13,9 @@ C-level call per expression and no regex match, tuple or method call per
 token, unlike a tokenizer that matches token by token. A term reads its
 scalar by index and folds each run of generators (identifiers and their
 primes joined by '*') left to right as it reads it, into one monomial p q*
-or 0 (non-composable products are 0, not an error); terms stay raw until the
-whole expression, or a parenthesised one, is normalised once. One search
+or 0 (non-composable products are 0, not an error); terms stay raw integers,
+over one denominator per term, until the whole expression, or a parenthesised
+one, is put over one denominator and normalised once. One search
 before the split finds the first character that no token can hold, so that
 error wins over every other. A bare ``0`` is the zero element, as the
 printer spells it.
@@ -28,7 +29,7 @@ import re
 
 from .algebra import Element, _key
 from .errors import ExpressionSyntaxError, UnknownIdentifier
-from .fields import QQ
+from .fields import QQ, common_denominator
 from .graph import IDENT
 
 # Each nesting level costs three stack frames (expr, term, factor), so this
@@ -61,16 +62,16 @@ class _Parser:
         negative = tokens[self.i] == "-"
         if negative:
             self.i += 1
-        raw = self.term(negative)
+        parts = [self.term(negative)]
         op = tokens[self.i]
         while op == "+" or op == "-":
             self.i += 1
-            raw += self.term(op == "-")
+            parts.append(self.term(op == "-"))
             op = tokens[self.i]
-        return raw
+        return common_denominator(parts)
 
     def term(self, negative):
-        g, field, tokens, one = self.graph, self.field, self.tokens, self.field.one
+        g, field, tokens = self.graph, self.field, self.tokens
         i = self.i
         if tokens[i].isdecimal():
             numerator = -int(tokens[i]) if negative else int(tokens[i])
@@ -79,18 +80,18 @@ class _Parser:
                 den = tokens[i + 1]
                 if not den.isdecimal() or not int(den):
                     raise ExpressionSyntaxError("expected positive integer denominator")
-                coeff = field.from_fraction(numerator, int(den))
+                coeff, d = field.encode(numerator, int(den))
                 i += 2
             else:
-                coeff = field.from_int(numerator)
+                coeff, d = field.encode(numerator)
             if tokens[i] != "*":
                 if numerator == 0 and not coeff:
                     self.i = i
-                    return []
+                    return [], 1
                 raise ExpressionSyntaxError("a scalar must multiply a factor")
             i += 1
         else:
-            coeff = field.from_int(-1 if negative else 1)
+            coeff, d = -1 if negative else 1, 1
         vindex, eindex, edges = g._vindex, g._eindex, g.edges
         # the Element of the factors before the pending run; the run folded
         # so far into p q*: the edges of p and of q (q's last to first, so
@@ -133,7 +134,7 @@ class _Parser:
                 i = self.i
                 if source is not None:
                     word = ok and (source, tuple(real), at, tuple(reversed(ghost)))
-                    value = Element._from_raw(g, field, [(word, one())] if word else []) * value
+                    value = Element._from_raw(g, field, [(word, 1)] if word else []) * value
                     real, ghost, source, ok = [], [], None, True
                 product = value if product is None else product * value
             if tokens[i] != "*":
@@ -142,10 +143,10 @@ class _Parser:
         self.i = i
         word = source is not None and ok and (source, tuple(real), at, tuple(reversed(ghost)))
         if product is None:
-            return [(word, coeff)] if word else []
+            return ([(word, coeff)] if word else []), d
         if source is not None:
-            product = product * Element._from_raw(g, field, [(word, one())] if word else [])
-        return [(k, c * coeff) for k, c in product._flat.items()]
+            product = product * Element._from_raw(g, field, [(word, 1)] if word else [])
+        return [(k, c * coeff) for k, c in product._flat.items()], product._den * d
 
     def factor(self):
         """'( expr )' as an Element, starred once per prime."""
@@ -156,7 +157,7 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ExpressionSyntaxError(f"parentheses nested deeper than {MAX_NESTING}")
-        value = Element._from_raw(self.graph, self.field, self.expr())
+        value = Element._from_raw(self.graph, self.field, *self.expr())
         if tokens[self.i] != ")":
             raise ExpressionSyntaxError(f"expected ')', got {self.token()!r}")
         self.i += 1
@@ -174,10 +175,10 @@ def parse_element(graph, text, field=QQ):
     parser = _Parser(graph, _tokens(text), field)
     if not parser.tokens[0]:
         raise ExpressionSyntaxError("empty expression")
-    raw = parser.expr()
+    raw, den = parser.expr()
     if parser.tokens[parser.i]:
         raise ExpressionSyntaxError(f"trailing input at token {parser.token()!r}")
-    return Element._from_raw(graph, field, raw)
+    return Element._from_raw(graph, field, raw, den)
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +198,10 @@ def _spell(key):
 
 def format_element(x):
     """Basis-ordered canonical string; parse_element inverts it."""
-    flat = x._flat
+    flat, den = x._flat, x._den
     if not flat:
         return "0"
-    field, vindex, eindex = x.field, x.graph._vindex, x.graph._eindex.__getitem__
+    text, vindex, eindex = x.field.text, x.graph._vindex, x.graph._eindex.__getitem__
     ranks = {}  # each distinct edge tuple's edge indices, built once per call
 
     def basis_order(key):  # Monomial.sort_key, flattened
@@ -214,9 +215,9 @@ def format_element(x):
 
     out = []
     for k in sorted(flat, key=basis_order):
-        text = field.format(flat[k])  # a sign only over QQ
-        mag = text.removeprefix("-")
+        n = flat[k]  # negative only over QQ: F_p stores residues
+        mag = text(abs(n), den)
         body = _spell(k) if mag == "1" else f"{mag}*{_spell(k)}"
-        sign = ("- " if out else "-") if mag != text else ("+ " if out else "")
+        sign = ("- " if out else "-") if n < 0 else ("+ " if out else "")
         out.append(sign + body)
     return " ".join(out)

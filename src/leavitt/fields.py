@@ -1,14 +1,17 @@
 """Exact scalar fields: the rationals (default) and prime fields F_p.
 
-All coefficient arithmetic in the package is exact; equality of algebra
-elements reduces to equality of these scalars, so no floating point is
-allowed anywhere.
+All coefficient arithmetic is exact: no floating point. Elements store
+coefficients as integers n over one denominator d in their field's canonical
+form (``canonical``): d > 0 and gcd(d, every n) = 1 over QQ, residues 1..p-1
+over d = 1 over F_p. A field turns scalars into (n, d) (``coerce``, ``encode``),
+spells a term (``text``) and builds the scalar a caller reads (``scalar``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import LeavittError, PreconditionError
 
@@ -83,37 +86,81 @@ class PrimeFieldElement:
         return str(self.residue)
 
 
-class RationalField:
+# Scalars are immutable, so the recently built ones are shared across elements.
+_fraction = lru_cache(maxsize=1 << 10)(Fraction)
+_residue = lru_cache(maxsize=1 << 10)(PrimeFieldElement)
+
+
+class _Field:
+    """What the two fields share; the encoding of QQ unless overridden."""
+
+    characteristic = 0
+
+    def zero(self):
+        return self.scalar(0)
+
+    def one(self):
+        return self.scalar(1)
+
+    def from_fraction(self, numerator, denominator=1):
+        return self.scalar(*self.encode(numerator, denominator))
+
+    from_int = from_fraction
+
+    def coerce(self, value):
+        """(n, d) for an int, a Fraction or an element of this field, or refused."""
+        if isinstance(value, PrimeFieldElement) and value.p == self.characteristic:
+            return value.residue, 1
+        if isinstance(value, (int, Fraction)):
+            return self.encode(*value.as_integer_ratio())
+        raise PreconditionError(f"{value!r} is not a scalar of {self!r}")
+
+    def encode_terms(self, terms):
+        """(raw, d): (key, scalar) terms as (key, integer) over their least common d."""
+        coerced = [(k, *(c.as_integer_ratio() if type(c) in (int, Fraction) else self.coerce(c)))
+                   for k, c in terms]
+        d = lcm(*{e for _, _, e in coerced})
+        return [(k, n * (d // e)) for k, n, e in coerced], d
+
+    def encode(self, numerator, denominator=1):
+        """(n, d) for numerator/denominator, denominator > 0."""
+        return numerator, denominator
+
+    def numerator(self, n):  # an integer sum's canonical numerator
+        return n
+
+    def text(self, n, den):
+        """str(Fraction(n, den)) without building it."""
+        if den == 1:
+            return str(n)
+        g = gcd(n, den)
+        return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+    def format(self, value):  # a sign over QQ; a residue over F_p
+        return str(value)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.characteristic == self.characteristic
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.characteristic))
+
+
+class RationalField(_Field):
     """The field of rational numbers, backed by fractions.Fraction."""
 
     name = "q"
 
-    def zero(self):
-        return Fraction(0)
+    def scalar(self, n, den=1):
+        return _fraction(n, den)
 
-    def one(self):
-        return Fraction(1)
-
-    def from_int(self, n):
-        return Fraction(n)
-
-    def from_fraction(self, numerator, denominator=1):
-        return Fraction(numerator, denominator)
-
-    def scaled(self, values):
-        """(ns, d): each value as an integer n over d, their least common denominator."""
-        d = lcm(*(v.denominator for v in values))
-        return [v.numerator * (d // v.denominator) for v in values], d
-
-    def format(self, value):
-        # Rational coefficients print with real signs; prime fields do not.
-        return str(value)
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("rational-field")
+    def canonical(self, flat, den):
+        """The canonical form of {key: nonzero integer} over den > 0, in place."""
+        g = gcd(den, *flat.values()) if den != 1 else 1
+        if g != 1:
+            for k, n in flat.items():
+                flat[k] = n // g
+        return flat, den // g
 
     def __repr__(self):
         return "QQ"
@@ -145,7 +192,7 @@ def _is_prime(n):
     return True
 
 
-class PrimeField:
+class PrimeField(_Field):
     """F_p for a prime p below _MR_BOUND (about 3.3e24)."""
 
     def __init__(self, p):
@@ -153,41 +200,46 @@ class PrimeField:
             raise PreconditionError(f"{p} is too large: primality is exact only below {_MR_BOUND}")
         if not _is_prime(p):
             raise PreconditionError(f"{p} is not prime")
-        self.p = p
+        self.p = self.characteristic = p
         self.name = f"fp:{p}"
 
-    def zero(self):
-        return PrimeFieldElement(0, self.p)
+    def scalar(self, n, den=1):
+        return _residue(n, self.p)
 
-    def one(self):
-        return PrimeFieldElement(1, self.p)
-
-    def from_int(self, n):
-        return PrimeFieldElement(n, self.p)
-
-    def from_fraction(self, numerator, denominator=1):
+    def encode(self, numerator, denominator=1):
+        """(residue, 1) of numerator/denominator; p | denominator is refused."""
         if not denominator % self.p:
             raise PreconditionError(f"denominator {denominator} is zero in F_{self.p}")
-        return PrimeFieldElement(numerator * pow(denominator, -1, self.p), self.p)
+        return numerator * pow(denominator, -1, self.p) % self.p, 1
 
-    def scaled(self, values):
-        """(residues, 1), as ``RationalField.scaled``."""
-        return [v.residue for v in values], 1
+    def encode_terms(self, terms):
+        """(raw, 1): (key, scalar) terms as (key, residue)."""
+        p, coerce = self.p, self.coerce
+        return [(k, c.residue if type(c) is PrimeFieldElement and c.p == p else coerce(c)[0])
+                for k, c in terms], 1
 
-    def format(self, value):
-        return str(value.residue)
+    def canonical(self, flat, den):
+        """The canonical form of {key: integer} over 1: the nonzero residues."""
+        p = self.p
+        return {k: r for k, n in flat.items() if (r := n % p)}, 1
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("prime-field", self.p))
+    def numerator(self, n):
+        return n % self.p
 
     def __repr__(self):
         return f"GF({self.p})"
 
 
 QQ = RationalField()
+
+
+def common_denominator(parts):
+    """(raw, d): the (key, integer) terms of parts [(raw, den)], in order, over d = lcm(dens)."""
+    d = lcm(*(den for _, den in parts))
+    out = []
+    for raw, den in parts:
+        out += raw if den == d else [(k, n * (d // den)) for k, n in raw]
+    return out, d
 
 
 def GF(p):

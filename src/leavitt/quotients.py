@@ -87,7 +87,7 @@ def _quotient_image(x, target):
         return x
     g, kept = x.graph, target._vindex
     raw = [(k, c) for k, c in x._flat.items() if _range(g, k) in kept]
-    return Element._from_raw(target, x.field, raw)
+    return Element._from_raw(target, x.field, raw, x._den)
 
 
 def in_graded_ideal(x, H):
@@ -219,7 +219,7 @@ def restriction_embedding(rg, y):
         return (source, edges) if alpha is None else (alpha.source, alpha.edges + edges[1:])
 
     raw = [(image(rs, re) + image(gs, ge), c) for (rs, re, gs, ge), c in y._flat.items()]
-    total = Element._from_raw(rg.source, y.field, raw)
+    total = Element._from_raw(rg.source, y.field, raw, y._den)
     assert _quotient_image(total, rg._quotient).is_zero(), "embedding image escaped I(H)"
     return total
 

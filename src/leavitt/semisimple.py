@@ -157,8 +157,10 @@ def to_matrix(x, decomposition):
     sizes = d.sizes
     blocks = [{} for _ in sizes]
     g, index, starting = x.graph, d._index, d._starting
-    for key, c in x._flat.items():
+    scalar, den = x.field.scalar, x._den
+    for key, n in x._flat.items():
         source, p, ghost_source, q = key
+        c = scalar(n, den)
         for t in starting[_range(g, key)]:
             b, i = index[source, p + t]
             add_entry(blocks[b].setdefault(i, {}), index[ghost_source, q + t][1], c)
@@ -182,7 +184,7 @@ def from_matrix(bm, decomposition, field=None):
             row, p = rows[j], paths[j]
             for k in sorted(row):
                 raw.append(((p.source, p.edges, paths[k].source, paths[k].edges), row[k]))
-    return Element._from_raw(decomposition.graph, found, raw)
+    return Element._from_raw(decomposition.graph, found, *found.encode_terms(raw))
 
 
 def element_group_inverse(x):
@@ -236,7 +238,7 @@ def find_fg_witness(q, membership, basis=None):
     if basis is None:
         basis = [m for m in full_basis(g) if m.is_pure_path]
     pool = (
-        Element(g, field, [(m, field.from_int(c)) for m, c in zip(basis, coeffs) if c])
+        Element(g, field, [(m, c) for m, c in zip(basis, coeffs) if c])
         for coeffs in cartesian_product((-1, 0, 1), repeat=n)
         if any(coeffs)
     )

@@ -189,12 +189,12 @@ def laurent_quotient(x):
 
 def _laurent_image(x, d):
     """A term survives iff its range is v; only the loop enters v, so it is
-    c e^a (e^b)* and maps to c x^(a - b)."""
+    c e^a (e^b)* and maps to c x^(a - b). LaurentPoly drops the zero sums."""
     g, v, coeffs = x.graph, d.loop_vertex, {}
     for key, c in x._flat.items():
         if _range(g, key) == v:
             add_entry(coeffs, len(key[1]) - len(key[3]), c)
-    return LaurentPoly(coeffs, x.field)
+    return LaurentPoly({n: x.field.scalar(c, x._den) for n, c in coeffs.items()}, x.field)
 
 
 def exact_sequence_report(g, degree_bound, field=QQ):
@@ -264,11 +264,16 @@ def rcfm_representation(x, window):
     monomial whose support misses the window entirely is rejected, since
     such a window could not represent the element at all.
     """
-    return _matrix_window(x, _canonical(x.graph), window)
+    w = _matrix_window(x, _canonical(x.graph), window)
+    scalar, den = x.field.scalar, x._den
+    for row in w.matrix.nonzero_rows.values():
+        for k, n in row.items():
+            row[k] = scalar(n, den)
+    return w
 
 
 def _matrix_window(x, d, window):
-    """rcfm_representation of x, for d the canonical graph's decomposition."""
+    """rcfm_representation of x, for d the canonical graph's decomposition, as numerators."""
     rows = _window_rows(x, d, window)
     validity, terms = max(window - x.total_degree(), 0), max(x.support_size(), 1)
     columns = Counter(j for row in rows.values() for j in row)
@@ -282,15 +287,15 @@ def _matrix_window(x, d, window):
 
 
 def _window_rows(x, d, window):
-    """The nonzero entries of the N x N window of x, as the rows {row: {column:
-    scalar}} a ``Matrix`` stores, in one pass over the terms. Each diagonal is a step
-    function: a run steps in at column b + 1, a cell (a, b) is the run over column b
-    alone, and so may lie on a longer one (f f* when e is designated)."""
+    """The nonzero entries of the N x N window of x, as rows {row: {column:
+    numerator}} over x's denominator, in one pass over the terms. Each diagonal is a
+    step function: a run steps in at column b + 1, a cell (a, b) is the run over
+    column b alone, and so may lie on a longer one (f f* when e is designated)."""
     if window < 1:
         raise PreconditionError("window size must be positive")
     if window > MAX_WINDOW:
         raise LimitExceeded(f"window {window} exceeds the bound {MAX_WINDOW}")
-    g, sink, steps, least = x.graph, d.subgraph.vertices[0], {}, None
+    g, sink, steps, least, numerator = x.graph, d.subgraph.vertices[0], {}, None, x.field.numerator
     for key, c in x._flat.items():
         a, b = len(key[1]), len(key[3])
         step = steps.setdefault(a - b, {})
@@ -308,9 +313,9 @@ def _window_rows(x, d, window):
         end, total = min(window, window - shift), None  # columns k with k, k + shift < N
         for start, stop in pairwise((*sorted(step), end)):
             total = step[start] if total is None else total + step[start]
-            if total:
+            if entry := numerator(total):
                 for k in range(start, min(stop, end)):
-                    rows.setdefault(k + shift, {})[k] = total
+                    rows.setdefault(k + shift, {})[k] = entry
     return rows
 
 
@@ -327,7 +332,7 @@ def socle_module_element(g, i, j, field=QQ):
     d = _canonical(g)
     if min(i, j) < 0:
         raise PreconditionError("matrix unit indices must be nonnegative")
-    return next(_units(g, d, field, field.one(), (i,), (j,)))[2]
+    return next(_units(g, d, field, 1, (i,), (j,)))[2]
 
 
 def sandwich_report(g, degree_bound, window, field=QQ):
@@ -360,9 +365,9 @@ def sandwich_report(g, degree_bound, window, field=QQ):
             finiteness_failures.append(format_monomial(m))
         if _quotient_image(x, socle).is_zero() and not w.flags["finitely_supported"]:
             socle_failures.append(format_monomial(m))
-    one, n = field.one(), range(window - 1)  # one object: a unit's entry compares by identity
-    for i, j, x in _units(g, d, field, one, n, n):
-        if _window_rows(x, d, window) != {i: {j: one}}:
+    n = range(window - 1)
+    for i, j, x in _units(g, d, field, 1, n, n):
+        if x._den != 1 or _window_rows(x, d, window) != {i: {j: 1}}:
             unit_failures.append(f"E[{i}][{j}] != window({format_element(x)})")
     return {
         "window": window,

@@ -3,7 +3,8 @@
 import random
 import re
 from collections import Counter
-from itertools import accumulate, product
+from itertools import accumulate, pairwise, product
+from math import gcd, lcm
 
 import pytest
 
@@ -14,7 +15,7 @@ from leavitt.algebra import _key, _monomial, _normal_form, _range
 from leavitt.expressions import MAX_NESTING, _spell
 from leavitt.errors import ExpressionSyntaxError, LimitExceeded, UnknownIdentifier
 from leavitt.graph import IDENT, _as_members, _reach, vertex_on_a_cycle
-from leavitt.matrices import add_entry
+from leavitt.matrices import _nonzero, add_entry
 from leavitt.quotients import _entry_paths
 from leavitt.toeplitz import (
     MAX_DEGREE,
@@ -175,8 +176,8 @@ def random_element(g, rng, pool, size=4, field=L.QQ):
 
 
 class RandomStack(list):
-    """A list whose ``pop()`` removes a random index: ``_normal_form``
-    takes whole terms off it in a random order instead of as a stack. Each
+    """A list whose ``pop()`` removes a random index: ``_normal_form``, fed
+    its pops, takes whole terms off it in a random order instead of as a stack. Each
     term's rewrite steps run in one loop, so the orders that interleave the
     steps of different terms are covered by ``reference_normalize_terms``
     (which pops the front) and ``one_edge_normalize_terms``."""
@@ -191,8 +192,10 @@ class RandomStack(list):
 
 def random_order_normal_form(g, terms, rng):
     """{Monomial: coefficient} of (Monomial, coefficient) terms, rewritten
-    through ``_normal_form`` in a random order."""
-    flat = _normal_form(g, RandomStack([(_key(m), c) for m, c in terms], rng))
+    through ``_normal_form`` in a random order: each term it takes is popped
+    off a ``RandomStack``."""
+    stack = RandomStack([(_key(m), c) for m, c in terms], rng)
+    flat = _normal_form(g, (stack.pop() for _ in range(len(stack))))
     return {_monomial(g, k): c for k, c in flat.items()}
 
 
@@ -828,10 +831,10 @@ def reference_product(x, y):
 
 def reference_element(g, field, normal):
     """Element built from a reference normal form through the public,
-    validating Path and Monomial constructors."""
-    return Element._of(g, field, {
-        _key(Monomial(Path(g, rs, re), Path(g, gs, ge))): c for (rs, re, gs, ge), c in normal.items()
-    })
+    validating Path, Monomial and Element constructors."""
+    return Element(g, field, [
+        (Monomial(Path(g, rs, re), Path(g, gs, ge)), c) for (rs, re, gs, ge), c in normal.items()
+    ])
 
 
 def element_key_terms(x):
@@ -1156,8 +1159,9 @@ def reference_parse_element(graph, text, field=L.QQ, parser=_ReferenceParser):
 # ---------------------------------------------------------------------------
 # The expression parser as it was before it read a token list: one scan of
 # the text through a position index, one pattern match per scalar prefix and
-# per run of generators, then a findall over the run. Kept verbatim (renamed)
-# as the oracle the token-list parser is diffed against.
+# per run of generators, then a findall over the run. Kept verbatim (renamed,
+# and evaluated in ScalarElement, the scalar-storing elements of its time) as
+# the oracle the token-list parser is diffed against.
 
 _SCAN_BAD = re.compile(r"[^\s\dA-Za-z_\-+*/()']")
 _SCAN_SPACE = re.compile(r"\s*")
@@ -1233,7 +1237,7 @@ class OnePassScanParser:
                 continue
             value = self.factor()
             if word is not None:
-                value = Element._from_raw(g, field, [(word, one())] if word else []) * value
+                value = ScalarElement._from_raw(g, field, [(word, one())] if word else []) * value
             product, word = value if product is None else product * value, None
             if self.next_char() != "*":
                 break
@@ -1241,7 +1245,7 @@ class OnePassScanParser:
         if product is None:
             return [(word, coeff)] if word else []
         if word is not None:
-            product = product * Element._from_raw(g, field, [(word, one())] if word else [])
+            product = product * ScalarElement._from_raw(g, field, [(word, one())] if word else [])
         return [(k, c * coeff) for k, c in product._flat.items()]
 
     def fold(self, start, end):
@@ -1288,7 +1292,7 @@ class OnePassScanParser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ExpressionSyntaxError(f"parentheses nested deeper than {MAX_NESTING}")
-        value = Element._from_raw(self.graph, self.field, self.expr())
+        value = ScalarElement._from_raw(self.graph, self.field, self.expr())
         if self.next_char() != ")":
             raise ExpressionSyntaxError(f"expected ')', got {self.token()!r}")
         self.pos += 1
@@ -1309,7 +1313,7 @@ def one_pass_scan_parse_element(graph, text, field=L.QQ):
     raw = parser.expr()
     if parser.next_char():
         raise ExpressionSyntaxError(f"trailing input at token {parser.token()!r}")
-    return Element._from_raw(graph, field, raw)
+    return ScalarElement._from_raw(graph, field, raw)
 
 
 
@@ -1522,7 +1526,7 @@ def item_sorting_format_element(x):
         return vindex[s], tuple(map(eindex, p)), vindex[t], tuple(map(eindex, q))
 
     out = []
-    for k, c in sorted(x._flat.items(), key=basis_order):
+    for k, c in sorted(scalar_items(x), key=basis_order):
         text = field.format(c)  # a sign only over QQ
         mag = text.removeprefix("-")
         body = _spell(k) if mag == "1" else f"{mag}*{_spell(k)}"
@@ -1903,7 +1907,7 @@ class PathModule:
         blocks = [{} for _ in self.sizes]
         block, shift = self._block, self.shift
         edges, eindex = x.graph.edges, x.graph._eindex
-        for (source, p, ghost_source, q), c in x._flat.items():
+        for (source, p, ghost_source, q), c in scalar_items(x):
             at = edges[eindex[p[-1]]].dst if p else source
             ghost = shift(ghost_source, q, at)
             for k, i in shift(source, p, at).items():
@@ -1947,10 +1951,10 @@ def parent_quotient_image(x, target):
         return x
     vertices, edges = target._vindex, target._eindex
     raw = [
-        (k, c) for k, c in x._flat.items()
+        (k, c) for k, c in scalar_items(x)
         if k[0] in vertices and k[2] in vertices and all(e in edges for e in k[1] + k[3])
     ]
-    return Element._from_raw(target, x.field, raw)
+    return from_scalar_raw(target, x.field, raw)
 
 
 def parent_laurent_image(x, d):
@@ -1958,7 +1962,7 @@ def parent_laurent_image(x, d):
     c x^(a - b) and every term that touches F0 maps to 0."""
     v, loop = d.loop_vertex, {d.loop_edge}
     coeffs = {}
-    for (source, p, ghost_source, q), c in x._flat.items():
+    for (source, p, ghost_source, q), c in scalar_items(x):
         if source == ghost_source == v and loop.issuperset(p + q):
             add_entry(coeffs, len(p) - len(q), c)
     return LaurentPoly(coeffs, x.field)
@@ -2288,7 +2292,7 @@ def parent_window_rows(x, d, window):
         raise LimitExceeded(f"window {window} exceeds the bound {MAX_WINDOW}")
     g, sink = x.graph, d.subgraph.vertices[0]
     ranks, steps = [], {}
-    for key, c in x._flat.items():
+    for key, c in scalar_items(x):
         a, b = len(key[1]), len(key[3])
         step = steps.setdefault(a - b, {})
         if _range(g, key) == sink:
@@ -2322,7 +2326,7 @@ def parent_socle_module_element(g, i, j, field=L.QQ):
         raise PreconditionError("matrix unit indices must be nonnegative")
     w, loop = d.subgraph.vertices[0], (d.loop_edge,)
     b_i, b_j = ((d.loop_vertex, loop * (k - 1) + d.connectors) if k else (w, ()) for k in (i, j))
-    return Element._from_raw(g, field, [(b_i + b_j, field.one())])
+    return from_scalar_raw(g, field, [(b_i + b_j, field.one())])
 
 
 def parent_sandwich_report(g, degree_bound, window, field=L.QQ):
@@ -2383,3 +2387,247 @@ def parent_rcfm_representation(x, window):
         "col_finite_on_window": max(columns.values(), default=0) <= terms,
     }
     return MatrixWindow(Matrix._trusted(rows, window, window, x.field), validity, flags)
+
+
+# ---------------------------------------------------------------------------
+# The scalar-storing elements as they were before elements kept integer
+# numerators over one denominator: the normal form stored as {key: field
+# scalar}, with the operations that stored or read those scalars. Kept
+# verbatim (renamed; the kernel call goes to ``stack_normal_form``, which
+# matches the one-loop kernel in value and insertion order, and
+# ``field.scaled`` to ``parent_scaled``) as the reference the integer
+# encoding is diffed against.
+
+
+def parent_scaled(field, values):
+    """(ns, d): each value as an integer n over d, their least common
+    denominator; over F_p the residues over 1."""
+    if field != L.QQ:
+        return [v.residue for v in values], 1
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+class ScalarElement:
+    """An element stored as {key: field scalar}; ``_of`` takes a stored form
+    as it is."""
+
+    __slots__ = ("graph", "field", "_flat")
+
+    @classmethod
+    def _of(cls, graph, field, flat):
+        x = object.__new__(cls)
+        x.graph, x.field, x._flat = graph, field, flat
+        return x
+
+    @classmethod
+    def _from_raw(cls, graph, field, raw):
+        """The normal form of a raw list of (key, coefficient)."""
+        return cls._of(graph, field, stack_normal_form(graph, raw))
+
+    @classmethod
+    def of(cls, x):
+        """The ScalarElement of an Element, its items in stored order."""
+        return cls._of(x.graph, x.field, dict(scalar_items(x)))
+
+    def is_zero(self):
+        return not self._flat
+
+    def total_degree(self):
+        return max((len(k[1]) + len(k[3]) for k in self._flat), default=0)
+
+    def __add__(self, other):
+        # the stack pops self's terms first, in order, then other's
+        raw = [*reversed(other._flat.items()), *reversed(self._flat.items())]
+        return ScalarElement._from_raw(self.graph, self.field, raw)
+
+    def __neg__(self):
+        return ScalarElement._of(self.graph, self.field, {k: -c for k, c in self._flat.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, scalar):
+        if not scalar:
+            return ScalarElement._of(self.graph, self.field, {})
+        return ScalarElement._of(self.graph, self.field, {k: c * scalar for k, c in self._flat.items()})
+
+    def __mul__(self, other):
+        left, d_left = parent_scaled(self.field, self._flat.values())
+        right, d_right = parent_scaled(self.field, other._flat.values())
+        by_source = {}
+        for (source, real, ghost_source, ghost), n in zip(other._flat, right):
+            by_source.setdefault(source, []).append((real, len(real), ghost_source, ghost, n))
+        raw = []
+        for (source, p, ghost_source, q), n in zip(self._flat, left):
+            k = len(q)
+            for r, j, s_source, s, m in by_source.get(ghost_source, ()):
+                if k <= j:
+                    if r[:k] == q:  # r = q t: the product is (p t) s*
+                        raw.append(((source, p + r[k:], s_source, s), n * m))
+                elif q[:j] == r:  # q = r t: the product is p (s t)*
+                    raw.append(((source, p, s_source, s + q[j:]), n * m))
+        d, flat = d_left * d_right, stack_normal_form(self.graph, raw)
+        # the integer sums become scalars in place; over F_p some vanish
+        from_fraction, vanished = self.field.from_fraction, []
+        for k, n in flat.items():
+            flat[k] = c = from_fraction(n, d)
+            if not c:
+                vanished.append(k)
+        for k in vanished:
+            del flat[k]
+        return ScalarElement._of(self.graph, self.field, flat)
+
+    def star(self):
+        flat = {(gs, ge, rs, re): c for (rs, re, gs, ge), c in self._flat.items()}
+        return ScalarElement._of(self.graph, self.field, flat)
+
+    def __eq__(self, other):
+        return self.graph == other.graph and self.field == other.field and self._flat == other._flat
+
+
+def scalar_items(x):
+    """x's normal form as (key, field scalar) items, in stored order: a
+    ScalarElement's own, or an Element's integers over its denominator as
+    its public ``terms`` reads them."""
+    if isinstance(x, ScalarElement):
+        return list(x._flat.items())
+    return [(_key(m), c) for m, c in x.terms.items()]
+
+
+def from_scalar_raw(g, field, raw):
+    """The Element of a raw list of (key, field scalar), through the public
+    constructor, which takes the terms last first, as ``_from_raw`` does."""
+    return Element(g, field, [(_monomial(g, k), c) for k, c in raw])
+
+
+def assert_stored_form(x):
+    """The stored invariant of an Element: int numerators, none zero, over an
+    int den > 0; over QQ gcd(den, numerators) = 1, over F_p residues over 1."""
+    den, values = x._den, list(x._flat.values())
+    assert type(den) is int and den > 0, den
+    assert all(type(n) is int and n for n in values), values
+    if x.field == L.QQ:
+        assert gcd(den, *values) == 1, (den, values)
+    else:
+        assert den == 1 and all(0 < n < x.field.p for n in values), (den, values)
+
+
+def scalar_format_element(x):
+    """Basis-ordered canonical string; parse_element inverts it."""
+    flat = x._flat
+    if not flat:
+        return "0"
+    field, vindex, eindex = x.field, x.graph._vindex, x.graph._eindex.__getitem__
+    ranks = {}  # each distinct edge tuple's edge indices, built once per call
+
+    def basis_order(key):  # Monomial.sort_key, flattened
+        s, p, t, q = key
+        rp, rq = ranks.get(p), ranks.get(q)
+        if rp is None:
+            rp = ranks[p] = tuple(map(eindex, p))
+        if rq is None:
+            rq = ranks[q] = tuple(map(eindex, q))
+        return vindex[s], rp, vindex[t], rq
+
+    out = []
+    for k in sorted(flat, key=basis_order):
+        text = field.format(flat[k])  # a sign only over QQ
+        mag = text.removeprefix("-")
+        body = _spell(k) if mag == "1" else f"{mag}*{_spell(k)}"
+        sign = ("- " if out else "-") if mag != text else ("+ " if out else "")
+        out.append(sign + body)
+    return " ".join(out)
+
+
+def scalar_to_matrix(x, decomposition):
+    d = decomposition
+    if x.graph != d.graph:
+        raise PreconditionError("element and decomposition disagree on the graph")
+    sizes = d.sizes
+    blocks = [{} for _ in sizes]
+    g, index, starting = x.graph, d._index, d._starting
+    for key, c in x._flat.items():
+        source, p, ghost_source, q = key
+        for t in starting[_range(g, key)]:
+            b, i = index[source, p + t]
+            add_entry(blocks[b].setdefault(i, {}), index[ghost_source, q + t][1], c)
+    rows = (_nonzero(r.items()) for r in blocks)
+    return L.BlockMatrix(Matrix._trusted(r, n, n, x.field) for r, n in zip(rows, sizes))
+
+
+def scalar_from_matrix(bm, decomposition, field=None):
+    if [m.shape for m in bm.blocks] != [(n, n) for n in decomposition.sizes]:
+        raise PreconditionError("block sizes disagree with the decomposition")
+    found = bm.blocks[0].field if bm.blocks else field or L.QQ
+    if field not in (None, found):
+        raise L.GraphMismatch(f"blocks over {found!r}, but the field given is {field!r}")
+    raw = []
+    for block, mat in zip(decomposition.blocks, bm.blocks):
+        paths, rows = block, mat.nonzero_rows
+        for j in sorted(rows):  # rows and columns in order, so the raw terms keep their order
+            row, p = rows[j], paths[j]
+            for k in sorted(row):
+                raw.append(((p.source, p.edges, paths[k].source, paths[k].edges), row[k]))
+    return ScalarElement._from_raw(decomposition.graph, found, raw)
+
+
+def scalar_window_rows(x, d, window):
+    if window < 1:
+        raise PreconditionError("window size must be positive")
+    if window > MAX_WINDOW:
+        raise LimitExceeded(f"window {window} exceeds the bound {MAX_WINDOW}")
+    g, sink, steps, least = x.graph, d.subgraph.vertices[0], {}, None
+    for key, c in x._flat.items():
+        a, b = len(key[1]), len(key[3])
+        step = steps.setdefault(a - b, {})
+        if _range(g, key) == sink:
+            if max(a, b) >= window:  # the least outside is named, whatever the term order
+                least = min(least, (a, b)) if least else (a, b)
+            step[b] = step[b] + c if b in step else c
+            c = -c  # the cell's run stops after column b
+        b += 1
+        step[b] = step[b] + c if b in step else c
+    if least:
+        raise PreconditionError(f"window {window} too small: support at {least} falls outside")
+    rows = {}
+    for shift, step in steps.items():
+        end, total = min(window, window - shift), None  # columns k with k, k + shift < N
+        for start, stop in pairwise((*sorted(step), end)):
+            total = step[start] if total is None else total + step[start]
+            if total:
+                for k in range(start, min(stop, end)):
+                    rows.setdefault(k + shift, {})[k] = total
+    return rows
+
+
+def scalar_laurent_image(x, d):
+    g, v, coeffs = x.graph, d.loop_vertex, {}
+    for key, c in x._flat.items():
+        if _range(g, key) == v:
+            add_entry(coeffs, len(key[1]) - len(key[3]), c)
+    return LaurentPoly(coeffs, x.field)
+
+
+def sort_key_basis_monomials_up_to(g, d):
+    """All basis monomials with l(p) + l(q) <= d, by total length then key:
+    a verbatim copy of the enumeration that sorted by ``Monomial.sort_key``,
+    so by two ``Path.sort_key`` calls per monomial."""
+    if d < 0:
+        raise PreconditionError("degree bound must be nonnegative")
+    if L.algebra._basis_pair_count(g, d) > L.algebra.MAX_BASIS_PAIRS:
+        raise LimitExceeded(
+            f"path pairs of total length <= {d} exceed the bound {L.algebra.MAX_BASIS_PAIRS}"
+        )
+    by_range, out = {}, []
+    for a, level in zip(range(d + 1), L.graph._paths_ending_in(g, g.vertices)):
+        for p in level:
+            by_range.setdefault(p.range, {}).setdefault(a, []).append(p)
+    for lengths in by_range.values():
+        for a, ps in lengths.items():
+            for b, qs in lengths.items():  # lengths ascend
+                if a + b > d:
+                    break
+                out += [m for p in ps for q in qs if (m := Monomial._trusted(p, q)).is_basis()]
+    out.sort(key=lambda m: (m.total_length, m.sort_key()))
+    return out

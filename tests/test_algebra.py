@@ -10,6 +10,7 @@ from leavitt import Element, GraphMismatch, Monomial, Path
 from leavitt.algebra import MAX_BASIS_PAIRS, _basis_pair_count
 
 from conftest import (
+    assert_stored_form,
     corpus_graphs,
     diamond_chain,
     element_key_terms,
@@ -520,7 +521,8 @@ def test_prime_field_products_drop_the_sums_that_vanish():
     """Over F_p a product's integer coefficient sum can be a nonzero
     multiple of p. Its key must go: no stored coefficient is zero, and the
     product equals its term-by-term products summed through ``+``. The
-    integer sums are read off the product of the residues over QQ."""
+    integer sums are read off the product of the residues over QQ, which
+    are the stored integers taken over QQ."""
     rng = seeded("prime-field-cancellation")
     for p in (2, 3, 7):
         field, vanished = L.GF(p), 0
@@ -529,13 +531,14 @@ def test_prime_field_products_drop_the_sums_that_vanish():
             pool = raw_monomials(g)
             x, y = (random_element(g, rng, pool, size=8, field=field) for _ in "xy")
             residues = [
-                Element._of(g, L.QQ, {k: L.QQ.from_int(c.residue) for k, c in e._flat.items()})
+                Element._of(g, L.QQ, dict(e._flat))
                 for e in (x, y)
             ]
             sums = (residues[0] * residues[1])._flat.values()
             vanished += sum(1 for n in sums if n % p == 0)
             z = x * y
             assert all(z._flat.values()), (g, x, y)
+            assert_stored_form(z)
             termwise = Element.zero(g, field)
             for k, c in x._flat.items():
                 for k2, c2 in y._flat.items():

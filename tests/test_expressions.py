@@ -16,6 +16,7 @@ from conftest import (
     raw_monomials,
     reference_parse_element,
     rose_power_product,
+    scalar_items,
     seeded,
 )
 
@@ -145,12 +146,12 @@ def _mutate(text, rng):
 
 def _flat_outcome(parse, g, text, field):
     """The normal form as its stored (key, coefficient) items, in dict order,
-    or the error type and message."""
+    the coefficients as field scalars, or the error type and message."""
     try:
         x = parse(g, text, field)
     except Exception as exc:
         return type(exc), str(exc)
-    return list(x._flat.items())
+    return scalar_items(x)
 
 
 def _assert_parsers_agree(g, text, field):

@@ -14,6 +14,7 @@ from leavitt.fields import PrimeFieldElement
 
 from conftest import (
     ParentElement,
+    assert_stored_form,
     ParentParser,
     corpus_graphs,
     loop_designated_toeplitz,
@@ -155,7 +156,10 @@ def test_rose_powers_match_the_monomial_kernel():
 
 
 def coefficients(x):
-    return list(x.terms.values()) + list(x._flat.values()) + [x.coefficient(m) for m in x.terms]
+    """x's coefficients as its public reads give them; the stored integers
+    are checked for the stored invariant."""
+    assert_stored_form(x)
+    return list(x.terms.values()) + [x.coefficient(m) for m in x.terms]
 
 
 @pytest.mark.parametrize(
@@ -208,8 +212,9 @@ def kernel_graphs(rng):
 
 def assert_same_as_the_stack_kernel(g, raw):
     """The same normal form of raw, with the same coefficient types, in the
-    same insertion order."""
-    got, expected = _normal_form(g, list(raw)), stack_normal_form(g, list(raw))
+    same insertion order; the kernel takes the terms in the order the stack
+    kernel pops them."""
+    got, expected = _normal_form(g, reversed(raw)), stack_normal_form(g, list(raw))
     assert [(k, type(c), c) for k, c in got.items()] == [
         (k, type(c), c) for k, c in expected.items()
     ], g.name
@@ -234,9 +239,10 @@ def test_products_normalise_as_the_stack_kernel_did(monkeypatch, field):
     stars."""
     raws = []
 
-    def recording(g, pending):
-        raws.append((g, list(pending)))
-        return _normal_form(g, pending)
+    def recording(g, terms, *modulus):
+        terms = list(terms)
+        raws.append((g, terms[::-1]))  # as a stack kernel pops them
+        return _normal_form(g, terms, *modulus)
 
     monkeypatch.setattr(algebra, "_normal_form", recording)
     rng = seeded(f"one-loop-products-{field!r}")

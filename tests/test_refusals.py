@@ -3,6 +3,7 @@ the CLI exits 2 with that error where a command reaches it, both within a
 second: a bound refuses before it builds what it bounds."""
 
 import json
+from fractions import Fraction
 from time import perf_counter
 
 import pytest
@@ -39,6 +40,13 @@ def _rose_cycle():
 
 def _dense(rows):
     return L.Matrix([[L.QQ.from_int(x) for x in r] for r in rows])
+
+
+def _vertex_times(coefficient, field):
+    """The element coefficient * v on T, through the public constructor."""
+    T = L.toeplitz_graph()
+    v = L.Path.trivial(T, "v")
+    return lambda: L.Element(T, field, [(L.Monomial(v, v), coefficient)])
 
 
 def _rose_restriction(n):
@@ -179,6 +187,21 @@ CASES = {
         lambda: L.field_from_name("r"), L.PreconditionError,
         "bad field tag 'r' (expected 'q' or 'fp:<p>')",
         (TOEPLITZ_DSL, ["nf", "--field", "r", "{file}", "v"]),
+    ),
+    "element-of-a-float": (
+        _vertex_times(2.5, L.QQ), L.PreconditionError, "2.5 is not a scalar of QQ", None
+    ),
+    "element-of-a-scalar-of-another-field": (
+        _vertex_times(L.GF(5).one(), L.QQ), L.PreconditionError,
+        "PrimeFieldElement(1, 5) is not a scalar of QQ", None,
+    ),
+    "element-of-a-denominator-zero-mod-p": (
+        _vertex_times(Fraction(3, 14), L.GF(7)), L.PreconditionError,
+        "denominator 14 is zero in F_7", None,
+    ),
+    "scale-by-a-scalar-of-another-field": (
+        lambda: L.Element.vertex(L.toeplitz_graph(), "v", L.GF(7)).scale(L.GF(5).one()),
+        L.PreconditionError, "PrimeFieldElement(1, 5) is not a scalar of GF(7)", None,
     ),
     "element-plus-an-int": (
         lambda: _two_graphs()[0] + 1, L.GraphMismatch, "cannot combine Element with int", None

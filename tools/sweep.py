@@ -4,11 +4,12 @@ Each point of a sweep is one timed call in a fresh ``python3`` process that
 imports ``leavitt`` from one side's ``src/``. The child first makes one call
 at the sweep's smallest size on a graph of its own, to warm the imports, then
 times the measured call with ``time.perf_counter`` and reads the growth of
-``ru_maxrss`` over it. In every round both sides run each point, and the side
-that runs first alternates from round to round. Every round is kept; ``best``
-is the least value over the rounds, and ``per_doubling`` the ratio of the
-best values of neighbouring sizes (about 2 for a linear cost, 4 for a
-quadratic one, whatever the machine).
+``ru_maxrss`` over it, then makes the call once more under ``tracemalloc``
+for the peak of the memory it allocates. In every round both sides run each
+point, and the side that runs first alternates from round to round. Every
+round is kept; ``best`` is the least value over the rounds, and
+``per_doubling`` the ratio of the best values of neighbouring sizes (about 2
+for a linear cost, 4 for a quadratic one, whatever the machine).
 
 The output is one JSON object on stdout, in the ``sweeps`` format of
 BENCH_12.json: ``command``, ``inputs``, then one entry per sweep with a
@@ -30,6 +31,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from collections import namedtuple
 from time import perf_counter
 
@@ -46,6 +48,22 @@ def _sandwich(degree):
     return make
 
 
+def _products(field):
+    """x * x.star() on the rose of 64 loops e1..e64 at u, e64 designated: x is
+    the sum of N two-letter words, each followed by e64^8, with coefficients
+    (i + 1)/(i + 2), so each of the N^2 pairs rewrites to 8 * 63 + 1 = 505
+    terms, over QQ or over F_p for p = 2^31 - 1."""
+    def make(L, n):
+        g = L.Graph("rose64", ["u"], [(f"e{i}", "u", "u") for i in range(1, 65)])
+        words = (f"e{1 + i % 63}*e{1 + i // 63}" + "*e64" * 8 for i in range(n))
+        text = " + ".join(f"{i + 1}/{i + 2}*{w}" for i, w in enumerate(words))
+        x = L.parse_element(g, text, L.QQ if field == "qq" else L.GF(2**31 - 1))
+        y = x.star()
+        return lambda: x * y
+
+    return make
+
+
 SWEEPS = {
     "sandwich": Sweep(
         "sandwich_report(toeplitz_graph(), 4, N), one call",
@@ -56,6 +74,15 @@ SWEEPS = {
         "degree 0 parts (a) and (b) check the two vertices alone, so this is the "
         "cost of one unit of part (c)",
         (16, 32, 64, 128), "us", lambda n: (n - 1) ** 2, _sandwich(0),
+    ),
+    "products_qq": Sweep(
+        "x * x.star() over QQ, x the sum of N words e_a*e_b*e64^8 on the 64-loop rose with "
+        "coefficients (i + 1)/(i + 2): N^2 pairs of 505 terms each, the time per output term",
+        (1, 2, 4, 8, 16), "us", lambda n: 505 * n * n, _products("qq"),
+    ),
+    "products_fp": Sweep(
+        "the products_qq product over F_p, p = 2^31 - 1, the time per output term",
+        (1, 2, 4, 8, 16), "us", lambda n: 505 * n * n, _products("fp"),
     ),
 }
 SCALE = {"s": 1.0, "us": 1e6}
@@ -76,9 +103,15 @@ def child(tree, name, n):
     seconds = perf_counter() - start
     grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss
     text = json.dumps(result, sort_keys=True, default=str)
+    result = None
+    tracemalloc.start()
+    call()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     print(json.dumps({
         "value": seconds * SCALE[sweep.unit] / sweep.per(n),
         "rss_delta_mb": grown / 1024,  # ru_maxrss is in KiB on Linux
+        "tracemalloc_peak_mb": peak / 2**20,
         "digest": hashlib.sha256(text.encode()).hexdigest()[:16],
     }))
 
@@ -104,6 +137,9 @@ def side_summary(unit, sizes, runs):
         f"best_{unit}": best,
         "per_doubling": [b / a for a, b in zip(values, values[1:])] if ok else None,
         "rss_delta_mb_max": {f"N{n}": max(r.get("rss_delta_mb", 0) for r in runs[n]) for n in sizes},
+        "tracemalloc_peak_mb": {
+            f"N{n}": max(r.get("tracemalloc_peak_mb", 0) for r in runs[n]) for n in sizes
+        },
         "all_ok": ok,
         f"rounds_{unit}": rounds,
     }
@@ -122,8 +158,9 @@ def main(argv=None):
             "python3 tools/sweep.py: one fresh process per point and side (python3 with the "
             "side's src/ on sys.path), after one call at the smallest size to warm imports; "
             "time.perf_counter around the call, rss_delta_mb = growth of ru_maxrss over the "
-            f"call; {args.rounds} rounds alternating which side runs first; 'best' is the "
-            "least value over the rounds"
+            "call, tracemalloc_peak_mb = the tracemalloc peak of a second, traced call; "
+            f"{args.rounds} rounds alternating which side runs first; 'best' is the least "
+            "value over the rounds"
         ),
         "inputs": {name: sweep.input for name, sweep in SWEEPS.items()},
     }
