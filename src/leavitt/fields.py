@@ -4,7 +4,9 @@ All coefficient arithmetic is exact: no floating point. Elements store
 coefficients as integers n over one denominator d in their field's canonical
 form (``canonical``): d > 0 and gcd(d, every n) = 1 over QQ, residues 1..p-1
 over d = 1 over F_p. A field turns scalars into (n, d) (``coerce``, ``encode``),
-spells a term (``text``) and builds the scalar a caller reads (``scalar``).
+spells a term (``text``) and builds the scalar a caller reads: ``scalar(n, d)``
+is n/d, the one way to build one (over F_p, n times the inverse of d mod p,
+refused when p divides d).
 """
 
 from __future__ import annotations
@@ -102,11 +104,6 @@ class _Field:
     def one(self):
         return self.scalar(1)
 
-    def from_fraction(self, numerator, denominator=1):
-        return self.scalar(*self.encode(numerator, denominator))
-
-    from_int = from_fraction
-
     def coerce(self, value):
         """(n, d) for an int, a Fraction or an element of this field, or refused."""
         if isinstance(value, PrimeFieldElement) and value.p == self.characteristic:
@@ -117,10 +114,13 @@ class _Field:
 
     def encode_terms(self, terms):
         """(raw, d): (key, scalar) terms as (key, integer) over their least common d."""
-        coerced = [(k, *(c.as_integer_ratio() if type(c) in (int, Fraction) else self.coerce(c)))
-                   for k, c in terms]
-        d = lcm(*{e for _, _, e in coerced})
-        return [(k, n * (d // e)) for k, n, e in coerced], d
+        raw, dens = [], []
+        for k, c in terms:
+            n, e = c.as_integer_ratio() if type(c) in (int, Fraction) else self.coerce(c)
+            raw.append((k, n))
+            dens.append(e)
+        d = lcm(*dens)
+        return raw if d == 1 else [(k, n * (d // e)) for (k, n), e in zip(raw, dens)], d
 
     def encode(self, numerator, denominator=1):
         """(n, d) for numerator/denominator, denominator > 0."""
@@ -135,9 +135,6 @@ class _Field:
             return str(n)
         g = gcd(n, den)
         return str(n // g) if g == den else f"{n // g}/{den // g}"
-
-    def format(self, value):  # a sign over QQ; a residue over F_p
-        return str(value)
 
     def __eq__(self, other):
         return type(other) is type(self) and other.characteristic == self.characteristic
@@ -204,7 +201,7 @@ class PrimeField(_Field):
         self.name = f"fp:{p}"
 
     def scalar(self, n, den=1):
-        return _residue(n, self.p)
+        return _residue(n if den == 1 else self.encode(n, den)[0], self.p)
 
     def encode(self, numerator, denominator=1):
         """(residue, 1) of numerator/denominator; p | denominator is refused."""
@@ -219,9 +216,13 @@ class PrimeField(_Field):
                 for k, c in terms], 1
 
     def canonical(self, flat, den):
-        """The canonical form of {key: integer} over 1: the nonzero residues."""
+        """The canonical form of {key: integer} over 1, in place: the nonzero residues."""
         p = self.p
-        return {k: r for k, n in flat.items() if (r := n % p)}, 1
+        for k, n in flat.items():
+            flat[k] = n % p
+        for k in [k for k, r in flat.items() if not r]:
+            del flat[k]
+        return flat, 1
 
     def numerator(self, n):
         return n % self.p

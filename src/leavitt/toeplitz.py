@@ -47,14 +47,6 @@ class LaurentPoly:
         self.coeffs = {n: c for n, c in dict(coeffs).items() if c}
         self.field = field
 
-    @classmethod
-    def zero(cls, field=QQ):
-        return cls({}, field)
-
-    @classmethod
-    def monomial(cls, exponent, field=QQ):
-        return cls({exponent: field.one()}, field)
-
     def is_zero(self):
         return not self.coeffs
 
@@ -63,12 +55,6 @@ class LaurentPoly:
         for n, c in other.coeffs.items():
             add_entry(out, n, c)
         return LaurentPoly(out, self.field)
-
-    def __neg__(self):
-        return LaurentPoly({n: -c for n, c in self.coeffs.items()}, self.field)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         out = {}
@@ -89,10 +75,10 @@ class LaurentPoly:
         for n in sorted(self.coeffs):
             c = self.coeffs[n]
             if n == 0:
-                parts.append(self.field.format(c))
+                parts.append(str(c))
             else:
                 var = "x" if n == 1 else f"x^{n}"
-                parts.append(var if c == self.field.one() else f"{self.field.format(c)}*{var}")
+                parts.append(var if c == self.field.one() else f"{c}*{var}")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -319,12 +305,12 @@ def _window_rows(x, d, window):
     return rows
 
 
-def _units(g, d, field, one, rows, columns):
-    """(i, j, (b_i)(b_j)*) with coefficient one, in normal form, for i in rows, j in columns."""
+def _units(g, d, field, rows, columns):
+    """(i, j, (b_i)(b_j)*) with coefficient 1, in normal form, for i in rows, j in columns."""
     v, w, loop, f = d.loop_vertex, d.subgraph.vertices[0], (d.loop_edge,), d.connectors
     basis = {k: (v, loop * (k - 1) + f) if k else (w, ()) for k in {*rows, *columns}}
     for i, j in product(rows, columns):
-        yield i, j, Element._from_raw(g, field, [(basis[i] + basis[j], one)])
+        yield i, j, Element._from_raw(g, field, [(basis[i] + basis[j], 1)])
 
 
 def socle_module_element(g, i, j, field=QQ):
@@ -332,7 +318,7 @@ def socle_module_element(g, i, j, field=QQ):
     d = _canonical(g)
     if min(i, j) < 0:
         raise PreconditionError("matrix unit indices must be nonnegative")
-    return next(_units(g, d, field, 1, (i,), (j,)))[2]
+    return next(_units(g, d, field, (i,), (j,)))[2]
 
 
 def sandwich_report(g, degree_bound, window, field=QQ):
@@ -366,7 +352,7 @@ def sandwich_report(g, degree_bound, window, field=QQ):
         if _quotient_image(x, socle).is_zero() and not w.flags["finitely_supported"]:
             socle_failures.append(format_monomial(m))
     n = range(window - 1)
-    for i, j, x in _units(g, d, field, 1, n, n):
+    for i, j, x in _units(g, d, field, n, n):
         if x._den != 1 or _window_rows(x, d, window) != {i: {j: 1}}:
             unit_failures.append(f"E[{i}][{j}] != window({format_element(x)})")
     return {

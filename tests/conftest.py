@@ -166,7 +166,7 @@ def random_raw_terms(g, rng, pool, size=4, field=L.QQ):
     terms = []
     for _ in range(rng.randint(1, size)):
         m = rng.choice(pool)
-        c = field.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+        c = field.scalar(rng.choice([-3, -2, -1, 1, 2, 3]))
         terms.append((m, c))
     return terms
 
@@ -271,6 +271,106 @@ def cycles_oracle(g):
     return found
 
 
+def complete_digraph(n):
+    """K_n with loops: an edge from each vertex to each, n^2 edges."""
+    vs = [f"v{i}" for i in range(n)]
+    edges = [(f"e{i}_{j}", a, b) for i, a in enumerate(vs) for j, b in enumerate(vs)]
+    return Graph(f"K{n}", vs, edges)
+
+
+def diamond_return(k):
+    """A 2-cycle s -> x -> s, and k diamonds in a row from x back to x: every
+    vertex reaches s, but a path from s into the diamonds never closes at s.
+    A search from s without blocking walks all 2^k paths through the
+    diamonds before the search from x closes its first cycle."""
+    chain = diamond_chain(k)
+    edges = [("t", "s", "x"), ("r", "x", "s"), ("i", "x", "d0"), ("o", f"d{k}", "x")]
+    edges += [(e.name, e.src, e.dst) for e in chain.edges]
+    return Graph(f"return{k}", ["s", "x", *chain.vertices], edges)
+
+
+# ---------------------------------------------------------------------------
+# Cycle searches that count their work. counting_cycles is graph.cycles as it
+# stands (Johnson's start order, one reachability set per start, no blocked
+# set), verbatim but for the bound and the counts; johnson_cycles is Johnson's
+# search with the blocked set and the B-lists (D. B. Johnson, "Finding all the
+# elementary circuits of a directed graph", SIAM J. Comput. 4 (1975)), read
+# edge by edge so that parallel edges and loops give one cycle each. Both
+# return the (start, edges) pairs sorted as cycles sorts them, and the DFS
+# pushes of each stretch between two closed cycles, the stretches before the
+# first and after the last included.
+
+
+def _sorted_with_gaps(g, found, marks, pushes):
+    found.sort(key=lambda c: tuple(map(g.edge_index, c[1])))
+    bounds = [0, *marks, pushes]
+    return found, [b - a for a, b in zip(bounds, bounds[1:])]
+
+
+def counting_cycles(g):
+    index = g._vindex
+    found, marks, pushes = [], [], 0
+    for start in g.vertices:
+        first = index[start]
+        free = _reach(g, (start,), backwards=True, keep=lambda w: index[w] > first)
+        stack, pushes = [(start, None, iter(g._out[start]))], pushes + 1
+        while stack:
+            for e in stack[-1][2]:
+                if e.dst == start:
+                    found.append((start, tuple(frame[1] for frame in stack[1:]) + (e.name,)))
+                    marks.append(pushes)
+                elif e.dst in free:
+                    free.remove(e.dst)
+                    stack.append((e.dst, e.name, iter(g._out[e.dst])))
+                    pushes += 1
+                    break
+            else:
+                free.add(stack.pop()[0])
+    return _sorted_with_gaps(g, found, marks, pushes)
+
+
+def johnson_cycles(g):
+    index = g._vindex
+    found, marks, pushes = [], [], 0
+    for s in g.vertices:
+        # the strongly connected component of s among the vertices from s on
+        later = set(g.vertices[index[s]:]).__contains__
+        component = _reach(g, (s,), keep=later) & _reach(g, (s,), backwards=True, keep=later)
+        blocked, b_lists, path = set(), {v: set() for v in component}, []
+
+        def unblock(u):
+            blocked.discard(u)
+            while b_lists[u]:
+                w = b_lists[u].pop()
+                if w in blocked:
+                    unblock(w)
+
+        def circuit(v):
+            nonlocal pushes
+            pushes += 1
+            blocked.add(v)
+            closed = False
+            for e in g._out[v]:
+                if e.dst == s:
+                    found.append((s, (*path, e.name)))
+                    marks.append(pushes)
+                    closed = True
+                elif e.dst in component and e.dst not in blocked:
+                    path.append(e.name)
+                    closed |= circuit(e.dst)
+                    path.pop()
+            if closed:
+                unblock(v)
+            else:
+                for e in g._out[v]:
+                    if e.dst in component:
+                        b_lists[e.dst].add(v)
+            return closed
+
+        circuit(s)
+    return _sorted_with_gaps(g, found, marks, pushes)
+
+
 def toeplitz_oracle(g):
     """E(n, F) shape read off the cycle list: one cycle, a loop, with no other
     edge into its vertex and at least one connector out of it."""
@@ -287,7 +387,7 @@ def reference_laurent_quotient(x):
     """The Laurent image as the quotient morphism onto E/F0 gives it: the
     image normalised in the one-loop graph, its terms summed by degree."""
     F0 = L.recognize_toeplitz(x.graph).subgraph.vertices
-    image = L.LaurentPoly.zero(x.field)
+    image = L.LaurentPoly({}, x.field)
     for m, c in L.quotient_morphism(x, F0).terms.items():
         image = image + L.LaurentPoly({m.degree: c}, x.field)
     return image
@@ -454,8 +554,8 @@ def dense_group_inverse(rows, field):
 # All-rows reference Matrix: the storage that the nonzero-row Matrix
 # replaced, one dict per row in a tuple, every result rebuilt through
 # from_row_dicts. Verbatim but for its name and imports, and for the methods
-# no test calls any more, which are dropped: zero, from_int_rows,
-# __getitem__, __sub__, __neg__, scale and __hash__.
+# no test calls any more, which are dropped: zero, the integer-rows
+# constructor, __getitem__, __sub__, __neg__, scale and __hash__.
 
 
 class ReferenceMatrix:
@@ -1106,9 +1206,9 @@ class _ReferenceParser:
                 kind, den = self.take()
                 if kind != "int" or den == 0:
                     raise L.ExpressionSyntaxError("expected positive integer denominator")
-                coeff = self.field.from_fraction(numerator, den)
+                coeff = self.field.scalar(numerator, den)
             else:
-                coeff = self.field.from_int(numerator)
+                coeff = self.field.scalar(numerator)
             if self.peek() == ("sym", "*"):
                 self.pos += 1
             elif numerator == 0 and not coeff:
@@ -1209,16 +1309,16 @@ class OnePassScanParser:
         sign = -1 if negative else 1
         m = _SCAN_SCALAR.match(text, self.pos)
         if not m:
-            coeff = field.from_int(sign)
+            coeff = field.scalar(sign)
         else:
             numerator, slash, den, star = m.groups()
             numerator = sign * int(numerator)
             if slash:
                 if not den or not int(den):
                     raise ExpressionSyntaxError("expected positive integer denominator")
-                coeff = field.from_fraction(numerator, int(den))
+                coeff = field.scalar(numerator, int(den))
             else:
-                coeff = field.from_int(numerator)
+                coeff = field.scalar(numerator)
             self.pos = m.end()
             if not star:
                 if numerator == 0 and not coeff:
@@ -1506,7 +1606,7 @@ def parent_format_element(x):
         mag = -c if negative else c
         body = (
             parent_format_monomial(m) if mag == one
-            else f"{field.format(mag)}*{parent_format_monomial(m)}"
+            else f"{mag}*{parent_format_monomial(m)}"
         )
         sign = ("- " if out else "-") if negative else ("+ " if out else "")
         out.append(sign + body)
@@ -1518,7 +1618,6 @@ def item_sorting_format_element(x):
     coefficient) items and builds both edge-index tuples of every term."""
     if x.is_zero():
         return "0"
-    field = x.field
     vindex, eindex = x.graph._vindex, x.graph._eindex.__getitem__
 
     def basis_order(item):  # Monomial.sort_key, flattened
@@ -1527,7 +1626,7 @@ def item_sorting_format_element(x):
 
     out = []
     for k, c in sorted(scalar_items(x), key=basis_order):
-        text = field.format(c)  # a sign only over QQ
+        text = str(c)  # a sign only over QQ
         mag = text.removeprefix("-")
         body = _spell(k) if mag == "1" else f"{mag}*{_spell(k)}"
         sign = ("- " if out else "-") if mag != text else ("+ " if out else "")
@@ -1620,7 +1719,7 @@ def adjacency_path_counts(g, sources, backwards=False, keep=None, up_to=6):
             else:
                 for row in rows:
                     row[index[w]] = 0
-    A = Matrix([[L.QQ.from_int(x) for x in r] for r in rows])
+    A = Matrix([[L.QQ.scalar(x) for x in r] for r in rows])
     power, levels = Matrix.identity(len(index)), []
     ends = [index[s] for s in set(sources)]
     for _ in range(up_to + 1):
@@ -2469,9 +2568,9 @@ class ScalarElement:
                     raw.append(((source, p, s_source, s + q[j:]), n * m))
         d, flat = d_left * d_right, stack_normal_form(self.graph, raw)
         # the integer sums become scalars in place; over F_p some vanish
-        from_fraction, vanished = self.field.from_fraction, []
+        scalar, vanished = self.field.scalar, []
         for k, n in flat.items():
-            flat[k] = c = from_fraction(n, d)
+            flat[k] = c = scalar(n, d)
             if not c:
                 vanished.append(k)
         for k in vanished:
@@ -2518,7 +2617,7 @@ def scalar_format_element(x):
     flat = x._flat
     if not flat:
         return "0"
-    field, vindex, eindex = x.field, x.graph._vindex, x.graph._eindex.__getitem__
+    vindex, eindex = x.graph._vindex, x.graph._eindex.__getitem__
     ranks = {}  # each distinct edge tuple's edge indices, built once per call
 
     def basis_order(key):  # Monomial.sort_key, flattened
@@ -2532,7 +2631,7 @@ def scalar_format_element(x):
 
     out = []
     for k in sorted(flat, key=basis_order):
-        text = field.format(flat[k])  # a sign only over QQ
+        text = str(flat[k])  # a sign only over QQ
         mag = text.removeprefix("-")
         body = _spell(k) if mag == "1" else f"{mag}*{_spell(k)}"
         sign = ("- " if out else "-") if mag != text else ("+ " if out else "")

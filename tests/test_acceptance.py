@@ -207,7 +207,7 @@ def test_criterion_09_rewriting_and_ck_identities():
                 g,
                 L.QQ,
                 [
-                    (Monomial(p, Path.trivial(g, p.range)), L.QQ.from_int(c))
+                    (Monomial(p, Path.trivial(g, p.range)), L.QQ.scalar(c))
                     for p, c in zip(chosen, coeffs)
                 ],
             )
@@ -217,7 +217,7 @@ def test_criterion_09_rewriting_and_ck_identities():
 
 def _random_invertible(rng, n):
     while True:
-        m = Matrix([[L.QQ.from_int(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
+        m = Matrix([[L.QQ.scalar(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
         if len(m.rref()[1]) == n:
             return m
 
@@ -256,7 +256,7 @@ def test_criterion_10_group_inverses():
         for idx, n in enumerate((2, 3)):
             if idx == which:
                 rows = [[0, 1], [0, 0]] if n == 2 else [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
-                core = Matrix([[L.QQ.from_int(x) for x in r] for r in rows])
+                core = Matrix([[L.QQ.scalar(x) for x in r] for r in rows])
             else:
                 core = Matrix.identity(n)
             blocks.append(_conjugated(rng, core))

@@ -206,7 +206,7 @@ def test_distinct_paths_linearly_independent():
                 g,
                 L.QQ,
                 [
-                    (Monomial(p, Path.trivial(g, p.range)), L.QQ.from_int(c))
+                    (Monomial(p, Path.trivial(g, p.range)), L.QQ.scalar(c))
                     for p, c in zip(chosen, coeffs)
                 ],
             )
@@ -259,7 +259,7 @@ def test_single_exit_run_cut_matches_one_edge_rewriting():
         max_len = 24 if g.name == "line24" else 5
         for field in (L.QQ, L.GF(7)):
             for _ in range(6):
-                terms = [(m, field.from_int(c)) for m, c in long_raw_terms(g, rng, max_len, 5)]
+                terms = [(m, field.scalar(c)) for m, c in long_raw_terms(g, rng, max_len, 5)]
                 expected = one_edge_normalize_terms(terms)
                 assert Element(g, field, terms).terms == expected, g.name
                 assert random_order_normal_form(g, terms, rng) == expected, g.name
@@ -340,7 +340,7 @@ def test_normal_form_idempotent_and_equality():
 def _element_strategy(g, pool):
     term = st.tuples(st.sampled_from(pool), st.integers(min_value=-3, max_value=3))
     return st.lists(term, min_size=0, max_size=4).map(
-        lambda pairs: Element(g, L.QQ, [(m, L.QQ.from_int(c)) for m, c in pairs])
+        lambda pairs: Element(g, L.QQ, [(m, L.QQ.scalar(c)) for m, c in pairs])
     )
 
 

@@ -66,7 +66,7 @@ def test_round_trip_over_prime_field(toeplitz):
 
 def test_division_scalar(toeplitz):
     x = L.parse_element(toeplitz, "1/3*v")
-    assert x.coefficient(list(x.terms)[0]) == L.QQ.from_fraction(1, 3)
+    assert x.coefficient(list(x.terms)[0]) == L.QQ.scalar(1, 3)
     f5 = L.GF(5)
     y = L.parse_element(toeplitz, "1/3*v", f5)  # 3^-1 = 2 mod 5
     assert L.format_element(y) == "2*v"

@@ -48,11 +48,12 @@ def test_large_moduli_are_decided_quickly():
 
 
 def test_a_denominator_divisible_by_p_is_a_precondition_error():
+    """scalar(n, d) reads n/d over F_p, and refuses a d that p divides."""
     f7 = L.GF(7)
-    assert f7.from_fraction(3, 2) == f7.from_int(5)
+    assert f7.scalar(3, 2) == f7.scalar(5) and f7.scalar(1, 2) == f7.scalar(4)
     for den in (7, 14, -21):
         with pytest.raises(L.PreconditionError, match=f"denominator {den} is zero in F_7"):
-            f7.from_fraction(1, den)
+            f7.scalar(1, den)
 
 
 def test_prime_field_elements_equal_their_residues_and_equal_fields_hash_alike():
@@ -74,10 +75,10 @@ def test_prime_field_operators_are_residue_arithmetic():
         return x.residue
 
     ints = list(range(-9, 10)) + [True]
-    for a in map(f7.from_int, range(7)):
+    for a in map(f7.scalar, range(7)):
         r = a.residue
         assert residue(-a) == -r % 7
-        for b in map(f7.from_int, range(7)):
+        for b in map(f7.scalar, range(7)):
             s = b.residue
             assert residue(a + b) == (r + s) % 7
             assert residue(a - b) == (r - s) % 7

@@ -40,7 +40,7 @@ def graphs(rng):
 
 
 def scalars(field):
-    return [field.from_fraction(n, d) for n, d in SCALARS if field == L.QQ or d % 7]
+    return [field.scalar(n, d) for n, d in SCALARS if field == L.QQ or d % 7]
 
 
 def raw_terms(rng, pool, field, size=5):

@@ -22,12 +22,16 @@ from leavitt.graph import strongly_connected_components, vertex_on_a_cycle
 
 from conftest import (
     closure_oracle,
+    complete_digraph,
     components_oracle,
     corpus_graphs,
     count_vertex_checks,
+    counting_cycles,
     cycles_oracle,
     deep_graphs,
+    diamond_return,
     hereditary_oracle,
+    johnson_cycles,
     line_points_oracle,
     ParentVertexSet,
     parent_bifurcations,
@@ -278,6 +282,31 @@ def test_cycle_facts_match_oracles_on_random_graphs():
         X = frozenset(v for v in g.vertices if rng.random() < 0.5)
         for S in (X, L.tree_of_set(g, X).members):
             assert L.is_hereditary(g, S) == hereditary_oracle(g, S)
+
+
+def test_cycles_match_johnsons_search_with_blocking():
+    """cycles() lists the cycles of Johnson's search with the blocked set and
+    the B-lists, in the same sorted order, as does the counting copy of its
+    own search: on random graphs, the corpus, complete digraphs with loops
+    K_1..K_7 (2,372 cycles) and ladders (acyclic)."""
+    rng = seeded("johnson-cycles")
+    graphs = [random_graph(rng) for _ in range(150)] + corpus_graphs()
+    graphs += [complete_digraph(n) for n in range(1, 8)] + [L.ladder_graph(n) for n in (1, 2, 4, 8)]
+    for g in graphs:
+        listed = [(c.path.source, c.edges) for c in L.cycles(g)]
+        assert johnson_cycles(g)[0] == counting_cycles(g)[0] == listed
+
+
+def test_blocking_bounds_the_pushes_between_two_cycles_where_the_listing_does_not():
+    """On diamond_return(k) the search of cycles() pushes 2^(k+2) + 2k - 1
+    vertices between two closed cycles, and Johnson's search 5k + 3: counts,
+    so the growth classes are checked exactly."""
+    for k in range(1, 9):
+        g = diamond_return(k)
+        (found, gaps), (listed, johnson_gaps) = counting_cycles(g), johnson_cycles(g)
+        assert found == listed == [(c.path.source, c.edges) for c in L.cycles(g)]
+        assert len(listed) == 2**k + 1
+        assert max(gaps) == 2 ** (k + 2) + 2 * k - 1 and max(johnson_gaps) == 5 * k + 3
 
 
 def test_cycle_has_exit_rejects_foreign_cycle(toeplitz, r1):

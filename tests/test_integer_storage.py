@@ -44,11 +44,6 @@ SCALARS = [
 ]
 
 
-def scalar_of(field, n, d):
-    """n/d as the field's scalar, as the scalar-storing elements stored it."""
-    return field.from_fraction(n, d)
-
-
 def options(field):
     return [(n, d) for n, d in SCALARS if field == L.QQ or d % 7]
 
@@ -59,13 +54,13 @@ def coefficient(rng, field):
     kind = rng.randrange(3)
     if kind == 0 and d == 1:
         return n
-    return Fraction(n, d) if kind < 2 else scalar_of(field, n, d)
+    return Fraction(n, d) if kind < 2 else field.scalar(n, d)
 
 
 def pair(g, field, terms):
     """The Element of (Monomial, scalar) terms, and its ScalarElement built by
     the scalar-storing kernel from the same terms as field scalars."""
-    old = [(_key(m), scalar_of(field, *field_pair(c))) for m, c in terms]
+    old = [(_key(m), field.scalar(*field_pair(c))) for m, c in terms]
     return Element(g, field, terms), ScalarElement._from_raw(g, field, old)
 
 
@@ -105,7 +100,7 @@ def test_arithmetic_matches_the_scalar_storing_elements(field):
         pool = raw_monomials(g)
         (x, ox), (y, oy) = (pair(g, field, random_terms(rng, pool, field)) for _ in "xy")
         c = coefficient(rng, field)
-        oc = scalar_of(field, *field_pair(c))
+        oc = field.scalar(*field_pair(c))
         cases = [
             (x, ox), (y, oy), (x * y, ox * oy), (x * y.star(), ox * oy.star()),
             (y.star() * x, oy.star() * ox), (x.star(), ox.star()), (x + y, ox + oy),
@@ -142,12 +137,12 @@ def test_scale_coerces_its_scalar_through_the_field():
     x = L.parse_element(g, "e + 2*f", F7)
     assert L.format_element(x.scale(7)) == "0" and x.scale(7).is_zero()
     assert x.scale(7) == Element.zero(g, F7)
-    assert x.scale(Fraction(1, 2)) == x.scale(4) == x.scale(F7.from_int(4))
+    assert x.scale(Fraction(1, 2)) == x.scale(4) == x.scale(F7.scalar(4))
     assert L.format_element(x.scale(Fraction(1, 2))) == "4*e + f"
     with pytest.raises(L.PreconditionError, match=r"denominator 7 is zero in F_7"):
         x.scale(Fraction(1, 7))
     with pytest.raises(L.LeavittError):
-        x.scale(L.GF(5).from_int(2))
+        x.scale(L.GF(5).scalar(2))
     with pytest.raises(L.LeavittError):
         L.parse_element(g, "e").scale(F7.one())
     q = L.parse_element(g, "1/2*e + 3*f")
@@ -159,7 +154,7 @@ def test_the_constructor_stores_exact_scalars_of_its_field():
     g = L.toeplitz_graph()
     v = Monomial(Path.trivial(g, "v"), Path.trivial(g, "v"))
     e = Monomial(Path(g, "v", ("e",)), Path.trivial(g, "v"))
-    x = Element(g, F7, [(v, 9), (e, Fraction(1, 2)), (e, F7.from_int(3))])
+    x = Element(g, F7, [(v, 9), (e, Fraction(1, 2)), (e, F7.scalar(3))])
     assert L.format_element(x) == "2*v" and x == L.parse_element(g, "2*v", F7)
     assert Element(g, F7, [(v, 7)]).is_zero()
     q = Element(g, L.QQ, [(v, 2), (e, Fraction(4, 6)), (e, Fraction(-1, 6))])
@@ -170,6 +165,20 @@ def test_the_constructor_stores_exact_scalars_of_its_field():
             Element(g, L.QQ, [(v, bad)])
     with pytest.raises(L.PreconditionError, match=r"denominator 14 is zero in F_7"):
         Element(g, F7, [(v, Fraction(1, 14))])
+
+
+@pytest.mark.parametrize("p", [7, MERSENNE], ids=["f7", "mersenne61"])
+def test_prime_field_canonical_reduces_in_place(p):
+    """canonical reduces the dict it is given, keeping the order and the
+    items of the comprehension it replaced: the nonzero residues."""
+    field, rng = L.GF(p), seeded(f"integer-storage-canonical-{p}")
+    for _ in range(200):
+        size = rng.randint(0, 12)
+        flat = {k: rng.choice([0, p, -p, 1, -1, 3 * p + 2, rng.randint(-BIG, BIG)]) for k in range(size)}
+        expected = {k: r for k, n in flat.items() if (r := n % p)}
+        got, den = field.canonical(flat, 1)
+        assert got is flat and den == 1
+        assert list(got.items()) == list(expected.items())
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["qq", "f7"])

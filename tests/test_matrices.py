@@ -21,7 +21,7 @@ from conftest import (
 
 
 def M(rows):
-    return Matrix([[L.QQ.from_int(x) for x in r] for r in rows])
+    return Matrix([[L.QQ.scalar(x) for x in r] for r in rows])
 
 
 def rank(m):
@@ -152,7 +152,7 @@ def test_block_matrix_ops():
 
 def test_prime_field_matrices():
     f5 = L.GF(5)
-    m = Matrix([[f5.from_int(2), f5.from_int(1)], [f5.from_int(0), f5.from_int(3)]], f5)
+    m = Matrix([[f5.scalar(2), f5.scalar(1)], [f5.scalar(0), f5.scalar(3)]], f5)
     inv = m.inverse()
     assert m * inv == Matrix.identity(2, f5)
 
@@ -165,7 +165,7 @@ FIELDS = [L.QQ, L.GF(5), L.GF(10007)]
 def random_rows(rng, nrows, ncols, density, field):
     return [
         [
-            field.from_int(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]))
+            field.scalar(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]))
             if rng.random() < density
             else field.zero()
             for _ in range(ncols)
@@ -183,7 +183,7 @@ def sample_rows(rng, kind, n, density, field):
             perm = rng.sample(range(n), n)
             rows = random_rows(rng, n, n, density / 2, field)
             for i, j in enumerate(perm):
-                rows[i][j] = field.from_int(rng.choice([1, 2, 3, -1]))
+                rows[i][j] = field.scalar(rng.choice([1, 2, 3, -1]))
             if len(dense_rref(rows, n, field)[1]) == n:
                 return rows
     if kind == "deficient":
@@ -277,7 +277,7 @@ def support_sample(rng, kind, n, field):
     full support, support in a few rows or a few columns, an invertible
     block on scattered indices, or scattered nonzeros."""
     def scalar():
-        return field.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+        return field.scalar(rng.choice([-3, -2, -1, 1, 2, 3]))
 
     rows = [{} for _ in range(n)]
     if kind == "identity":
@@ -404,7 +404,7 @@ def sparse_sample(rng, nrows, ncols, field):
     rows = [{} for _ in range(nrows)]
     for _ in range(rng.randint(0, 2 * max(nrows, ncols))):
         if ncols:
-            rows[rng.randrange(nrows)][rng.randrange(ncols)] = field.from_int(rng.randint(-2, 2))
+            rows[rng.randrange(nrows)][rng.randrange(ncols)] = field.scalar(rng.randint(-2, 2))
     return rows
 
 

@@ -133,7 +133,7 @@ def _cancelling_pair(g, rng, field):
     p, q = rng.choice(into), rng.choice(into)
     e = rng.choice(g.out_edges(v)[:-1]).name
     pe, qe = p.append(e), q.append(e)
-    c = field.from_int(rng.choice([1, 2, -3]))
+    c = field.scalar(rng.choice([1, 2, -3]))
     return Element(g, field, [(Monomial(p, q), c), (Monomial(pe, qe), -c)]), pe, qe
 
 
@@ -212,7 +212,7 @@ def _diagonal_sum(g, rng, field):
     coeffs = [rng.choice([1, -1, 2, 3]) for _ in offsets]
     k = rng.randrange(1, len(offsets) - 1)
     coeffs[k] = -sum(coeffs[:k])
-    raw = [(_loop_monomial(g, a + t, b + t), field.from_int(c)) for t, c in zip(offsets, coeffs)]
+    raw = [(_loop_monomial(g, a + t, b + t), field.scalar(c)) for t, c in zip(offsets, coeffs)]
     return Element(g, field, raw), a - b, b + offsets[k] + 1
 
 
@@ -220,7 +220,7 @@ def test_window_cells_add_to_the_runs_they_lie_on():
     g = loop_designated_toeplitz()
     d = L.recognize_toeplitz(g)
     assert d.is_canonical
-    two, ff = L.QQ.from_int(2), Monomial(Path(g, "v", ("f",)), Path(g, "v", ("f",)))
+    two, ff = L.QQ.scalar(2), Monomial(Path(g, "v", ("f",)), Path(g, "v", ("f",)))
     x = Element.vertex(g, "v") + Element.from_monomial(ff)
     assert ff in x.terms and toeplitz._window_rows(x, d, 4) == {1: {1: two}, 2: {2: 1}, 3: {3: 1}}
     window = L.rcfm_representation(x, 4)

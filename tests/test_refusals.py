@@ -11,7 +11,7 @@ import pytest
 import leavitt as L
 from leavitt.cli import main
 
-from conftest import A2_DSL, TOEPLITZ_DSL, rose_feeding_sink
+from conftest import A2_DSL, TOEPLITZ_DSL, complete_digraph, rose_feeding_sink
 
 
 def _graph(vertices, edges):
@@ -39,7 +39,7 @@ def _rose_cycle():
 
 
 def _dense(rows):
-    return L.Matrix([[L.QQ.from_int(x) for x in r] for r in rows])
+    return L.Matrix([[L.QQ.scalar(x) for x in r] for r in rows])
 
 
 def _vertex_times(coefficient, field):
@@ -75,9 +75,7 @@ def _complete_digraph_cycles(n):
     """K_n with loops, an edge from each vertex to each: K_10 has 1,112,083
     cycles, and the listing is refused once it would hold one more than the
     bound, by the analyzer and by the CLI's full report."""
-    vs = [f"v{i}" for i in range(n)]
-    edges = [(f"e{i}_{j}", a, b) for i, a in enumerate(vs) for j, b in enumerate(vs)]
-    g = L.Graph(f"K{n}", vs, edges)
+    g = complete_digraph(n)
     return (
         lambda: L.cycles(g), L.LimitExceeded, "cycles exceed the bound 131072",
         (g.to_dsl(), ["analyze", "{file}"]),

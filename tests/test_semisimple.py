@@ -193,7 +193,7 @@ def test_matrix_units(a2):
     }
     for text, rows in images.items():
         got = L.to_matrix(E(a2, text), d)
-        assert got.blocks[0] == L.Matrix([[L.QQ.from_int(x) for x in r] for r in rows])
+        assert got.blocks[0] == L.Matrix([[L.QQ.scalar(x) for x in r] for r in rows])
 
 
 def test_to_matrix_vertex_is_diagonal_idempotent(line3):
@@ -338,7 +338,7 @@ def parent_find_fg_witness(q, membership, basis=None):
     for coeffs in product((-1, 0, 1), repeat=len(basis)):
         if not any(coeffs):
             continue
-        raw = [(m, field.from_int(c)) for m, c in zip(basis, coeffs) if c]
+        raw = [(m, field.scalar(c)) for m, c in zip(basis, coeffs) if c]
         pool.append(Element(q.graph, field, raw))
     members = [(x, L.to_matrix(x, d)) for x in pool if membership(x)]
     qm = L.to_matrix(q, d)

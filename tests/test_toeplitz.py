@@ -155,16 +155,16 @@ def test_the_decomposition_and_the_window_are_named_tuples():
 
 def test_laurent_quotient_examples():
     g = L.toeplitz_graph()
-    assert L.laurent_quotient(E(g, "e")) == LaurentPoly.monomial(1)
-    assert L.laurent_quotient(E(g, "e*e*(e*e)'")) == LaurentPoly.monomial(0)
+    assert L.laurent_quotient(E(g, "e")) == LaurentPoly({1: L.QQ.one()})
+    assert L.laurent_quotient(E(g, "e*e*(e*e)'")) == LaurentPoly({0: L.QQ.one()})
     assert L.laurent_quotient(E(g, "f*f'")).is_zero()
-    assert L.laurent_quotient(E(g, "e'")) == LaurentPoly.monomial(-1)
-    assert L.laurent_quotient(E(g, "v")) == LaurentPoly.monomial(0)
+    assert L.laurent_quotient(E(g, "e'")) == LaurentPoly({-1: L.QQ.one()})
+    assert L.laurent_quotient(E(g, "v")) == LaurentPoly({0: L.QQ.one()})
 
 
 def test_laurent_polynomials_print_their_terms_and_zero_as_0():
-    assert str(LaurentPoly.zero()) == "0" and repr(LaurentPoly.zero()) == "LaurentPoly(0)"
-    p = LaurentPoly({-1: L.QQ.from_int(2), 2: L.QQ.one()})
+    assert str(LaurentPoly({})) == "0" and repr(LaurentPoly({})) == "LaurentPoly(0)"
+    p = LaurentPoly({-1: L.QQ.scalar(2), 2: L.QQ.one()})
     assert repr(p) == "LaurentPoly(2*x^-1 + x^2)"
 
 
@@ -230,7 +230,7 @@ def test_surjectivity_check_can_fail(monkeypatch):
     def two_terms(x, d):
         image = laurent(x, d)
         if any(k < 0 for k in image.coeffs):
-            return image + LaurentPoly.monomial(0, x.field)
+            return image + LaurentPoly({0: x.field.one()}, x.field)
         return image
 
     monkeypatch.setattr(toeplitz, "_laurent_image", two_terms)
@@ -241,11 +241,10 @@ def test_surjectivity_check_can_fail(monkeypatch):
 
 
 def test_laurent_poly_arithmetic():
-    p = LaurentPoly({1: L.QQ.from_int(2), -1: L.QQ.one()})
+    p = LaurentPoly({1: L.QQ.scalar(2), -1: L.QQ.one()})
     q = LaurentPoly({1: L.QQ.one()})
-    assert (p * q).coeffs == {2: L.QQ.from_int(2), 0: L.QQ.one()}
-    assert (p - p).is_zero()
-    assert str(LaurentPoly({-1: L.QQ.from_int(2), 0: L.QQ.from_int(3)})) == "2*x^-1 + 3"
+    assert (p * q).coeffs == {2: L.QQ.scalar(2), 0: L.QQ.one()}
+    assert str(LaurentPoly({-1: L.QQ.scalar(2), 0: L.QQ.scalar(3)})) == "2*x^-1 + 3"
 
 
 def test_exact_sequence_report():
@@ -461,13 +460,13 @@ def test_sandwich_report_lists_wrong_units_like_the_matrix_check(monkeypatch, fi
     reference window of socle_module_element's elements shows as wrong."""
     units = toeplitz._units
 
-    def wrong(g, d, field, one, rows, columns):
+    def wrong(g, d, field, rows, columns):
         """A unit shifted one column, twice a unit, or zero, on every
         third (i, j) each; the right unit elsewhere."""
-        for i, j, x in units(g, d, field, one, rows, columns):
+        for i, j, x in units(g, d, field, rows, columns):
             k = (i * 5 + j) % 9
             if k == 0:
-                ((_, _, x),) = units(g, d, field, one, (i,), (j + 1,))
+                ((_, _, x),) = units(g, d, field, (i,), (j + 1,))
             yield i, j, x + x if k == 3 else x - x if k == 6 else x
 
     monkeypatch.setattr(toeplitz, "_units", wrong)
@@ -629,7 +628,7 @@ def _on_one_diagonal(g, rng, field, by_diagonal):
     coeffs = [rng.choice([1, -1, 2, 3]) for _ in picks]
     if rng.random() < 0.5:
         coeffs[-1] = -sum(coeffs[:-1])
-    return Element(g, field, [(m, field.from_int(c)) for m, c in zip(picks, coeffs)])
+    return Element(g, field, [(m, field.scalar(c)) for m, c in zip(picks, coeffs)])
 
 
 @pytest.mark.parametrize("field", [L.QQ, L.GF(7)], ids=["qq", "f7"])

@@ -7,9 +7,11 @@ times the measured call with ``time.perf_counter`` and reads the growth of
 ``ru_maxrss`` over it, then makes the call once more under ``tracemalloc``
 for the peak of the memory it allocates. In every round both sides run each
 point, and the side that runs first alternates from round to round. Every
-round is kept; ``best`` is the least value over the rounds, and
+round is kept; ``best`` is the least value over the rounds,
 ``per_doubling`` the ratio of the best values of neighbouring sizes (about 2
-for a linear cost, 4 for a quadratic one, whatever the machine).
+for a linear cost, 4 for a quadratic one, whatever the machine), and
+``slope`` the log-log slope between them: the log of that ratio over the log
+of the ratio of the sizes (about 1 for a linear cost, 2 for a quadratic one).
 
 The output is one JSON object on stdout, in the ``sweeps`` format of
 BENCH_12.json: ``command``, ``inputs``, then one entry per sweep with a
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import resource
 import subprocess
@@ -64,6 +67,23 @@ def _products(field):
     return make
 
 
+def _decompose_line(L, n):
+    """The decomposition of a fresh line_graph(n) per call, built beforehand,
+    so neither the memo of an earlier call nor the graph is measured: one for
+    the timed call and one for the traced one. The block sizes are the output."""
+    graphs = [L.line_graph(n), L.line_graph(n)]
+    return lambda: L.matrix_decomposition(graphs.pop()).sizes
+
+
+def _roundtrip_line(L, n):
+    """x = 3*x(n/2) + x(n/2 + 1) on line_graph(n), decomposed beforehand:
+    to_matrix, the group inverse, from_matrix and the printed element."""
+    g = L.line_graph(n)
+    d = L.matrix_decomposition(g)
+    x = L.parse_element(g, f"3*x{n // 2} + x{n // 2 + 1}")
+    return lambda: L.format_element(L.from_matrix(L.to_matrix(x, d).group_inverse(), d))
+
+
 SWEEPS = {
     "sandwich": Sweep(
         "sandwich_report(toeplitz_graph(), 4, N), one call",
@@ -84,8 +104,18 @@ SWEEPS = {
         "the products_qq product over F_p, p = 2^31 - 1, the time per output term",
         (1, 2, 4, 8, 16), "us", lambda n: 505 * n * n, _products("fp"),
     ),
+    "decompose_line": Sweep(
+        "matrix_decomposition(line_graph(N)) on a fresh graph per call: one block of "
+        "N sink paths of lengths 0..N - 1, one call",
+        (512, 1024, 2048, 4096), "s", lambda n: 1, _decompose_line,
+    ),
+    "roundtrip_line": Sweep(
+        "format_element(from_matrix(to_matrix(x, d).group_inverse(), d)) for "
+        "x = 3*x(N/2) + x(N/2 + 1) on line_graph(N), d its decomposition, one call",
+        (512, 1024, 2048, 4096), "ms", lambda n: 1, _roundtrip_line,
+    ),
 }
-SCALE = {"s": 1.0, "us": 1e6}
+SCALE = {"s": 1.0, "ms": 1e3, "us": 1e6}
 
 
 def child(tree, name, n):
@@ -133,9 +163,11 @@ def side_summary(unit, sizes, runs):
     best = {key: min(v for v in values if v is not None) if ok else None
             for key, values in rounds.items()}
     values = [best[f"N{n}"] for n in sizes]
+    ratios = list(zip(values, values[1:], sizes, sizes[1:]))
     return {
         f"best_{unit}": best,
-        "per_doubling": [b / a for a, b in zip(values, values[1:])] if ok else None,
+        "per_doubling": [b / a for a, b, _, _ in ratios] if ok else None,
+        "slope": [math.log(b / a) / math.log(m / n) for a, b, n, m in ratios] if ok else None,
         "rss_delta_mb_max": {f"N{n}": max(r.get("rss_delta_mb", 0) for r in runs[n]) for n in sizes},
         "tracemalloc_peak_mb": {
             f"N{n}": max(r.get("tracemalloc_peak_mb", 0) for r in runs[n]) for n in sizes
