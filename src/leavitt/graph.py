@@ -542,36 +542,55 @@ def cycles(g):
     """All cycles, one representative per rotation class, for the report.
 
     A representative starts at its least vertex s in declaration order (its
-    canonical rotation). An iterative depth-first search from s closes a
-    cycle on each edge back to s. It takes Johnson's (1975) start order,
-    entering only vertices declared after s that reach s through such
-    vertices, but keeps no blocked set, so it claims no bound on the time
-    between two cycles. Their number can grow exponentially: the listing is
-    refused when it would close cycle MAX_CYCLES + 1, before sorting, which
-    bounds memory and output, not time. The representatives are sorted by
-    edge indices; no other analyzer enumerates them.
+    canonical rotation); only a vertex on a cycle starts a search. An
+    iterative depth-first search from s closes a cycle on each edge back to
+    s. It takes Johnson's (1975) start order, entering only vertices
+    declared after s that reach s through such vertices, and his blocking:
+    a vertex whose search closed no cycle waits until one it leads to
+    closes one, so between two cycles the search walks the graph about
+    once. Their number can grow exponentially: the listing is refused when
+    it would close cycle MAX_CYCLES + 1, before sorting. The
+    representatives are sorted by edge indices; no other analyzer
+    enumerates them.
     """
     index = g._vindex
     found = []
-    for start in g.vertices:
+    for start in filter(vertex_on_a_cycle(g).__contains__, g.vertices):
         first = index[start]
         # vertices the path may enter: declared after start, reaching start
-        # through such vertices, and not on the path yet
+        # through such vertices, not on the path and not blocked
         free = _reach(g, (start,), backwards=True, keep=lambda w: index[w] > first)
-        stack = [(start, None, iter(g._out[start]))]
+        waiting = {}  # Johnson's B-lists: vertex -> blocked vertices it frees
+        path, stack = [], [[start, iter(g._out[start]), False]]  # frame: vertex, edges, closed
         while stack:
-            for e in stack[-1][2]:
-                if e.dst == start:
+            for name, _, dst in stack[-1][1]:
+                if dst == start:
                     if len(found) == MAX_CYCLES:
                         raise LimitExceeded(f"cycles exceed the bound {MAX_CYCLES}")
-                    edges = tuple(frame[1] for frame in stack[1:]) + (e.name,)
-                    found.append((start, edges))  # a refused listing builds no Cycle
-                elif e.dst in free:
-                    free.remove(e.dst)
-                    stack.append((e.dst, e.name, iter(g._out[e.dst])))
+                    found.append((start, (*path, name)))  # a refused listing builds no Cycle
+                    stack[-1][2] = True
+                elif dst in free:
+                    free.remove(dst)
+                    path.append(name)
+                    stack.append([dst, iter(g._out[dst]), False])
                     break
             else:
-                free.add(stack.pop()[0])
+                v, _, closed = stack.pop()
+                if stack:
+                    path.pop()
+                if closed:  # free v, then each blocked vertex waiting on a freed one
+                    free.add(v)
+                    release = waiting.pop(v, None)
+                    while release:
+                        u = release.pop()
+                        if u not in free:
+                            free.add(u)
+                            release.update(waiting.pop(u, ()))
+                    if stack:
+                        stack[-1][2] = True
+                else:
+                    for e in g._out[v]:
+                        waiting.setdefault(e.dst, set()).add(v)
     found.sort(key=lambda c: tuple(map(g._eindex.__getitem__, c[1])))
     return tuple(Cycle._trusted(Path._trusted(g, s, es, s)) for s, es in found)
 
@@ -700,17 +719,12 @@ def strongly_connected_components(g):
 
 
 def is_path_algebra_semiprime(g):
-    """Path-return criterion, decided at the edge level.
-
-    The path algebra is semiprime iff every path has a return path; by
-    composing returns it is enough that every edge has both endpoints in
-    one strongly connected component.
-    """
-    comp_of = {}
-    for i, comp in enumerate(strongly_connected_components(g)):
-        for v in comp:
-            comp_of[v] = i
-    return all(comp_of[e.src] == comp_of[e.dst] for e in g.edges)
+    """Path-return criterion: the path algebra is semiprime iff every path
+    has a return path, iff (composing returns) every edge lies inside one
+    strongly connected component. Those components refine the connected
+    ones, so that holds iff each connected component is strongly connected,
+    that is, iff there are as many of either."""
+    return len(strongly_connected_components(g)) == len(connected_components(g))
 
 
 def socle_is_essential(g):
@@ -719,6 +733,7 @@ def socle_is_essential(g):
     return len(_reach(g, line_points(g), backwards=True)) == len(g.vertices)
 
 
+@_graph_fact
 def connected_components(g):
     """Partition into undirected components, each an induced subgraph; the
     vertices ``_undirected_parents`` reaches from a vertex not yet labelled

@@ -29,7 +29,7 @@ from .expressions import format_element, format_monomial
 from .fields import QQ
 from .graph import Graph, _graph_fact, _names, is_acyclic, vertex_on_a_cycle
 from .matrices import Matrix, add_entry
-from .quotients import _quotient_image, socle_quotient
+from .quotients import in_socle
 
 # a window holds up to N entries, and the sandwich report checks (N - 1)^2
 # units; its part (a) needs N > 2d + 1, so no allowed window decides a
@@ -195,12 +195,12 @@ def exact_sequence_report(g, degree_bound, field=QQ):
         raise PreconditionError("graph does not match the Toeplitz pattern")
     if degree_bound > MAX_DEGREE:
         raise LimitExceeded(f"degree {degree_bound} exceeds the bound {MAX_DEGREE}")
-    monomials, socle = basis_monomials_up_to(g, degree_bound), socle_quotient(g)[1]
+    monomials = basis_monomials_up_to(g, degree_bound)
     mismatches, hit_exponents = [], set()
     for m in monomials:
         x = Element.from_monomial(m, field)
         image = _laurent_image(x, d)
-        if _quotient_image(x, socle).is_zero() != image.is_zero():
+        if in_socle(x) != image.is_zero():
             mismatches.append(format_monomial(m))
         if len(image.coeffs) == 1:
             hit_exponents.update(image.coeffs)
@@ -342,14 +342,14 @@ def sandwich_report(g, degree_bound, window, field=QQ):
     if degree_bound > MAX_DEGREE:
         raise LimitExceeded(f"degree {degree_bound} exceeds the bound {MAX_DEGREE}")
     d = _canonical(g)
-    monomials, socle = basis_monomials_up_to(g, degree_bound), socle_quotient(g)[1]
+    monomials = basis_monomials_up_to(g, degree_bound)
     socle_failures, finiteness_failures, unit_failures = [], [], []
     for m in monomials:
         x = Element.from_monomial(m, field)
         w = _matrix_window(x, d, window)
         if not (w.flags["row_finite_on_window"] and w.flags["col_finite_on_window"]):
             finiteness_failures.append(format_monomial(m))
-        if _quotient_image(x, socle).is_zero() and not w.flags["finitely_supported"]:
+        if in_socle(x) and not w.flags["finitely_supported"]:
             socle_failures.append(format_monomial(m))
     n = range(window - 1)
     for i, j, x in _units(g, d, field, n, n):

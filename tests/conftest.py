@@ -119,6 +119,21 @@ def deep_graphs(n=1100):
     return [Graph(f"cycle{n}", vertices, ring), Graph(f"looped{n}", vertices, looped)]
 
 
+def declared_both_ways(n):
+    """An n-vertex line and an n-cycle, each declared along its edges and
+    against them: x1 -> ... -> xn, the line from its sink (x(i+1) -> x(i)),
+    and the cycles x(i) -> x(i+1) -> ... -> x1 and x(i+1) -> x(i) -> ... -> xn."""
+    vertices = [f"x{i}" for i in range(1, n + 1)]
+    forward = [(f"a{i}", f"x{i}", f"x{i + 1}") for i in range(1, n)]
+    backward = [(f"a{i}", f"x{i + 1}", f"x{i}") for i in range(1, n)]
+    return [
+        Graph(f"line{n}", vertices, forward),
+        Graph(f"sinkline{n}", vertices, backward),
+        Graph(f"cycle{n}", vertices, forward + [("z", f"x{n}", "x1")]),
+        Graph(f"backcycle{n}", vertices, backward + [("z", "x1", f"x{n}")]),
+    ]
+
+
 def count_vertex_checks(monkeypatch):
     """(lookups, checks), filled as the code runs: the names that
     Graph.vertex_index looks up, and the size of each vertex set that

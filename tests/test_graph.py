@@ -28,6 +28,7 @@ from conftest import (
     count_vertex_checks,
     counting_cycles,
     cycles_oracle,
+    declared_both_ways,
     deep_graphs,
     diamond_return,
     hereditary_oracle,
@@ -286,15 +287,59 @@ def test_cycle_facts_match_oracles_on_random_graphs():
 
 def test_cycles_match_johnsons_search_with_blocking():
     """cycles() lists the cycles of Johnson's search with the blocked set and
-    the B-lists, in the same sorted order, as does the counting copy of its
-    own search: on random graphs, the corpus, complete digraphs with loops
-    K_1..K_7 (2,372 cycles) and ladders (acyclic)."""
+    the B-lists, in the same sorted order, as does the counting copy of the
+    search without blocking: on random graphs, the corpus, complete digraphs
+    with loops K_1..K_7 (2,372 cycles), ladders (acyclic), diamond_return(k)
+    (2^k + 1 cycles), and lines and cycles declared in both orders."""
     rng = seeded("johnson-cycles")
     graphs = [random_graph(rng) for _ in range(150)] + corpus_graphs()
     graphs += [complete_digraph(n) for n in range(1, 8)] + [L.ladder_graph(n) for n in (1, 2, 4, 8)]
+    graphs += [diamond_return(k) for k in range(1, 13)]
+    graphs += [g for n in (1, 2, 3, 50) for g in declared_both_ways(n)]
+    # from s, v -> y -> u -> v blocks u (waiting on v) and then y (waiting on
+    # u); v -> s frees v, so u and then y, and s -> y then closes s.y.u.v.s
+    graphs.append(L.parse_graph(
+        "graph chain\nvertex s\nvertex v\nvertex y\nvertex u\n"
+        "edge e1 s v\nedge e2 v y\nedge e3 v s\nedge e4 y u\nedge e5 u v\nedge e6 s y\n"
+    ))
     for g in graphs:
         listed = [(c.path.source, c.edges) for c in L.cycles(g)]
         assert johnson_cycles(g)[0] == counting_cycles(g)[0] == listed
+
+
+class _CountedReads(dict):
+    """A dict that counts the reads of its items."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_the_cycle_search_reads_the_adjacency_linearly(monkeypatch):
+    """cycles() reads each of g._out and g._in at most 2 (|E0| + |E1|) times
+    on lines declared from their sink, where no vertex is on a cycle (the
+    search without blocking read g._in n (n + 1) / 2 times), and on
+    diamond_return(k) with the bound at one cycle, refused at the second,
+    which the search without blocking closes after walking all 2^k paths
+    through the diamonds (2^(k + 2) + 2k + 1 reads of g._out)."""
+    def reads(g):
+        g._out, g._in = _CountedReads(g._out), _CountedReads(g._in)
+        try:
+            L.cycles(g)
+        except L.LimitExceeded:
+            pass
+        return g._out.reads, g._in.reads
+
+    for n in (256, 512, 1024, 2048):
+        assert reads(declared_both_ways(n)[1]) == (n, n)
+    monkeypatch.setattr(graph_module, "MAX_CYCLES", 1)
+    for k in range(4, 15):
+        g = diamond_return(k)
+        assert max(reads(g)) <= 2 * (len(g.vertices) + len(g.edges)), k
 
 
 def test_blocking_bounds_the_pushes_between_two_cycles_where_the_listing_does_not():
@@ -570,6 +615,32 @@ def test_semiprime_agrees_with_path_oracle_on_random_graphs():
     for _ in range(60):
         g = random_graph(rng)
         assert L.is_path_algebra_semiprime(g) == semiprime_oracle(g)
+
+
+def test_semiprime_agrees_with_path_oracle_across_several_components():
+    """The criterion counts components, so it is checked where there are
+    none (the empty graph) and where there are several: disjoint unions of
+    2 to 4 parts, each a random graph, a cycle or an isolated vertex, so
+    that both answers occur."""
+    empty = L.Graph("E", [], [])
+    assert L.is_path_algebra_semiprime(empty) and semiprime_oracle(empty)
+    rng = seeded("semiprime-components")
+    answers = set()
+    for _ in range(100):
+        vertices, edges = [], []
+        for i in range(rng.randint(2, 4)):
+            part = rng.choice([
+                random_graph(rng, 4, 6),
+                declared_both_ways(rng.randint(1, 3))[2],
+                L.Graph("point", ["v"], []),
+            ])
+            vertices += [f"p{i}{v}" for v in part.vertices]
+            edges += [(f"p{i}{e.name}", f"p{i}{e.src}", f"p{i}{e.dst}") for e in part.edges]
+        g = L.Graph("union", vertices, edges)
+        assert len(L.connected_components(g)) >= 2
+        answers.add(L.is_path_algebra_semiprime(g))
+        assert L.is_path_algebra_semiprime(g) == semiprime_oracle(g), g
+    assert answers == {False, True}
 
 
 # -- essential socle ------------------------------------------------------------

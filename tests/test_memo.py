@@ -46,6 +46,9 @@ ANALYZERS = {
     strongly_connected_components: strongly_connected_components,
     vertex_on_a_cycle: vertex_on_a_cycle,
     L.bifurcations: lambda g: L.bifurcations(g).ordered(),
+    L.connected_components: lambda g: [
+        (c.name, c.vertices, c.edges) for c in L.connected_components(g)
+    ],
     graph_module._designated_edges: graph_module._designated_edges,
     L.line_points: lambda g: L.line_points(g).ordered(),
     L.socle_quotient: _socle,

@@ -11,7 +11,7 @@ import pytest
 import leavitt as L
 from leavitt.cli import main
 
-from conftest import A2_DSL, TOEPLITZ_DSL, complete_digraph, rose_feeding_sink
+from conftest import A2_DSL, TOEPLITZ_DSL, complete_digraph, diamond_return, rose_feeding_sink
 
 
 def _graph(vertices, edges):
@@ -71,11 +71,12 @@ def _rose_product():
     )
 
 
-def _complete_digraph_cycles(n):
-    """K_n with loops, an edge from each vertex to each: K_10 has 1,112,083
-    cycles, and the listing is refused once it would hold one more than the
-    bound, by the analyzer and by the CLI's full report."""
-    g = complete_digraph(n)
+def _cycles_refused(g):
+    """A listing refused once it would hold one more cycle than the bound, by
+    the analyzer and by the CLI's full report: K_10 with loops (an edge from
+    each vertex to each) has 1,112,083 cycles, and diamond_return(30)
+    2^30 + 1, all but one through 30 diamonds that a search without blocking
+    walks 2^30 ways before the first of them closes."""
     return (
         lambda: L.cycles(g), L.LimitExceeded, "cycles exceed the bound 131072",
         (g.to_dsl(), ["analyze", "{file}"]),
@@ -115,7 +116,8 @@ CASES = {
         _graph(["v"], [("e", "v")]), L.PreconditionError,
         "an edge is three names (name, source, range), not ('e', 'v')", None,
     ),
-    "cycles-of-k10": _complete_digraph_cycles(10),
+    "cycles-of-k10": _cycles_refused(complete_digraph(10)),
+    "cycles-of-diamond-return-30": _cycles_refused(diamond_return(30)),
     "dsl-vertex-arity": _dsl(
         "graph G\nvertex a b\n", L.GraphSyntaxError, "line 2, column 1: expected 'vertex <id>'"
     ),

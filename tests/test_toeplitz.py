@@ -385,14 +385,13 @@ def test_socle_support_check_can_fail(monkeypatch):
     """Kills the mutant that switches off part (a) of sandwich_report: once
     the socle image of v is zero, v, whose window is the whole diagonal, is
     a socle monomial without finite support, and the report names it alone.
-    The report reads the socle quotient once and takes each image with
-    _quotient_image."""
-    image = toeplitz._quotient_image
+    The report tests each monomial's socle membership with in_socle."""
+    member = toeplitz.in_socle
 
-    def v_in_socle(x, target):
-        return x - x if x == Element.vertex(x.graph, "v") else image(x, target)
+    def v_in_socle(x):
+        return x == Element.vertex(x.graph, "v") or member(x)
 
-    monkeypatch.setattr(toeplitz, "_quotient_image", v_in_socle)
+    monkeypatch.setattr(toeplitz, "in_socle", v_in_socle)
     report = L.sandwich_report(L.toeplitz_graph(), 2, 6)
     assert report["socle_finite_support_failures"] == ["v"]
     assert report["row_col_finiteness_failures"] == []

@@ -1,17 +1,24 @@
 """Doubling sweeps of leavitt: a parent tree against a change tree.
 
-Each point of a sweep is one timed call in a fresh ``python3`` process that
-imports ``leavitt`` from one side's ``src/``. The child first makes one call
-at the sweep's smallest size on a graph of its own, to warm the imports, then
-times the measured call with ``time.perf_counter`` and reads the growth of
-``ru_maxrss`` over it, then makes the call once more under ``tracemalloc``
-for the peak of the memory it allocates. In every round both sides run each
-point, and the side that runs first alternates from round to round. Every
-round is kept; ``best`` is the least value over the rounds,
-``per_doubling`` the ratio of the best values of neighbouring sizes (about 2
-for a linear cost, 4 for a quadratic one, whatever the machine), and
-``slope`` the log-log slope between them: the log of that ratio over the log
-of the ratio of the sizes (about 1 for a linear cost, 2 for a quadratic one).
+Each point of a sweep is CALLS timed calls in a fresh ``python3`` process
+that imports ``leavitt`` from one side's ``src/``. The child first makes one
+call at the sweep's smallest size on a graph of its own, to warm the imports,
+then times each of the CALLS measured calls with ``time.perf_counter``, as
+``timeit.repeat`` does, and keeps their minimum (the point's value) and
+their maximum; it reads the growth of ``ru_maxrss`` over them, then makes
+the call once more under ``tracemalloc`` for the peak of the memory it
+allocates. The calls of a point share their inputs, except in the sweeps
+that build a fresh graph per call, where a graph's memo would otherwise
+answer every call after the first. In every round both sides run each point,
+and the side that runs first alternates from round to round. Every round is
+kept; ``best`` is the least value over the rounds, ``spread`` the least and
+the greatest time of any call over the rounds, ``per_doubling`` the ratio of
+the best values of neighbouring sizes (about 2 for a linear cost, 4 for a
+quadratic one, whatever the machine), and ``slope`` the log-log slope
+between them: the log of that ratio over the log of the ratio of the sizes
+(about 1 for a linear cost, 2 for a quadratic one). ``spreads_overlap``
+says, per size, whether the two sides' spreads overlap, in which case the
+sweep does not tell them apart there.
 
 The output is one JSON object on stdout, in the ``sweeps`` format of
 BENCH_12.json: ``command``, ``inputs``, then one entry per sweep with a
@@ -41,6 +48,18 @@ from time import perf_counter
 # unit: the unit of a value; per(n): the number of items one call's time is
 # divided by; make(L, n): the call to time, with leavitt imported as L
 Sweep = namedtuple("Sweep", ["input", "sizes", "unit", "per", "make"])
+CALLS = 5  # timed calls per point
+
+
+def _fresh_graph_per_call(build, compute):
+    """make for compute(L, g) on a fresh graph g = build(L, n) per call, all
+    built beforehand: one for each timed call and one for the traced one,
+    so neither the memo of an earlier call nor the graph is measured."""
+    def make(L, n):
+        graphs = [build(L, n) for _ in range(CALLS + 1)]
+        return lambda: compute(L, graphs.pop())
+
+    return make
 
 
 def _sandwich(degree):
@@ -67,12 +86,10 @@ def _products(field):
     return make
 
 
-def _decompose_line(L, n):
-    """The decomposition of a fresh line_graph(n) per call, built beforehand,
-    so neither the memo of an earlier call nor the graph is measured: one for
-    the timed call and one for the traced one. The block sizes are the output."""
-    graphs = [L.line_graph(n), L.line_graph(n)]
-    return lambda: L.matrix_decomposition(graphs.pop()).sizes
+def _sink_first_line(L, n):
+    """line_graph(n) declared from its sink: edges x(i+1) -> x(i), x1 first."""
+    edges = [(f"a{i}", f"x{i + 1}", f"x{i}") for i in range(1, n)]
+    return L.Graph(f"sinkline{n}", [f"x{i}" for i in range(1, n + 1)], edges)
 
 
 def _roundtrip_line(L, n):
@@ -107,20 +124,29 @@ SWEEPS = {
     "decompose_line": Sweep(
         "matrix_decomposition(line_graph(N)) on a fresh graph per call: one block of "
         "N sink paths of lengths 0..N - 1, one call",
-        (512, 1024, 2048, 4096), "s", lambda n: 1, _decompose_line,
+        (512, 1024, 2048, 4096), "s", lambda n: 1,
+        _fresh_graph_per_call(lambda L, n: L.line_graph(n),
+                              lambda L, g: L.matrix_decomposition(g).sizes),
     ),
     "roundtrip_line": Sweep(
         "format_element(from_matrix(to_matrix(x, d).group_inverse(), d)) for "
         "x = 3*x(N/2) + x(N/2 + 1) on line_graph(N), d its decomposition, one call",
         (512, 1024, 2048, 4096), "ms", lambda n: 1, _roundtrip_line,
     ),
+    "analyze_reverse_line": Sweep(
+        "analyzer_report of an N-vertex line declared from its sink (edges x(i+1) -> x(i)) "
+        "on a fresh graph per call: no vertex is on a cycle, one call",
+        (512, 1024, 2048, 4096), "s", lambda n: 1,
+        _fresh_graph_per_call(_sink_first_line, lambda L, g: L.analyzer_report(g)),
+    ),
 }
 SCALE = {"s": 1.0, "ms": 1e3, "us": 1e6}
 
 
 def child(tree, name, n):
-    """Time one call of sweep ``name`` at size n against tree/src; print one
-    JSON line: value, rss growth in MB, and a digest of the output."""
+    """Time CALLS calls of sweep ``name`` at size n against tree/src; print
+    one JSON line: the least and the greatest value, rss growth in MB, the
+    tracemalloc peak, and a digest of the output."""
     sys.path.insert(0, os.path.join(tree, "src"))
     import leavitt as L
 
@@ -128,9 +154,11 @@ def child(tree, name, n):
     sweep.make(L, sweep.sizes[0])()
     call = sweep.make(L, n)
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    start = perf_counter()
-    result = call()
-    seconds = perf_counter() - start
+    seconds = []
+    for _ in range(CALLS):
+        start = perf_counter()
+        result = call()
+        seconds.append(perf_counter() - start)
     grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss
     text = json.dumps(result, sort_keys=True, default=str)
     result = None
@@ -138,8 +166,10 @@ def child(tree, name, n):
     call()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
+    scale = SCALE[sweep.unit] / sweep.per(n)
     print(json.dumps({
-        "value": seconds * SCALE[sweep.unit] / sweep.per(n),
+        "value": min(seconds) * scale,
+        "max": max(seconds) * scale,
         "rss_delta_mb": grown / 1024,  # ru_maxrss is in KiB on Linux
         "tracemalloc_peak_mb": peak / 2**20,
         "digest": hashlib.sha256(text.encode()).hexdigest()[:16],
@@ -157,15 +187,18 @@ def run_point(tree, name, n):
 
 
 def side_summary(unit, sizes, runs):
-    """The BENCH_12 form of one side: best and every round per size."""
+    """The BENCH_12 form of one side: best, spread and every round per size."""
     ok = all("error" not in r for rs in runs.values() for r in rs)
     rounds = {f"N{n}": [r.get("value") for r in runs[n]] for n in sizes}
     best = {key: min(v for v in values if v is not None) if ok else None
             for key, values in rounds.items()}
+    spread = {f"N{n}": [best[f"N{n}"], max(r["max"] for r in runs[n])] if ok else None
+              for n in sizes}
     values = [best[f"N{n}"] for n in sizes]
     ratios = list(zip(values, values[1:], sizes, sizes[1:]))
     return {
         f"best_{unit}": best,
+        f"spread_{unit}": spread,
         "per_doubling": [b / a for a, b, _, _ in ratios] if ok else None,
         "slope": [math.log(b / a) / math.log(m / n) for a, b, n, m in ratios] if ok else None,
         "rss_delta_mb_max": {f"N{n}": max(r.get("rss_delta_mb", 0) for r in runs[n]) for n in sizes},
@@ -189,10 +222,11 @@ def main(argv=None):
         "command": (
             "python3 tools/sweep.py: one fresh process per point and side (python3 with the "
             "side's src/ on sys.path), after one call at the smallest size to warm imports; "
-            "time.perf_counter around the call, rss_delta_mb = growth of ru_maxrss over the "
-            "call, tracemalloc_peak_mb = the tracemalloc peak of a second, traced call; "
+            f"time.perf_counter around each of {CALLS} calls, the point's value their least, "
+            "rss_delta_mb = growth of ru_maxrss over the calls, tracemalloc_peak_mb = the "
+            "tracemalloc peak of one more, traced call; "
             f"{args.rounds} rounds alternating which side runs first; 'best' is the least "
-            "value over the rounds"
+            "value over the rounds, 'spread' the least and the greatest call"
         ),
         "inputs": {name: sweep.input for name, sweep in SWEEPS.items()},
     }
@@ -213,6 +247,8 @@ def main(argv=None):
         if ok:
             p, c = entry["parent"][f"best_{sweep.unit}"], entry["change"][f"best_{sweep.unit}"]
             entry["ratio_parent_over_change"] = {k: p[k] / c[k] for k in p}
+            p, c = entry["parent"][f"spread_{sweep.unit}"], entry["change"][f"spread_{sweep.unit}"]
+            entry["spreads_overlap"] = {k: p[k][0] <= c[k][1] and c[k][0] <= p[k][1] for k in p}
         failed |= not entry["results_equal_across_sides"]
         out[name] = entry
     print(json.dumps(out, indent=1))
