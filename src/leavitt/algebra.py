@@ -37,12 +37,13 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .errors import GraphMismatch, LimitExceeded, PreconditionError
+from .errors import GraphMismatch, PreconditionError, charge
 from .fields import QQ, common_denominator
-from .graph import Path, _designated_edges, _path_counts, _paths_ending_in, is_acyclic
+from .graph import Path, _designated_edges, _path_counts, _path_edges, _paths_ending_in, is_acyclic
 
 MAX_BASIS_PAIRS = 1 << 20  # candidate pairs of paths of one basis enumeration
 MAX_PRODUCT_PAIRS = 1 << 20  # pairs of terms one product multiplies before it rewrites
+MAX_PATH_EDGES = 1 << 25  # edges in all the paths of one paths_up_to listing
 
 
 class Monomial:
@@ -298,8 +299,7 @@ class Element:
         MAX_PRODUCT_PAIRS pairs of terms are refused before any is multiplied."""
         self._check_compatible(other)
         pairs = len(self._flat) * len(other._flat)
-        if pairs > MAX_PRODUCT_PAIRS:
-            raise LimitExceeded(f"{pairs} pairs of terms exceed the bound {MAX_PRODUCT_PAIRS}")
+        charge(pairs, MAX_PRODUCT_PAIRS, "{count} pairs of terms exceed the bound {bound}")
         by_source = {}  # each source's terms, last first
         for (source, real, ghost_source, ghost), n in reversed(other._flat.items()):
             by_source.setdefault(source, []).append((real, len(real), ghost_source, ghost, n))
@@ -362,7 +362,10 @@ def is_in_path_algebra(x):
 
 
 def paths_up_to(g, length):
-    """All paths of length <= bound, deterministic order (by sort key)."""
+    """All paths of length <= bound, deterministic order (by sort key). Paths
+    of more than MAX_PATH_EDGES edges in all are refused before any is built."""
+    charge(_path_edges(_path_counts(g, g.vertices, backwards=True), length, MAX_PATH_EDGES),
+           MAX_PATH_EDGES, "paths of length <= {length} exceed {bound} edges", length=length)
     levels = zip(range(max(length, 0) + 1), _paths_ending_in(g, g.vertices))
     out = [p for _, level in levels for p in level]
     out.sort(key=Path.sort_key)
@@ -375,8 +378,8 @@ def basis_monomials_up_to(g, d):
     More than MAX_BASIS_PAIRS such pairs are refused before any is built."""
     if d < 0:
         raise PreconditionError("degree bound must be nonnegative")
-    if _basis_pair_count(g, d) > MAX_BASIS_PAIRS:
-        raise LimitExceeded(f"path pairs of total length <= {d} exceed the bound {MAX_BASIS_PAIRS}")
+    charge(_basis_pair_count(g, d), MAX_BASIS_PAIRS,
+           "path pairs of total length <= {d} exceed the bound {bound}", d=d)
     by_range, out = {}, []  # each path with its sort key, made once per path
     for a, level in zip(range(d + 1), _paths_ending_in(g, g.vertices)):
         for p in level:

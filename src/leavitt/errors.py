@@ -54,4 +54,11 @@ class NotFoundWithinBounds(LeavittError):
 
 
 class LimitExceeded(LeavittError):
-    """Input above a fixed size bound, refused before any work is done."""
+    """A count past its size bound, raised by charge; the cycle listing raises mid-search."""
+
+
+def charge(count, bound, message, **fields):
+    """The one refusal path of every size bound: LimitExceeded when count > bound,
+    with message formatted (count, bound and the fields) only then."""
+    if count > bound:
+        raise LimitExceeded(message.format(count=count, bound=bound, **fields))

@@ -23,9 +23,9 @@ from .errors import (
     DuplicateIdentifier,
     GraphMismatch,
     GraphSyntaxError,
-    LimitExceeded,
     PreconditionError,
     UnknownIdentifier,
+    charge,
 )
 
 Edge = namedtuple("Edge", ["name", "src", "dst"])
@@ -490,6 +490,16 @@ def _path_counts(g, sources, backwards=False, keep=None):
         level = counts
 
 
+def _path_edges(counts, length, bound):
+    """The edges in all of the paths of length <= length that a _path_counts
+    listing counts, summed only until they pass bound."""
+    edges = 0
+    for k, level in zip(range(length + 1), counts):  # the trivial paths count no edge
+        if (edges := edges + k * sum(level.values())) > bound:
+            break
+    return edges
+
+
 def _paths_ending_in(g, targets, keep=None):
     """The paths into the targets, one list per length, trivial paths first;
     it stops at the first empty length. Each length grows the previous one
@@ -565,8 +575,7 @@ def cycles(g):
         while stack:
             for name, _, dst in stack[-1][1]:
                 if dst == start:
-                    if len(found) == MAX_CYCLES:
-                        raise LimitExceeded(f"cycles exceed the bound {MAX_CYCLES}")
+                    charge(len(found) + 1, MAX_CYCLES, "cycles exceed the bound {bound}")
                     found.append((start, (*path, name)))  # a refused listing builds no Cycle
                     stack[-1][2] = True
                 elif dst in free:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .algebra import Element, _range, is_in_path_algebra
-from .errors import LimitExceeded, PreconditionError
+from .errors import PreconditionError, charge
 from .graph import (
     Graph,
     Path,
@@ -26,6 +26,7 @@ from .graph import (
     _graph_fact,
     _hereditary,
     _path_counts,
+    _path_edges,
     _paths_ending_in,
     _saturated,
 )
@@ -167,12 +168,8 @@ def _entry_paths(g, members, length):
     h_order = [v for v in g.vertices if v in members]
     outside = lambda w: w not in members
     counts = _path_counts(g, h_order, backwards=True, keep=outside)
-    next(counts)  # the trivial paths
-    edges = 0
-    for n, level in zip(range(1, length + 1), counts):
-        edges += n * sum(level.values())
-        if edges > MAX_ENTRY_EDGES:
-            raise LimitExceeded(f"entry paths of length <= {length} exceed {MAX_ENTRY_EDGES} edges")
+    charge(_path_edges(counts, length, MAX_ENTRY_EDGES), MAX_ENTRY_EDGES,
+           "entry paths of length <= {length} exceed {bound} edges", length=length)
     complete = next(counts, None) is None
     levels = _paths_ending_in(g, h_order, keep=outside)
     next(levels)  # the trivial paths

@@ -25,11 +25,11 @@ from itertools import product as cartesian_product
 from .algebra import Element, Monomial, _range, full_basis
 from .errors import (
     GraphMismatch,
-    LimitExceeded,
     NotFoundWithinBounds,
     NotGroupInvertible,
     NotSquareCancellable,
     PreconditionError,
+    charge,
 )
 from .fields import QQ
 from .graph import (
@@ -129,8 +129,7 @@ def matrix_decomposition(g):
         raise PreconditionError("matrix decomposition needs an acyclic graph")
     counts = _path_counts(g, g.sinks(), backwards=True)
     edges = sum(k * sum(level.values()) for k, level in enumerate(counts))
-    if edges > MAX_SINK_EDGES:
-        raise LimitExceeded(f"sink paths of {edges} edges in all exceed the bound {MAX_SINK_EDGES}")
+    charge(edges, MAX_SINK_EDGES, "sink paths of {count} edges in all exceed the bound {bound}")
     kind = "vertices" if is_acyclic_no_bifurcation(g) else "sink_paths"
     blocks = []
     for sink in g.sinks():
@@ -233,8 +232,8 @@ def find_fg_witness(q, membership, basis=None):
     else:
         n = len(basis)
     # 3^k - 1 > k, so capping n changes no answer and a large n builds no 3^n
-    if 3 ** min(n, MAX_WITNESS_POOL) - 1 > MAX_WITNESS_POOL:
-        raise LimitExceeded(f"3^{n} - 1 candidate elements exceed the bound {MAX_WITNESS_POOL}")
+    charge(3 ** min(n, MAX_WITNESS_POOL) - 1, MAX_WITNESS_POOL,
+           "3^{n} - 1 candidate elements exceed the bound {bound}", n=n)
     if basis is None:
         basis = [m for m in full_basis(g) if m.is_pure_path]
     pool = (

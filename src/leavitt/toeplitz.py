@@ -24,7 +24,7 @@ from collections import Counter, namedtuple
 from itertools import pairwise, product
 
 from .algebra import Element, _range, basis_monomials_up_to
-from .errors import LimitExceeded, PreconditionError
+from .errors import PreconditionError, charge
 from .expressions import format_element, format_monomial
 from .fields import QQ
 from .graph import Graph, _graph_fact, _names, is_acyclic, vertex_on_a_cycle
@@ -193,8 +193,7 @@ def exact_sequence_report(g, degree_bound, field=QQ):
     d = recognize_toeplitz(g)
     if d is None:
         raise PreconditionError("graph does not match the Toeplitz pattern")
-    if degree_bound > MAX_DEGREE:
-        raise LimitExceeded(f"degree {degree_bound} exceeds the bound {MAX_DEGREE}")
+    charge(degree_bound, MAX_DEGREE, "degree {count} exceeds the bound {bound}")
     monomials = basis_monomials_up_to(g, degree_bound)
     mismatches, hit_exponents = [], set()
     for m in monomials:
@@ -279,8 +278,7 @@ def _window_rows(x, d, window):
     column b alone, and so may lie on a longer one (f f* when e is designated)."""
     if window < 1:
         raise PreconditionError("window size must be positive")
-    if window > MAX_WINDOW:
-        raise LimitExceeded(f"window {window} exceeds the bound {MAX_WINDOW}")
+    charge(window, MAX_WINDOW, "window {count} exceeds the bound {bound}")
     g, sink, steps, least, numerator = x.graph, d.subgraph.vertices[0], {}, None, x.field.numerator
     for key, c in x._flat.items():
         a, b = len(key[1]), len(key[3])
@@ -314,10 +312,14 @@ def _units(g, d, field, rows, columns):
 
 
 def socle_module_element(g, i, j, field=QQ):
-    """The element mapping to the matrix unit E_ij: (b_i)(b_j)*."""
+    """The element mapping to the matrix unit E_ij: (b_i)(b_j)*. A unit that
+    needs a window past MAX_WINDOW, i or j >= MAX_WINDOW, lies in no window
+    rcfm_representation accepts, and is refused."""
     d = _canonical(g)
     if min(i, j) < 0:
         raise PreconditionError("matrix unit indices must be nonnegative")
+    charge(max(i, j) + 1, MAX_WINDOW,
+           "matrix unit E[{i}][{j}] needs window {count}, past the bound {bound}", i=i, j=j)
     return next(_units(g, d, field, (i,), (j,)))[2]
 
 
@@ -337,10 +339,8 @@ def sandwich_report(g, degree_bound, window, field=QQ):
     Cost: (N - 1)^2 units, each one kernel normal form of one term plus one
     window of at most two terms; the basis and the socle are read once.
     """
-    if window > MAX_SANDWICH_WINDOW:
-        raise LimitExceeded(f"window {window} exceeds the sandwich bound {MAX_SANDWICH_WINDOW}")
-    if degree_bound > MAX_DEGREE:
-        raise LimitExceeded(f"degree {degree_bound} exceeds the bound {MAX_DEGREE}")
+    charge(window, MAX_SANDWICH_WINDOW, "window {count} exceeds the sandwich bound {bound}")
+    charge(degree_bound, MAX_DEGREE, "degree {count} exceeds the bound {bound}")
     d = _canonical(g)
     monomials = basis_monomials_up_to(g, degree_bound)
     socle_failures, finiteness_failures, unit_failures = [], [], []

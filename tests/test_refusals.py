@@ -11,7 +11,7 @@ import pytest
 import leavitt as L
 from leavitt.cli import main
 
-from conftest import A2_DSL, TOEPLITZ_DSL, complete_digraph, diamond_return, rose_feeding_sink
+from conftest import A2_DSL, TOEPLITZ_DSL, complete_digraph, diamond_return, rose, rose_feeding_sink
 
 
 def _graph(vertices, edges):
@@ -226,6 +226,25 @@ CASES = {
     "witness-pool-past-the-bound": (
         lambda: L.find_fg_witness(L.Element.vertex(L.line_graph(4), "x1"), L.is_in_path_algebra),
         L.LimitExceeded, "3^10 - 1 candidate elements exceed the bound 2186", None,
+    ),
+    # refused before any path or unit is built: unbounded, these ran out of memory, or
+    # overflowed an index (10^20)
+    "paths-of-a-loop-past-the-edge-bound": (
+        lambda: L.paths_up_to(L.single_loop_graph(), 10**6), L.LimitExceeded,
+        "paths of length <= 1000000 exceed 33554432 edges", None,
+    ),
+    "paths-of-a-two-loop-rose-past-the-edge-bound": (
+        lambda: L.paths_up_to(rose(2), 40), L.LimitExceeded,
+        "paths of length <= 40 exceed 33554432 edges", None,
+    ),
+    "socle-unit-past-every-window": (
+        lambda: L.socle_module_element(L.toeplitz_graph(), 10**9, 0), L.LimitExceeded,
+        "matrix unit E[1000000000][0] needs window 1000000001, past the bound 32768", None,
+    ),
+    "socle-unit-past-every-index": (
+        lambda: L.socle_module_element(L.toeplitz_graph(), 10**20, 0), L.LimitExceeded,
+        "matrix unit E[100000000000000000000][0] needs window 100000000000000000001, past the "
+        "bound 32768", None,
     ),
     "entry-paths-of-a-rose-of-8": _rose_restriction(8),
     "entry-paths-of-a-rose-of-64": _rose_restriction(64),

@@ -52,12 +52,12 @@ CALLS = 5  # timed calls per point
 
 
 def _fresh_graph_per_call(build, compute):
-    """make for compute(L, g) on a fresh graph g = build(L, n) per call, all
+    """make for compute(L, g, n) on a fresh graph g = build(L, n) per call, all
     built beforehand: one for each timed call and one for the traced one,
     so neither the memo of an earlier call nor the graph is measured."""
     def make(L, n):
         graphs = [build(L, n) for _ in range(CALLS + 1)]
-        return lambda: compute(L, graphs.pop())
+        return lambda: compute(L, graphs.pop(), n)
 
     return make
 
@@ -90,6 +90,22 @@ def _sink_first_line(L, n):
     """line_graph(n) declared from its sink: edges x(i+1) -> x(i), x1 first."""
     edges = [(f"a{i}", f"x{i + 1}", f"x{i}") for i in range(1, n)]
     return L.Graph(f"sinkline{n}", [f"x{i}" for i in range(1, n + 1)], edges)
+
+
+def _sink_first_cycle(L, n):
+    """The n-cycle declared against its edges: the sink-first line, closed by x1 -> xn."""
+    line = _sink_first_line(L, n)
+    return L.Graph(f"backcycle{n}", line.vertices, [*line.edges, ("z", "x1", f"x{n}")])
+
+
+def _restrict_truncate(L, g, n):
+    """What ``leavitt restrict --set w --truncate N`` computes in process: the
+    restriction graph of {w} and each of its generators' embedding images."""
+    rg = L.restriction_graph(g, {"w"}, n)
+    image = lambda y: L.format_element(L.restriction_embedding(rg, y))
+    images = {v: image(L.Element.vertex(rg.graph, v)) for v in rg.graph.vertices}
+    images.update((e.name, image(L.Element.edge(rg.graph, e.name))) for e in rg.graph.edges)
+    return images
 
 
 def _roundtrip_line(L, n):
@@ -126,7 +142,7 @@ SWEEPS = {
         "N sink paths of lengths 0..N - 1, one call",
         (512, 1024, 2048, 4096), "s", lambda n: 1,
         _fresh_graph_per_call(lambda L, n: L.line_graph(n),
-                              lambda L, g: L.matrix_decomposition(g).sizes),
+                              lambda L, g, n: L.matrix_decomposition(g).sizes),
     ),
     "roundtrip_line": Sweep(
         "format_element(from_matrix(to_matrix(x, d).group_inverse(), d)) for "
@@ -137,7 +153,20 @@ SWEEPS = {
         "analyzer_report of an N-vertex line declared from its sink (edges x(i+1) -> x(i)) "
         "on a fresh graph per call: no vertex is on a cycle, one call",
         (512, 1024, 2048, 4096), "s", lambda n: 1,
-        _fresh_graph_per_call(_sink_first_line, lambda L, g: L.analyzer_report(g)),
+        _fresh_graph_per_call(_sink_first_line, lambda L, g, n: L.analyzer_report(g)),
+    ),
+    "analyze_reverse_cycle": Sweep(
+        "analyzer_report of an N-cycle declared against its edges (x(i+1) -> x(i), then "
+        "x1 -> xN) on a fresh graph per call: every vertex is on the one cycle, one call",
+        (512, 1024, 2048, 4096), "s", lambda n: 1,
+        _fresh_graph_per_call(_sink_first_cycle, lambda L, g, n: L.analyzer_report(g)),
+    ),
+    "restrict_truncate": Sweep(
+        "restrict --set w --truncate N on toeplitz_graph() in process, on a fresh graph per "
+        "call: the restriction graph (N entry paths e^k f) and the embedding image of each "
+        "of its 2N + 1 generators, one call",
+        (128, 256, 512, 1024), "s", lambda n: 1,
+        _fresh_graph_per_call(lambda L, n: L.toeplitz_graph(), _restrict_truncate),
     ),
 }
 SCALE = {"s": 1.0, "ms": 1e3, "us": 1e6}
