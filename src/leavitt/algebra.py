@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .errors import GraphMismatch, PreconditionError, charge
+from .errors import GraphMismatch, PreconditionError, charge, size
 from .fields import QQ, common_denominator
 from .graph import Path, _designated_edges, _path_counts, _path_edges, _paths_ending_in, is_acyclic
 
@@ -364,9 +364,10 @@ def is_in_path_algebra(x):
 def paths_up_to(g, length):
     """All paths of length <= bound, deterministic order (by sort key). Paths
     of more than MAX_PATH_EDGES edges in all are refused before any is built."""
+    size(length, 0, "path length bound must be nonnegative")
     charge(_path_edges(_path_counts(g, g.vertices, backwards=True), length, MAX_PATH_EDGES),
            MAX_PATH_EDGES, "paths of length <= {length} exceed {bound} edges", length=length)
-    levels = zip(range(max(length, 0) + 1), _paths_ending_in(g, g.vertices))
+    levels = zip(range(length + 1), _paths_ending_in(g, g.vertices))
     out = [p for _, level in levels for p in level]
     out.sort(key=Path.sort_key)
     return out
@@ -376,8 +377,7 @@ def basis_monomials_up_to(g, d):
     """All basis monomials with l(p) + l(q) <= d, by total length then key.
     Off the backward levels, paths of lengths a and b <= d - a into one vertex pair.
     More than MAX_BASIS_PAIRS such pairs are refused before any is built."""
-    if d < 0:
-        raise PreconditionError("degree bound must be nonnegative")
+    size(d, 0, "degree bound must be nonnegative")
     charge(_basis_pair_count(g, d), MAX_BASIS_PAIRS,
            "path pairs of total length <= {d} exceed the bound {bound}", d=d)
     by_range, out = {}, []  # each path with its sort key, made once per path

@@ -51,14 +51,6 @@ def _graph_payload(g):
     }
 
 
-def _generator_images(g, field, image):
-    """Formatted image of every vertex, then every edge, of g."""
-    images = {v: format_element(image(Element.vertex(g, v, field))) for v in g.vertices}
-    for e in g.edges:
-        images[e.name] = format_element(image(Element.edge(g, e.name, field)))
-    return images
-
-
 def _nf(g, field, args):
     x = parse_element(g, args.expr, field)
     return {"input": args.expr, "normal_form": format_element(x)}
@@ -107,13 +99,14 @@ def _quotient(g, field, args):
 
 def _restrict(g, field, args):
     rg = restriction_graph(g, _vertex_set(args.set), args.truncate)
+    h, image = rg.graph, lambda y: format_element(restriction_embedding(rg, y))
+    images = {v: image(Element.vertex(h, v, field)) for v in h.vertices}
+    images.update((e.name, image(Element.edge(h, e.name, field))) for e in h.edges)
     return {
-        "graph": _graph_payload(rg.graph),
+        "graph": _graph_payload(h),
         "complete": rg.complete,
         "truncation_bound": rg.bound,
-        "embedding_images": _generator_images(
-            rg.graph, field, lambda y: restriction_embedding(rg, y)
-        ),
+        "embedding_images": images,
     }
 
 

@@ -62,3 +62,12 @@ def charge(count, bound, message, **fields):
     with message formatted (count, bound and the fields) only then."""
     if count > bound:
         raise LimitExceeded(message.format(count=count, bound=bound, **fields))
+
+
+def size(value, least, message):
+    """The one check of a size argument: PreconditionError naming the value when
+    it is no int (a bool is one), or with message when it is below least."""
+    if not isinstance(value, int):
+        raise PreconditionError(f"a size must be an integer, not {value!r}")
+    if value < least:
+        raise PreconditionError(message)

@@ -26,6 +26,7 @@ from .errors import (
     PreconditionError,
     UnknownIdentifier,
     charge,
+    size,
 )
 
 Edge = namedtuple("Edge", ["name", "src", "dst"])
@@ -305,7 +306,7 @@ class Cycle:
         return self.path.edges
 
     def vertices(self):
-        return tuple(self.graph.edge(e).src for e in self.edges)
+        return tuple(self.graph.edges[self.graph._eindex[e]].src for e in self.edges)
 
     def canonical(self):
         """Rotate so the least source vertex (declaration order) comes first."""
@@ -797,8 +798,7 @@ def analyzer_report(g):
 
 def line_graph(n):
     """The graph line<n>: an oriented line x1 -> x2 -> ... -> xn."""
-    if n < 1:
-        raise PreconditionError("line_graph needs n >= 1")
+    size(n, 1, "line_graph needs n >= 1")
     vertices = [f"x{i}" for i in range(1, n + 1)]
     edges = [(f"a{i}", f"x{i}", f"x{i + 1}") for i in range(1, n)]
     return Graph(f"line{n}", vertices, edges)
@@ -819,8 +819,7 @@ def ladder_graph(columns):
     saturated -- stable under this truncation -- while the line-point set
     gains exactly the tail artifact.
     """
-    if columns < 1:
-        raise PreconditionError("ladder_graph needs at least one column")
+    size(columns, 1, "ladder_graph needs at least one column")
     vertices = []
     edges = []
     for i in range(1, columns + 1):
@@ -837,8 +836,7 @@ def comb_graph(spokes):
     Connectivity, line points and the one-block matrix decomposition are
     stable under the truncation (only the number of spokes grows).
     """
-    if spokes < 1:
-        raise PreconditionError("comb_graph needs at least one spoke")
+    size(spokes, 1, "comb_graph needs at least one spoke")
     vertices = [f"p{i}" for i in range(1, spokes + 1)] + ["w"]
     edges = [(f"s{i}", f"p{i}", "w") for i in range(1, spokes + 1)]
     return Graph(f"comb{spokes}", vertices, edges)

@@ -18,7 +18,7 @@ C = m, and its group inverse is its ordinary inverse.
 
 from __future__ import annotations
 
-from .errors import NotGroupInvertible, PreconditionError
+from .errors import NotGroupInvertible, PreconditionError, size
 from .fields import QQ
 
 
@@ -62,6 +62,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n, field=QQ):
+        size(n, 0, "matrix size must be nonnegative")
         return cls._trusted({i: {i: field.one()} for i in range(n)}, n, n, field)
 
     @property

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .algebra import Element, _range, is_in_path_algebra
-from .errors import PreconditionError, charge
+from .errors import PreconditionError, charge, size
 from .graph import (
     Graph,
     Path,
@@ -164,14 +164,13 @@ def _entry_paths(g, members, length):
     """Qualifying paths of length <= bound (s outside H, interior outside, r
     inside), grown backwards from H, and whether none has length bound+1.
     They are counted first, and refused past MAX_ENTRY_EDGES edges in all
-    before any is built."""
-    h_order = [v for v in g.vertices if v in members]
+    before any is built. The sort fixes their order, whatever the order of members."""
     outside = lambda w: w not in members
-    counts = _path_counts(g, h_order, backwards=True, keep=outside)
+    counts = _path_counts(g, members, backwards=True, keep=outside)
     charge(_path_edges(counts, length, MAX_ENTRY_EDGES), MAX_ENTRY_EDGES,
            "entry paths of length <= {length} exceed {bound} edges", length=length)
     complete = next(counts, None) is None
-    levels = _paths_ending_in(g, h_order, keep=outside)
+    levels = _paths_ending_in(g, members, keep=outside)
     next(levels)  # the trivial paths
     out = [p for _, level in zip(range(length), levels) for p in level]
     out.sort(key=lambda p: (p.length, p.sort_key()))
@@ -182,8 +181,7 @@ def restriction_graph(g, H, bound):
     members = _require_hereditary(g, H)
     if not members:
         raise PreconditionError("restriction graph needs a nonempty H")
-    if bound < 1:
-        raise PreconditionError("length bound must be at least 1")
+    size(bound, 1, "length bound must be at least 1")
     paths, complete = _entry_paths(g, members, bound)
     h_order = [v for v in g.vertices if v in members]
     vertices = h_order + [RestrictionGraph.vertex_for(p) for p in paths]
@@ -247,7 +245,7 @@ def _mu_candidates(p):
     seen = set()
     for q in ghosts:
         for cut in range(q.length, -1, -1):
-            at = q.range if cut == q.length else g.edge(q.edges[cut]).src
+            at = q.range if cut == q.length else g.edges[g._eindex[q.edges[cut]]].src
             prefix = Path._trusted(g, q.source, q.edges[:cut], at)
             if prefix not in seen:
                 seen.add(prefix)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from itertools import product as cartesian_product
 
-from .algebra import Element, Monomial, _range, full_basis
+from .algebra import Element, Monomial, _key, _range, full_basis
 from .errors import (
     GraphMismatch,
     NotFoundWithinBounds,
@@ -127,12 +127,12 @@ def matrix_decomposition(g):
     """
     if not is_acyclic(g):
         raise PreconditionError("matrix decomposition needs an acyclic graph")
-    counts = _path_counts(g, g.sinks(), backwards=True)
+    counts = _path_counts(g, sinks := g.sinks(), backwards=True)
     edges = sum(k * sum(level.values()) for k, level in enumerate(counts))
     charge(edges, MAX_SINK_EDGES, "sink paths of {count} edges in all exceed the bound {bound}")
     kind = "vertices" if is_acyclic_no_bifurcation(g) else "sink_paths"
     blocks = []
-    for sink in g.sinks():
+    for sink in sinks:
         paths = [p for level in _paths_ending_in(g, (sink,)) for p in level]
         if kind == "vertices":
             # each vertex of the sink's component has one path to it
@@ -236,8 +236,11 @@ def find_fg_witness(q, membership, basis=None):
            "3^{n} - 1 candidate elements exceed the bound {bound}", n=n)
     if basis is None:
         basis = [m for m in full_basis(g) if m.is_pure_path]
+    elif any(m.graph != g for m in basis):
+        raise GraphMismatch("monomial over a different graph than the element")
+    keys = [_key(m) for m in basis]
     pool = (
-        Element(g, field, [(m, c) for m, c in zip(basis, coeffs) if c])
+        Element._from_raw(g, field, [(k, c) for k, c in zip(keys, coeffs) if c])
         for coeffs in cartesian_product((-1, 0, 1), repeat=n)
         if any(coeffs)
     )

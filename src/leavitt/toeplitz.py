@@ -23,8 +23,8 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from itertools import pairwise, product
 
-from .algebra import Element, _range, basis_monomials_up_to
-from .errors import PreconditionError, charge
+from .algebra import Element, _key, _range, basis_monomials_up_to
+from .errors import PreconditionError, charge, size
 from .expressions import format_element, format_monomial
 from .fields import QQ
 from .graph import Graph, _graph_fact, _names, is_acyclic, vertex_on_a_cycle
@@ -122,8 +122,7 @@ def build_toeplitz_family(n, F, attach, name=None):
     line point, as the family needs: it reaches a sink, and a sink is a
     line point.
     """
-    if n < 1:
-        raise PreconditionError("the family needs at least one connecting edge")
+    size(n, 1, "the family needs at least one connecting edge")
     if not is_acyclic(F):
         raise PreconditionError("F must be acyclic")
     attach = _names(attach, "the attachment list")
@@ -152,10 +151,10 @@ def recognize_toeplitz(g):
     if len(on_cycle) != 1:
         return None
     (v,) = on_cycle
-    if len(g.in_edges(v)) != 1:
+    if len(g._in[v]) != 1:
         return None
-    loop_edge = g.in_edges(v)[0].name
-    connectors = [e.name for e in g.out_edges(v) if e.name != loop_edge]
+    loop_edge = g._in[v][0].name
+    connectors = [e.name for e in g._out[v] if e.name != loop_edge]
     if not connectors:
         return None
     f_edges = [e for e in g.edges if e.src != v]
@@ -193,11 +192,12 @@ def exact_sequence_report(g, degree_bound, field=QQ):
     d = recognize_toeplitz(g)
     if d is None:
         raise PreconditionError("graph does not match the Toeplitz pattern")
+    size(degree_bound, 0, "degree bound must be nonnegative")
     charge(degree_bound, MAX_DEGREE, "degree {count} exceeds the bound {bound}")
     monomials = basis_monomials_up_to(g, degree_bound)
     mismatches, hit_exponents = [], set()
     for m in monomials:
-        x = Element.from_monomial(m, field)
+        x = Element._of(g, field, {_key(m): 1})  # a basis monomial is a normal form
         image = _laurent_image(x, d)
         if in_socle(x) != image.is_zero():
             mismatches.append(format_monomial(m))
@@ -249,7 +249,10 @@ def rcfm_representation(x, window):
     monomial whose support misses the window entirely is rejected, since
     such a window could not represent the element at all.
     """
-    w = _matrix_window(x, _canonical(x.graph), window)
+    d = _canonical(x.graph)
+    size(window, 1, "window size must be positive")
+    charge(window, MAX_WINDOW, "window {count} exceeds the bound {bound}")
+    w = _matrix_window(x, d, window)
     scalar, den = x.field.scalar, x._den
     for row in w.matrix.nonzero_rows.values():
         for k, n in row.items():
@@ -275,10 +278,8 @@ def _window_rows(x, d, window):
     """The nonzero entries of the N x N window of x, as rows {row: {column:
     numerator}} over x's denominator, in one pass over the terms. Each diagonal is a
     step function: a run steps in at column b + 1, a cell (a, b) is the run over
-    column b alone, and so may lie on a longer one (f f* when e is designated)."""
-    if window < 1:
-        raise PreconditionError("window size must be positive")
-    charge(window, MAX_WINDOW, "window {count} exceeds the bound {bound}")
+    column b alone, and so may lie on a longer one (f f* when e is designated).
+    Its callers check the window: at least 1, and within its bound."""
     g, sink, steps, least, numerator = x.graph, d.subgraph.vertices[0], {}, None, x.field.numerator
     for key, c in x._flat.items():
         a, b = len(key[1]), len(key[3])
@@ -316,8 +317,8 @@ def socle_module_element(g, i, j, field=QQ):
     needs a window past MAX_WINDOW, i or j >= MAX_WINDOW, lies in no window
     rcfm_representation accepts, and is refused."""
     d = _canonical(g)
-    if min(i, j) < 0:
-        raise PreconditionError("matrix unit indices must be nonnegative")
+    size(i, 0, "matrix unit indices must be nonnegative")
+    size(j, 0, "matrix unit indices must be nonnegative")
     charge(max(i, j) + 1, MAX_WINDOW,
            "matrix unit E[{i}][{j}] needs window {count}, past the bound {bound}", i=i, j=j)
     return next(_units(g, d, field, (i,), (j,)))[2]
@@ -339,13 +340,15 @@ def sandwich_report(g, degree_bound, window, field=QQ):
     Cost: (N - 1)^2 units, each one kernel normal form of one term plus one
     window of at most two terms; the basis and the socle are read once.
     """
+    size(window, 1, "window size must be positive")
     charge(window, MAX_SANDWICH_WINDOW, "window {count} exceeds the sandwich bound {bound}")
+    size(degree_bound, 0, "degree bound must be nonnegative")
     charge(degree_bound, MAX_DEGREE, "degree {count} exceeds the bound {bound}")
     d = _canonical(g)
     monomials = basis_monomials_up_to(g, degree_bound)
     socle_failures, finiteness_failures, unit_failures = [], [], []
     for m in monomials:
-        x = Element.from_monomial(m, field)
+        x = Element._of(g, field, {_key(m): 1})
         w = _matrix_window(x, d, window)
         if not (w.flags["row_finite_on_window"] and w.flags["col_finite_on_window"]):
             finiteness_failures.append(format_monomial(m))

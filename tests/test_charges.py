@@ -196,13 +196,11 @@ def test_the_toeplitz_maps_charge_their_degree_and_window(charges):
         charges.clear()
         L.exact_sequence_report(T, d)
         assert charges == [(DEGREE, d), (BASIS, _basis_pairs(T, d))]
-    for d, window in ((0, 3), (2, 6), (3, 9)):
-        monomials = len(L.basis_monomials_up_to(T, d))
+    for d, window in ((0, 3), (2, 6), (3, 9), (4, 128)):
         charges.clear()
         L.sandwich_report(T, d, window)
-        head = [(SANDWICH, window), (DEGREE, d), (BASIS, _basis_pairs(T, d))]
-        # one window per basis monomial, then one per matrix unit
-        assert charges == head + [(WINDOW, window)] * (monomials + (window - 1) ** 2)
+        # the sandwich bound covers every window the report builds
+        assert charges == [(SANDWICH, window), (DEGREE, d), (BASIS, _basis_pairs(T, d))]
     x = L.parse_element(T, "e*e' + 2*f*f'")
     for window in (1, 5, 40):
         charges.clear()

@@ -92,8 +92,11 @@ def test_path_counts_match_the_adjacency_powers():
 def test_paths_up_to_matches_the_forward_enumeration():
     rng = seeded("paths-up-to-diff")
     for g in sample_graphs(rng, 100):
-        for length in (-1, 0, 1, 2, 4):
+        for length in (0, 1, 2, 4):
             assert L.paths_up_to(g, length) == reference_paths_up_to(g, length), (g, length)
+        # no path has length <= -1, so the bound is refused
+        with pytest.raises(L.PreconditionError, match="^path length bound must be nonnegative$"):
+            L.paths_up_to(g, -1)
 
 
 def test_a_bound_past_sys_maxsize_cuts_no_level():

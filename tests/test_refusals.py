@@ -263,6 +263,16 @@ CASES = {
         lambda: L.build_toeplitz_family(1, L.line_graph(2), "x1"), L.PreconditionError,
         "the attachment list is a collection of names, not the string 'x1'", None,
     ),
+    # the window's floor is checked once per call, where the window enters
+    "sandwich-window-of-none": (
+        lambda: L.sandwich_report(L.toeplitz_graph(), 1, 0), L.PreconditionError,
+        "window size must be positive",
+        (TOEPLITZ_DSL, ["toeplitz-check", "{file}", "--degree", "1", "--window", "0"]),
+    ),
+    "window-of-none": (
+        lambda: L.rcfm_representation(_two_graphs()[0], 0), L.PreconditionError,
+        "window size must be positive", None,
+    ),
     "exact-sequence-off-pattern": (
         lambda: L.exact_sequence_report(A2, 2), L.PreconditionError, NOT_TOEPLITZ, None
     ),

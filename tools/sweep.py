@@ -98,6 +98,30 @@ def _sink_first_cycle(L, n):
     return L.Graph(f"backcycle{n}", line.vertices, [*line.edges, ("z", "x1", f"x{n}")])
 
 
+def _complete_digraph(L, n):
+    """K_n with loops: an edge from each vertex to each, n^2 edges."""
+    vs = [f"v{i}" for i in range(n)]
+    return L.Graph(f"K{n}", vs, [(f"e{i}_{j}", a, b) for i, a in enumerate(vs)
+                                 for j, b in enumerate(vs)])
+
+
+def _complete_cycles(n):
+    """The cycles of K_n with loops: (k - 1)! on each set of k vertices."""
+    return sum(math.comb(n, k) * math.factorial(k - 1) for k in range(1, n + 1))
+
+
+def _diamond_return(L, n):
+    """A 2-cycle s -> x -> s, and n diamonds in a row from x back to x,
+    d(i-1) -> a(i), b(i) -> d(i): 2^n + 1 cycles."""
+    vertices = ["s", "x", *(f"d{i}" for i in range(n + 1))]
+    edges = [("t", "s", "x"), ("r", "x", "s"), ("i", "x", "d0"), ("o", f"d{n}", "x")]
+    for i in range(1, n + 1):
+        vertices += [f"a{i}", f"b{i}"]
+        for top, mid in (("p", "a"), ("q", "b")):
+            edges += [(f"{top}{i}", f"d{i - 1}", f"{mid}{i}"), (f"{top}{i}x", f"{mid}{i}", f"d{i}")]
+    return L.Graph(f"return{n}", vertices, edges)
+
+
 def _restrict_truncate(L, g, n):
     """What ``leavitt restrict --set w --truncate N`` computes in process: the
     restriction graph of {w} and each of its generators' embedding images."""
@@ -160,6 +184,18 @@ SWEEPS = {
         "x1 -> xN) on a fresh graph per call: every vertex is on the one cycle, one call",
         (512, 1024, 2048, 4096), "s", lambda n: 1,
         _fresh_graph_per_call(_sink_first_cycle, lambda L, g, n: L.analyzer_report(g)),
+    ),
+    "analyze_complete": Sweep(
+        "analyzer_report of K_N, the complete digraph with loops, on a fresh graph per call: "
+        "1, 3, 24 and 16,072 cycles at N = 1, 2, 4, 8, the time per listed cycle",
+        (1, 2, 4, 8), "us", _complete_cycles,
+        _fresh_graph_per_call(_complete_digraph, lambda L, g, n: L.analyzer_report(g)),
+    ),
+    "analyze_diamond_return": Sweep(
+        "analyzer_report of a 2-cycle s -> x -> s with N diamonds in a row from x back to x, "
+        "on a fresh graph per call: 2^N + 1 cycles, the time per listed cycle",
+        (2, 4, 8, 16), "us", lambda n: 2**n + 1,
+        _fresh_graph_per_call(_diamond_return, lambda L, g, n: L.analyzer_report(g)),
     ),
     "restrict_truncate": Sweep(
         "restrict --set w --truncate N on toeplitz_graph() in process, on a fresh graph per "
