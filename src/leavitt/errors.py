@@ -71,3 +71,9 @@ def size(value, least, message):
         raise PreconditionError(f"a size must be an integer, not {value!r}")
     if value < least:
         raise PreconditionError(message)
+
+
+def string(value, what):
+    """The one check of a text argument: PreconditionError naming the value when it is no str."""
+    if not isinstance(value, str):
+        raise PreconditionError(f"{what} must be a string, not {value!r}")

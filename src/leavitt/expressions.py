@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 
 from .algebra import Element, _key
-from .errors import ExpressionSyntaxError, UnknownIdentifier
+from .errors import ExpressionSyntaxError, UnknownIdentifier, string
 from .fields import QQ, common_denominator
 from .graph import IDENT
 
@@ -169,6 +169,7 @@ class _Parser:
 
 
 def parse_element(graph, text, field=QQ):
+    string(text, "an element expression")
     bad = _BAD.search(text)
     if bad:
         raise ExpressionSyntaxError(f"unexpected character {bad[0]!r} at position {bad.start()}")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import LeavittError, PreconditionError
+from .errors import LeavittError, PreconditionError, string
 
 
 class PrimeFieldElement:
@@ -193,6 +193,8 @@ class PrimeField(_Field):
     """F_p for a prime p below _MR_BOUND (about 3.3e24)."""
 
     def __init__(self, p):
+        if not isinstance(p, int):
+            raise PreconditionError(f"a modulus must be an integer, not {p!r}")
         if p >= _MR_BOUND:
             raise PreconditionError(f"{p} is too large: primality is exact only below {_MR_BOUND}")
         if not _is_prime(p):
@@ -249,6 +251,7 @@ def GF(p):
 
 def field_from_name(name):
     """Parse a CLI field tag: "q" or "fp:<p>"."""
+    string(name, "a field tag")
     if name == "q":
         return QQ
     if name.startswith("fp:"):

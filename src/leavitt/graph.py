@@ -27,6 +27,7 @@ from .errors import (
     UnknownIdentifier,
     charge,
     size,
+    string,
 )
 
 Edge = namedtuple("Edge", ["name", "src", "dst"])
@@ -130,6 +131,7 @@ def parse_graph(text):
     lines in any interleaving; ``#`` starts a comment. Declaration order is
     preserved.
     """
+    string(text, "a graph's source text")
     name = None
     vertices = {}  # insertion-ordered, with constant-time endpoint checks
     edges = []
@@ -403,10 +405,13 @@ class VertexSet(frozenset):
 def _names(X, what="a vertex set"):
     """The names in X (a vertex set, or a path's edges), in the caller's
     order. A string is refused: it would be read as the names of its
-    characters."""
+    characters; so is anything that is not iterable."""
     if isinstance(X, str):
         raise PreconditionError(f"{what} is a collection of names, not the string {X!r}")
-    return tuple(X)
+    try:
+        return tuple(X)
+    except TypeError:
+        raise PreconditionError(f"{what} is a collection of names, not {X!r}") from None
 
 
 def _edge(e):

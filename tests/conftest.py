@@ -784,6 +784,116 @@ def whole_matrix_is_group_invertible(m):
 
 
 # ---------------------------------------------------------------------------
+# Scalar elimination: rref, rank_factorization, inverse, the support corner
+# and group_inverse as they were before the integer kernel, Gauss-Jordan on
+# field scalars, one scalar built per multiply. Verbatim but for the class
+# name and the qualified errors; products are re-wrapped, so that the
+# inverse of R C and the rest stay on this path.
+
+
+class ScalarMatrix(Matrix):
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, m):
+        return cls._trusted(m.nonzero_rows, m.nrows, m.ncols, m.field)
+
+    def __mul__(self, other):
+        return ScalarMatrix.of(Matrix.__mul__(self, other))
+
+    def rref(self):
+        """(reduced row echelon form, pivot column list).
+
+        Gauss-Jordan over the nonzeros; ``where[j]``, read off the rows in
+        one pass, is the set of rows with a nonzero in column j. A column
+        with none never gains one, since a row operation writes only into
+        the pivot row's columns. The pivot of a column is the first row at
+        or after ``lead`` that holds it.
+        """
+        rows = {i: dict(r) for i, r in self.nonzero_rows.items()}
+        where = {}
+        for i, r in rows.items():
+            for j in r:
+                where.setdefault(j, set()).add(i)
+        pivots = []
+        lead = 0
+        for col in sorted(where):
+            pivot_row = min((i for i in where[col] if i >= lead), default=None)
+            if pivot_row is None:
+                continue
+            rows[lead], rows[pivot_row] = rows[pivot_row], rows.get(lead, {})
+            for j in rows[lead].keys() ^ rows[pivot_row].keys():
+                where[j] ^= {lead, pivot_row}
+            inv = self.field.one() / rows[lead][col]
+            prow = rows[lead] = {j: a * inv for j, a in rows[lead].items()}
+            for i in where[col] - {lead}:
+                row = rows[i]
+                factor = row[col]
+                for j, b in prow.items():
+                    a = row[j] - factor * b if j in row else -factor * b
+                    if a:
+                        row[j] = a
+                        where[j].add(i)
+                    else:
+                        del row[j]
+                        where[j].discard(i)
+            pivots.append(col)
+            lead += 1
+            if lead == self.nrows:
+                break
+        rows = {i: r for i, r in rows.items() if r}  # swaps and cancellations empty some
+        return ScalarMatrix._trusted(rows, self.nrows, self.ncols, self.field), pivots
+
+    def rank_factorization(self):
+        """C (nrows x r) and R (r x ncols) with self == C R; C's zero rows are self's."""
+        reduced, pivots = self.rref()
+        r = len(pivots)
+        position = {j: k for k, j in enumerate(pivots)}
+        C = {i: {position[j]: a for j, a in row.items() if j in position}
+             for i, row in self.nonzero_rows.items()}
+        R = ScalarMatrix._trusted(reduced.nonzero_rows, r, self.ncols, self.field)
+        return ScalarMatrix._trusted(C, self.nrows, r, self.field), R
+
+    def inverse(self):
+        if self.nrows != self.ncols:
+            raise L.PreconditionError("only square matrices invert")
+        n, one, rows = self.nrows, self.field.one(), self.nonzero_rows
+        aug = {i: {**rows.get(i, {}), n + i: one} for i in range(n)}
+        reduced, pivots = ScalarMatrix._trusted(aug, n, 2 * n, self.field).rref()
+        if pivots != list(range(n)):
+            raise L.NotGroupInvertible("matrix is singular")
+        rows = reduced.nonzero_rows.items()
+        inv = {i: {j - n: a for j, a in r.items() if j >= n} for i, r in rows}
+        return ScalarMatrix._trusted(inv, n, n, self.field)
+
+    def _corner(self):
+        """(S, the S x S corner) for S the sorted rows and columns holding a nonzero."""
+        if self.nrows != self.ncols:
+            raise L.PreconditionError(f"only square matrices have a group inverse: {self.shape}")
+        rows = self.nonzero_rows
+        support = sorted(set(rows).union(*rows.values()))
+        at = {k: n for n, k in enumerate(support)}
+        corner = {at[i]: {at[j]: a for j, a in r.items()} for i, r in rows.items()}
+        return support, ScalarMatrix._trusted(corner, len(support), len(support), self.field)
+
+    def group_inverse(self):
+        """The unique b with aba=a, bab=b, ab=ba; exists iff rank(m)=rank(m^2)."""
+        support, corner = self._corner()  # b is zero outside it
+        try:
+            inv = corner.inverse()  # full rank: R = I and C = corner
+        except L.NotGroupInvertible:
+            C, R = corner.rank_factorization()
+            try:
+                core_inv = (R * C).inverse()
+            except L.NotGroupInvertible:
+                raise L.NotGroupInvertible("no group inverse: rank(m^2) < rank(m)") from None
+            inv = C * core_inv * core_inv * R
+        rows = inv.nonzero_rows.items()
+        out = {support[i]: {support[j]: a for j, a in r.items()} for i, r in rows}
+        return ScalarMatrix._trusted(out, self.nrows, self.ncols, self.field)
+
+
+# ---------------------------------------------------------------------------
 # Validating reference kernel: the monomial layer before paths carried their
 # range, with every path rebuilt through the full edge-by-edge check and the
 # rewrite worked first in, first out. Monomials are pairs of ReferencePath.

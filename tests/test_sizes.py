@@ -10,7 +10,9 @@ import pytest
 import leavitt as L
 
 # the parameter names that hold a size
-SIZE_NAMES = {"n", "d", "length", "bound", "columns", "spokes", "degree_bound", "window", "i", "j"}
+SIZE_NAMES = {
+    "n", "d", "length", "bound", "columns", "spokes", "degree_bound", "window", "i", "j", "ncols",
+}
 
 T = L.toeplitz_graph()
 V = L.Element.vertex(T, "v")
@@ -28,6 +30,9 @@ SIZES = {
     ("ladder_graph", "columns"): (L.ladder_graph, 1, "ladder_graph needs at least one column"),
     ("comb_graph", "spokes"): (L.comb_graph, 1, "comb_graph needs at least one spoke"),
     ("Matrix.identity", "n"): (L.Matrix.identity, 0, "matrix size must be nonnegative"),
+    ("Matrix.from_row_dicts", "ncols"): (
+        lambda k: L.Matrix.from_row_dicts([], k), 0, "column count must be nonnegative"
+    ),
     ("restriction_graph", "bound"): (
         lambda k: L.restriction_graph(T, {"w"}, k), 1, "length bound must be at least 1"
     ),

@@ -38,6 +38,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -141,6 +142,33 @@ def _roundtrip_line(L, n):
     return lambda: L.format_element(L.from_matrix(L.to_matrix(x, d).group_inverse(), d))
 
 
+def _group_inverses(field):
+    """The group inverses of two seeded random sparse N x N matrices, over QQ
+    or over F_p for p = 2^31 - 1, with entries a/b for 1 <= |a|, b <= 9: one
+    of full rank, 19 on the diagonal and two random entries in each row, and
+    one of rank <= N/2, C R for C (N x N/2) and R (N/2 x N) with two random
+    entries in each row. A pair is drawn until both are group invertible."""
+    def make(L, n):
+        F = L.QQ if field == "qq" else L.GF(2**31 - 1)
+        rng = random.Random(f"group-inverse:{n}")
+
+        def sparse(nrows, ncols, diagonal):
+            rows = [{} for _ in range(nrows)]
+            for i, row in enumerate(rows):
+                for j in rng.sample(range(ncols), min(2, ncols)):
+                    row[j] = F.scalar(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                if diagonal:
+                    row[i] = F.scalar(19)
+            return L.Matrix.from_row_dicts(rows, ncols, F)
+
+        while True:
+            pair = (sparse(n, n, True), sparse(n, n // 2, False) * sparse(n // 2, n, False))
+            if all(m.is_group_invertible() for m in pair):
+                return lambda: [repr(m.group_inverse()) for m in pair]
+
+    return make
+
+
 SWEEPS = {
     "sandwich": Sweep(
         "sandwich_report(toeplitz_graph(), 4, N), one call",
@@ -172,6 +200,16 @@ SWEEPS = {
         "format_element(from_matrix(to_matrix(x, d).group_inverse(), d)) for "
         "x = 3*x(N/2) + x(N/2 + 1) on line_graph(N), d its decomposition, one call",
         (512, 1024, 2048, 4096), "ms", lambda n: 1, _roundtrip_line,
+    ),
+    "group_inverse_qq": Sweep(
+        "Matrix.group_inverse over QQ of two seeded random sparse N x N matrices: one of "
+        "full rank (19 on the diagonal, two entries a/b in each row) and one C R of rank "
+        "<= N/2 (two entries a/b in each row of C and of R), 1 <= |a|, b <= 9, one call",
+        (8, 16, 32, 64), "ms", lambda n: 1, _group_inverses("qq"),
+    ),
+    "group_inverse_fp": Sweep(
+        "group_inverse_qq over F_p, p = 2^31 - 1: two matrices drawn alike, one call",
+        (8, 16, 32, 64), "ms", lambda n: 1, _group_inverses("fp"),
     ),
     "analyze_reverse_line": Sweep(
         "analyzer_report of an N-vertex line declared from its sink (edges x(i+1) -> x(i)) "
