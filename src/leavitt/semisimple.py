@@ -31,7 +31,7 @@ from .errors import (
     PreconditionError,
     charge,
 )
-from .fields import QQ
+from .fields import QQ, common_denominator
 from .graph import (
     _graph_fact,
     _path_counts,
@@ -39,7 +39,7 @@ from .graph import (
     is_acyclic,
     is_acyclic_no_bifurcation,
 )
-from .matrices import BlockMatrix, Matrix, _nonzero, add_entry
+from .matrices import BlockMatrix, Matrix, _canonical_rows, add_entry
 
 MAX_SINK_EDGES = 1 << 25  # edges in all the sink paths of one decomposition
 MAX_WITNESS_POOL = 3**7 - 1  # candidate elements of one find_fg_witness search
@@ -148,7 +148,7 @@ def to_matrix(x, decomposition):
 
     p q* sends each sink path q t to p t and every other one to 0; p and q
     end at one vertex, so their shifts run over the same paths t. A row is
-    made only when an entry lands in it, and sums that cancel are dropped;
+    made only when an entry lands in it, and x's integer sums made canonical;
     every index is the decomposition's own, so the rows are wrapped unchecked."""
     d = decomposition
     if x.graph != d.graph:
@@ -156,15 +156,14 @@ def to_matrix(x, decomposition):
     sizes = d.sizes
     blocks = [{} for _ in sizes]
     g, index, starting = x.graph, d._index, d._starting
-    scalar, den = x.field.scalar, x._den
+    field, den = x.field, x._den
     for key, n in x._flat.items():
         source, p, ghost_source, q = key
-        c = scalar(n, den)
         for t in starting[_range(g, key)]:
             b, i = index[source, p + t]
-            add_entry(blocks[b].setdefault(i, {}), index[ghost_source, q + t][1], c)
-    rows = (_nonzero(r.items()) for r in blocks)
-    return BlockMatrix(Matrix._trusted(r, n, n, x.field) for r, n in zip(rows, sizes))
+            add_entry(blocks[b].setdefault(i, {}), index[ghost_source, q + t][1], n)
+    return BlockMatrix(Matrix._trusted(r, _canonical_rows(r, den, field.characteristic),
+                                       n, n, field) for r, n in zip(blocks, sizes))
 
 
 def from_matrix(bm, decomposition, field=None):
@@ -176,14 +175,15 @@ def from_matrix(bm, decomposition, field=None):
     found = bm.blocks[0].field if bm.blocks else field or QQ
     if field not in (None, found):
         raise GraphMismatch(f"blocks over {found!r}, but the field given is {field!r}")
-    raw = []
-    for block, mat in zip(decomposition.blocks, bm.blocks):
-        paths, rows = block, mat.nonzero_rows
+    parts = []  # each block's integers over its denominator
+    for paths, mat in zip(decomposition.blocks, bm.blocks):
+        rows, raw = mat._rows, []
         for j in sorted(rows):  # rows and columns in order, so the raw terms keep their order
             row, p = rows[j], paths[j]
             for k in sorted(row):
                 raw.append(((p.source, p.edges, paths[k].source, paths[k].edges), row[k]))
-    return Element._from_raw(decomposition.graph, found, *found.encode_terms(raw))
+        parts.append((raw, mat._den))
+    return Element._from_raw(decomposition.graph, found, *common_denominator(parts))
 
 
 def element_group_inverse(x):

@@ -28,7 +28,7 @@ from .errors import PreconditionError, charge, size
 from .expressions import format_element, format_monomial
 from .fields import QQ
 from .graph import Graph, _graph_fact, _names, is_acyclic, vertex_on_a_cycle
-from .matrices import Matrix, add_entry
+from .matrices import Matrix, _canonical_rows, add_entry
 from .quotients import in_socle
 
 # a window holds up to N entries, and the sandwich report checks (N - 1)^2
@@ -252,16 +252,11 @@ def rcfm_representation(x, window):
     d = _canonical(x.graph)
     size(window, 1, "window size must be positive")
     charge(window, MAX_WINDOW, "window {count} exceeds the bound {bound}")
-    w = _matrix_window(x, d, window)
-    scalar, den = x.field.scalar, x._den
-    for row in w.matrix.nonzero_rows.values():
-        for k, n in row.items():
-            row[k] = scalar(n, den)
-    return w
+    return _matrix_window(x, d, window)
 
 
 def _matrix_window(x, d, window):
-    """rcfm_representation of x, for d the canonical graph's decomposition, as numerators."""
+    """rcfm_representation of x, for d the canonical graph's decomposition."""
     rows = _window_rows(x, d, window)
     validity, terms = max(window - x.total_degree(), 0), max(x.support_size(), 1)
     columns = Counter(j for row in rows.values() for j in row)
@@ -271,7 +266,8 @@ def _matrix_window(x, d, window):
         "row_finite_on_window": max(map(len, rows.values()), default=0) <= terms,
         "col_finite_on_window": max(columns.values(), default=0) <= terms,
     }
-    return MatrixWindow(Matrix._trusted(rows, window, window, x.field), validity, flags)
+    matrix = Matrix._trusted(rows, _canonical_rows(rows, x._den), window, window, x.field)
+    return MatrixWindow(matrix, validity, flags)
 
 
 def _window_rows(x, d, window):

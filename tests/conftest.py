@@ -15,7 +15,7 @@ from leavitt.algebra import _key, _monomial, _normal_form, _range
 from leavitt.expressions import MAX_NESTING, _spell
 from leavitt.errors import ExpressionSyntaxError, LimitExceeded, UnknownIdentifier
 from leavitt.graph import IDENT, _as_members, _reach, vertex_on_a_cycle
-from leavitt.matrices import _nonzero, add_entry
+from leavitt.matrices import add_entry
 from leavitt.quotients import _entry_paths
 from leavitt.toeplitz import (
     MAX_DEGREE,
@@ -787,19 +787,39 @@ def whole_matrix_is_group_invertible(m):
 # Scalar elimination: rref, rank_factorization, inverse, the support corner
 # and group_inverse as they were before the integer kernel, Gauss-Jordan on
 # field scalars, one scalar built per multiply. Verbatim but for the class
-# name and the qualified errors; products are re-wrapped, so that the
-# inverse of R C and the rest stay on this path.
+# name and the qualified errors. The class holds its own scalar rows
+# {row: {column: nonzero scalar}}, as Matrix stored them then, and its
+# product is the scalar loop, so that the inverse of R C and the rest stay
+# on this path.
 
 
-class ScalarMatrix(Matrix):
-    __slots__ = ()
+class ScalarMatrix:
+    __slots__ = ("nonzero_rows", "nrows", "ncols", "field")
+
+    @classmethod
+    def _trusted(cls, rows, nrows, ncols, field):
+        m = cls.__new__(cls)
+        m.nonzero_rows, m.nrows, m.ncols, m.field = rows, nrows, ncols, field
+        return m
 
     @classmethod
     def of(cls, m):
         return cls._trusted(m.nonzero_rows, m.nrows, m.ncols, m.field)
 
+    @property
+    def shape(self):
+        return (self.nrows, self.ncols)
+
     def __mul__(self, other):
-        return ScalarMatrix.of(Matrix.__mul__(self, other))
+        out = {}
+        for i, r in self.nonzero_rows.items():
+            acc = {}
+            for k, a in r.items():
+                for j, b in other.nonzero_rows.get(k, {}).items():
+                    add_entry(acc, j, a * b)
+            if acc := {j: c for j, c in acc.items() if c}:
+                out[i] = acc
+        return ScalarMatrix._trusted(out, self.nrows, other.ncols, self.field)
 
     def rref(self):
         """(reduced row echelon form, pivot column list).
@@ -2610,7 +2630,8 @@ def parent_rcfm_representation(x, window):
         "row_finite_on_window": max(map(len, rows.values()), default=0) <= terms,
         "col_finite_on_window": max(columns.values(), default=0) <= terms,
     }
-    return MatrixWindow(Matrix._trusted(rows, window, window, x.field), validity, flags)
+    matrix = Matrix.from_row_dicts([rows.get(i, {}) for i in range(window)], window, x.field)
+    return MatrixWindow(matrix, validity, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -2776,8 +2797,8 @@ def scalar_to_matrix(x, decomposition):
         for t in starting[_range(g, key)]:
             b, i = index[source, p + t]
             add_entry(blocks[b].setdefault(i, {}), index[ghost_source, q + t][1], c)
-    rows = (_nonzero(r.items()) for r in blocks)
-    return L.BlockMatrix(Matrix._trusted(r, n, n, x.field) for r, n in zip(rows, sizes))
+    return L.BlockMatrix(Matrix.from_row_dicts([r.get(i, {}) for i in range(n)], n, x.field)
+                         for r, n in zip(blocks, sizes))
 
 
 def scalar_from_matrix(bm, decomposition, field=None):

@@ -104,7 +104,8 @@ def outcome(f, m):
     except L.LeavittError as exc:
         return (type(exc), str(exc))
     parts = out if isinstance(out, tuple) else (out,)
-    return tuple((p.shape, p.nonzero_rows) if isinstance(p, Matrix) else p for p in parts)
+    matrices = (Matrix, ScalarMatrix)
+    return tuple((p.shape, p.nonzero_rows) if isinstance(p, matrices) else p for p in parts)
 
 
 OPS = {
@@ -260,9 +261,39 @@ def test_scalars_are_built_only_for_the_entries_returned(field, built):
                 assert built[field] == before, name
                 continue
             out = out[0] if name == "rref" else out
-            assert built[field] - before == sum(map(len, out.nonzero_rows.values())), (name, m)
+            nonzeros = sum(map(len, out.nonzero_rows.values()))  # the read builds them
+            assert built[field] - before == nonzeros, (name, m)
             found[name] += 1
     assert found["group_inverse"] >= 20 and found["inverse"] >= 3
+
+
+# per field: the elements of D (u -> w, u -> v -> w) given to group_inverse
+PIPELINE = {L.QQ: ("2/3*u + 5/7*w + 3/4*a", "3/5*w + 1/4*c*c'"),
+            FIELDS[2]: ("3*u + 5*w + 3/4*a", "3/5*w + 1/4*c*c'")}
+
+
+@pytest.mark.parametrize("field", PIPELINE, ids=repr)
+def test_the_matrix_pipeline_builds_no_scalar_until_an_entry_is_read(field, built):
+    """to_matrix, group_inverse and from_matrix pass integers over one
+    denominator from step to step, and so does a Toeplitz window: the only
+    scalars built are those of the entries read, one each."""
+    D = L.Graph("D", ["u", "v", "w"], [("a", "u", "w"), ("b", "u", "v"), ("c", "v", "w")])
+    d = L.matrix_decomposition(D)
+    T = L.toeplitz_graph()
+    for text in PIPELINE[field]:
+        x = L.parse_element(D, text, field)
+        y = L.parse_element(T, "2/3*v + 1/2*e + 3/4*e'", field)
+        built.clear()
+        image = L.to_matrix(x, d)
+        inverse = image.group_inverse()
+        back = L.from_matrix(inverse, d, field)
+        window = L.rcfm_representation(y, 16).matrix
+        assert built[field] == 0, text
+        assert back * x == x * back and back * x * back == back
+        for m in (*image.blocks, *inverse.blocks, window):
+            before = built[field]
+            nonzeros = sum(map(len, m.nonzero_rows.values()))
+            assert built[field] - before == nonzeros > 0, (text, m)
 
 
 def test_rref_inverse_and_group_inverse_share_one_elimination(monkeypatch):

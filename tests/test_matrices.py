@@ -502,3 +502,77 @@ def test_repr_prints_the_shape_and_the_nonzero_rows_only():
     assert took < 0.1, took
     m = M([[0, 2], [0, 0], [Fraction(1, 3), -5]])
     assert repr(m) == "Matrix[3x2; 0: 1=2; 2: 0=1/3 1=-5]"
+
+
+# -- integer storage: the field's zeros, equal values, repr, copies ------------
+
+GF7 = L.GF(7)
+# case -> (the call, the matrix it must equal)
+GF7_ZEROS = {
+    "an entry that 7 divides": (lambda: Matrix([[7]], GF7), Matrix([[0]], GF7)),
+    "the inverse past such an entry": (
+        lambda: Matrix([[7, 1], [1, 1]], GF7).inverse(), Matrix([[6, 1], [1, 0]], GF7)
+    ),
+    # the columns are checked after encoding, so a zero of the field may lie anywhere
+    "such a zero outside the columns": (
+        lambda: Matrix.from_row_dicts([{5: 7}, {0: 14, 1: 3}], 2, GF7),
+        Matrix([[0, 0], [0, 3]], GF7),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", GF7_ZEROS)
+def test_an_integer_that_p_divides_is_zero_in_gf_p(case):
+    build, want = GF7_ZEROS[case]
+    assert build() == want
+
+
+def test_equality_compares_values():
+    half = Fraction(1, 2)
+    assert Matrix([[half]]) == Matrix([[1]]) * Matrix([[half]])
+    assert Matrix([[half, 0]]) + Matrix([[half, 0]]) == Matrix([[1, 0]])
+    assert Matrix([[Fraction(2, 4), 0]]) * Matrix([[4], [3]]) == Matrix([[2]])
+    assert Matrix([[half]]) != Matrix([[1]]) and Matrix([[1]], GF7) != Matrix([[1]])
+    # a window keeps the entries inside it only: 1/2 e^5 falls outside, v is 2/2
+    T = L.toeplitz_graph()
+    w = L.rcfm_representation(L.parse_element(T, "v + 1/2*e*e*e*e*e"), 3)
+    assert w.matrix == Matrix.from_row_dicts([{}, {1: 1}, {2: 1}], 3)
+    for field in (L.QQ, GF7):
+        rng = seeded(f"inverse-inverse:{field!r}")
+        done = 0
+        while done < 20:
+            n = rng.randint(1, 5)
+            m = Matrix([[field.scalar(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(n)]
+                        for _ in range(n)], field)
+            if rank(m) == n:
+                assert m.inverse().inverse() == m
+                assert m.group_inverse() == m.inverse() and m * m.inverse() == Matrix.identity(n, field)
+                done += 1
+
+
+@pytest.mark.parametrize("field", [L.QQ, GF7], ids=repr)
+def test_repr_spells_each_entry_as_its_scalar_prints(field):
+    """repr spells the stored integers through the field, building no scalar;
+    it is the spelling of the scalars the nonzero_rows view builds."""
+    rng = seeded(f"repr:{field!r}")
+    for _ in range(40):
+        nrows, ncols = rng.randint(0, 5), rng.randint(1, 5)
+        rows = [{j: field.scalar(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 9, 10)))
+                 for j in range(ncols) if rng.random() < 0.5} for _ in range(nrows)]
+        m = Matrix.from_row_dicts(rows, ncols, field)
+        stored = sorted(m.nonzero_rows.items())
+        body = "".join(f"; {i}: " + " ".join(f"{j}={r[j]}" for j in sorted(r)) for i, r in stored)
+        assert repr(m) == f"Matrix[{m.nrows}x{m.ncols}{body}]"
+
+
+def test_a_matrix_and_a_block_matrix_survive_pickle_and_deepcopy():
+    import copy
+    import pickle
+
+    m = Matrix([[Fraction(1, 3), 0], [2, Fraction(-5, 7)]])
+    f = Matrix([[3, 0], [1, 6]], GF7)
+    for obj in (m, f, Matrix.identity(3), zero(2), BlockMatrix([m, f]), m.group_inverse()):
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert type(twin) is type(obj) and twin == obj and repr(twin) == repr(obj)
+    twin = copy.deepcopy(m)
+    assert twin.nonzero_rows == m.nonzero_rows and twin * m == m * m

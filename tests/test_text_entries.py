@@ -1,6 +1,6 @@
-"""The library's text and modulus entries refuse a value of the wrong type
-with a PreconditionError where it enters, not an AttributeError or a
-TypeError from inside the parser or the primality test."""
+"""The library's text, modulus and matrix entries refuse a value of the wrong
+type with a PreconditionError where it enters, not an AttributeError or a
+TypeError from inside the parser or the primality test, nor by storing it."""
 
 import pytest
 
@@ -27,6 +27,12 @@ REFUSALS = {
     "GF-float": (lambda: L.GF(2.5), "a modulus must be an integer, not 2.5"),
     "GF-str": (lambda: L.GF("7"), "a modulus must be an integer, not '7'"),
     "GF-none": (lambda: L.GF(None), "a modulus must be an integer, not None"),
+    # a matrix encodes its entries through its field, as an element does
+    "Matrix-float": (lambda: L.Matrix([[0.5]]), "0.5 is not a scalar of QQ"),
+    "Matrix-str": (lambda: L.Matrix([["x"]]), "'x' is not a scalar of QQ"),
+    "from_row_dicts-str": (
+        lambda: L.Matrix.from_row_dicts([{0: "x"}], 1, L.GF(7)), "'x' is not a scalar of GF(7)"
+    ),
 }
 
 

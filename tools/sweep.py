@@ -26,9 +26,11 @@ BENCH_12.json: ``command``, ``inputs``, then one entry per sweep with a
 or when the two sides' outputs differ at some point.
 
     python3 tools/sweep.py --parent PARENT_TREE --change . [--rounds 3] [--sizes K]
+        [--only NAME ...]
 
-``--sizes K`` runs only the K smallest sizes of each sweep. The script
-needs only the standard library.
+``--sizes K`` runs only the K smallest sizes of each sweep, and ``--only``
+only the sweeps named, in registry order. The script needs only the
+standard library.
 """
 
 from __future__ import annotations
@@ -142,6 +144,16 @@ def _roundtrip_line(L, n):
     return lambda: L.format_element(L.from_matrix(L.to_matrix(x, d).group_inverse(), d))
 
 
+def _rcfm_window(L, n):
+    """rcfm_representation(x, N) on toeplitz_graph() for x = 2/3*v + 1/2*e + 3/4*e':
+    the diagonal, the sub- and the superdiagonal of the window, 3N - 5 entries.
+    The call returns the window's matrix, whose repr, the output compared,
+    is built after the timing."""
+    g = L.toeplitz_graph()
+    x = L.parse_element(g, "2/3*v + 1/2*e + 3/4*e'")
+    return lambda: L.rcfm_representation(x, n).matrix
+
+
 def _group_inverses(field):
     """The group inverses of two seeded random sparse N x N matrices, over QQ
     or over F_p for p = 2^31 - 1, with entries a/b for 1 <= |a|, b <= 9: one
@@ -200,6 +212,11 @@ SWEEPS = {
         "format_element(from_matrix(to_matrix(x, d).group_inverse(), d)) for "
         "x = 3*x(N/2) + x(N/2 + 1) on line_graph(N), d its decomposition, one call",
         (512, 1024, 2048, 4096), "ms", lambda n: 1, _roundtrip_line,
+    ),
+    "rcfm_window": Sweep(
+        "rcfm_representation(x, N) on toeplitz_graph() for x = 2/3*v + 1/2*e + 3/4*e': "
+        "3N - 5 entries on three diagonals, the time per window entry",
+        (256, 512, 1024, 2048), "us", lambda n: 3 * n - 5, _rcfm_window,
     ),
     "group_inverse_qq": Sweep(
         "Matrix.group_inverse over QQ of two seeded random sparse N x N matrices: one of "
@@ -319,7 +336,10 @@ def main(argv=None):
     parser.add_argument("--change", required=True, help="tree of the change (has src/)")
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--sizes", type=int, help="run only the K smallest sizes of each sweep")
+    parser.add_argument("--only", nargs="+", choices=SWEEPS, metavar="NAME",
+                        help=f"run only these sweeps, of: {', '.join(SWEEPS)}")
     args = parser.parse_args(argv)
+    sweeps = {name: sweep for name, sweep in SWEEPS.items() if name in (args.only or SWEEPS)}
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     out = {
         "command": (
@@ -331,10 +351,10 @@ def main(argv=None):
             f"{args.rounds} rounds alternating which side runs first; 'best' is the least "
             "value over the rounds, 'spread' the least and the greatest call"
         ),
-        "inputs": {name: sweep.input for name, sweep in SWEEPS.items()},
+        "inputs": {name: sweep.input for name, sweep in sweeps.items()},
     }
     failed = False
-    for name, sweep in SWEEPS.items():
+    for name, sweep in sweeps.items():
         sizes = sweep.sizes[: args.sizes] if args.sizes else sweep.sizes
         runs = {side: {n: [] for n in sizes} for side in trees}
         for r in range(args.rounds):
